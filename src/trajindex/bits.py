@@ -117,10 +117,6 @@ class BitVector:
         """Underlying uint8 array (0-based).  Read-only by convention."""
         return self._bits
 
-    def packed_nbytes(self):
-        """Size of the packed payload plus rank directory, in bytes."""
-        return (len(self._bits) + 7) // 8 + 4 * (len(self._dir) - 1)
-
     def to_bytes(self):
         return np.packbits(self._bits, bitorder="little").tobytes()
 
@@ -269,10 +265,6 @@ class DacSequence:
         return self._n
 
     @property
-    def widths(self):
-        return list(self._widths)
-
-    @property
     def n_levels(self):
         return len(self._levels)
 
@@ -292,9 +284,6 @@ class DacSequence:
             shift += self._widths[li]
             i = cont.rank1(i + 1) - 1
         return value
-
-    def __getitem__(self, i):
-        return self.access(i)
 
     def to_list(self):
         return [self.access(i) for i in range(self._n)]

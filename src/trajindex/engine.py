@@ -33,7 +33,6 @@ import numpy as np
 
 from . import serial, spiral
 from .geometry import (
-    box_shift,
     clip_region,
     contains,
     dist_point_point,
@@ -321,7 +320,7 @@ class TrajectoryIndex:
                 return p
             if t_s < t_q:
                 return self._forward_to(oid, t_s, p, t_q)
-            return self._backward_to(oid, t_q, t_s, p)
+            return self._backward_to(h - 1, oid, t_q, t_s, p)
         if t_s <= t_q:
             anchor = (
                 self.logs.first_anchor(h, oid) if h < self.logs.n_portions else None
@@ -342,41 +341,26 @@ class TrajectoryIndex:
             return None
         if t_d == t_q:
             return p_d
-        return self._backward_to(oid, t_q, t_d, p_d)
+        return self._backward_to(h - 1, oid, t_q, t_d, p_d)
 
     def _forward_to(self, oid, t_c, p_c, t_q):
         bump = self.counters.bump
-        for elem in self.logs.elements(oid, t_c + 1, t_q):
-            kind = elem[0]
-            if kind == "M":
+        for sym, t, p in self.logs.elements(oid, t_c, p_c, t_q):
+            if sym is not None:
                 bump("object_symbols")
-                t_c, p_c = move_jump(self.rules, p_c, t_c, t_q, elem[1])
-            elif kind == "AA":
-                t_c, p_c = elem[1], (elem[2], elem[3])
-            elif kind == "RM":
-                t_c, p_c = t_c + elem[1] + 1, (p_c[0] + elem[2], p_c[1] + elem[3])
-            elif kind == "RNM":
-                t_c = t_c + elem[1] + 1
-            # "D": no further information in this portion; keep walking
+                if t > t_q:
+                    t, p = move_jump(self.rules, p_c, t_c, t_q, sym)
+            t_c, p_c = t, p
         return p_c if t_c == t_q else None
 
-    def _backward_to(self, oid, t_q, t_c, p_c):
+    def _backward_to(self, h, oid, t_q, t_c, p_c):
         bump = self.counters.bump
-        for elem in self.logs.elements_backward(oid, t_q, t_c):
-            kind = elem[0]
-            if kind == "M":
+        for sym, t, p in self.logs.elements_backward(h, oid, t_c, p_c, t_q):
+            if sym is not None:
                 bump("object_symbols")
-                t_c, p_c = move_back(self.rules, p_c, t_q, t_c, elem[1])
-            elif kind in ("AA", "D"):
-                t_c, p_c = elem[1], (elem[2], elem[3])
-            elif kind == "RM":
-                t_c, p_c = t_c - elem[1] - 1, (p_c[0] - elem[2], p_c[1] - elem[3])
-            else:  # RNM
-                t_c = t_c - elem[1] - 1
-            if t_c < t_q:
-                return None
-            if t_c == t_q:
-                break
+                if t < t_q:
+                    t, p = move_back(self.rules, p_c, t_q, t_c, sym)
+            t_c, p_c = t, p
         return p_c if t_c == t_q else None
 
     # ------------------------------------------------------------------
@@ -410,27 +394,14 @@ class TrajectoryIndex:
         out = []
         if t_c >= t_b:
             out.append((t_c, p_c))
-        for elem in self.logs.elements(oid, t_c + 1, t_e):
-            kind = elem[0]
-            if kind == "M":
-                sym = elem[1]
-                if t_c + self.rules.span_of(sym) < t_b:
-                    t_c, p_c = move_jump(self.rules, p_c, t_c, t_b - 1, sym)
-                else:
-                    pairs = move_steps(self.rules, p_c, t_c, t_e, sym)
-                    out.extend(pr for pr in pairs if pr[0] >= t_b)
-                    t_c, p_c = pairs[-1]
-            elif kind == "AA" or kind == "RM" or kind == "RNM":
-                if kind == "AA":
-                    t_c, p_c = elem[1], (elem[2], elem[3])
-                elif kind == "RM":
-                    t_c, p_c = t_c + elem[1] + 1, (p_c[0] + elem[2], p_c[1] + elem[3])
-                else:
-                    t_c = t_c + elem[1] + 1
-                if t_c >= t_b:
-                    out.append((t_c, p_c))
-            if t_c >= t_e:
-                break
+        for sym, t, p in self.logs.elements(oid, t_c, p_c, t_e):
+            if sym is None:
+                if t_b <= t <= t_e:
+                    out.append((t, p))
+            elif t >= t_b:
+                steps = move_steps(self.rules, p_c, t_c, t_e, sym)
+                out.extend(step for step in steps if step[0] >= t_b)
+            t_c, p_c = t, p
         return out
 
     # ------------------------------------------------------------------
@@ -484,7 +455,7 @@ class TrajectoryIndex:
                     if contains(r, *p_c):
                         answers.append((o, p_c))
                     continue
-                pos = self._slice_backward(o, t_q, t_c, p_c, r, use_mbr, use_er)
+                pos = self._slice_backward(h - 1, o, t_q, t_c, p_c, r, use_mbr, use_er)
                 if pos is not None:
                     answers.append((o, pos))
         return sorted((self._orig(o), p) for o, p in answers)
@@ -492,32 +463,22 @@ class TrajectoryIndex:
     def _slice_forward(self, oid, t_c, p_c, t_q, r, use_mbr, use_er):
         m_sp = self.params.max_speed
         side = self.params.side
+        rules = self.rules
         bump = self.counters.bump
-        for elem in self.logs.elements(oid, t_c + 1, t_q):
-            kind = elem[0]
-            if kind == "M":
-                sym = elem[1]
+        for sym, t, p in self.logs.elements(oid, t_c, p_c, t_q):
+            if sym is not None:
                 bump("slice_symbols")
                 if (
                     use_mbr
-                    and self.rules.is_nonterminal(sym)
-                    and t_c + self.rules.span_of(sym) >= t_q
+                    and t >= t_q
+                    and sym >= rules.nt_base
+                    and not regions_intersect(rules.box(sym, *p_c), r)
                 ):
-                    box = box_shift(self.rules.mbr_of(sym), p_c[0], p_c[1])
-                    if not regions_intersect(box, r):
-                        return None
-                t_c, p_c = move_jump(self.rules, p_c, t_c, t_q, sym)
-            elif kind == "AA":
-                t_c, p_c = elem[1], (elem[2], elem[3])
-            elif kind == "RM":
-                t_c, p_c = t_c + elem[1] + 1, (p_c[0] + elem[2], p_c[1] + elem[3])
-            elif kind == "RNM":
-                t_c = t_c + elem[1] + 1
-            else:
-                continue
-            if t_c == t_q:
-                break
-            if use_er and not contains(
+                    return None
+                if t > t_q:
+                    t, p = move_jump(rules, p_c, t_c, t_q, sym)
+            t_c, p_c = t, p
+            if use_er and t_c < t_q and not contains(
                 expanded_region(r, t_c, t_q, m_sp, side), *p_c
             ):
                 return None
@@ -525,36 +486,25 @@ class TrajectoryIndex:
             return p_c
         return None
 
-    def _slice_backward(self, oid, t_q, t_c, p_c, r, use_mbr, use_er):
+    def _slice_backward(self, h, oid, t_q, t_c, p_c, r, use_mbr, use_er):
         m_sp = self.params.max_speed
         side = self.params.side
+        rules = self.rules
         bump = self.counters.bump
-        for elem in self.logs.elements_backward(oid, t_q, t_c):
-            kind = elem[0]
-            if kind == "M":
-                sym = elem[1]
+        for sym, t, p in self.logs.elements_backward(h, oid, t_c, p_c, t_q):
+            if sym is not None:
                 bump("slice_symbols")
                 if (
                     use_mbr
-                    and self.rules.is_nonterminal(sym)
-                    and t_c - self.rules.span_of(sym) <= t_q
+                    and t <= t_q
+                    and sym >= rules.nt_base
+                    and not regions_intersect(rules.box(sym, *p), r)
                 ):
-                    dx, dy = self.rules.disp_of(sym)
-                    box = box_shift(self.rules.mbr_of(sym), p_c[0] - dx, p_c[1] - dy)
-                    if not regions_intersect(box, r):
-                        return None
-                t_c, p_c = move_back(self.rules, p_c, t_q, t_c, sym)
-            elif kind in ("AA", "D"):
-                t_c, p_c = elem[1], (elem[2], elem[3])
-            elif kind == "RM":
-                t_c, p_c = t_c - elem[1] - 1, (p_c[0] - elem[2], p_c[1] - elem[3])
-            else:  # RNM
-                t_c = t_c - elem[1] - 1
-            if t_c < t_q:
-                return None
-            if t_c == t_q:
-                break
-            if use_er and not contains(
+                    return None
+                if t < t_q:
+                    t, p = move_back(rules, p_c, t_q, t_c, sym)
+            t_c, p_c = t, p
+            if use_er and t_c > t_q and not contains(
                 expanded_region(r, t_q, t_c, m_sp, side), *p_c
             ):
                 return None
@@ -606,87 +556,51 @@ class TrajectoryIndex:
                 if t_b <= t_c <= t_e and contains(r, *p_c):
                     answers.add(o)
                     continue
-                if self._interval_scan(
-                    o, t_c, p_c, t_b, t_e, t_last, pe, r, use_mbr, use_er
-                ):
+                if self._interval_scan(o, t_c, p_c, t_b, t_e, t_last, r, use_mbr, use_er):
                     answers.add(o)
             h += 1
         return sorted(self._orig(o) for o in answers)
 
-    def _interval_scan(
-        self, oid, t_c, p_c, t_b, t_e, t_last, portion_end, r, use_mbr, use_er
-    ):
+    def _interval_scan(self, oid, t_c, p_c, t_b, t_e, t_last, r, use_mbr, use_er):
         m_sp = self.params.max_speed
         side = self.params.side
         rules = self.rules
+        span, dx, dy, pairs = rules.sym_span, rules.sym_dx, rules.sym_dy, rules.sym_pairs
+        nt_base = rules.nt_base
         bump = self.counters.bump
-        cursor = self.logs.elements(oid, t_c + 1, portion_end)
-        stack = []
-        while t_c < t_last:
-            if stack:
-                sym = stack.pop()
-            else:
-                elem = next(cursor, None)
-                if elem is None:
-                    break
-                kind = elem[0]
-                if kind == "M":
-                    sym = elem[1]
-                elif kind == "D":
-                    break
+        for sym, t, p in self.logs.elements(oid, t_c, p_c, t_last):
+            stack = [sym]  # None for an event
+            while stack and t_c < t_last:
+                s = stack.pop()
+                bump("interval_symbols")
+                if s is None:  # the event sets the state
+                    t_c, p_c = t, p
                 else:
-                    bump("interval_symbols")
-                    gap = elem[1]
-                    if kind == "AA":
-                        t_c, p_c = elem[1], (elem[2], elem[3])
-                    elif kind == "RM":
-                        t_c, p_c = t_c + gap + 1, (p_c[0] + elem[2], p_c[1] + elem[3])
-                    else:  # RNM
-                        t_c = t_c + gap + 1
-                    if t_b <= t_c <= t_e and contains(r, *p_c):
-                        return True
-                    if (
-                        use_er
-                        and t_c < t_last
-                        and not contains(
-                            expanded_region(r, t_c, t_last, m_sp, side), *p_c
-                        )
-                    ):
-                        return False
-                    continue
-            bump("interval_symbols")
-            span = rules.span_of(sym)
-            if t_c + span < t_b:  # fully before the window: pure skip
-                dx, dy = rules.disp_of(sym)
-                t_c, p_c = t_c + span, (p_c[0] + dx, p_c[1] + dy)
-                continue
-            if use_mbr:
-                box = box_shift(rules.mbr_of(sym), p_c[0], p_c[1])
-                if not regions_intersect(box, r):
-                    # cannot touch r anywhere inside: consume whole, even
-                    # past t_last — the portion log bounds the span anyway
-                    dx, dy = rules.disp_of(sym)
-                    t_c, p_c = t_c + span, (p_c[0] + dx, p_c[1] + dy)
-                    continue
-                if (
-                    rules.is_nonterminal(sym)
-                    and region_in_region(box, r)
-                    and t_c + span >= t_b
-                ):
+                    if t_c + span[s] < t_b:  # fully before the window: pure skip
+                        t_c, p_c = t_c + span[s], (p_c[0] + dx[s], p_c[1] + dy[s])
+                        continue
+                    if use_mbr:
+                        box = rules.box(s, *p_c)
+                        if not regions_intersect(box, r):
+                            # cannot touch r anywhere inside: consume whole, even
+                            # past t_last — the portion log bounds the span anyway
+                            t_c, p_c = t_c + span[s], (p_c[0] + dx[s], p_c[1] + dy[s])
+                            continue
+                        if s >= nt_base and region_in_region(box, r):
+                            return True
+                    if s >= nt_base:
+                        stack.append(pairs[s, 1])
+                        stack.append(pairs[s, 0])
+                        continue
+                    t_c, p_c = t_c + 1, (p_c[0] + dx[s], p_c[1] + dy[s])
+                if t_b <= t_c <= t_e and contains(r, *p_c):
                     return True
-            if rules.is_nonterminal(sym):
-                a, b = rules.pair_of(sym)
-                stack.append(b)
-                stack.append(a)
-                continue
-            dx, dy = rules.disp_of(sym)
-            t_c, p_c = t_c + 1, (p_c[0] + dx, p_c[1] + dy)
-            if t_b <= t_c <= t_e and contains(r, *p_c):
-                return True
-            if use_er and not contains(
-                expanded_region(r, t_c, t_last, m_sp, side), *p_c
-            ):
-                return False
+                if (
+                    use_er
+                    and t_c < t_last
+                    and not contains(expanded_region(r, t_c, t_last, m_sp, side), *p_c)
+                ):
+                    return False
         return False
 
     # ------------------------------------------------------------------
@@ -770,22 +684,18 @@ class TrajectoryIndex:
                     d_fin = -final[0][0]
                 continue
             if cur is None:
-                cur = self.logs.elements(o, t_c + 1, t_q)
-            elem = next(cur, None)
-            if elem is None:
-                continue  # gap reaches past t_q: not active, drop
-            kind = elem[0]
-            if kind == "M":
+                cur = self.logs.elements(o, t_c, p_c, t_q)
+            step = next(cur, None)
+            if step is None:
+                continue  # the log ends before t_q: not active, drop
+            sym, t, p = step
+            if sym is not None:
                 bump("knn_symbols")
-                t_c, p_c = move_jump(self.rules, p_c, t_c, t_q, elem[1])
-            elif kind == "AA":
-                t_c, p_c = elem[1], (elem[2], elem[3])
-            elif kind == "RM":
-                t_c, p_c = t_c + elem[1] + 1, (p_c[0] + elem[2], p_c[1] + elem[3])
-            elif kind == "RNM":
-                t_c = t_c + elem[1] + 1
-            else:  # D: nothing at t_q
-                continue
+                if t > t_q:
+                    t, p = move_jump(self.rules, p_c, t_c, t_q, sym)
+            t_c, p_c = t, p
+            if t_c > t_q:
+                continue  # a gap covers t_q: not active, drop
             d_min = dist_point_point(point, p_c) - m_sp * (t_q - t_c)
             heapq.heappush(cands, (d_min, o, t_c, p_c, cur))
         out = sorted((-nd, -no) for nd, no in final)
@@ -917,14 +827,12 @@ class TrajectoryIndex:
         coords = unzigzag(
             np.asarray(serial.read_dac(dr).to_list(), dtype=np.uint64)
         ).reshape(n_rules, 6)
-        rules = RuleDictionary(
-            max_move,
-            pairs.astype(np.int64),
-            span,
-            coords[:, 0].copy(),
-            coords[:, 1].copy(),
-            coords[:, 2:6].copy(),
-        )
+        try:
+            rules = RuleDictionary(
+                max_move, pairs, span, coords[:, 0], coords[:, 1], coords[:, 2:6]
+            )
+        except ValueError as e:
+            raise serial.SerializationError(str(e)) from e
 
         sr = serial.ByteReader(serial.read_section(r))
         syms = np.asarray(serial.read_dac(sr).to_list(), dtype=np.int64)
@@ -944,7 +852,10 @@ class TrajectoryIndex:
             d_off = np.concatenate([[0], np.cumsum(d_lens)])
             p_off = np.concatenate([[0], np.cumsum(p_lens)])
             portions.append(Portion(p_ids, sym_off, d_vals, d_off, p_vals, p_off))
-        logs = LogStore(rules, period, t_max, syms, portions)
+        try:
+            logs = LogStore(rules, period, t_max, syms, portions)
+        except ValueError as e:
+            raise serial.SerializationError(str(e)) from e
 
         snapshots = []
         for h in range(n_snapshots):

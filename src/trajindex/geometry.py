@@ -63,16 +63,3 @@ def dist_point_region(p, region):
     dx = max(x1 - x, 0, x - x2)
     dy = max(y1 - y, 0, y - y2)
     return math.hypot(dx, dy)
-
-
-def box_union(a, b):
-    return (
-        min(a[0], b[0]),
-        min(a[1], b[1]),
-        max(a[2], b[2]),
-        max(a[3], b[3]),
-    )
-
-
-def box_shift(box, dx, dy):
-    return (box[0] + dx, box[1] + dy, box[2] + dx, box[3] + dy)

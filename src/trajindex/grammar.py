@@ -89,105 +89,99 @@ def repair_compress(streams, nt_base):
 
 
 class RuleDictionary:
-    """Enriched Re-Pair rules plus terminal displacement tables."""
+    """Enriched Re-Pair rules.
+
+    Each field is one int64 table indexed by symbol id, covering event
+    markers (all zero), terminal moves and rules alike: span, net
+    displacement, relative MBR (x1, y1, x2, y2 around the origin) and the
+    rule's pair (zero below ``nt_base``).  Traversals read them through the
+    memoryviews ``sym_span``, ``sym_dx``, ``sym_dy``, ``sym_mbr`` and
+    ``sym_pairs``; ``span``, ``dx``, ``dy``, ``mbr`` and ``pairs`` are numpy
+    views of the rule rows.
+    """
 
     def __init__(self, max_move_code, pairs, span, dx, dy, mbr):
+        """Takes rule-indexed arrays; members must be moves or earlier rules."""
         self.max_move_code = int(max_move_code)
-        self.nt_base = MOVE_BASE + self.max_move_code + 1
-        self.pairs = pairs  # (R, 2) int64
-        self.span = span
-        self.dx = dx
-        self.dy = dy
-        self.mbr = mbr  # (R, 4) int64: x1, y1, x2, y2 relative to origin
-        self.term_dx, self.term_dy = spiral.decode_table(self.max_move_code)
+        nt = self.nt_base = MOVE_BASE + self.max_move_code + 1
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        n = nt + len(pairs)
+        own = np.arange(nt, n, dtype=np.int64)[:, None]
+        if ((pairs < MOVE_BASE) | (pairs >= own)).any():
+            raise ValueError("rule member is an event or not an earlier symbol")
+
+        def table(rule_rows, move_rows):
+            rule_rows = np.asarray(rule_rows, dtype=np.int64)
+            t = np.zeros((n,) + rule_rows.shape[1:], dtype=np.int64)
+            t[MOVE_BASE:nt] = move_rows
+            t[nt:] = rule_rows
+            return t
+
+        tdx, tdy = spiral.decode_table(self.max_move_code)
+        move_mbr = np.column_stack(
+            [np.minimum(tdx, 0), np.minimum(tdy, 0), np.maximum(tdx, 0), np.maximum(tdy, 0)]
+        )
+        tables = (
+            table(span, 1),
+            table(dx, tdx),
+            table(dy, tdy),
+            table(mbr, move_mbr),
+            table(pairs, 0),
+        )
+        self.span, self.dx, self.dy, self.mbr, self.pairs = (t[nt:] for t in tables)
+        self.sym_span, self.sym_dx, self.sym_dy, self.sym_mbr, self.sym_pairs = map(
+            memoryview, tables
+        )
 
     @classmethod
     def build(cls, rule_pairs, max_move_code):
         """Enrich rules bottom-up (every rule references smaller ids only)."""
-        nt_base = MOVE_BASE + max_move_code + 1
-        tdx, tdy = spiral.decode_table(max_move_code)
-        nrules = len(rule_pairs)
-        pairs = np.asarray(rule_pairs, dtype=np.int64).reshape(nrules, 2)
-        span = np.zeros(nrules, dtype=np.int64)
-        dx = np.zeros(nrules, dtype=np.int64)
-        dy = np.zeros(nrules, dtype=np.int64)
-        mbr = np.zeros((nrules, 4), dtype=np.int64)
-
-        def parts_of(sym):
-            if sym < MOVE_BASE:
-                raise ValueError("event symbol inside a rule")
-            if sym < nt_base:
-                mdx = int(tdx[sym - MOVE_BASE])
-                mdy = int(tdy[sym - MOVE_BASE])
-                return (
-                    1,
-                    mdx,
-                    mdy,
-                    (min(mdx, 0), min(mdy, 0), max(mdx, 0), max(mdy, 0)),
-                )
-            i = sym - nt_base
-            return (
-                int(span[i]),
-                int(dx[i]),
-                int(dy[i]),
-                tuple(int(v) for v in mbr[i]),
-            )
-
-        for i in range(nrules):
-            a, b = int(pairs[i, 0]), int(pairs[i, 1])
-            sa, dxa, dya, ma = parts_of(a)
-            sb, dxb, dyb, mb = parts_of(b)
-            span[i] = sa + sb
-            dx[i] = dxa + dxb
-            dy[i] = dya + dyb
-            mbr[i] = (
-                min(ma[0], mb[0] + dxa),
-                min(ma[1], mb[1] + dya),
-                max(ma[2], mb[2] + dxa),
-                max(ma[3], mb[3] + dya),
-            )
-        return cls(max_move_code, pairs, span, dx, dy, mbr)
+        n = len(rule_pairs)
+        zero = np.zeros(n, dtype=np.int64)
+        rules = cls(max_move_code, rule_pairs, zero, zero, zero, np.zeros((n, 4), dtype=np.int64))
+        span, dx, dy = rules.sym_span, rules.sym_dx, rules.sym_dy
+        mbr, pairs = rules.sym_mbr, rules.sym_pairs
+        for s in range(rules.nt_base, rules.nt_base + n):
+            a, b = pairs[s, 0], pairs[s, 1]
+            span[s] = span[a] + span[b]
+            dx[s] = dx[a] + dx[b]
+            dy[s] = dy[a] + dy[b]
+            mbr[s, 0] = min(mbr[a, 0], mbr[b, 0] + dx[a])
+            mbr[s, 1] = min(mbr[a, 1], mbr[b, 1] + dy[a])
+            mbr[s, 2] = max(mbr[a, 2], mbr[b, 2] + dx[a])
+            mbr[s, 3] = max(mbr[a, 3], mbr[b, 3] + dy[a])
+        return rules
 
     @property
     def n_rules(self):
         return len(self.pairs)
 
-    def is_nonterminal(self, sym):
-        return sym >= self.nt_base
-
     def _check(self, sym):
         if sym < MOVE_BASE:
             raise ValueError("event symbol has no movement payload: %d" % sym)
-        if sym >= self.nt_base + len(self.pairs):
+        if sym >= len(self.sym_span):
             raise KeyError("unknown rule id: %d" % sym)
 
     def span_of(self, sym):
         self._check(sym)
-        if sym < self.nt_base:
-            return 1
-        return int(self.span[sym - self.nt_base])
+        return self.sym_span[sym]
 
     def disp_of(self, sym):
         self._check(sym)
-        if sym < self.nt_base:
-            m = sym - MOVE_BASE
-            return int(self.term_dx[m]), int(self.term_dy[m])
-        i = sym - self.nt_base
-        return int(self.dx[i]), int(self.dy[i])
+        return self.sym_dx[sym], self.sym_dy[sym]
 
     def mbr_of(self, sym):
         """Relative bounding box of origin + all intermediate positions."""
         self._check(sym)
-        if sym < self.nt_base:
-            m = sym - MOVE_BASE
-            mdx, mdy = int(self.term_dx[m]), int(self.term_dy[m])
-            return (min(mdx, 0), min(mdy, 0), max(mdx, 0), max(mdy, 0))
-        i = sym - self.nt_base
-        return tuple(int(v) for v in self.mbr[i])
+        return tuple(self.sym_mbr[sym, k] for k in range(4))
+
+    def box(self, sym, x, y):
+        """Absolute bounding box of ``sym``'s path when applied from (x, y)."""
+        m = self.sym_mbr
+        return x + m[sym, 0], y + m[sym, 1], x + m[sym, 2], y + m[sym, 3]
 
     def pair_of(self, sym):
-        i = sym - self.nt_base
-        return int(self.pairs[i, 0]), int(self.pairs[i, 1])
+        return self.sym_pairs[sym, 0], self.sym_pairs[sym, 1]
 
     def expand(self, sym):
         """Left-to-right terminal expansion (move symbols, not codes)."""

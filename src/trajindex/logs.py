@@ -19,13 +19,19 @@ instant/position so backward traversals can anchor on it).
 
 Traversal primitives:
 
-* ``move_jump`` — apply a symbol forward, whole in O(1) via its span and
-  displacement, or descend into the rule until a time limit is hit;
-* ``move_back`` — the exact mirror, undoing movements;
-* ``move_steps`` — expand to terminals, one (instant, position) per step;
-* ``LogStore.elements`` / ``elements_backward`` — cursors over the log
-  elements whose covered instants intersect a window, crossing portion
-  boundaries transparently.
+* ``LogStore.elements`` — forward walker from a log start (a snapshot or an
+  AA anchor), crossing portions; it decodes every event and yields one
+  ``(sym, t, p)`` state per element: a move symbol with the state it
+  reaches applied whole, or ``sym=None`` with the state an AA/RM/RNM sets;
+* ``LogStore.elements_backward`` — the mirror over one portion's log, read
+  in place from its end, yielding the state before each element;
+* ``move_jump`` / ``move_back`` — clip a symbol that straddles a time
+  limit, descending into the rule with an explicit stack;
+* ``move_steps`` — expand a symbol to terminals, one (instant, position)
+  per step.
+
+All of them read span, displacement and pairs from the symbol-indexed
+tables of ``RuleDictionary``.
 """
 
 import numpy as np
@@ -63,10 +69,12 @@ class LogStore:
         self.period = period
         self.t_max = t_max
         self.syms = np.asarray(syms, dtype=np.int64)
+        if len(self.syms) and self.syms.max() >= len(dictionary.sym_span):
+            raise ValueError("log symbol is not a known move, event or rule")
+        self._syms = memoryview(self.syms)
         self.portions = portions
         for h, portion in enumerate(portions):
             self._derive(h, portion)
-
     def _derive(self, h, portion):
         if len(portion.ids) == 0:
             z = np.zeros(0, dtype=np.int64)
@@ -96,11 +104,6 @@ class LogStore:
     def portion_end(self, h):
         return min((h + 1) * self.period, self.t_max)
 
-    def log_index(self, h, oid):
-        if 0 <= h < len(self.portions):
-            return self.portions[h].find(oid)
-        return -1
-
     def first_anchor(self, h, oid):
         """(instant, position) of an appearance-opened log; None otherwise."""
         p = self.portions[h]
@@ -123,147 +126,160 @@ class LogStore:
         y = int(p.p_vals[p.p_off[i + 1] - 1])
         return t, (x, y)
 
-    # -- cursors -----------------------------------------------------------
+    # -- walkers ---------------------------------------------------------
 
-    def _walk(self, h, i):
-        """Elements of one log with their covered instant range (lo, hi)."""
-        p = self.portions[h]
-        s0, s1 = int(p.sym_off[i]), int(p.sym_off[i + 1])
-        di, pi = int(p.d_off[i]), int(p.p_off[i])
-        t = h * self.period
-        span_of = self.dict.span_of
-        for sym in self.syms[s0:s1]:
-            sym = int(sym)
-            if sym == EV_AA:
-                ta = int(p.d_vals[di]); di += 1
-                x = int(p.p_vals[pi]); y = int(p.p_vals[pi + 1]); pi += 2
-                yield ("AA", ta, x, y), ta, ta
-                t = ta
-            elif sym == EV_D:
-                td = int(p.d_vals[di]); di += 1
-                x = int(p.p_vals[pi]); y = int(p.p_vals[pi + 1]); pi += 2
-                yield ("D", td, x, y), td, td
-            elif sym == EV_RM:
-                gap = int(p.d_vals[di]); di += 1
-                code = int(p.p_vals[pi]); pi += 1
-                dx, dy = spiral.decode(code)
-                tr = t + gap + 1
-                yield ("RM", gap, dx, dy, t), tr, tr
-                t = tr
-            elif sym == EV_RNM:
-                gap = int(p.d_vals[di]); di += 1
-                tr = t + gap + 1
-                yield ("RNM", gap, t), tr, tr
-                t = tr
-            else:
-                sp = span_of(sym)
-                yield ("M", sym, t), t + 1, t + sp
-                t += sp
+    def elements(self, oid, t_c, p_c, t_end):
+        """Walk forward from (t_c, p_c), the start of portion
+        ``t_c // period``'s log, yielding ``(sym, t, p)`` per element until
+        the first one that reaches ``t_end``.
 
-    def elements(self, oid, t_begin, t_end):
-        """Forward cursor over elements covering instants in [t_begin, t_end].
-
-        Boundary rules are included whole (the consumer clips with
-        ``move_jump`` limits); the cursor stops once the window end is
-        reached, so a closing D whose instant equals t_end is not emitted.
+        A move symbol comes with the state it reaches when applied whole (the
+        consumer clips it with ``move_jump``); an AA/RM/RNM comes as
+        ``sym=None`` with the state it sets.  The AA opening the first log is
+        the start state and is not yielded.  D ends a log and is skipped: a
+        later portion's AA re-anchors the walk.
         """
-        if t_begin > t_end:
-            return
-        h0 = max((t_begin - 1) // self.period, 0)
-        h1 = min((t_end - 1) // self.period, len(self.portions) - 1)
-        for h in range(h0, h1 + 1):
-            i = self.portions[h].find(oid)
+        d = self.dict
+        span, dx, dy = d.sym_span, d.sym_dx, d.sym_dy
+        syms = self._syms
+        t_start = t_c
+        x, y = p_c
+        h = t_c // self.period
+        while t_c < t_end and h < len(self.portions) and h * self.period < t_end:
+            p = self.portions[h]
+            h += 1
+            i = p.find(oid)
             if i < 0:
                 continue
-            for elem, lo, hi in self._walk(h, i):
-                if hi >= t_begin and lo <= t_end:
-                    yield elem
-                if hi >= t_end:
+            d_vals, p_vals = memoryview(p.d_vals), memoryview(p.p_vals)
+            di, pi = int(p.d_off[i]), int(p.p_off[i])
+            for sym in syms[p.sym_off[i]:p.sym_off[i + 1]]:
+                if sym >= MOVE_BASE:
+                    t_c += span[sym]
+                    x += dx[sym]
+                    y += dy[sym]
+                elif sym == EV_D:
+                    break
+                elif sym == EV_AA:
+                    t_c, x, y = d_vals[di], p_vals[pi], p_vals[pi + 1]
+                    di += 1
+                    pi += 2
+                    if t_c == t_start:
+                        continue
+                    sym = None
+                else:
+                    t_c += d_vals[di] + 1
+                    di += 1
+                    if sym == EV_RM:  # displaced by a spiral code
+                        mdx, mdy = spiral.decode(p_vals[pi])
+                        x += mdx
+                        y += mdy
+                        pi += 1
+                    sym = None
+                yield sym, t_c, (x, y)
+                if t_c >= t_end:
                     return
 
-    def elements_backward(self, oid, t_begin, t_end):
-        """Same elements as ``elements``, yielded in reverse order."""
-        if t_begin > t_end:
+    def elements_backward(self, h, oid, t_c, p_c, t_floor):
+        """Walk portion ``h``'s log backward from its end state (t_c, p_c),
+        yielding ``(sym, t, p)``, the state before each element, until the
+        first one that reaches ``t_floor``.
+
+        The log is read in place from its end, the side-array cursors moving
+        down.  ``sym`` is the move symbol, or None for an event; an AA or D
+        sets the state to its payload.  ``h`` is explicit because a lone-D log
+        may sit on the snapshot instant that starts the next portion.
+        """
+        d = self.dict
+        span, dx, dy = d.sym_span, d.sym_dx, d.sym_dy
+        p = self.portions[h]
+        i = p.find(oid)
+        if i < 0:
             return
-        h0 = max((t_begin - 1) // self.period, 0)
-        h1 = min((t_end - 1) // self.period, len(self.portions) - 1)
-        for h in range(h1, h0 - 1, -1):
-            i = self.portions[h].find(oid)
-            if i < 0:
-                continue
-            buf = [
-                elem
-                for elem, lo, hi in self._walk(h, i)
-                if hi >= t_begin and lo <= t_end
-            ]
-            for elem in reversed(buf):
-                yield elem
+        d_vals, p_vals = memoryview(p.d_vals), memoryview(p.p_vals)
+        di, pi = int(p.d_off[i + 1]), int(p.p_off[i + 1])
+        x, y = p_c
+        for sym in reversed(self._syms[p.sym_off[i]:p.sym_off[i + 1]]):
+            if sym >= MOVE_BASE:
+                t_c -= span[sym]
+                x -= dx[sym]
+                y -= dy[sym]
+            elif sym == EV_D or sym == EV_AA:
+                di -= 1
+                pi -= 2
+                t_c, x, y = d_vals[di], p_vals[pi], p_vals[pi + 1]
+                sym = None
+            else:
+                di -= 1
+                t_c -= d_vals[di] + 1
+                if sym == EV_RM:  # displaced by a spiral code
+                    pi -= 1
+                    mdx, mdy = spiral.decode(p_vals[pi])
+                    x -= mdx
+                    y -= mdy
+                sym = None
+            yield sym, t_c, (x, y)
+            if t_c <= t_floor:
+                return
 
 
 def move_jump(dictionary, p, t_c, t_e, sym):
     """Apply ``sym`` forward from (t_c, p), stopping exactly at t_e.
 
-    Whole symbols cost O(1); a symbol straddling the limit is descended
-    with an explicit stack (left child first).
+    Parts that fit before t_e are applied whole in O(1); a part straddling
+    it is descended with an explicit stack (left child first).
     """
+    span, dx, dy, pairs = (
+        dictionary.sym_span, dictionary.sym_dx, dictionary.sym_dy, dictionary.sym_pairs
+    )
     x, y = p
-    if t_c + dictionary.span_of(sym) <= t_e:
-        dx, dy = dictionary.disp_of(sym)
-        return t_c + dictionary.span_of(sym), (x + dx, y + dy)
     stack = [sym]
     while stack and t_c < t_e:
         s = stack.pop()
-        sp = dictionary.span_of(s)
-        if t_c + sp <= t_e:
-            dx, dy = dictionary.disp_of(s)
-            x += dx
-            y += dy
-            t_c += sp
+        if t_c + span[s] <= t_e:  # a terminal always fits: span 1
+            x += dx[s]
+            y += dy[s]
+            t_c += span[s]
         else:
-            a, b = dictionary.pair_of(s)  # a terminal always fits: span 1
-            stack.append(b)
-            stack.append(a)
+            stack.append(pairs[s, 1])
+            stack.append(pairs[s, 0])
     return t_c, (x, y)
 
 
 def move_back(dictionary, p, t_floor, t_c, sym):
     """Undo ``sym`` backward from (t_c, p), stopping exactly at t_floor."""
+    span, dx, dy, pairs = (
+        dictionary.sym_span, dictionary.sym_dx, dictionary.sym_dy, dictionary.sym_pairs
+    )
     x, y = p
-    if t_c - dictionary.span_of(sym) >= t_floor:
-        dx, dy = dictionary.disp_of(sym)
-        return t_c - dictionary.span_of(sym), (x - dx, y - dy)
     stack = [sym]
     while stack and t_c > t_floor:
         s = stack.pop()
-        sp = dictionary.span_of(s)
-        if t_c - sp >= t_floor:
-            dx, dy = dictionary.disp_of(s)
-            x -= dx
-            y -= dy
-            t_c -= sp
+        if t_c - span[s] >= t_floor:
+            x -= dx[s]
+            y -= dy[s]
+            t_c -= span[s]
         else:
-            a, b = dictionary.pair_of(s)
-            stack.append(a)  # undo the right child first
-            stack.append(b)
+            stack.append(pairs[s, 0])  # undo the right child first
+            stack.append(pairs[s, 1])
     return t_c, (x, y)
 
 
 def move_steps(dictionary, p, t_c, t_e, sym):
     """Expand ``sym`` into per-instant pairs (t, position), truncated at t_e."""
+    dx, dy, pairs = dictionary.sym_dx, dictionary.sym_dy, dictionary.sym_pairs
+    nt_base = dictionary.nt_base
     out = []
     x, y = p
     stack = [sym]
-    nt_base = dictionary.nt_base
     while stack and t_c < t_e:
         s = stack.pop()
         if s < nt_base:
-            dx, dy = dictionary.disp_of(s)
-            x += dx
-            y += dy
+            x += dx[s]
+            y += dy[s]
             t_c += 1
             out.append((t_c, (x, y)))
         else:
-            a, b = dictionary.pair_of(s)
-            stack.append(b)
-            stack.append(a)
+            stack.append(pairs[s, 1])
+            stack.append(pairs[s, 0])
     return out

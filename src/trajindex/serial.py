@@ -46,9 +46,6 @@ class ByteWriter:
     def u64(self, v):
         self._parts.append(struct.pack("<Q", v))
 
-    def i64(self, v):
-        self._parts.append(struct.pack("<q", v))
-
     def getvalue(self):
         return b"".join(self._parts)
 
@@ -81,9 +78,6 @@ class ByteReader:
 
     def u64(self):
         return struct.unpack("<Q", self._take(8))[0]
-
-    def i64(self):
-        return struct.unpack("<q", self._take(8))[0]
 
     def at_end(self):
         return self._pos == len(self._data)

@@ -69,10 +69,6 @@ class Snapshot:
             np.sort(np.asarray(dis, dtype=np.int64)),
         )
 
-    @property
-    def n_present(self):
-        return len(self.perm)
-
     def is_present(self, oid):
         return bool(self.present.bit(oid + 1))
 
@@ -93,12 +89,6 @@ class Snapshot:
             rank = self.perm.apply(pos - 1)
             out.append(self.present.select1(rank + 1) - 1)
         return out
-
-    def objects_in_cell(self, x, y):
-        leaf = self.tree.cell(x, y)
-        if leaf is None:
-            return []
-        return self._group_ids(leaf)
 
     def objects_in_region(self, region):
         """(object id, position) pairs inside a region, in leaf/group order."""
@@ -123,11 +113,3 @@ class Snapshot:
             _, x, y, leaf, dist = item
             for oid in self._group_ids(leaf):
                 yield oid, (x, y), dist
-
-    def in_app(self, oid):
-        i = int(np.searchsorted(self.app, oid))
-        return i < len(self.app) and self.app[i] == oid
-
-    def in_dis(self, oid):
-        i = int(np.searchsorted(self.dis, oid))
-        return i < len(self.dis) and self.dis[i] == oid

@@ -1,7 +1,17 @@
+from itertools import groupby
+
 import pytest
 
+from conftest import DATASETS, PERIODS
+from trajindex import TrajectoryIndex
 from trajindex.grammar import EV_AA, EV_D, MOVE_BASE, RuleDictionary
 from trajindex.logs import move_back, move_jump, move_steps
+
+
+def log_symbols(idx, h, oid):
+    portion = idx.logs.portions[h]
+    i = portion.find(oid)
+    return [int(s) for s in idx.logs.syms[portion.sym_off[i]:portion.sym_off[i + 1]]]
 
 
 @pytest.fixture(scope="module")
@@ -79,19 +89,25 @@ class TestLogLayout:
     def test_forward_cursor_window(self, appearance_index):
         idx = appearance_index
         o5 = int(idx._oid(5))
-        kinds = [e[0] for e in idx.logs.elements(o5, 9, 16)]
-        assert kinds == ["AA", "M", "D"]
-        assert [e[0] for e in idx.logs.elements(o5, 14, 16)] == []
-        # window ending exactly on the covering rule keeps it, drops the D
-        kinds = [e[0] for e in idx.logs.elements(o5, 9, 13)]
-        assert kinds == ["AA", "M"]
+        _aa, rule, _d = log_symbols(idx, 1, o5)
+        # from the AA anchor: the anchor is the start state, the covering
+        # rule comes with the state it reaches whole, the closing D is skipped
+        assert list(idx.logs.elements(o5, 11, (7, 2), 16)) == [(rule, 13, (8, 4))]
+        # the first element reaching the window end is yielded whole (the
+        # consumer clips it) and ends the walk
+        assert list(idx.logs.elements(o5, 11, (7, 2), 12)) == [(rule, 13, (8, 4))]
+        assert list(idx.logs.elements(o5, 11, (7, 2), 11)) == []
 
     def test_backward_cursor_reverses(self, appearance_index):
         idx = appearance_index
         o5 = int(idx._oid(5))
-        fwd = [e[0] for e in idx.logs.elements(o5, 9, 16)]
-        back = [e[0] for e in idx.logs.elements_backward(o5, 9, 16)]
-        assert back == list(reversed(fwd))
+        _aa, rule, _d = log_symbols(idx, 1, o5)
+        # from the D anchor: D restates it, the rule yields the state before
+        # it, the opening AA sets its own payload
+        back = list(idx.logs.elements_backward(1, o5, 13, (8, 4), 8))
+        assert back == [(None, 13, (8, 4)), (rule, 11, (7, 2)), (None, 11, (7, 2))]
+        # the walk stops after the first element reaching the floor
+        assert list(idx.logs.elements_backward(1, o5, 13, (8, 4), 12)) == back[:2]
 
     def test_trajectory_reconstruction(self, appearance_index):
         assert appearance_index.trajectory(5, 11, 15) == [
@@ -117,8 +133,6 @@ class TestLogLayout:
             assert portion.last_covered[i] == idx.logs.portion_end(h)
 
     def test_snapshot_only_presence_leaves_d_log(self):
-        from trajindex import TrajectoryIndex
-
         # object 1's last sample is exactly the snapshot instant 8, so its
         # portion-1 log is a lone D event re-stating that anchor
         idx = TrajectoryIndex.build(
@@ -134,6 +148,8 @@ class TestLogLayout:
         assert [int(s) for s in idx.logs.syms[s0:s1]] == [EV_D]
         assert idx.logs.last_anchor(1, o1) == (8, (3, 3))
         assert portion.last_covered[i] == 8
+        # the walker needs h: (8 - 1) // period would name portion 0
+        assert list(idx.logs.elements_backward(1, o1, 8, (3, 3), 8)) == [(None, 8, (3, 3))]
 
     def test_gap_in_portion_uses_relocation(self, walkthrough_index):
         # object 5 pauses inside portion 0 (t0-t3 then reappears at t9 in
@@ -146,3 +162,50 @@ class TestLogLayout:
         assert int(idx.logs.syms[s1 - 1]) == EV_D
         assert idx.logs.last_anchor(0, o5) == (3, (7, 1))
         assert idx.logs.first_anchor(1, o5) == (9, (7, 2))
+
+
+@pytest.mark.parametrize("period", PERIODS)
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_walkers_match_oracle(name, period, indexes, oracles):
+    """Every forward state equals the oracle position at that instant, and
+    the backward walk from the log's end (next snapshot or D anchor) yields
+    the same states in reverse; a whole-timeline walk crosses portions."""
+    idx, oracle = indexes[name, period], oracles[name]
+    logs = idx.logs
+    for h, portion in enumerate(logs.portions):
+        for i, oid in enumerate(int(o) for o in portion.ids):
+            orig = int(idx.ids[oid])
+            if portion.starts_aa[i]:
+                start = logs.first_anchor(h, oid)
+            else:
+                start = (h * period, idx.snapshots[h].find_object(oid))
+            fwd = [start]
+            for sym, t, p in logs.elements(oid, *start, logs.portion_end(h)):
+                assert (sym is None) or sym >= MOVE_BASE
+                fwd.append((t, p))
+            if portion.ends_d[i]:
+                end = logs.last_anchor(h, oid)
+            elif h + 1 < len(idx.snapshots):
+                end = (logs.portion_end(h), idx.snapshots[h + 1].find_object(oid))
+            else:  # a last portion cut short by t_max has no next snapshot
+                end = fwd[-1]
+            assert fwd[-1] == end
+            for t, p in fwd:
+                assert oracle.position_of(orig, t) == p, (h, orig, t)
+            back = [end] + [
+                (t, p) for _sym, t, p in logs.elements_backward(h, oid, *end, h * period)
+            ]
+            # D restates the end state and AA the start state: drop repeats
+            assert [st for st, _ in groupby(back)] == fwd[::-1], (h, orig)
+    for oid in range(len(idx.ids)):
+        orig = int(idx.ids[oid])
+        h = 0
+        while not idx.snapshots[h].is_present(oid) and logs.first_anchor(h, oid) is None:
+            h += 1
+        if idx.snapshots[h].is_present(oid):
+            t_c, p_c = h * period, idx.snapshots[h].find_object(oid)
+        else:
+            t_c, p_c = logs.first_anchor(h, oid)
+        for _sym, t_c, p_c in logs.elements(oid, t_c, p_c, idx.params.t_max):
+            assert oracle.position_of(orig, t_c) == p_c, (orig, t_c)
+        assert t_c == max(oracle.timelines[orig]), orig  # walked to the end

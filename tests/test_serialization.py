@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from trajindex import TrajectoryIndex
 from trajindex.bits import BitVector, DacSequence
+from trajindex.grammar import EV_D
 from trajindex.serial import (
     ByteReader,
     ByteWriter,
@@ -27,13 +28,11 @@ class TestByteStream:
         w.u16(60000)
         w.u32(2**31)
         w.u64(2**40 + 3)
-        w.i64(-12)
         r = ByteReader(w.getvalue())
         assert r.u8() == 7
         assert r.u16() == 60000
         assert r.u32() == 2**31
         assert r.u64() == 2**40 + 3
-        assert r.i64() == -12
         assert r.at_end()
 
     def test_truncation_reports_offset(self):
@@ -134,6 +133,22 @@ class TestIndexContainer:
             bad[pos] ^= 0xFF
             with pytest.raises(SerializationError):
                 TrajectoryIndex.from_bytes(bytes(bad))
+
+    @pytest.mark.parametrize("fault", ["event_member", "later_member", "unknown_symbol"])
+    def test_crc_valid_bad_symbols_rejected(self, appearance_series, fault):
+        # plant the fault in memory, then serialize so every CRC is valid
+        idx = TrajectoryIndex.build(appearance_series, period=8, k=2, side=32)
+        nt_base, n_rules = idx.rules.nt_base, idx.rules.n_rules
+        assert n_rules >= 1
+        if fault == "event_member":
+            idx.rules.pairs[0, 0] = EV_D
+        elif fault == "later_member":
+            idx.rules.pairs[0, 1] = nt_base  # the rule's own id
+        else:
+            moves = np.flatnonzero(idx.logs.syms >= nt_base)
+            idx.logs.syms[moves[0]] = nt_base + n_rules
+        with pytest.raises(SerializationError):
+            TrajectoryIndex.from_bytes(idx.to_bytes())
 
     def test_stats_shape(self, walkthrough_index):
         stats = walkthrough_index.stats()

@@ -15,7 +15,7 @@ class TestWalkthroughMiddleSnapshot:
 
     def test_presence(self, s8):
         assert s8.time == 8
-        assert s8.n_present == 3
+        assert s8.present.n_ones == 3
         assert [s8.is_present(o) for o in range(7)] == [
             True, True, False, True, False, False, False,
         ]
@@ -30,8 +30,8 @@ class TestWalkthroughMiddleSnapshot:
     def test_appear_disappear_lists(self, s8):
         assert list(s8.app) == [2, 4, 5, 6]
         assert list(s8.dis) == [2, 4, 5]
-        assert s8.in_app(4) and not s8.in_app(0)
-        assert s8.in_dis(5) and not s8.in_dis(6)
+        assert 4 in s8.app and 0 not in s8.app
+        assert 5 in s8.dis and 6 not in s8.dis
 
     def test_region_report(self, s8):
         assert s8.objects_in_region((7, 3, 10, 4)) == [(1, (10, 3))]
@@ -59,14 +59,14 @@ class TestEdgeSnapshots:
     def test_first_snapshot_has_no_predecessors(self, walkthrough_index):
         s0 = walkthrough_index.snapshots[0]
         assert s0.time == 0
-        assert s0.n_present == 6  # everyone but object 7
+        assert s0.present.n_ones == 6  # everyone but object 7
         assert list(s0.app) == []  # nobody appears mid-portion-0
         assert list(s0.dis) == []
 
     def test_last_snapshot(self, walkthrough_index):
         s16 = walkthrough_index.snapshots[2]
         assert s16.time == 16
-        assert s16.n_present == 7
+        assert s16.present.n_ones == 7
         assert list(s16.app) == [] and list(s16.dis) == []
         assert s16.find_object(6) == (12, 1)
 
@@ -87,9 +87,9 @@ def shared():
 
 class TestGrouping:
     def test_shared_cell_group(self, shared):
-        assert sorted(shared.objects_in_cell(3, 3)) == [0, 1]
-        assert shared.objects_in_cell(5, 1) == [2]
-        assert shared.objects_in_cell(0, 0) == []
+        assert sorted(o for o, _ in shared.objects_in_region((3, 3, 3, 3))) == [0, 1]
+        assert shared.objects_in_region((5, 1, 5, 1)) == [(2, (5, 1))]
+        assert shared.objects_in_region((0, 0, 0, 0)) == []
 
     def test_group_boundary_bits(self, shared):
         # one non-final member (the shared cell) -> exactly one 1-bit
@@ -115,7 +115,7 @@ class TestGrouping:
 
     def test_empty_snapshot(self):
         snap = Snapshot.build(0, [], [], [], k=2, side=4, n_objects=5)
-        assert snap.n_present == 0
+        assert snap.present.n_ones == 0
         assert snap.find_object(3) is None
         assert snap.objects_in_region((0, 0, 3, 3)) == []
         assert list(snap.candidates_by_distance(0, 0)) == []
@@ -129,4 +129,4 @@ def test_locate_round_trip(walkthrough_index):
             if cell is None:
                 assert not snap.is_present(oid)
             else:
-                assert oid in snap.objects_in_cell(*cell)
+                assert oid in [o for o, _ in snap.objects_in_region(cell + cell)]
