@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serial, spiral
+from .bits import Permutation
 from .geometry import (
     clip_region,
     contains,
@@ -51,6 +52,7 @@ from .grammar import (
     unzigzag,
     zigzag,
 )
+from .k2tree import K2Tree
 from .logs import LogStore, Portion, move_back, move_jump, move_steps
 from .snapshot import Snapshot
 
@@ -301,17 +303,12 @@ class TrajectoryIndex:
     # object position (single instant)
     # ------------------------------------------------------------------
 
-    def position_of(self, obj, t_q, snapshot_choice="nearest"):
+    def position_of(self, obj, t_q):
         """Position of an object at one instant, or None when absent."""
         oid = self._oid(obj)
         if not self._in_extent(t_q):
             return None
-        if snapshot_choice == "nearest":
-            h = self._nearest_snapshot(t_q)
-        elif snapshot_choice == "preceding":
-            h = min(t_q // self.params.period, self.last_snapshot)
-        else:
-            raise ValueError("snapshot_choice must be 'nearest' or 'preceding'")
+        h = self._nearest_snapshot(t_q)
         t_s = h * self.params.period
         snap = self.snapshots[h]
         if snap.is_present(oid):
@@ -416,23 +413,11 @@ class TrajectoryIndex:
         h = self._nearest_snapshot(t_q)
         t_s = h * self.params.period
         snap = self.snapshots[h]
-        if t_s == t_q:
-            found = [(self._orig(o), p) for o, p in snap.objects_in_region(r)]
-            return sorted(found)
         m_sp = self.params.max_speed
         side = self.params.side
         answers = []
-        if t_s < t_q:
-            er = expanded_region(r, t_s, t_q, m_sp, side)
-            cands = [(o, t_s, p) for o, p in snap.objects_in_region(er)]
-            for o in snap.app:
-                o = int(o)
-                t_a, p_a = self.logs.first_anchor(h, o)
-                if t_a <= t_q and contains(
-                    expanded_region(r, t_a, t_q, m_sp, side), *p_a
-                ):
-                    cands.append((o, t_a, p_a))
-            for o, t_c, p_c in cands:
+        if t_s <= t_q:
+            for o, t_c, p_c in self._starts(h, r, t_q):
                 if t_c == t_q:
                     if contains(r, *p_c):
                         answers.append((o, p_c))
@@ -459,6 +444,28 @@ class TrajectoryIndex:
                 if pos is not None:
                     answers.append((o, pos))
         return sorted((self._orig(o), p) for o, p in answers)
+
+    def _starts(self, h, r, t_last):
+        """Forward walk starts in portion h that may reach r by t_last.
+
+        These are the snapshot objects inside r expanded to t_last, then the
+        AA anchors at or before t_last that r is within reach of, as
+        (id, instant, position) triples.
+        """
+        m_sp = self.params.max_speed
+        side = self.params.side
+        t_s = h * self.params.period
+        snap = self.snapshots[h]
+        er = expanded_region(r, t_s, t_last, m_sp, side)
+        starts = [(o, t_s, p) for o, p in snap.objects_in_region(er)]
+        for o in snap.app:
+            o = int(o)
+            t_a, p_a = self.logs.first_anchor(h, o)
+            if t_a <= t_last and contains(
+                expanded_region(r, t_a, t_last, m_sp, side), *p_a
+            ):
+                starts.append((o, t_a, p_a))
+        return starts
 
     def _slice_forward(self, oid, t_c, p_c, t_q, r, use_mbr, use_er):
         m_sp = self.params.max_speed
@@ -524,8 +531,6 @@ class TrajectoryIndex:
         if r is None or t_b > t_e:
             return []
         d = self.params.period
-        m_sp = self.params.max_speed
-        side = self.params.side
         answers = set()
         if t_b % d == 0:
             for o, _p in self.snapshots[t_b // d].objects_in_region(r):
@@ -536,23 +541,9 @@ class TrajectoryIndex:
         while h < self.logs.n_portions and h * d < t_e:
             pe = self.logs.portion_end(h)
             t_last = min(t_e, pe)
-            snap = self.snapshots[h]
-            er = expanded_region(r, h * d, t_last, m_sp, side)
-            cands = [
-                (o, h * d, p)
-                for o, p in snap.objects_in_region(er)
-                if o not in answers
-            ]
-            for o in snap.app:
-                o = int(o)
+            for o, t_c, p_c in self._starts(h, r, t_last):
                 if o in answers:
                     continue
-                t_a, p_a = self.logs.first_anchor(h, o)
-                if t_a <= t_last and contains(
-                    expanded_region(r, t_a, t_last, m_sp, side), *p_a
-                ):
-                    cands.append((o, t_a, p_a))
-            for o, t_c, p_c in cands:
                 if t_b <= t_c <= t_e and contains(r, *p_c):
                     answers.add(o)
                     continue
@@ -608,68 +599,49 @@ class TrajectoryIndex:
     # ------------------------------------------------------------------
 
     def knn(self, count, point, t_q):
-        """The ``count`` objects nearest ``point`` at t_q, as (id, distance)."""
+        """The ``count`` objects nearest ``point`` at t_q, as (id, distance).
+
+        One best-first search over log walks from the snapshot at or before
+        t_q, keyed by a lower bound on the distance at t_q: the distance so
+        far minus what ``max_speed`` covers in the time left.  Snapshot
+        objects join from the k2-tree's distance stream once their bound is
+        no more than the heap's top, and the search stops at the first bound
+        beyond the k-th true distance.
+        """
         if count <= 0 or not self._in_extent(t_q) or not len(self.ids):
             return []
-        d = self.params.period
-        h = min(t_q // d, self.last_snapshot)
-        t_s = h * d
+        h = min(t_q // self.params.period, self.last_snapshot)
+        t_s = h * self.params.period
         snap = self.snapshots[h]
-        if t_s == t_q:
-            picked = []
-            for o, _p, dist in snap.candidates_by_distance(point[0], point[1]):
-                if len(picked) < count or dist == picked[count - 1][0]:
-                    picked.append((dist, o))
-                else:
-                    break
-            picked.sort()
-            return [(self._orig(o), dist) for dist, o in picked[:count]]
         m_sp = self.params.max_speed
-        portion = self.logs.portions[h]
-        slack0 = m_sp * (t_q - t_s)
-        upper = []  # size-<=count max-heap (negated) of sound upper bounds
-        d_max = math.inf
-        cands = []
+        slack = m_sp * (t_q - t_s)
+        portions = self.logs.portions
+        cands = []  # min-heap of (lower bound, id, instant, position, walker)
 
-        def admit_upper(u):
-            nonlocal d_max
-            heapq.heappush(upper, -u)
-            if len(upper) > count:
-                heapq.heappop(upper)
-            if len(upper) == count:
-                d_max = -upper[0]
+        def admit(o, t_c, p_c, dist):
+            if t_c < t_q:  # a start at t_q walks no log (the last snapshot has none)
+                portion = portions[h]
+                i = portion.find(o)
+                if i < 0 or portion.last_covered[i] < t_q:
+                    return  # provably gone before t_q
+            heapq.heappush(cands, (dist - m_sp * (t_q - t_c), o, t_c, p_c, None))
 
-        for o, p, dist in snap.candidates_by_distance(point[0], point[1]):
-            i = portion.find(o)
-            if i < 0 or portion.last_covered[i] < t_q:
-                continue  # provably gone before t_q
-            d_min = dist - slack0
-            if len(upper) == count and d_min > d_max:
-                break  # everything later is at least this far
-            if not portion.has_gaps[i]:
-                admit_upper(dist + slack0)
-            if d_min <= d_max:
-                heapq.heappush(cands, (d_min, o, t_s, p, None))
         for o in snap.app:
             o = int(o)
             t_a, p_a = self.logs.first_anchor(h, o)
-            if t_a > t_q:
-                continue
-            i = portion.find(o)
-            if portion.last_covered[i] < t_q:
-                continue
-            dist = dist_point_point(point, p_a)
-            slack = m_sp * (t_q - t_a)
-            d_min = dist - slack
-            if not portion.has_gaps[i]:
-                admit_upper(dist + slack)
-            if d_min <= d_max:
-                heapq.heappush(cands, (d_min, o, t_a, p_a, None))
-
+            if t_a <= t_q:
+                admit(o, t_a, p_a, dist_point_point(point, p_a))
+        stream = snap.candidates_by_distance(point[0], point[1])
+        nxt = next(stream, None)
         final = []  # max-heap of (-dist, -oid)
         d_fin = math.inf
         bump = self.counters.bump
-        while cands:
+        while cands or nxt is not None:
+            if nxt is not None and (not cands or nxt[2] - slack <= cands[0][0]):
+                o, p, dist = nxt
+                nxt = next(stream, None)
+                admit(o, t_s, p, dist)
+                continue
             d_min, o, t_c, p_c, cur = heapq.heappop(cands)
             if len(final) == count and d_min > d_fin:
                 break
@@ -860,9 +832,6 @@ class TrajectoryIndex:
         snapshots = []
         for h in range(n_snapshots):
             sr2 = serial.ByteReader(serial.read_section(r))
-            from .bits import Permutation
-            from .k2tree import K2Tree
-
             t_bits = serial.read_bitvector(sr2)
             l_bits = serial.read_bitvector(sr2)
             present = serial.read_bitvector(sr2)

@@ -30,8 +30,8 @@ class K2Tree:
         self.k = k
         self.side = side
         self.height = _height_of(k, side)
-        self.t = t_bits if isinstance(t_bits, BitVector) else BitVector(t_bits)
-        self.l = l_bits if isinstance(l_bits, BitVector) else BitVector(l_bits)
+        self.t = t_bits
+        self.l = l_bits
 
     # -- construction -----------------------------------------------------
 

@@ -53,7 +53,6 @@ class Portion:
         # filled by LogStore._derive
         self.starts_aa = None
         self.ends_d = None
-        self.has_gaps = None
         self.last_covered = None
 
     def find(self, oid):
@@ -75,21 +74,18 @@ class LogStore:
         self.portions = portions
         for h, portion in enumerate(portions):
             self._derive(h, portion)
+
     def _derive(self, h, portion):
         if len(portion.ids) == 0:
             z = np.zeros(0, dtype=np.int64)
             portion.starts_aa = z.astype(bool)
             portion.ends_d = z.astype(bool)
-            portion.has_gaps = z.astype(bool)
             portion.last_covered = z
             return
         s0 = portion.sym_off[:-1]
         s1 = portion.sym_off[1:]
         portion.starts_aa = self.syms[s0] == EV_AA
         portion.ends_d = self.syms[s1 - 1] == EV_D
-        gap_mask = (self.syms == EV_RM) | (self.syms == EV_RNM)
-        cum = np.concatenate([[0], np.cumsum(gap_mask)])
-        portion.has_gaps = (cum[s1] - cum[s0]) > 0
         end = self.portion_end(h)
         last = np.full(len(portion.ids), end, dtype=np.int64)
         closed = np.flatnonzero(portion.ends_d)

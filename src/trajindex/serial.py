@@ -10,9 +10,11 @@ Primitive encodings:
 
 * uint array — u8 bit width, u64 count, bit-packed little-endian values;
 * bit vector — u64 bit count, packed bits;
-* DAC — u8 level count, then per level u8 width + u64 chunk count +
-  packed chunks, followed by the packed continuation bitmap on every
-  level except the last.
+* DAC — u64 value count, u8 level count, then per level u8 width + u64
+  chunk count + packed chunks, followed by the packed continuation bitmap
+  on every level except the last.  Level 0 holds one chunk per value and
+  each later level one per set bit of the bitmap before it; a section that
+  disagrees is rejected on load.
 """
 
 import struct
@@ -128,12 +130,20 @@ def write_dac(w, dac):
 def read_dac(r):
     n = r.u64()
     n_levels = r.u8()
+    if n_levels == 0:
+        raise SerializationError("DAC sequence has no levels")
     widths = []
     levels = []
     conts = []
     for li in range(n_levels):
         width = r.u8()
         count = r.u64()
+        # level 0 holds every value; each later level, the ones continued
+        expected = conts[-1].n_ones if conts else n
+        if count != expected:
+            raise SerializationError(
+                "DAC level %d holds %d chunks, expected %d" % (li, count, expected)
+            )
         chunk_data = r.raw((width * count + 7) // 8)
         chunks = unpack_uint_array(chunk_data, width, count)
         widths.append(width)

@@ -23,6 +23,9 @@ class TestWalkthroughAnchors:
     def test_time_slice(self, walkthrough_index):
         got = walkthrough_index.time_slice((7, 3, 10, 4), 10)
         assert got == [(2, (9, 4)), (5, (7, 3))]
+        # the last snapshot, t_max, with no portion after it
+        got = walkthrough_index.time_slice((4, 7, 7, 9), 16)
+        assert got == [(3, (4, 8)), (5, (7, 9)), (6, (6, 9))]
 
     def test_time_interval(self, walkthrough_index):
         got = walkthrough_index.time_interval((7, 3, 10, 4), 9, 12)
@@ -33,6 +36,10 @@ class TestWalkthroughAnchors:
         assert len(got) == 1
         assert got[0][0] == 2
         assert got[0][1] == pytest.approx(math.sqrt(10))
+        # the last snapshot, t_max, with no portion after it
+        got = walkthrough_index.knn(2, (10, 0), 16)
+        assert [o for o, _ in got] == [7, 2]
+        assert [d for _, d in got] == pytest.approx([math.sqrt(5), math.sqrt(17)])
 
     def test_knn_all_alive(self, walkthrough_index):
         got = walkthrough_index.knn(99, (10, 0), 9)
@@ -73,22 +80,13 @@ class TestRegionExpansion:
 
 
 class TestSnapshotChoice:
-    def test_both_anchors_agree_with_oracle(
+    def test_nearest_anchor_agrees_with_oracle(
         self, walkthrough_index, walkthrough_oracle
     ):
         for obj in range(1, 8):
             for t in range(17):
                 want = walkthrough_oracle.position_of(obj, t)
-                near = walkthrough_index.position_of(obj, t)
-                prev = walkthrough_index.position_of(
-                    obj, t, snapshot_choice="preceding"
-                )
-                assert near == want, (obj, t)
-                assert prev == want, (obj, t)
-
-    def test_unknown_choice_rejected(self, walkthrough_index):
-        with pytest.raises(ValueError):
-            walkthrough_index.position_of(1, 3, snapshot_choice="sideways")
+                assert walkthrough_index.position_of(obj, t) == want, (obj, t)
 
 
 class TestPruningFlags:
@@ -145,6 +143,9 @@ class TestBoundaries:
         assert walkthrough_index.trajectory(7, 0, 9) == []
 
 
+SNAPSHOT_INSTANTS = list(range(0, 131, 10))  # of ``small`` (period 10); 130 is past t_max
+
+
 @pytest.fixture(scope="module")
 def small():
     series = make_walk_series(7, n_obj=12, t_len=130, side=64, appear=True)
@@ -176,11 +177,12 @@ class TestOracleEquivalence:
     def test_slices(self, small):
         series, index, oracle = small
         rng = random.Random(103)
-        for _ in range(150):
+        for t in [None] * 150 + SNAPSHOT_INSTANTS * 4:  # None: a random instant
             x, y = rng.randrange(64), rng.randrange(64)
             w, h = rng.randrange(1, 20), rng.randrange(1, 20)
             region = (x, y, min(63, x + w), min(63, y + h))
-            t = rng.randrange(131)
+            if t is None:
+                t = rng.randrange(131)
             assert index.time_slice(region, t) == oracle.time_slice(region, t)
 
     def test_intervals(self, small):
@@ -198,15 +200,13 @@ class TestOracleEquivalence:
     def test_knn(self, small):
         series, index, oracle = small
         rng = random.Random(105)
-        for _ in range(150):
+        for t in [None] * 150 + SNAPSHOT_INSTANTS * 4:  # None: a random instant
             point = (rng.randrange(64), rng.randrange(64))
-            t = rng.randrange(131)
-            k = rng.randrange(1, 6)
-            got = index.knn(k, point, t)
-            want = oracle.knn(k, point, t)
-            got_d = sorted((round(d, 9), o) for o, d in got)
-            want_d = sorted((round(d, 9), o) for o, d in want)
-            assert got_d == want_d, (point, t, k)
+            if t is None:
+                t = rng.randrange(131)
+            k = rng.randrange(1, 13)  # up to every object, ties at the k-th included
+            # both answer in (distance, id) order
+            assert index.knn(k, point, t) == oracle.knn(k, point, t), (point, t, k)
 
 
 def test_counters_track_symbol_work(walkthrough_index):

@@ -67,6 +67,20 @@ class TestByteStream:
             got = read_dac(ByteReader(w.getvalue()))
             assert got.to_list() == values
 
+    @pytest.mark.parametrize("fault", ["no_levels", "short_level0", "bitmap_overclaims"])
+    def test_inconsistent_dac_rejected(self, fault):
+        n, widths, levels, conts = DacSequence([300, 300, 300, 300], [8, 8]).parts
+        if fault == "no_levels":
+            widths, levels, conts = [], [], []
+        elif fault == "short_level0":
+            n += 3
+        else:  # the bitmap continues 4 values into a level holding 2
+            levels = [levels[0], levels[1][:2]]
+        w = ByteWriter()
+        write_dac(w, DacSequence.from_parts(n, widths, levels, conts))
+        with pytest.raises(SerializationError, match="DAC"):
+            read_dac(ByteReader(w.getvalue()))
+
     def test_section_checksum(self):
         blob = wrap_section(b"payload-bytes")
         assert read_section(ByteReader(blob)) == b"payload-bytes"
@@ -148,6 +162,15 @@ class TestIndexContainer:
             moves = np.flatnonzero(idx.logs.syms >= nt_base)
             idx.logs.syms[moves[0]] = nt_base + n_rules
         with pytest.raises(SerializationError):
+            TrajectoryIndex.from_bytes(idx.to_bytes())
+
+    def test_crc_valid_bad_dac_rejected(self, appearance_series):
+        idx = TrajectoryIndex.build(appearance_series, period=8, k=2, side=32)
+        n, widths, levels, conts = DacSequence.optimal(idx.logs.syms).parts
+        w = ByteWriter()
+        write_dac(w, DacSequence.from_parts(n + 3, widths, levels, conts))
+        idx._streams_payload = w.getvalue  # serialized with a valid CRC
+        with pytest.raises(SerializationError, match="DAC"):
             TrajectoryIndex.from_bytes(idx.to_bytes())
 
     def test_stats_shape(self, walkthrough_index):
