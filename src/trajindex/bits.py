@@ -45,6 +45,7 @@ class BitVector:
             ones = np.add.reduceat(bits.astype(np.int64), np.arange(0, n, _SUPER))
             np.cumsum(ones, out=self._dir[1:])
         self._nones = int(self._dir[-1]) if n else 0
+        self._zdir = None  # zero-count directory, built by the first select0
 
     def __len__(self):
         return len(self._bits)
@@ -77,37 +78,28 @@ class BitVector:
 
     def select1(self, j):
         """1-based position of the j-th one; select1(0) == 0."""
-        if j == 0:
-            return 0
-        if j < 0 or j > self._nones:
-            raise ValueError("select1 argument out of range: %d" % j)
-        q = int(np.searchsorted(self._dir, j, side="left")) - 1
-        base = q * _SUPER
-        block = self._bits[base:base + _SUPER]
-        # j-th one overall is the (j - dir[q])-th one inside this block
-        k = j - int(self._dir[q])
-        idx = np.flatnonzero(block)[k - 1]
-        return base + int(idx) + 1
+        return self._select(j, self._dir, 1)
 
     def select0(self, j):
         """1-based position of the j-th zero; select0(0) == 0."""
+        if self._zdir is None:
+            # zeros in the first i superblocks: i*SUPER (capped at n) - dir[i]
+            blocks = np.arange(len(self._dir), dtype=np.int64) * _SUPER
+            self._zdir = np.minimum(blocks, len(self._bits)) - self._dir
+        return self._select(j, self._zdir, 0)
+
+    def _select(self, j, counts, value):
+        """Position of the j-th ``value`` bit; counts[i] counts them in the
+        first i superblocks."""
         if j == 0:
             return 0
-        nzeros = len(self._bits) - self._nones
-        if j < 0 or j > nzeros:
-            raise ValueError("select0 argument out of range: %d" % j)
-        # directory of zero counts is implicit: zeros(i) = i*SUPER - dir[i]
-        zeros_per_block = (
-            np.minimum(
-                np.arange(len(self._dir), dtype=np.int64) * _SUPER, len(self._bits)
-            )
-            - self._dir
-        )
-        q = int(np.searchsorted(zeros_per_block, j, side="left")) - 1
+        if j < 0 or j > counts[-1]:
+            raise ValueError("select%d argument out of range: %d" % (value, j))
+        q = int(np.searchsorted(counts, j, side="left")) - 1
         base = q * _SUPER
-        block = self._bits[base:base + _SUPER]
-        k = j - int(zeros_per_block[q])
-        idx = np.flatnonzero(block == 0)[k - 1]
+        # j-th overall is the (j - counts[q])-th inside this block
+        k = j - int(counts[q])
+        idx = np.flatnonzero(self._bits[base:base + _SUPER] == value)[k - 1]
         return base + int(idx) + 1
 
     # -- raw access for internal users ------------------------------------
@@ -203,8 +195,9 @@ class DacSequence:
     """Variable-length integer sequence with random access.
 
     Values are split into per-level chunks; a continuation bitmap per level
-    (absent on the last) marks values that extend further.  ``access(i)``
-    costs one rank per traversed level.
+    (absent on the last) marks values that extend further, and a level past
+    every value's length stays empty.  ``access(i)`` costs one rank per
+    traversed level; ``to_list`` decodes whole levels and needs no rank.
     """
 
     def __init__(self, values, widths):
@@ -218,25 +211,14 @@ class DacSequence:
             mask = np.uint64((1 << w) - 1)
             chunk = (rem & mask).astype(_dtype_for(w))
             rem = rem >> np.uint64(w)
-            last = li == len(self._widths) - 1
-            if last:
-                if len(rem) and (rem != 0).any():
+            self._levels.append(chunk)
+            if li == len(self._widths) - 1:
+                if (rem != 0).any():
                     raise ValueError("values do not fit the level widths")
-                self._levels.append(chunk)
             else:
                 more = rem != 0
-                self._levels.append(chunk)
                 self._cont.append(BitVector(more.astype(np.uint8)))
                 rem = rem[more]
-                if len(rem) == 0:
-                    # trailing configured levels stay empty
-                    for w2 in self._widths[li + 1:-1]:
-                        self._levels.append(np.zeros(0, dtype=_dtype_for(w2)))
-                        self._cont.append(BitVector(np.zeros(0, dtype=np.uint8)))
-                    self._levels.append(
-                        np.zeros(0, dtype=_dtype_for(self._widths[-1]))
-                    )
-                    break
 
     @classmethod
     def optimal(cls, values):
@@ -286,7 +268,17 @@ class DacSequence:
         return value
 
     def to_list(self):
-        return [self.access(i) for i in range(self._n)]
+        """All values in order, decoded one level at a time from the last.
+
+        The values continued past level li are, in order, the chunks of
+        level li+1, so no rank is needed.
+        """
+        values = self._levels[-1].astype(np.uint64)
+        for li in range(len(self._cont) - 1, -1, -1):
+            low = self._levels[li].astype(np.uint64)
+            low[self._cont[li].raw == 1] |= values << np.uint64(self._widths[li])
+            values = low
+        return values.tolist()
 
     def bit_size(self):
         """Total payload bits: chunks plus continuation bitmaps."""

@@ -251,16 +251,7 @@ class TrajectoryIndex:
                 i = int(idx[hh])
                 snap_positions[hh].append((o, int(xs[i]), int(ys[i])))
         for hh in range(n_snaps):
-            app = (
-                portions[hh].ids[portions[hh].starts_aa]
-                if hh < len(portions)
-                else np.zeros(0, dtype=np.int64)
-            )
-            dis = (
-                portions[hh - 1].ids[portions[hh - 1].ends_d]
-                if hh >= 1
-                else np.zeros(0, dtype=np.int64)
-            )
+            app, dis = _snapshot_events(portions, hh)
             snapshots.append(
                 Snapshot.build(
                     hh * period,
@@ -839,9 +830,22 @@ class TrajectoryIndex:
             q = serial.read_bitvector(sr2)
             app = serial.read_uint_array(sr2)
             dis = serial.read_uint_array(sr2)
-            tree = K2Tree(k, side, t_bits, l_bits)
-            perm = Permutation(perm_vals, sample_rate)
-            snapshots.append(Snapshot(h * period, tree, present, perm, q, app, dis))
+            try:
+                tree = K2Tree(k, side, t_bits, l_bits)
+                perm = Permutation(perm_vals, sample_rate)
+                snapshots.append(Snapshot(h * period, tree, present, perm, q, app, dis))
+            except ValueError as e:
+                raise serial.SerializationError("snapshot %d: %s" % (h, e)) from e
+            if len(present) != n_objects:
+                raise serial.SerializationError(
+                    "snapshot %d presence bitmap covers %d objects, not %d"
+                    % (h, len(present), n_objects)
+                )
+            want_app, want_dis = _snapshot_events(portions, h)
+            if not (np.array_equal(app, want_app) and np.array_equal(dis, want_dis)):
+                raise serial.SerializationError(
+                    "snapshot %d app/dis lists disagree with the logs' AA/D events" % h
+                )
         if not r.at_end():
             raise serial.SerializationError("trailing data after final section")
         return cls(params, ids, snapshots, logs, rules)
@@ -878,3 +882,13 @@ class TrajectoryIndex:
                 (stream_bytes + portion_bytes + dict_bytes) / raw if raw else 0.0
             ),
         }
+
+
+def _snapshot_events(portions, h):
+    """(app, dis) of snapshot h: the ids whose portion-h log opens with AA
+    (none past the last portion), and those whose portion-(h-1) log closes
+    with D (none at h = 0)."""
+    none = np.zeros(0, dtype=np.int64)
+    app = portions[h].ids[portions[h].starts_aa] if h < len(portions) else none
+    dis = portions[h - 1].ids[portions[h - 1].ends_d] if 0 < h <= len(portions) else none
+    return app, dis

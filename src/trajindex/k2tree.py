@@ -13,7 +13,7 @@ Occupied cells are numbered 1..m in L order ("leaf rank"); snapshots attach
 per-cell object groups through that numbering.
 
 ``nodes_by_distance`` drives nearest-neighbour search: a best-first walk
-yielding tree regions and occupied cells in non-decreasing Euclidean
+over tree regions yielding the occupied cells in non-decreasing Euclidean
 distance from a query point.
 """
 
@@ -147,59 +147,45 @@ class K2Tree:
         return out
 
     def nodes_by_distance(self, qx, qy):
-        """Best-first walk from (qx, qy), in non-decreasing distance.
+        """Occupied cells in non-decreasing distance from (qx, qy).
 
-        Yields ("node", (x1, y1, x2, y2), dist) for tree regions and
-        ("cell", x, y, leaf_rank, dist) for occupied cells.  Cells of a
-        region only appear after the region itself; the caller may simply
-        stop consuming once distances exceed its cut-off.
+        A best-first walk over the tree regions that yields one
+        (x, y, leaf_rank, dist) per occupied cell; equal distances come out
+        in discovery order.  The caller may simply stop consuming once
+        distances exceed its cut-off.
         """
         k, kk = self.k, self.k * self.k
         len_t = len(self.t)
         q = (qx, qy)
-        heap = []
-        counter = 0
         root_box = (0, 0, self.side - 1, self.side - 1)
-        heap.append((dist_point_region(q, root_box), counter, 0, 0, root_box))
-        counter += 1
+        # (dist, counter, level of the entry's children, T rank or leaf rank, box)
+        heap = [(dist_point_region(q, root_box), 0, 1, 0, root_box)]
+        counter = 1
         while heap:
-            dist, _, kind, payload, box = heapq.heappop(heap)
-            if kind == 1:
-                x, y, _, _ = box
-                yield ("cell", x, y, payload, dist)
+            dist, _, level, payload, box = heapq.heappop(heap)
+            if level > self.height:
+                yield box[0], box[1], payload, dist
                 continue
-            yield ("node", box, dist)
-            group = payload
             x0, y0 = box[0], box[1]
-            size = box[2] - box[0] + 1
-            sub = size // k
-            level = _level_for_size(self, size)
-            base = group * kk
+            sub = (box[2] - x0 + 1) // k
+            base = payload * kk
             for ci in range(kk):
+                pos = base + ci
+                if level == self.height:
+                    if not self.l.bit(pos - len_t + 1):
+                        continue
+                    child = self.l.rank1(pos - len_t + 1)
+                elif self.t.bit(pos + 1):
+                    child = self.t.rank1(pos + 1)
+                else:
+                    continue
                 cx0 = x0 + (ci % k) * sub
                 cy0 = y0 + (ci // k) * sub
                 cbox = (cx0, cy0, cx0 + sub - 1, cy0 + sub - 1)
-                pos = base + ci
-                if level == self.height:
-                    if self.l.bit(pos - len_t + 1):
-                        rank = self.l.rank1(pos - len_t + 1)
-                        heapq.heappush(
-                            heap,
-                            (dist_point_region(q, cbox), counter, 1, rank, cbox),
-                        )
-                        counter += 1
-                elif self.t.bit(pos + 1):
-                    heapq.heappush(
-                        heap,
-                        (
-                            dist_point_region(q, cbox),
-                            counter,
-                            0,
-                            self.t.rank1(pos + 1),
-                            cbox,
-                        ),
-                    )
-                    counter += 1
+                heapq.heappush(
+                    heap, (dist_point_region(q, cbox), counter, level + 1, child, cbox)
+                )
+                counter += 1
 
 
 def _height_of(k, side):
@@ -211,16 +197,6 @@ def _height_of(k, side):
     if s != side or height < 1:
         raise ValueError("side must be a positive power of k (and > 1)")
     return height
-
-
-def _level_for_size(tree, size):
-    """Level whose children each cover size // k cells per axis."""
-    level = 1
-    s = tree.side
-    while s > size:
-        s //= tree.k
-        level += 1
-    return level
 
 
 def path_keys(k, side, xs, ys):

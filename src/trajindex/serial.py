@@ -14,7 +14,8 @@ Primitive encodings:
   chunk count + packed chunks, followed by the packed continuation bitmap
   on every level except the last.  Level 0 holds one chunk per value and
   each later level one per set bit of the bitmap before it; a section that
-  disagrees is rejected on load.
+  disagrees, or a width outside 1..64 in either encoding, is rejected on
+  load.
 """
 
 import struct
@@ -97,8 +98,15 @@ def write_uint_array(w, values):
     w.raw(pack_uint_array(values, width))
 
 
-def read_uint_array(r):
+def _read_width(r, what):
     width = r.u8()
+    if not 1 <= width <= 64:
+        raise SerializationError("%s bit width %d outside 1..64" % (what, width))
+    return width
+
+
+def read_uint_array(r):
+    width = _read_width(r, "uint array")
     count = r.u64()
     data = r.raw((width * count + 7) // 8)
     return unpack_uint_array(data, width, count).astype(np.int64)
@@ -136,7 +144,7 @@ def read_dac(r):
     levels = []
     conts = []
     for li in range(n_levels):
-        width = r.u8()
+        width = _read_width(r, "DAC level %d" % li)
         count = r.u64()
         # level 0 holds every value; each later level, the ones continued
         expected = conts[-1].n_ones if conts else n

@@ -27,6 +27,8 @@ from .k2tree import K2Tree, path_keys
 
 class Snapshot:
     def __init__(self, time, tree, present, perm, q, app, dis):
+        if not (present.n_ones == len(perm) == len(q)) or q.n_zeros != tree.n_leaves():
+            raise ValueError("presence bitmap, permutation, Q bitmap and k2-tree disagree")
         self.time = time
         self.tree = tree
         self.present = present
@@ -103,13 +105,11 @@ class Snapshot:
     def candidates_by_distance(self, qx, qy):
         """Present objects in non-decreasing distance from (qx, qy).
 
-        Yields (object id, position, distance).  Because the underlying
-        region walk is globally ordered, a consumer may stop at the first
-        entry whose distance exceeds its cut-off.
+        Yields (object id, position, distance), the objects of each cell
+        from the k2-tree's cell stream.  Because that stream is globally
+        ordered, a consumer may stop at the first entry whose distance
+        exceeds its cut-off.
         """
-        for item in self.tree.nodes_by_distance(qx, qy):
-            if item[0] != "cell":
-                continue
-            _, x, y, leaf, dist = item
+        for x, y, leaf, dist in self.tree.nodes_by_distance(qx, qy):
             for oid in self._group_ids(leaf):
                 yield oid, (x, y), dist

@@ -66,37 +66,18 @@ def test_empty_tree():
     assert tree.n_leaves() == 0
     assert tree.cell(5, 5) is None
     assert tree.range_report((0, 0, 15, 15)) == []
-    stream = list(tree.nodes_by_distance(3, 3))
-    assert all(item[0] == "node" for item in stream)
+    assert list(tree.nodes_by_distance(3, 3)) == []
 
 
 def test_distance_walk_on_verified_scene():
     # three occupied cells; distances from (10, 0) checked by hand
     tree = build_from_cells([(9, 5), (10, 3), (4, 3)])
-    stream = list(tree.nodes_by_distance(10, 0))
-    cells = [(x, y, d) for kind, x, y, _r, d in
-             (it for it in stream if it[0] == "cell")]
-    assert [(x, y) for x, y, _ in cells] == [(10, 3), (9, 5), (4, 3)]
-    assert cells[0][2] == pytest.approx(3.0)
-    assert cells[1][2] == pytest.approx(math.sqrt(26))
-    assert cells[2][2] == pytest.approx(math.sqrt(45))
-    node_dists = {it[1]: it[2] for it in stream if it[0] == "node"}
-    expected = {
-        (0, 0, 15, 15): 0.0,
-        (8, 0, 15, 7): 0.0,
-        (0, 0, 7, 7): 3.0,
-        (8, 0, 11, 3): 0.0,
-        (10, 2, 11, 3): 2.0,
-        (4, 0, 7, 3): 3.0,
-        (8, 4, 11, 7): 4.0,
-        (8, 4, 9, 5): math.sqrt(17),
-        (4, 2, 5, 3): math.sqrt(29),
-    }
-    assert node_dists.keys() == expected.keys()
-    for box, d in expected.items():
-        assert node_dists[box] == pytest.approx(d)
-    dists = [it[-1] for it in stream]
-    assert dists == sorted(dists)
+    cells = list(tree.nodes_by_distance(10, 0))
+    assert [(x, y) for x, y, _r, _d in cells] == [(10, 3), (9, 5), (4, 3)]
+    assert [r for x, y, r, _d in cells] == [tree.cell(x, y) for x, y, _r, _d in cells]
+    assert cells[0][3] == pytest.approx(3.0)
+    assert cells[1][3] == pytest.approx(math.sqrt(26))
+    assert cells[2][3] == pytest.approx(math.sqrt(45))
 
 
 @pytest.mark.parametrize("k,side", [(2, 64), (3, 81), (4, 64)])
@@ -139,11 +120,11 @@ def test_distance_walk_complete_and_sorted():
     ys = rng.integers(0, side, size=40)
     tree = K2Tree.build(2, side, xs, ys)
     q = (int(rng.integers(side)), int(rng.integers(side)))
-    stream = list(tree.nodes_by_distance(*q))
-    cells = [(x, y, d) for kind, x, y, _r, d in
-             (it for it in stream if it[0] == "cell")]
-    assert {(x, y) for x, y, _ in cells} == set(zip(map(int, xs), map(int, ys)))
-    dists = [d for _, _, d in cells]
+    cells = list(tree.nodes_by_distance(*q))
+    assert {(x, y) for x, y, _r, _d in cells} == set(zip(map(int, xs), map(int, ys)))
+    assert len(cells) == tree.n_leaves()
+    dists = [d for _, _, _, d in cells]
     assert dists == sorted(dists)
-    for x, y, d in cells:
+    for x, y, r, d in cells:
+        assert r == tree.cell(x, y)
         assert d == pytest.approx(math.hypot(x - q[0], y - q[1]))

@@ -56,28 +56,42 @@ class TestByteStream:
         assert got.raw.tolist() == bv.raw.tolist()
 
     def test_dac_round_trip(self):
-        for make in (
-            lambda v: DacSequence.optimal(v),
-            lambda v: DacSequence.fixed(v, 8, 2),
+        values = [0, 1, 300, 70000, 5, 2**33]
+        for dac, want in (
+            (DacSequence.optimal(values), values),
+            (DacSequence.fixed(values, 8, 2), values),
+            # configured widths outlast the values: the later levels stay empty
+            (DacSequence([1, 2, 3], [2, 2, 2, 30]), [1, 2, 3]),
         ):
-            values = [0, 1, 300, 70000, 5, 2**33]
-            dac = make(values)
             w = ByteWriter()
             write_dac(w, dac)
             got = read_dac(ByteReader(w.getvalue()))
-            assert got.to_list() == values
+            assert got.n_levels == dac.n_levels
+            assert got.to_list() == want
+            assert [got.access(i) for i in range(len(want))] == want
 
-    @pytest.mark.parametrize("fault", ["no_levels", "short_level0", "bitmap_overclaims"])
+    @pytest.mark.parametrize(
+        "fault",
+        ["no_levels", "short_level0", "bitmap_overclaims", "zero_width", "wide_level"],
+    )
     def test_inconsistent_dac_rejected(self, fault):
         n, widths, levels, conts = DacSequence([300, 300, 300, 300], [8, 8]).parts
         if fault == "no_levels":
             widths, levels, conts = [], [], []
         elif fault == "short_level0":
             n += 3
-        else:  # the bitmap continues 4 values into a level holding 2
+        elif fault == "bitmap_overclaims":  # continues 4 values into a level of 2
             levels = [levels[0], levels[1][:2]]
+        elif fault == "wide_level":
+            widths = [8, 200]
         w = ByteWriter()
-        write_dac(w, DacSequence.from_parts(n, widths, levels, conts))
+        if fault == "zero_width":  # 2**50 chunks of width 0 take no bytes
+            w.u64(2**50)
+            w.u8(1)
+            w.u8(0)
+            w.u64(2**50)
+        else:
+            write_dac(w, DacSequence.from_parts(n, widths, levels, conts))
         with pytest.raises(SerializationError, match="DAC"):
             read_dac(ByteReader(w.getvalue()))
 
@@ -148,19 +162,75 @@ class TestIndexContainer:
             with pytest.raises(SerializationError):
                 TrajectoryIndex.from_bytes(bytes(bad))
 
-    @pytest.mark.parametrize("fault", ["event_member", "later_member", "unknown_symbol"])
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            "event_member",
+            "later_member",
+            "unknown_symbol",
+            "app_width_0",
+            "app_width_200",
+            "present_extra",
+            "present_long",
+            "q_all_ones",
+            "perm_out_of_range",
+            "app_out_of_range",
+            "app_without_aa",
+            "dis_out_of_range",
+        ],
+    )
     def test_crc_valid_bad_symbols_rejected(self, appearance_series, fault):
         # plant the fault in memory, then serialize so every CRC is valid
         idx = TrajectoryIndex.build(appearance_series, period=8, k=2, side=32)
         nt_base, n_rules = idx.rules.nt_base, idx.rules.n_rules
         assert n_rules >= 1
+        # snapshot 1 holds object 1; object 0 appears in portion 1 and
+        # closes it with D, so app = [0] at snapshot 1 and dis = [0] at 2
+        snap = idx.snapshots[1]
+        assert snap.present.raw.tolist() == [0, 1] and snap.app.tolist() == [0]
+        assert idx.snapshots[2].dis.tolist() == [0]
         if fault == "event_member":
             idx.rules.pairs[0, 0] = EV_D
         elif fault == "later_member":
             idx.rules.pairs[0, 1] = nt_base  # the rule's own id
-        else:
+        elif fault == "unknown_symbol":
             moves = np.flatnonzero(idx.logs.syms >= nt_base)
             idx.logs.syms[moves[0]] = nt_base + n_rules
+        elif fault.startswith("app_width"):
+            # rewrite snapshot 1's app array, the field before its dis array
+            app_w, dis_w = ByteWriter(), ByteWriter()
+            write_uint_array(app_w, snap.app)
+            write_uint_array(dis_w, snap.dis)
+            tail = app_w.getvalue() + dis_w.getvalue()
+            good = idx._snapshot_payload(1)
+            assert good.endswith(tail)
+            bad = ByteWriter()
+            bad.raw(good[: -len(tail)])
+            if fault == "app_width_0":  # 2**50 values of width 0 take no bytes
+                bad.u8(0)
+                bad.u64(2**50)
+            else:
+                bad.u8(200)
+                bad.u64(1)
+                bad.raw(bytes(25))
+            bad.raw(dis_w.getvalue())
+            blob = bad.getvalue()
+            payload = idx._snapshot_payload
+            idx._snapshot_payload = lambda h: blob if h == 1 else payload(h)
+        elif fault == "present_extra":
+            snap.present = BitVector([1, 1])
+        elif fault == "present_long":
+            snap.present = BitVector([0, 1, 0])
+        elif fault == "q_all_ones":
+            snap.q = BitVector([1])
+        elif fault == "perm_out_of_range":
+            snap.perm.raw[0] = 1
+        elif fault == "app_out_of_range":
+            snap.app = np.array([2])  # n_objects
+        elif fault == "app_without_aa":
+            snap.app = np.array([0, 1])  # object 1's log starts at the snapshot
+        else:
+            idx.snapshots[2].dis = np.array([2**40])
         with pytest.raises(SerializationError):
             TrajectoryIndex.from_bytes(idx.to_bytes())
 
