@@ -25,6 +25,7 @@ answers by (distance, id).
 
 from __future__ import annotations
 
+import collections
 import heapq
 import math
 from dataclasses import dataclass
@@ -58,6 +59,13 @@ from .snapshot import Snapshot
 
 MAGIC = b"GCTI"
 FORMAT_VERSION = 1
+HEADER = MAGIC + FORMAT_VERSION.to_bytes(2, "little")
+# the params section's scalars in file order, as (name, ByteWriter/ByteReader method)
+PARAM_FIELDS = (
+    ("k", "u32"), ("period", "u64"), ("side", "u64"), ("t_max", "u64"),
+    ("max_speed", "u64"), ("raw_symbols", "u64"), ("n_objects", "u64"),
+    ("n_snapshots", "u32"), ("n_portions", "u32"), ("sample_rate", "u16"),
+)
 
 
 @dataclass
@@ -300,36 +308,28 @@ class TrajectoryIndex:
         if not self._in_extent(t_q):
             return None
         h = self._nearest_snapshot(t_q)
-        t_s = h * self.params.period
-        snap = self.snapshots[h]
-        if snap.is_present(oid):
-            p = snap.find_object(oid)
-            if t_s == t_q:
-                return p
-            if t_s < t_q:
-                return self._forward_to(oid, t_s, p, t_q)
-            return self._backward_to(h - 1, oid, t_q, t_s, p)
-        if t_s <= t_q:
-            anchor = (
-                self.logs.first_anchor(h, oid) if h < self.logs.n_portions else None
-            )
-            if anchor is None:
-                return None
-            t_a, p_a = anchor
-            if t_a > t_q:
-                return None
-            if t_a == t_q:
-                return p_a
-            return self._forward_to(oid, t_a, p_a, t_q)
-        anchor = self.logs.last_anchor(h - 1, oid) if h >= 1 else None
-        if anchor is None:
-            return None
-        t_d, p_d = anchor
-        if t_d < t_q:
-            return None
-        if t_d == t_q:
-            return p_d
-        return self._backward_to(h - 1, oid, t_q, t_d, p_d)
+        if h * self.params.period <= t_q:
+            anchor = self._start(h, oid)
+            return None if anchor is None else self._forward_to(oid, *anchor, t_q)
+        anchor = self._end(h, oid)
+        return None if anchor is None else self._backward_to(h - 1, oid, t_q, *anchor)
+
+    def _start(self, h, oid):
+        """(instant, position) where oid's log forward from snapshot h starts:
+        the snapshot, or else the AA anchor of its portion-h log; or None."""
+        p = self.snapshots[h].find_object(oid)
+        if p is not None:
+            return h * self.params.period, p
+        return self.logs.first_anchor(h, oid) if h < self.logs.n_portions else None
+
+    def _end(self, h, oid):
+        """(instant, position) where oid's log backward from snapshot h
+        starts: the snapshot, or else the D anchor of its portion-(h-1) log;
+        or None."""
+        p = self.snapshots[h].find_object(oid)
+        if p is not None:
+            return h * self.params.period, p
+        return self.logs.last_anchor(h - 1, oid) if h >= 1 else None
 
     def _forward_to(self, oid, t_c, p_c, t_q):
         bump = self.counters.bump
@@ -365,14 +365,8 @@ class TrajectoryIndex:
         d = self.params.period
         h = t_b // d
         anchor = None
-        while h <= self.last_snapshot and h * d <= t_e:
-            if self.snapshots[h].is_present(oid):
-                anchor = (h * d, self.snapshots[h].find_object(oid))
-                break
-            a = self.logs.first_anchor(h, oid) if h < self.logs.n_portions else None
-            if a is not None:
-                anchor = a
-                break
+        while anchor is None and h <= self.last_snapshot and h * d <= t_e:
+            anchor = self._start(h, oid)
             h += 1
         if anchor is None:
             return []
@@ -409,10 +403,6 @@ class TrajectoryIndex:
         answers = []
         if t_s <= t_q:
             for o, t_c, p_c in self._starts(h, r, t_q):
-                if t_c == t_q:
-                    if contains(r, *p_c):
-                        answers.append((o, p_c))
-                    continue
                 pos = self._slice_forward(o, t_c, p_c, t_q, r, use_mbr, use_er)
                 if pos is not None:
                     answers.append((o, pos))
@@ -427,10 +417,6 @@ class TrajectoryIndex:
                 ):
                     cands.append((o, t_d, p_d))
             for o, t_c, p_c in cands:
-                if t_c == t_q:
-                    if contains(r, *p_c):
-                        answers.append((o, p_c))
-                    continue
                 pos = self._slice_backward(h - 1, o, t_q, t_c, p_c, r, use_mbr, use_er)
                 if pos is not None:
                     answers.append((o, pos))
@@ -592,12 +578,14 @@ class TrajectoryIndex:
     def knn(self, count, point, t_q):
         """The ``count`` objects nearest ``point`` at t_q, as (id, distance).
 
-        One best-first search over log walks from the snapshot at or before
-        t_q, keyed by a lower bound on the distance at t_q: the distance so
-        far minus what ``max_speed`` covers in the time left.  Snapshot
-        objects join from the k2-tree's distance stream once their bound is
-        no more than the heap's top, and the search stops at the first bound
-        beyond the k-th true distance.
+        Distance browsing: one best-first search over log walks from the
+        snapshot at or before t_q, keyed by a lower bound on the distance at
+        t_q: the distance so far minus what ``max_speed`` covers in the time
+        left.  Snapshot objects join from the k2-tree's distance stream once
+        their bound is no more than the heap's top.  A walk's bound never
+        falls as it advances, and a walk that reaches t_q is keyed by its
+        exact distance, so neighbours are returned in the order they leave
+        the queue, which is (distance, id) order.
         """
         if count <= 0 or not self._in_extent(t_q) or not len(self.ids):
             return []
@@ -624,8 +612,7 @@ class TrajectoryIndex:
                 admit(o, t_a, p_a, dist_point_point(point, p_a))
         stream = snap.candidates_by_distance(point[0], point[1])
         nxt = next(stream, None)
-        final = []  # max-heap of (-dist, -oid)
-        d_fin = math.inf
+        out = []
         bump = self.counters.bump
         while cands or nxt is not None:
             if nxt is not None and (not cands or nxt[2] - slack <= cands[0][0]):
@@ -634,17 +621,10 @@ class TrajectoryIndex:
                 admit(o, t_s, p, dist)
                 continue
             d_min, o, t_c, p_c, cur = heapq.heappop(cands)
-            if len(final) == count and d_min > d_fin:
-                break
             if t_c == t_q:
-                dist = dist_point_point(point, p_c)
-                if len(final) < count:
-                    heapq.heappush(final, (-dist, -o))
-                    if len(final) == count:
-                        d_fin = -final[0][0]
-                elif (dist, o) < (-final[0][0], -final[0][1]):
-                    heapq.heapreplace(final, (-dist, -o))
-                    d_fin = -final[0][0]
+                out.append((self._orig(o), d_min))
+                if len(out) == count:
+                    break
                 continue
             if cur is None:
                 cur = self.logs.elements(o, t_c, p_c, t_q)
@@ -661,25 +641,21 @@ class TrajectoryIndex:
                 continue  # a gap covers t_q: not active, drop
             d_min = dist_point_point(point, p_c) - m_sp * (t_q - t_c)
             heapq.heappush(cands, (d_min, o, t_c, p_c, cur))
-        out = sorted((-nd, -no) for nd, no in final)
-        return [(self._orig(o), dist) for dist, o in out]
+        return out
 
     # ------------------------------------------------------------------
     # serialization & statistics
     # ------------------------------------------------------------------
 
     def _params_payload(self):
+        fields = dict(
+            vars(self.params),
+            n_snapshots=len(self.snapshots),
+            n_portions=self.logs.n_portions,
+        )
         w = serial.ByteWriter()
-        w.u32(self.params.k)
-        w.u64(self.params.period)
-        w.u64(self.params.side)
-        w.u64(self.params.t_max)
-        w.u64(self.params.max_speed)
-        w.u64(self.params.raw_symbols)
-        w.u64(self.params.n_objects)
-        w.u32(len(self.snapshots))
-        w.u32(self.logs.n_portions)
-        w.u16(self.params.sample_rate)
+        for name, kind in PARAM_FIELDS:
+            getattr(w, kind)(fields[name])
         serial.write_uint_array(w, self.ids)
         return w.getvalue()
 
@@ -735,15 +711,19 @@ class TrajectoryIndex:
         with open(path, "wb") as fh:
             fh.write(blob)
 
-    def to_bytes(self):
-        parts = [MAGIC, FORMAT_VERSION.to_bytes(2, "little")]
-        parts.append(serial.wrap_section(self._params_payload()))
-        parts.append(serial.wrap_section(self._dict_payload()))
-        parts.append(serial.wrap_section(self._streams_payload()))
+    def _sections(self):
+        """(stats component, payload) of every section, in file order."""
+        yield "params", self._params_payload()
+        yield "dictionary", self._dict_payload()
+        yield "log_streams", self._streams_payload()
         for h in range(self.logs.n_portions):
-            parts.append(serial.wrap_section(self._portion_payload(h)))
+            yield "log_events", self._portion_payload(h)
         for h in range(len(self.snapshots)):
-            parts.append(serial.wrap_section(self._snapshot_payload(h)))
+            yield "snapshots", self._snapshot_payload(h)
+
+    def to_bytes(self):
+        parts = [HEADER]
+        parts.extend(serial.wrap_section(payload) for _, payload in self._sections())
         return b"".join(parts)
 
     @classmethod
@@ -760,36 +740,38 @@ class TrajectoryIndex:
         if version != FORMAT_VERSION:
             raise serial.SerializationError("unsupported format version %d" % version)
         pr = serial.ByteReader(serial.read_section(r))
-        k = pr.u32()
-        period = pr.u64()
-        side = pr.u64()
-        t_max = pr.u64()
-        max_speed = pr.u64()
-        raw_symbols = pr.u64()
-        n_objects = pr.u64()
-        n_snapshots = pr.u32()
-        n_portions = pr.u32()
-        sample_rate = pr.u16()
+        fields = {name: getattr(pr, kind)() for name, kind in PARAM_FIELDS}
+        n_snapshots = fields.pop("n_snapshots")
+        n_portions = fields.pop("n_portions")
+        params = IndexParams(**fields)
         ids = serial.read_uint_array(pr)
-        params = IndexParams(
-            period=period,
-            k=k,
-            side=side,
-            n_objects=n_objects,
-            t_max=t_max,
-            max_speed=max_speed,
-            raw_symbols=raw_symbols,
-            sample_rate=sample_rate,
-        )
+        k, period, t_max = params.k, params.period, params.t_max
+        n_objects = params.n_objects
+        if k < 2 or period < 1:
+            raise serial.SerializationError("k %d or period %d out of range" % (k, period))
+        if n_snapshots != t_max // period + 1 or n_portions != -(-t_max // period):
+            raise serial.SerializationError(
+                "%d snapshots and %d portions do not cover t_max %d at period %d"
+                % (n_snapshots, n_portions, t_max, period)
+            )
+        if len(ids) != n_objects or not _increasing_ids(ids, math.inf):
+            raise serial.SerializationError("ids are not %d increasing ids" % n_objects)
 
         dr = serial.ByteReader(serial.read_section(r))
         max_move = dr.u32()
         n_rules = dr.u32()
-        pairs = serial.read_uint_array(dr).reshape(n_rules, 2)
-        span = np.asarray(serial.read_dac(dr).to_list(), dtype=np.int64)
-        coords = unzigzag(
-            np.asarray(serial.read_dac(dr).to_list(), dtype=np.uint64)
-        ).reshape(n_rules, 6)
+        pairs = serial.read_uint_array(dr)
+        span = serial.read_dac_int64(dr)
+        coords = unzigzag(np.asarray(serial.read_dac(dr).to_list(), dtype=np.uint64))
+        if (len(pairs), len(span), len(coords)) != (2 * n_rules, n_rules, 6 * n_rules):
+            raise serial.SerializationError("rule arrays disagree with %d rules" % n_rules)
+        # a one-instant move's Chebyshev radius is at most max_speed
+        if max_move > spiral.max_code_for_radius(params.max_speed):
+            raise serial.SerializationError(
+                "move code %d exceeds max_speed %d" % (max_move, params.max_speed)
+            )
+        pairs = pairs.reshape(n_rules, 2)
+        coords = coords.reshape(n_rules, 6)
         try:
             rules = RuleDictionary(
                 max_move, pairs, span, coords[:, 0], coords[:, 1], coords[:, 2:6]
@@ -798,18 +780,25 @@ class TrajectoryIndex:
             raise serial.SerializationError(str(e)) from e
 
         sr = serial.ByteReader(serial.read_section(r))
-        syms = np.asarray(serial.read_dac(sr).to_list(), dtype=np.int64)
+        syms = serial.read_dac_int64(sr)
 
         portions = []
         pos = 0
-        for _h in range(n_portions):
+        for h in range(n_portions):
             hr = serial.ByteReader(serial.read_section(r))
             p_ids = serial.read_uint_array(hr)
             sym_lens = serial.read_uint_array(hr)
             d_lens = serial.read_uint_array(hr)
-            d_vals = np.asarray(serial.read_dac(hr).to_list(), dtype=np.int64)
+            d_vals = serial.read_dac_int64(hr)
             p_lens = serial.read_uint_array(hr)
-            p_vals = np.asarray(serial.read_dac(hr).to_list(), dtype=np.int64)
+            p_vals = serial.read_dac_int64(hr)
+            if not (
+                _increasing_ids(p_ids, n_objects)
+                and len(p_ids) == len(sym_lens) == len(d_lens) == len(p_lens)
+            ):
+                raise serial.SerializationError(
+                    "portion %d: ids or per-log arrays malformed" % h
+                )
             sym_off = np.concatenate([[pos], pos + np.cumsum(sym_lens)])
             pos = int(sym_off[-1])
             d_off = np.concatenate([[0], np.cumsum(d_lens)])
@@ -831,8 +820,8 @@ class TrajectoryIndex:
             app = serial.read_uint_array(sr2)
             dis = serial.read_uint_array(sr2)
             try:
-                tree = K2Tree(k, side, t_bits, l_bits)
-                perm = Permutation(perm_vals, sample_rate)
+                tree = K2Tree(k, params.side, t_bits, l_bits)
+                perm = Permutation(perm_vals, params.sample_rate)
                 snapshots.append(Snapshot(h * period, tree, present, perm, q, app, dis))
             except ValueError as e:
                 raise serial.SerializationError("snapshot %d: %s" % (h, e)) from e
@@ -852,13 +841,11 @@ class TrajectoryIndex:
 
     def stats(self):
         """Size report (bytes per component, ratio against raw symbols)."""
-        snap_bytes = sum(len(self._snapshot_payload(h)) for h in range(len(self.snapshots)))
-        portion_bytes = sum(
-            len(self._portion_payload(h)) for h in range(self.logs.n_portions)
-        )
-        stream_bytes = len(self._streams_payload())
-        dict_bytes = len(self._dict_payload())
-        total = len(self.to_bytes())
+        size = collections.Counter(total=len(HEADER))
+        for part, payload in self._sections():
+            size[part] += len(payload)
+            size["total"] += len(serial.wrap_section(payload))
+        log_bytes = size["log_streams"] + size["log_events"] + size["dictionary"]
         raw = self.params.raw_symbols
         return {
             "objects": int(self.params.n_objects),
@@ -872,16 +859,16 @@ class TrajectoryIndex:
             "rules": int(self.rules.n_rules),
             "grammar_depth": int(self.rules.depth()),
             "bytes": {
-                "snapshots": snap_bytes,
-                "log_streams": stream_bytes,
-                "log_events": portion_bytes,
-                "dictionary": dict_bytes,
-                "total": total,
+                part: size[part]
+                for part in ("snapshots", "log_streams", "log_events", "dictionary", "total")
             },
-            "log_ratio_vs_raw": (
-                (stream_bytes + portion_bytes + dict_bytes) / raw if raw else 0.0
-            ),
+            "log_ratio_vs_raw": log_bytes / raw if raw else 0.0,
         }
+
+
+def _increasing_ids(ids, bound):
+    """Whether ``ids`` strictly increase within 0..bound-1."""
+    return not len(ids) or (ids[0] >= 0 and ids[-1] < bound and (np.diff(ids) > 0).all())
 
 
 def _snapshot_events(portions, h):

@@ -32,6 +32,16 @@ class K2Tree:
         self.height = _height_of(k, side)
         self.t = t_bits
         self.l = l_bits
+        # level 1 has k^2 bits, each later level k^2 per one of the level
+        # before; levels 1..height-1 fill T and level height is L (a level
+        # running past T leaves pos past its end)
+        kk = k * k
+        pos, size = 0, kk
+        for _ in range(self.height - 1):
+            ones = int(np.count_nonzero(t_bits.raw[pos:pos + size]))
+            pos, size = pos + size, kk * ones
+        if pos != len(t_bits) or size != len(l_bits):
+            raise ValueError("k2-tree level sizes disagree with T and L")
 
     # -- construction -----------------------------------------------------
 

@@ -72,8 +72,43 @@ class LogStore:
             raise ValueError("log symbol is not a known move, event or rule")
         self._syms = memoryview(self.syms)
         self.portions = portions
+        self._check()
         for h, portion in enumerate(portions):
             self._derive(h, portion)
+
+    def _check(self):
+        """Raise ValueError unless the logs tile ``syms`` in order and agree
+        with their side arrays.
+
+        Every log is non-empty, AA only opens a log and D only closes one,
+        and a log has one D entry per event and two P entries per AA or D
+        plus one per RM.  One vectorized pass over the whole stream.
+        """
+        syms, ps = self.syms, self.portions
+        for p in ps:
+            if p.d_off[-1] != len(p.d_vals) or p.p_off[-1] != len(p.p_vals):
+                raise ValueError("portion side arrays disagree with their offsets")
+        none = [np.zeros(0, dtype=np.int64)]
+        starts = np.concatenate(none + [p.sym_off[:-1] for p in ps])
+        ends = np.concatenate(none + [p.sym_off[1:] for p in ps])
+        tiles = np.append(starts, len(syms))
+        if tiles[0] != 0 or not np.array_equal(tiles[1:], ends) or (ends <= starts).any():
+            raise ValueError("logs do not tile the symbol stream")
+        is_aa, is_d = syms == EV_AA, syms == EV_D
+        is_aa[starts] = False
+        is_d[ends - 1] = False
+        if is_aa.any() or is_d.any():
+            raise ValueError("AA inside a log or D before its end")
+        if not len(starts):
+            return
+        n_d = np.add.reduceat((syms < MOVE_BASE).astype(np.int64), starts)
+        n_p = np.add.reduceat(
+            2 * ((syms == EV_AA) | (syms == EV_D)) + (syms == EV_RM), starts
+        )
+        d_lens = np.concatenate([np.diff(p.d_off) for p in ps])
+        p_lens = np.concatenate([np.diff(p.p_off) for p in ps])
+        if not (np.array_equal(n_d, d_lens) and np.array_equal(n_p, p_lens)):
+            raise ValueError("log side arrays disagree with the log's events")
 
     def _derive(self, h, portion):
         if len(portion.ids) == 0:

@@ -14,8 +14,8 @@ Primitive encodings:
   chunk count + packed chunks, followed by the packed continuation bitmap
   on every level except the last.  Level 0 holds one chunk per value and
   each later level one per set bit of the bitmap before it; a section that
-  disagrees, or a width outside 1..64 in either encoding, is rejected on
-  load.
+  disagrees, a width outside 1..64 in either encoding, or DAC level widths
+  that sum past 64 are rejected on load.
 """
 
 import struct
@@ -145,6 +145,8 @@ def read_dac(r):
     conts = []
     for li in range(n_levels):
         width = _read_width(r, "DAC level %d" % li)
+        if sum(widths) + width > 64:  # a value would not fit 64 bits
+            raise SerializationError("DAC level widths sum past 64 bits")
         count = r.u64()
         # level 0 holds every value; each later level, the ones continued
         expected = conts[-1].n_ones if conts else n
@@ -159,6 +161,15 @@ def read_dac(r):
         if li < n_levels - 1:
             conts.append(BitVector.from_bytes(r.raw((count + 7) // 8), count))
     return DacSequence.from_parts(n, widths, levels, conts)
+
+
+def read_dac_int64(r):
+    """A DAC section decoded to an int64 array; values of 2**63 or more
+    are rejected."""
+    values = np.asarray(read_dac(r).to_list(), dtype=np.uint64)
+    if len(values) and int(values.max()) >= 2**63:
+        raise SerializationError("DAC value does not fit int64")
+    return values.astype(np.int64)
 
 
 def wrap_section(payload):

@@ -1,10 +1,16 @@
+import contextlib
+import random
+import signal
+
 import numpy as np
 import pytest
+from conftest import WALKTHROUGH_SERIES, make_walk_series
 from hypothesis import given
 from hypothesis import strategies as st
 
 from trajindex import TrajectoryIndex
 from trajindex.bits import BitVector, DacSequence
+from trajindex.engine import HEADER
 from trajindex.grammar import EV_D
 from trajindex.serial import (
     ByteReader,
@@ -12,6 +18,7 @@ from trajindex.serial import (
     SerializationError,
     read_bitvector,
     read_dac,
+    read_dac_int64,
     read_section,
     read_uint_array,
     wrap_section,
@@ -72,11 +79,23 @@ class TestByteStream:
 
     @pytest.mark.parametrize(
         "fault",
-        ["no_levels", "short_level0", "bitmap_overclaims", "zero_width", "wide_level"],
+        [
+            "no_levels",
+            "short_level0",
+            "bitmap_overclaims",
+            "zero_width",
+            "wide_level",
+            "widths_past_64",
+            "past_int64",
+        ],
     )
     def test_inconsistent_dac_rejected(self, fault):
         n, widths, levels, conts = DacSequence([300, 300, 300, 300], [8, 8]).parts
-        if fault == "no_levels":
+        if fault == "widths_past_64":  # shifts past bit 63 would drop high bits
+            n, widths, levels, conts = DacSequence([1, 2**40], [8, 60]).parts
+        elif fault == "past_int64":  # a valid uint64 DAC, read as int64
+            n, widths, levels, conts = DacSequence([1, 2**63], [64]).parts
+        elif fault == "no_levels":
             widths, levels, conts = [], [], []
         elif fault == "short_level0":
             n += 3
@@ -93,7 +112,7 @@ class TestByteStream:
         else:
             write_dac(w, DacSequence.from_parts(n, widths, levels, conts))
         with pytest.raises(SerializationError, match="DAC"):
-            read_dac(ByteReader(w.getvalue()))
+            read_dac_int64(ByteReader(w.getvalue()))
 
     def test_section_checksum(self):
         blob = wrap_section(b"payload-bytes")
@@ -177,6 +196,18 @@ class TestIndexContainer:
             "app_out_of_range",
             "app_without_aa",
             "dis_out_of_range",
+            "k_below_2",
+            "period_0",
+            "t_max_past_snapshots",
+            "ids_unsorted",
+            "ids_short",
+            "max_speed_below_moves",
+            "portion_id_repeated",
+            "portion_id_past_n",
+            "portion_ids_past_logs",
+            "side_array_long",
+            "d_before_end",
+            "p_entries_shifted",
         ],
     )
     def test_crc_valid_bad_symbols_rejected(self, appearance_series, fault):
@@ -229,10 +260,44 @@ class TestIndexContainer:
             snap.app = np.array([2])  # n_objects
         elif fault == "app_without_aa":
             snap.app = np.array([0, 1])  # object 1's log starts at the snapshot
-        else:
+        elif fault == "dis_out_of_range":
             idx.snapshots[2].dis = np.array([2**40])
-        with pytest.raises(SerializationError):
-            TrajectoryIndex.from_bytes(idx.to_bytes())
+        elif fault == "k_below_2":
+            idx.params.k = 1
+        elif fault == "period_0":
+            idx.params.period = 0
+        elif fault == "t_max_past_snapshots":
+            idx.params.t_max = 24
+        elif fault == "ids_unsorted":
+            idx.ids = np.array([9, 5])
+        elif fault == "ids_short":
+            idx.ids = np.array([5])
+        elif fault == "max_speed_below_moves":
+            idx.params.max_speed = 0
+        else:
+            # portion 0 holds object 1's log of two rules; portion 1 holds
+            # object 0's [AA, move, D] and object 1's log of two rules
+            p0, p1 = idx.logs.portions
+            assert p0.ids.tolist() == [1] and p0.sym_off.tolist() == [0, 2]
+            assert p1.ids.tolist() == [0, 1] and p1.p_off.tolist() == [0, 4, 4]
+            if fault == "portion_id_repeated":  # app/dis still match the logs
+                p1.ids = np.array([0, 0])
+            elif fault == "portion_id_past_n":
+                p0.ids = np.array([2])
+            elif fault == "portion_ids_past_logs":
+                p0.ids = np.array([0, 1])
+            elif fault == "side_array_long":
+                p0.d_vals = np.array([7])
+            elif fault == "d_before_end":  # with its D and P entries
+                idx.logs.syms[0] = EV_D
+                p0.d_vals, p0.d_off = np.array([0]), np.array([0, 1])
+                p0.p_vals, p0.p_off = np.array([20, 20]), np.array([0, 2])
+            else:  # five P entries for an AA and a D; the total still fits
+                p1.p_vals = np.append(p1.p_vals, 0)
+                p1.p_off = np.array([0, 5, 5])
+        blob = idx.to_bytes()
+        with _deadline(2.0), pytest.raises(SerializationError):
+            TrajectoryIndex.from_bytes(blob)
 
     def test_crc_valid_bad_dac_rejected(self, appearance_series):
         idx = TrajectoryIndex.build(appearance_series, period=8, k=2, side=32)
@@ -257,3 +322,76 @@ class TestIndexContainer:
             "total",
         }
         assert stats["bytes"]["total"] == len(walkthrough_index.to_bytes())
+
+
+FUZZ_TARGETS = {
+    "walkthrough": lambda: TrajectoryIndex.build(WALKTHROUGH_SERIES, period=8, k=2, side=16),
+    "walk": lambda: TrajectoryIndex.build(
+        make_walk_series(3, n_obj=8, t_len=120, side=64, appear=True), period=30, k=2, side=64
+    ),
+}
+
+
+def _answer_queries(idx, rng):
+    """Ask every query type about the index's own ids and instants."""
+    p = idx.params
+    side, t_max = p.side, p.t_max
+    instants = [0, t_max] + [rng.randrange(t_max + 2) for _ in range(4)]
+    for obj in idx.ids:
+        obj = int(obj)
+        for t in instants:
+            idx.position_of(obj, t)
+        idx.trajectory(obj, 0, t_max)
+    for t in instants:
+        x, y = rng.randrange(side), rng.randrange(side)
+        for region in ((0, 0, side - 1, side - 1), (x, y, x + side // 4, y + side // 4)):
+            idx.time_slice(region, t)
+            idx.time_interval(region, t, t + p.period)
+        idx.knn(len(idx.ids), (x, y), t)
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError("hung for more than the deadline")
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("target", sorted(FUZZ_TARGETS))
+def test_flipped_bit_with_valid_crc_fails_named_or_answers(target):
+    """A one-bit flip in one section, re-wrapped with a valid CRC, either
+    raises SerializationError on load or loads and answers every query type
+    without an exception or a hang."""
+    blob = FUZZ_TARGETS[target]().to_bytes()
+    r = ByteReader(blob[len(HEADER):])
+    payloads = []
+    while not r.at_end():
+        payloads.append(read_section(r))
+    rng = random.Random(target)
+    escapes = []
+    for _ in range(500):
+        si = rng.randrange(len(payloads))
+        bit = rng.randrange(8 * len(payloads[si]))
+        bad = bytearray(payloads[si])
+        bad[bit // 8] ^= 1 << (bit % 8)
+        sections = payloads[:si] + [bytes(bad)] + payloads[si + 1:]
+        mutant = HEADER + b"".join(wrap_section(s) for s in sections)
+        try:
+            with _deadline(2.0):
+                try:
+                    idx = TrajectoryIndex.from_bytes(mutant)
+                except SerializationError:
+                    continue
+                _answer_queries(idx, rng)
+        except Exception as e:  # any other exception is an escape
+            escapes.append((si, bit, type(e).__name__, str(e)[:80]))
+    assert not escapes, "%d escapes, first: %s" % (len(escapes), escapes[:5])
