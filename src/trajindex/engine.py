@@ -50,15 +50,13 @@ from .grammar import (
     MOVE_BASE,
     RuleDictionary,
     repair_compress,
-    unzigzag,
-    zigzag,
 )
 from .k2tree import K2Tree
 from .logs import LogStore, Portion, move_back, move_jump, move_steps
 from .snapshot import Snapshot
 
 MAGIC = b"GCTI"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 HEADER = MAGIC + FORMAT_VERSION.to_bytes(2, "little")
 # the params section's scalars in file order, as (name, ByteWriter/ByteReader method)
 PARAM_FIELDS = (
@@ -664,18 +662,6 @@ class TrajectoryIndex:
         w.u32(self.rules.max_move_code)
         w.u32(self.rules.n_rules)
         serial.write_uint_array(w, self.rules.pairs.reshape(-1))
-        serial.write_dac(w, serial.DacSequence.optimal(self.rules.span))
-        coords = np.column_stack(
-            [
-                self.rules.dx,
-                self.rules.dy,
-                self.rules.mbr[:, 0],
-                self.rules.mbr[:, 1],
-                self.rules.mbr[:, 2],
-                self.rules.mbr[:, 3],
-            ]
-        ).reshape(-1)
-        serial.write_dac(w, serial.DacSequence.optimal(zigzag(coords)))
         return w.getvalue()
 
     def _streams_payload(self):
@@ -761,21 +747,15 @@ class TrajectoryIndex:
         max_move = dr.u32()
         n_rules = dr.u32()
         pairs = serial.read_uint_array(dr)
-        span = serial.read_dac_int64(dr)
-        coords = unzigzag(np.asarray(serial.read_dac(dr).to_list(), dtype=np.uint64))
-        if (len(pairs), len(span), len(coords)) != (2 * n_rules, n_rules, 6 * n_rules):
-            raise serial.SerializationError("rule arrays disagree with %d rules" % n_rules)
+        if len(pairs) != 2 * n_rules:
+            raise serial.SerializationError("%d pair members for %d rules" % (len(pairs), n_rules))
         # a one-instant move's Chebyshev radius is at most max_speed
         if max_move > spiral.max_code_for_radius(params.max_speed):
             raise serial.SerializationError(
                 "move code %d exceeds max_speed %d" % (max_move, params.max_speed)
             )
-        pairs = pairs.reshape(n_rules, 2)
-        coords = coords.reshape(n_rules, 6)
         try:
-            rules = RuleDictionary(
-                max_move, pairs, span, coords[:, 0], coords[:, 1], coords[:, 2:6]
-            )
+            rules = RuleDictionary.build(pairs, max_move)
         except ValueError as e:
             raise serial.SerializationError(str(e)) from e
 

@@ -17,10 +17,12 @@ ties pick the smallest (a, b); replacement scans left to right.  The loop
 stops when no pair occurs twice.  Everything is deterministic, which the
 serialization round-trip tests rely on.
 
-After compression every rule s -> (a, b) is annotated bottom-up with the
-time span it covers, its net displacement, and the bounding box of the
-origin plus every intermediate position of its expansion ("relative MBR",
-origin included) — the payloads that let traversals jump over whole rules.
+After compression every rule s -> (a, b) is annotated bottom-up, one
+grammar level at a time, with the time span it covers, its net
+displacement, and the bounding box of the origin plus every intermediate
+position of its expansion ("relative MBR", origin included) — the payloads
+that let traversals jump over whole rules.  They follow from the pairs, so
+an index file stores only the pairs and loading derives the rest.
 """
 
 import numpy as np
@@ -97,11 +99,11 @@ class RuleDictionary:
     rule's pair (zero below ``nt_base``).  Traversals read them through the
     memoryviews ``sym_span``, ``sym_dx``, ``sym_dy``, ``sym_mbr`` and
     ``sym_pairs``; ``span``, ``dx``, ``dy``, ``mbr`` and ``pairs`` are numpy
-    views of the rule rows.
+    views of the rule rows.  Every table follows from the pairs alone.
     """
 
-    def __init__(self, max_move_code, pairs, span, dx, dy, mbr):
-        """Takes rule-indexed arrays; members must be moves or earlier rules."""
+    def __init__(self, max_move_code, pairs):
+        """Derive the tables; members must be moves or earlier rules."""
         self.max_move_code = int(max_move_code)
         nt = self.nt_base = MOVE_BASE + self.max_move_code + 1
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -110,24 +112,43 @@ class RuleDictionary:
         if ((pairs < MOVE_BASE) | (pairs >= own)).any():
             raise ValueError("rule member is an event or not an earlier symbol")
 
-        def table(rule_rows, move_rows):
-            rule_rows = np.asarray(rule_rows, dtype=np.int64)
-            t = np.zeros((n,) + rule_rows.shape[1:], dtype=np.int64)
-            t[MOVE_BASE:nt] = move_rows
-            t[nt:] = rule_rows
-            return t
-
         tdx, tdy = spiral.decode_table(self.max_move_code)
-        move_mbr = np.column_stack(
+        span, dx, dy = (np.zeros(n, dtype=np.int64) for _ in range(3))
+        mbr = np.zeros((n, 4), dtype=np.int64)
+        sym_pairs = np.zeros((n, 2), dtype=np.int64)
+        span[MOVE_BASE:nt] = 1
+        dx[MOVE_BASE:nt] = tdx
+        dy[MOVE_BASE:nt] = tdy
+        mbr[MOVE_BASE:nt] = np.column_stack(
             [np.minimum(tdx, 0), np.minimum(tdy, 0), np.maximum(tdx, 0), np.maximum(tdy, 0)]
         )
-        tables = (
-            table(span, 1),
-            table(dx, tdx),
-            table(dy, tdy),
-            table(mbr, move_mbr),
-            table(pairs, 0),
-        )
+        sym_pairs[nt:] = pairs
+
+        # a rule's level is one more than its members' (moves are level 0);
+        # every rule of a level references lower levels only
+        lev = [0] * nt
+        for a, b in pairs.tolist():
+            la, lb = lev[a], lev[b]
+            lev.append(la + 1 if la > lb else lb + 1)
+        level = np.array(lev[nt:], dtype=np.int64)
+        self._depth = int(level.max()) if len(level) else 0
+        by_level = np.argsort(level, kind="stable")
+        for rows in np.split(by_level, np.cumsum(np.bincount(level))[1:-1]):
+            s = rows + nt
+            a, b = pairs[rows].T
+            span[s] = span[a] + span[b]
+            dx[s] = dx[a] + dx[b]
+            dy[s] = dy[a] + dy[b]
+            lo = mbr[b] + np.column_stack([dx[a], dy[a], dx[a], dy[a]])
+            mbr[s, :2] = np.minimum(mbr[a, :2], lo[:, :2])
+            mbr[s, 2:] = np.maximum(mbr[a, 2:], lo[:, 2:])
+        # a rule spans more than either member unless a sum wrapped, and
+        # every coordinate is at most span * the largest move radius
+        radius = int(max(np.abs(tdx).max(), np.abs(tdy).max()))
+        if (span[nt:] <= span[pairs].max(axis=1)).any() or int(span.max()) * radius >= 2**63:
+            raise ValueError("rule spans or coordinates overflow int64")
+
+        tables = (span, dx, dy, mbr, sym_pairs)
         self.span, self.dx, self.dy, self.mbr, self.pairs = (t[nt:] for t in tables)
         self.sym_span, self.sym_dx, self.sym_dy, self.sym_mbr, self.sym_pairs = map(
             memoryview, tables
@@ -135,22 +156,8 @@ class RuleDictionary:
 
     @classmethod
     def build(cls, rule_pairs, max_move_code):
-        """Enrich rules bottom-up (every rule references smaller ids only)."""
-        n = len(rule_pairs)
-        zero = np.zeros(n, dtype=np.int64)
-        rules = cls(max_move_code, rule_pairs, zero, zero, zero, np.zeros((n, 4), dtype=np.int64))
-        span, dx, dy = rules.sym_span, rules.sym_dx, rules.sym_dy
-        mbr, pairs = rules.sym_mbr, rules.sym_pairs
-        for s in range(rules.nt_base, rules.nt_base + n):
-            a, b = pairs[s, 0], pairs[s, 1]
-            span[s] = span[a] + span[b]
-            dx[s] = dx[a] + dx[b]
-            dy[s] = dy[a] + dy[b]
-            mbr[s, 0] = min(mbr[a, 0], mbr[b, 0] + dx[a])
-            mbr[s, 1] = min(mbr[a, 1], mbr[b, 1] + dy[a])
-            mbr[s, 2] = max(mbr[a, 2], mbr[b, 2] + dx[a])
-            mbr[s, 3] = max(mbr[a, 3], mbr[b, 3] + dy[a])
-        return rules
+        """The dictionary of ``rule_pairs`` over moves 0..max_move_code."""
+        return cls(max_move_code, rule_pairs)
 
     @property
     def n_rules(self):
@@ -200,22 +207,4 @@ class RuleDictionary:
 
     def depth(self):
         """Longest rule chain; 0 when there are no rules."""
-        if not len(self.pairs):
-            return 0
-        d = np.zeros(len(self.pairs), dtype=np.int64)
-        for i in range(len(self.pairs)):
-            da = d[self.pairs[i, 0] - self.nt_base] if self.pairs[i, 0] >= self.nt_base else 0
-            db = d[self.pairs[i, 1] - self.nt_base] if self.pairs[i, 1] >= self.nt_base else 0
-            d[i] = 1 + max(da, db)
-        return int(d.max())
-
-
-def zigzag(values):
-    """Map signed to unsigned: 0,-1,1,-2,2.. -> 0,1,2,3,4.."""
-    values = np.asarray(values, dtype=np.int64)
-    return np.where(values >= 0, 2 * values, -2 * values - 1).astype(np.uint64)
-
-
-def unzigzag(values):
-    values = np.asarray(values, dtype=np.uint64).astype(np.int64)
-    return np.where(values % 2 == 0, values // 2, -(values + 1) // 2)
+        return self._depth

@@ -71,9 +71,6 @@ class Snapshot:
             np.sort(np.asarray(dis, dtype=np.int64)),
         )
 
-    def is_present(self, oid):
-        return bool(self.present.bit(oid + 1))
-
     def find_object(self, oid):
         """Cell of an object, or None when it is absent from this snapshot."""
         if not self.present.bit(oid + 1):

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,8 +9,6 @@ from trajindex.grammar import (
     MOVE_BASE,
     RuleDictionary,
     repair_compress,
-    unzigzag,
-    zigzag,
 )
 
 BASE = 20  # terminal alphabet size used by most tests here
@@ -138,6 +135,7 @@ class TestEnrichment:
         assert rules.span_of(zz) == 4
         assert rules.disp_of(zz) == (6, 0)
         assert rules.mbr_of(zz) == (0, -1, 6, 0)
+        assert rules.depth() == 2
 
     def test_terminal_metadata(self, rules):
         sym = 9 + MOVE_BASE
@@ -195,6 +193,10 @@ def test_enrichment_matches_brute_force(data):
     nt_base = MOVE_BASE + max_code + 1
     _out, pairs = repair_compress(streams, nt_base)
     rules = RuleDictionary.build(pairs, max_code)
+    depth = {}
+    for i, (a, b) in enumerate(pairs):
+        depth[nt_base + i] = 1 + max(depth.get(a, 0), depth.get(b, 0))
+    assert rules.depth() == max(depth.values(), default=0)
     for i in range(len(pairs)):
         sym = nt_base + i
         codes = [s - MOVE_BASE for s in rules.expand(sym)]
@@ -202,10 +204,3 @@ def test_enrichment_matches_brute_force(data):
         assert rules.span_of(sym) == span
         assert rules.disp_of(sym) == disp
         assert rules.mbr_of(sym) == box
-
-
-@given(st.lists(st.integers(-(2**40), 2**40), max_size=60))
-def test_zigzag_round_trip(values):
-    arr = np.asarray(values, dtype=np.int64)
-    assert list(unzigzag(zigzag(arr))) == values
-    assert all(int(v) >= 0 for v in zigzag(arr))

@@ -200,9 +200,9 @@ def test_walkers_match_oracle(name, period, indexes, oracles):
     for oid in range(len(idx.ids)):
         orig = int(idx.ids[oid])
         h = 0
-        while not idx.snapshots[h].is_present(oid) and logs.first_anchor(h, oid) is None:
+        while idx.snapshots[h].find_object(oid) is None and logs.first_anchor(h, oid) is None:
             h += 1
-        if idx.snapshots[h].is_present(oid):
+        if idx.snapshots[h].find_object(oid) is not None:
             t_c, p_c = h * period, idx.snapshots[h].find_object(oid)
         else:
             t_c, p_c = logs.first_anchor(h, oid)

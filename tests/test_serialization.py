@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from trajindex import TrajectoryIndex
 from trajindex.bits import BitVector, DacSequence
 from trajindex.engine import HEADER
-from trajindex.grammar import EV_D
+from trajindex.grammar import EV_D, MOVE_BASE
 from trajindex.serial import (
     ByteReader,
     ByteWriter,
@@ -143,6 +143,9 @@ class TestIndexContainer:
         assert loaded.time_slice((7, 3, 10, 4), 10) == [(2, (9, 4)), (5, (7, 3))]
         assert loaded.position_of(5, 10) == (7, 3)
         assert loaded.trajectory(6, 3, 13) == walkthrough_index.trajectory(6, 3, 13)
+        for table in ("sym_span", "sym_dx", "sym_dy", "sym_mbr", "sym_pairs"):
+            got, want = getattr(loaded.rules, table), getattr(walkthrough_index.rules, table)
+            assert np.array_equal(np.asarray(got), np.asarray(want)), table
 
     def test_round_trip_is_bit_exact(self, walkthrough_index):
         blob = walkthrough_index.to_bytes()
@@ -156,9 +159,10 @@ class TestIndexContainer:
 
     def test_bad_version(self, walkthrough_index):
         blob = bytearray(walkthrough_index.to_bytes())
-        blob[4] ^= 0xFF
-        with pytest.raises(SerializationError, match="version"):
-            TrajectoryIndex.from_bytes(bytes(blob))
+        for version in (blob[4] ^ 0xFF, 1):  # a flipped byte; format version 1
+            blob[4:6] = version.to_bytes(2, "little")
+            with pytest.raises(SerializationError, match="version"):
+                TrajectoryIndex.from_bytes(bytes(blob))
 
     def test_trailing_data(self, walkthrough_index):
         blob = walkthrough_index.to_bytes()
@@ -186,6 +190,8 @@ class TestIndexContainer:
         [
             "event_member",
             "later_member",
+            "deep_chain",
+            "span_overflow",
             "unknown_symbol",
             "app_width_0",
             "app_width_200",
@@ -224,6 +230,17 @@ class TestIndexContainer:
             idx.rules.pairs[0, 0] = EV_D
         elif fault == "later_member":
             idx.rules.pairs[0, 1] = nt_base  # the rule's own id
+        elif fault in ("deep_chain", "span_overflow"):
+            pairs = [(MOVE_BASE, MOVE_BASE)]
+            if fault == "deep_chain":  # (previous rule, move): the deepest grammar
+                pairs += [(nt_base + i, MOVE_BASE) for i in range(4999)]
+            else:  # (previous rule, previous rule): the last spans 2**70
+                pairs += [(nt_base + i, nt_base + i) for i in range(69)]
+            w = ByteWriter()
+            w.u32(idx.rules.max_move_code)
+            w.u32(len(pairs))
+            write_uint_array(w, np.array(pairs).reshape(-1))
+            idx._dict_payload = w.getvalue
         elif fault == "unknown_symbol":
             moves = np.flatnonzero(idx.logs.syms >= nt_base)
             idx.logs.syms[moves[0]] = nt_base + n_rules
@@ -296,8 +313,13 @@ class TestIndexContainer:
                 p1.p_vals = np.append(p1.p_vals, 0)
                 p1.p_off = np.array([0, 5, 5])
         blob = idx.to_bytes()
-        with _deadline(2.0), pytest.raises(SerializationError):
-            TrajectoryIndex.from_bytes(blob)
+        with _deadline(2.0):
+            if fault == "deep_chain":  # may load: every rule the logs name exists
+                with contextlib.suppress(SerializationError):
+                    TrajectoryIndex.from_bytes(blob)
+            else:
+                with pytest.raises(SerializationError):
+                    TrajectoryIndex.from_bytes(blob)
 
     def test_crc_valid_bad_dac_rejected(self, appearance_series):
         idx = TrajectoryIndex.build(appearance_series, period=8, k=2, side=32)

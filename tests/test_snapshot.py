@@ -16,7 +16,7 @@ class TestWalkthroughMiddleSnapshot:
     def test_presence(self, s8):
         assert s8.time == 8
         assert s8.present.n_ones == 3
-        assert [s8.is_present(o) for o in range(7)] == [
+        assert [s8.find_object(o) is not None for o in range(7)] == [
             True, True, False, True, False, False, False,
         ]
 
@@ -127,6 +127,6 @@ def test_locate_round_trip(walkthrough_index):
         for oid in range(7):
             cell = snap.find_object(oid)
             if cell is None:
-                assert not snap.is_present(oid)
+                assert not snap.present.bit(oid + 1)
             else:
                 assert oid in [o for o, _ in snap.objects_in_region(cell + cell)]
