@@ -11,7 +11,12 @@ instant per object, gaps allowed).  It then:
 3. compresses all logs jointly with Re-Pair and annotates every rule with
    span / displacement / relative bounding box,
 4. builds one snapshot (k2-tree + id permutation) per multiple of the
-   period, with appear/disappear entry lists linking into the logs.
+   period.
+
+The index file stores each fact once.  Loading derives the rest with the
+code that build uses: the rule tables from the pairs, the snapshot and
+portion counts from t_max and the period, and each log's side-array
+offsets, AA/D flags and appear/disappear lists from its symbols.
 
 Queries follow the classic plan: anchor at a snapshot (or an appearance /
 disappearance event), then walk the compressed log forward or backward,
@@ -56,13 +61,13 @@ from .logs import LogStore, Portion, move_back, move_jump, move_steps
 from .snapshot import Snapshot
 
 MAGIC = b"GCTI"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 HEADER = MAGIC + FORMAT_VERSION.to_bytes(2, "little")
 # the params section's scalars in file order, as (name, ByteWriter/ByteReader method)
 PARAM_FIELDS = (
     ("k", "u32"), ("period", "u64"), ("side", "u64"), ("t_max", "u64"),
     ("max_speed", "u64"), ("raw_symbols", "u64"), ("n_objects", "u64"),
-    ("n_snapshots", "u32"), ("n_portions", "u32"), ("sample_rate", "u16"),
+    ("sample_rate", "u16"),
 )
 
 
@@ -106,8 +111,11 @@ class TrajectoryIndex:
         ``series``: {object id: [(start instant, [(x, y), ...]), ...]} with
         strictly increasing, non-overlapping segments per object.
         """
-        if period < 1:
-            raise ValueError("period must be >= 1")
+        if period < 1 or k < 2 or not 1 <= sample_rate <= 0xFFFF:
+            raise ValueError(
+                "period %d, k %d or sample_rate %d out of range (period >= 1, k >= 2, "
+                "sample_rate 1..65535)" % (period, k, sample_rate)
+            )
         ids = sorted(series.keys())
         if ids and ids[0] < 0:
             raise ValueError("object ids must be non-negative integers")
@@ -161,7 +169,7 @@ class TrajectoryIndex:
                 ]
                 max_speed = max(max_speed, max(per))
 
-        n_portions = -(-t_max // period) if t_max else 0
+        n_portions, n_snaps = _layout(t_max, period)
         streams = []
         stream_meta = []  # (portion, internal id, d values, p values)
         max_move = 0
@@ -218,19 +226,17 @@ class TrajectoryIndex:
         si = 0
         pos = 0
         for h in range(n_portions):
-            p_ids, d_vals, d_off, p_vals, p_off = [], [], [0], [], [0]
+            p_ids, d_vals, p_vals = [], [], []
             s_off = [pos]
             while si < len(stream_meta) and stream_meta[si][0] == h:
                 _, o, dv, pv = stream_meta[si]
                 p_ids.append(o)
                 s_off.append(s_off[-1] + len(compressed[si]))
                 d_vals.extend(dv)
-                d_off.append(len(d_vals))
                 p_vals.extend(pv)
-                p_off.append(len(p_vals))
                 si += 1
             pos = s_off[-1]
-            portions.append(Portion(p_ids, s_off, d_vals, d_off, p_vals, p_off))
+            portions.append(Portion(p_ids, s_off, d_vals, p_vals))
 
         params = IndexParams(
             period=period,
@@ -244,8 +250,6 @@ class TrajectoryIndex:
         )
         logs = LogStore(rules, period, t_max, syms_all, portions)
 
-        snapshots = []
-        n_snaps = t_max // period + 1
         snap_positions = [[] for _ in range(n_snaps)]
         for o, (ts, xs, ys) in enumerate(timelines):
             if not len(ts):
@@ -256,20 +260,10 @@ class TrajectoryIndex:
             for hh in np.flatnonzero(ok):
                 i = int(idx[hh])
                 snap_positions[hh].append((o, int(xs[i]), int(ys[i])))
-        for hh in range(n_snaps):
-            app, dis = _snapshot_events(portions, hh)
-            snapshots.append(
-                Snapshot.build(
-                    hh * period,
-                    snap_positions[hh],
-                    app,
-                    dis,
-                    k,
-                    side,
-                    len(ids),
-                    sample_rate,
-                )
-            )
+        snapshots = [
+            Snapshot.build(hh * period, positions, k, side, len(ids), sample_rate)
+            for hh, positions in enumerate(snap_positions)
+        ]
         return cls(params, np.asarray(ids, dtype=np.int64), snapshots, logs, rules)
 
     # ------------------------------------------------------------------
@@ -407,7 +401,7 @@ class TrajectoryIndex:
         else:
             er = expanded_region(r, t_q, t_s, m_sp, side)
             cands = [(o, t_s, p) for o, p in snap.objects_in_region(er)]
-            for o in snap.dis:
+            for o in self.logs.disappeared(h):
                 o = int(o)
                 t_d, p_d = self.logs.last_anchor(h - 1, o)
                 if t_d >= t_q and contains(
@@ -433,7 +427,7 @@ class TrajectoryIndex:
         snap = self.snapshots[h]
         er = expanded_region(r, t_s, t_last, m_sp, side)
         starts = [(o, t_s, p) for o, p in snap.objects_in_region(er)]
-        for o in snap.app:
+        for o in self.logs.appearing(h):
             o = int(o)
             t_a, p_a = self.logs.first_anchor(h, o)
             if t_a <= t_last and contains(
@@ -603,7 +597,7 @@ class TrajectoryIndex:
                     return  # provably gone before t_q
             heapq.heappush(cands, (dist - m_sp * (t_q - t_c), o, t_c, p_c, None))
 
-        for o in snap.app:
+        for o in self.logs.appearing(h):
             o = int(o)
             t_a, p_a = self.logs.first_anchor(h, o)
             if t_a <= t_q:
@@ -646,14 +640,9 @@ class TrajectoryIndex:
     # ------------------------------------------------------------------
 
     def _params_payload(self):
-        fields = dict(
-            vars(self.params),
-            n_snapshots=len(self.snapshots),
-            n_portions=self.logs.n_portions,
-        )
         w = serial.ByteWriter()
         for name, kind in PARAM_FIELDS:
-            getattr(w, kind)(fields[name])
+            getattr(w, kind)(getattr(self.params, name))
         serial.write_uint_array(w, self.ids)
         return w.getvalue()
 
@@ -674,9 +663,7 @@ class TrajectoryIndex:
         w = serial.ByteWriter()
         serial.write_uint_array(w, p.ids)
         serial.write_uint_array(w, np.diff(p.sym_off))
-        serial.write_uint_array(w, np.diff(p.d_off))
         serial.write_dac(w, serial.DacSequence.fixed(p.d_vals, 8, 2))
-        serial.write_uint_array(w, np.diff(p.p_off))
         serial.write_dac(w, serial.DacSequence.fixed(p.p_vals, 8, 2))
         return w.getvalue()
 
@@ -688,8 +675,6 @@ class TrajectoryIndex:
         serial.write_bitvector(w, s.present)
         serial.write_uint_array(w, s.perm.raw)
         serial.write_bitvector(w, s.q)
-        serial.write_uint_array(w, s.app)
-        serial.write_uint_array(w, s.dis)
         return w.getvalue()
 
     def save(self, path):
@@ -726,19 +711,14 @@ class TrajectoryIndex:
         if version != FORMAT_VERSION:
             raise serial.SerializationError("unsupported format version %d" % version)
         pr = serial.ByteReader(serial.read_section(r))
-        fields = {name: getattr(pr, kind)() for name, kind in PARAM_FIELDS}
-        n_snapshots = fields.pop("n_snapshots")
-        n_portions = fields.pop("n_portions")
-        params = IndexParams(**fields)
+        params = IndexParams(**{name: getattr(pr, kind)() for name, kind in PARAM_FIELDS})
         ids = serial.read_uint_array(pr)
         k, period, t_max = params.k, params.period, params.t_max
         n_objects = params.n_objects
-        if k < 2 or period < 1:
-            raise serial.SerializationError("k %d or period %d out of range" % (k, period))
-        if n_snapshots != t_max // period + 1 or n_portions != -(-t_max // period):
+        # t_max must fit int64, as every instant does
+        if k < 2 or period < 1 or t_max >= 2**63:
             raise serial.SerializationError(
-                "%d snapshots and %d portions do not cover t_max %d at period %d"
-                % (n_snapshots, n_portions, t_max, period)
+                "k %d, period %d or t_max %d out of range" % (k, period, t_max)
             )
         if len(ids) != n_objects or not _increasing_ids(ids, math.inf):
             raise serial.SerializationError("ids are not %d increasing ids" % n_objects)
@@ -764,26 +744,18 @@ class TrajectoryIndex:
 
         portions = []
         pos = 0
+        n_portions, n_snapshots = _layout(t_max, period)
         for h in range(n_portions):
             hr = serial.ByteReader(serial.read_section(r))
             p_ids = serial.read_uint_array(hr)
             sym_lens = serial.read_uint_array(hr)
-            d_lens = serial.read_uint_array(hr)
             d_vals = serial.read_dac_int64(hr)
-            p_lens = serial.read_uint_array(hr)
             p_vals = serial.read_dac_int64(hr)
-            if not (
-                _increasing_ids(p_ids, n_objects)
-                and len(p_ids) == len(sym_lens) == len(d_lens) == len(p_lens)
-            ):
-                raise serial.SerializationError(
-                    "portion %d: ids or per-log arrays malformed" % h
-                )
+            if not (_increasing_ids(p_ids, n_objects) and len(p_ids) == len(sym_lens)):
+                raise serial.SerializationError("portion %d: ids or symbol lengths malformed" % h)
             sym_off = np.concatenate([[pos], pos + np.cumsum(sym_lens)])
             pos = int(sym_off[-1])
-            d_off = np.concatenate([[0], np.cumsum(d_lens)])
-            p_off = np.concatenate([[0], np.cumsum(p_lens)])
-            portions.append(Portion(p_ids, sym_off, d_vals, d_off, p_vals, p_off))
+            portions.append(Portion(p_ids, sym_off, d_vals, p_vals))
         try:
             logs = LogStore(rules, period, t_max, syms, portions)
         except ValueError as e:
@@ -797,23 +769,16 @@ class TrajectoryIndex:
             present = serial.read_bitvector(sr2)
             perm_vals = serial.read_uint_array(sr2)
             q = serial.read_bitvector(sr2)
-            app = serial.read_uint_array(sr2)
-            dis = serial.read_uint_array(sr2)
             try:
                 tree = K2Tree(k, params.side, t_bits, l_bits)
                 perm = Permutation(perm_vals, params.sample_rate)
-                snapshots.append(Snapshot(h * period, tree, present, perm, q, app, dis))
+                snapshots.append(Snapshot(h * period, tree, present, perm, q))
             except ValueError as e:
                 raise serial.SerializationError("snapshot %d: %s" % (h, e)) from e
             if len(present) != n_objects:
                 raise serial.SerializationError(
                     "snapshot %d presence bitmap covers %d objects, not %d"
                     % (h, len(present), n_objects)
-                )
-            want_app, want_dis = _snapshot_events(portions, h)
-            if not (np.array_equal(app, want_app) and np.array_equal(dis, want_dis)):
-                raise serial.SerializationError(
-                    "snapshot %d app/dis lists disagree with the logs' AA/D events" % h
                 )
         if not r.at_end():
             raise serial.SerializationError("trailing data after final section")
@@ -846,16 +811,12 @@ class TrajectoryIndex:
         }
 
 
+def _layout(t_max, period):
+    """(portions, snapshots) of the timeline 0..t_max at ``period``."""
+    return -(-t_max // period), t_max // period + 1
+
+
 def _increasing_ids(ids, bound):
     """Whether ``ids`` strictly increase within 0..bound-1."""
     return not len(ids) or (ids[0] >= 0 and ids[-1] < bound and (np.diff(ids) > 0).all())
 
-
-def _snapshot_events(portions, h):
-    """(app, dis) of snapshot h: the ids whose portion-h log opens with AA
-    (none past the last portion), and those whose portion-(h-1) log closes
-    with D (none at h = 0)."""
-    none = np.zeros(0, dtype=np.int64)
-    app = portions[h].ids[portions[h].starts_aa] if h < len(portions) else none
-    dis = portions[h - 1].ids[portions[h - 1].ends_d] if 0 < h <= len(portions) else none
-    return app, dis

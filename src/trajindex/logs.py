@@ -12,6 +12,11 @@ stream plus two side arrays aligned with its event symbols, in order:
 * P entry:  spiral code for RM (one value), absolute x, y for AA/D (two
   values), nothing for RNM.
 
+Only the entries are stored.  Where each log's entries start follows from
+its event symbols, so ``LogStore`` derives the offsets on construction,
+along with each log's AA/D flags and the ids that appear after or have
+disappeared by each snapshot.
+
 A log looks like ``[AA?] (move | RM | RNM)* [D?]``: AA opens a log whose
 object was absent at the starting snapshot, D closes a log whose object
 stops emitting before the portion ends (its payload repeats the last known
@@ -41,25 +46,27 @@ from .grammar import EV_AA, EV_D, EV_RM, EV_RNM, MOVE_BASE
 
 
 class Portion:
-    """Logs of one portion: sorted object ids plus three offset tables."""
+    """Logs of one portion: sorted object ids, symbol offsets and the D and
+    P side arrays of all its logs."""
 
-    def __init__(self, ids, sym_off, d_vals, d_off, p_vals, p_off):
+    def __init__(self, ids, sym_off, d_vals, p_vals):
         self.ids = np.asarray(ids, dtype=np.int64)
         self.sym_off = np.asarray(sym_off, dtype=np.int64)
         self.d_vals = np.asarray(d_vals, dtype=np.int64)
-        self.d_off = np.asarray(d_off, dtype=np.int64)
         self.p_vals = np.asarray(p_vals, dtype=np.int64)
-        self.p_off = np.asarray(p_off, dtype=np.int64)
         # filled by LogStore._derive
-        self.starts_aa = None
-        self.ends_d = None
-        self.last_covered = None
+        self.d_off = self.p_off = None
+        self.starts_aa = self.ends_d = self.last_covered = None
+        self.app = self.dis = None
 
     def find(self, oid):
         i = int(np.searchsorted(self.ids, oid))
         if i < len(self.ids) and self.ids[i] == oid:
             return i
         return -1
+
+
+_NO_IDS = np.zeros(0, dtype=np.int64)
 
 
 class LogStore:
@@ -72,61 +79,70 @@ class LogStore:
             raise ValueError("log symbol is not a known move, event or rule")
         self._syms = memoryview(self.syms)
         self.portions = portions
-        self._check()
-        for h, portion in enumerate(portions):
-            self._derive(h, portion)
+        self._derive()
 
-    def _check(self):
-        """Raise ValueError unless the logs tile ``syms`` in order and agree
-        with their side arrays.
+    def _derive(self):
+        """Derive every log's side-array offsets, AA/D flags and end instant,
+        raising ValueError unless the logs are well formed.
 
-        Every log is non-empty, AA only opens a log and D only closes one,
-        and a log has one D entry per event and two P entries per AA or D
-        plus one per RM.  One vectorized pass over the whole stream.
+        The logs must tile ``syms`` in order, each non-empty, with AA only
+        opening a log and D only closing one.  A portion's side arrays hold
+        one D entry per event and two P entries per AA or D plus one per RM.
+        Each log's instants add up: its start (the AA instant, else the
+        portion's snapshot) plus its move spans and its gaps + 1 reaches its
+        D instant, else the portion end, and an AA instant lies inside the
+        portion.  One vectorized pass over the whole stream.
         """
         syms, ps = self.syms, self.portions
-        for p in ps:
-            if p.d_off[-1] != len(p.d_vals) or p.p_off[-1] != len(p.p_vals):
-                raise ValueError("portion side arrays disagree with their offsets")
-        none = [np.zeros(0, dtype=np.int64)]
+        none = [_NO_IDS]
         starts = np.concatenate(none + [p.sym_off[:-1] for p in ps])
         ends = np.concatenate(none + [p.sym_off[1:] for p in ps])
         tiles = np.append(starts, len(syms))
         if tiles[0] != 0 or not np.array_equal(tiles[1:], ends) or (ends <= starts).any():
             raise ValueError("logs do not tile the symbol stream")
         is_aa, is_d = syms == EV_AA, syms == EV_D
-        is_aa[starts] = False
-        is_d[ends - 1] = False
-        if is_aa.any() or is_d.any():
+        starts_aa, ends_d = is_aa[starts], is_d[ends - 1]
+        if is_aa.sum() != starts_aa.sum() or is_d.sum() != ends_d.sum():
             raise ValueError("AA inside a log or D before its end")
-        if not len(starts):
-            return
-        n_d = np.add.reduceat((syms < MOVE_BASE).astype(np.int64), starts)
-        n_p = np.add.reduceat(
-            2 * ((syms == EV_AA) | (syms == EV_D)) + (syms == EV_RM), starts
-        )
-        d_lens = np.concatenate([np.diff(p.d_off) for p in ps])
-        p_lens = np.concatenate([np.diff(p.p_off) for p in ps])
-        if not (np.array_equal(n_d, d_lens) and np.array_equal(n_p, p_lens)):
+        # each log's first D and P entry, counted over all portions' side arrays
+        is_ev = syms < MOVE_BASE
+        d_at = np.append(0, np.cumsum(np.add.reduceat(is_ev.astype(np.int64), starts)))
+        n_p = 2 * (is_aa | is_d) + (syms == EV_RM)
+        p_at = np.append(0, np.cumsum(np.add.reduceat(n_p, starts)))
+        bounds = np.cumsum([0] + [len(p.ids) for p in ps])
+        if not (
+            np.array_equal(np.diff(d_at[bounds]), [len(p.d_vals) for p in ps])
+            and np.array_equal(np.diff(p_at[bounds]), [len(p.p_vals) for p in ps])
+        ):
             raise ValueError("log side arrays disagree with the log's events")
 
-    def _derive(self, h, portion):
-        if len(portion.ids) == 0:
-            z = np.zeros(0, dtype=np.int64)
-            portion.starts_aa = z.astype(bool)
-            portion.ends_d = z.astype(bool)
-            portion.last_covered = z
-            return
-        s0 = portion.sym_off[:-1]
-        s1 = portion.sym_off[1:]
-        portion.starts_aa = self.syms[s0] == EV_AA
-        portion.ends_d = self.syms[s1 - 1] == EV_D
-        end = self.portion_end(h)
-        last = np.full(len(portion.ids), end, dtype=np.int64)
-        closed = np.flatnonzero(portion.ends_d)
-        if len(closed):
-            last[closed] = portion.d_vals[portion.d_off[closed + 1] - 1]
-        portion.last_covered = last
+        # a log runs from its start to its end, both within its portion
+        step = min(self.period, self.t_max)  # h * period == h * step for any portion h
+        lo = np.repeat(np.arange(len(ps)), np.diff(bounds)) * step
+        pe = lo + np.minimum(step, self.t_max - lo)
+        d_all = np.concatenate(none + [p.d_vals for p in ps])
+        start, end = lo.copy(), pe.copy()
+        start[starts_aa] = d_all[d_at[:-1][starts_aa]]
+        end[ends_d] = d_all[d_at[1:][ends_d] - 1]
+        if (starts_aa & (start <= lo)).any() or (end < start).any() or (end > pe).any():
+            raise ValueError("AA or D instant outside its portion")
+        # every instant fits int64 and every span and gap is non-negative, so
+        # a log's running time is exact in uint64 until it first passes the end
+        inc = np.asarray(self.dict.sym_span)[syms].astype(np.uint64)
+        ev = np.flatnonzero(is_ev)
+        gaps = syms[ev] >= EV_RNM  # RNM and RM; AA and D take no time
+        inc[ev[gaps]] = d_all[gaps].astype(np.uint64) + 1
+        run = np.cumsum(inc)
+        run -= np.repeat(run[starts] - inc[starts], ends - starts)
+        want = (end - start).astype(np.uint64)
+        if (np.maximum.reduceat(run, starts) > want).any() or (run[ends - 1] != want).any():
+            raise ValueError("log instants do not add up to its end")
+
+        for p, a, b in zip(ps, bounds[:-1], bounds[1:]):
+            p.d_off = d_at[a:b + 1] - d_at[a]
+            p.p_off = p_at[a:b + 1] - p_at[a]
+            p.starts_aa, p.ends_d, p.last_covered = starts_aa[a:b], ends_d[a:b], end[a:b]
+            p.app, p.dis = p.ids[p.starts_aa], p.ids[p.ends_d]
 
     @property
     def n_portions(self):
@@ -134,6 +150,14 @@ class LogStore:
 
     def portion_end(self, h):
         return min((h + 1) * self.period, self.t_max)
+
+    def appearing(self, h):
+        """Ids absent from snapshot h whose portion-h log opens with AA."""
+        return self.portions[h].app if h < len(self.portions) else _NO_IDS
+
+    def disappeared(self, h):
+        """Ids whose portion-(h-1) log closes with D before snapshot h."""
+        return self.portions[h - 1].dis if 0 < h <= len(self.portions) else _NO_IDS
 
     def first_anchor(self, h, oid):
         """(instant, position) of an appearance-opened log; None otherwise."""

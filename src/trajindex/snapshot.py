@@ -13,10 +13,9 @@ from a cell, the tree gives the leaf rank and Q + the permutation give the
 ids.  A presence bitmap over all object ids maps between global ids and
 presence ranks (objects may be absent from any given snapshot).
 
-``app`` and ``dis`` list the ids absent here that appear before the next
-snapshot, and the ids from the previous portion that stopped emitting
-before this one, respectively — the entry points for queries that land in
-a portion where their object is missing from the snapshot.
+The ids absent here that appear before the next snapshot, and those that
+stopped emitting in the portion before, follow from the logs' AA and D
+events; ``LogStore.appearing`` and ``LogStore.disappeared`` list them.
 """
 
 import numpy as np
@@ -26,7 +25,7 @@ from .k2tree import K2Tree, path_keys
 
 
 class Snapshot:
-    def __init__(self, time, tree, present, perm, q, app, dis):
+    def __init__(self, time, tree, present, perm, q):
         if not (present.n_ones == len(perm) == len(q)) or q.n_zeros != tree.n_leaves():
             raise ValueError("presence bitmap, permutation, Q bitmap and k2-tree disagree")
         self.time = time
@@ -34,11 +33,9 @@ class Snapshot:
         self.present = present
         self.perm = perm
         self.q = q
-        self.app = np.asarray(app, dtype=np.int64)
-        self.dis = np.asarray(dis, dtype=np.int64)
 
     @classmethod
-    def build(cls, time, positions, app, dis, k, side, n_objects, sample_rate=5):
+    def build(cls, time, positions, k, side, n_objects, sample_rate=5):
         """``positions``: (object id, x, y) triples, at most one per object."""
         if positions:
             oids = np.asarray([p[0] for p in positions], dtype=np.int64)
@@ -61,15 +58,7 @@ class Snapshot:
         q_bits = np.zeros(len(oids), dtype=np.uint8)
         if len(oids):
             q_bits[:-1] = (keys_sorted[1:] == keys_sorted[:-1]).astype(np.uint8)
-        return cls(
-            time,
-            tree,
-            BitVector(present_bits),
-            perm,
-            BitVector(q_bits),
-            np.sort(np.asarray(app, dtype=np.int64)),
-            np.sort(np.asarray(dis, dtype=np.int64)),
-        )
+        return cls(time, tree, BitVector(present_bits), perm, BitVector(q_bits))
 
     def find_object(self, oid):
         """Cell of an object, or None when it is absent from this snapshot."""

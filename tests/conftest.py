@@ -1,8 +1,11 @@
 """Shared fixtures: the hand-checked walkthrough scenario plus synthetic
 datasets (uniform walks, shared routes, appear/disappear walks) used by the
-oracle-equivalence and compression tests."""
+oracle-equivalence and compression tests, and a deadline for code that
+must not hang."""
 
+import contextlib
 import random
+import signal
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -18,6 +21,22 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError("hung for more than the deadline")
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from conftest import deadline
 
 from trajindex.cli import main
 
@@ -81,6 +82,16 @@ class TestBuild:
         )
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("flag", [("--k", "1"), ("--sample-rate", "70000")])
+    def test_build_parameter_out_of_range(self, cli_env, tmp_path, flag):
+        _root, csv_path, _index, _stats = cli_env
+        argv = ["build", "--input", str(csv_path), "--output", str(tmp_path / "x.idx")]
+        with deadline(5.0):
+            code, _out, err = _run(argv + ["--period", "8", *flag])
+        assert code == 1
+        assert "error:" in err and "out of range" in err
+        assert not (tmp_path / "x.idx").exists()
 
 
 class TestQuery:

@@ -1,10 +1,9 @@
 import contextlib
 import random
-import signal
 
 import numpy as np
 import pytest
-from conftest import WALKTHROUGH_SERIES, make_walk_series
+from conftest import WALKTHROUGH_SERIES, deadline, make_walk_series
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -159,7 +158,7 @@ class TestIndexContainer:
 
     def test_bad_version(self, walkthrough_index):
         blob = bytearray(walkthrough_index.to_bytes())
-        for version in (blob[4] ^ 0xFF, 1):  # a flipped byte; format version 1
+        for version in (blob[4] ^ 0xFF, 1, 2):  # a flipped byte; older formats
             blob[4:6] = version.to_bytes(2, "little")
             with pytest.raises(SerializationError, match="version"):
                 TrajectoryIndex.from_bytes(bytes(blob))
@@ -193,15 +192,13 @@ class TestIndexContainer:
             "deep_chain",
             "span_overflow",
             "unknown_symbol",
+            "pair_member_respanned",
             "app_width_0",
             "app_width_200",
             "present_extra",
             "present_long",
             "q_all_ones",
             "perm_out_of_range",
-            "app_out_of_range",
-            "app_without_aa",
-            "dis_out_of_range",
             "k_below_2",
             "period_0",
             "t_max_past_snapshots",
@@ -214,6 +211,7 @@ class TestIndexContainer:
             "side_array_long",
             "d_before_end",
             "p_entries_shifted",
+            "aa_at_snapshot",
         ],
     )
     def test_crc_valid_bad_symbols_rejected(self, appearance_series, fault):
@@ -222,10 +220,10 @@ class TestIndexContainer:
         nt_base, n_rules = idx.rules.nt_base, idx.rules.n_rules
         assert n_rules >= 1
         # snapshot 1 holds object 1; object 0 appears in portion 1 and
-        # closes it with D, so app = [0] at snapshot 1 and dis = [0] at 2
+        # closes it with D, so it appears after snapshot 1 and is gone at 2
         snap = idx.snapshots[1]
-        assert snap.present.raw.tolist() == [0, 1] and snap.app.tolist() == [0]
-        assert idx.snapshots[2].dis.tolist() == [0]
+        assert snap.present.raw.tolist() == [0, 1] and idx.logs.appearing(1).tolist() == [0]
+        assert idx.logs.disappeared(2).tolist() == [0]
         if fault == "event_member":
             idx.rules.pairs[0, 0] = EV_D
         elif fault == "later_member":
@@ -244,12 +242,19 @@ class TestIndexContainer:
         elif fault == "unknown_symbol":
             moves = np.flatnonzero(idx.logs.syms >= nt_base)
             idx.logs.syms[moves[0]] = nt_base + n_rules
+        elif fault == "pair_member_respanned":
+            # object 1's portion-1 log is two copies of the third rule, which
+            # pairs the first rule with itself; a move in place of one member
+            # leaves the log one instant short of the portion end
+            assert idx.rules.pairs[2].tolist() == [nt_base, nt_base]
+            idx.rules.pairs[2, 1] = MOVE_BASE
         elif fault.startswith("app_width"):
-            # rewrite snapshot 1's app array, the field before its dis array
-            app_w, dis_w = ByteWriter(), ByteWriter()
-            write_uint_array(app_w, snap.app)
-            write_uint_array(dis_w, snap.dis)
-            tail = app_w.getvalue() + dis_w.getvalue()
+            # rewrite a packed uint array's width: snapshot 1's permutation,
+            # the field before its Q bitmap
+            perm_w, q_w = ByteWriter(), ByteWriter()
+            write_uint_array(perm_w, snap.perm.raw)
+            write_bitvector(q_w, snap.q)
+            tail = perm_w.getvalue() + q_w.getvalue()
             good = idx._snapshot_payload(1)
             assert good.endswith(tail)
             bad = ByteWriter()
@@ -261,7 +266,7 @@ class TestIndexContainer:
                 bad.u8(200)
                 bad.u64(1)
                 bad.raw(bytes(25))
-            bad.raw(dis_w.getvalue())
+            bad.raw(q_w.getvalue())
             blob = bad.getvalue()
             payload = idx._snapshot_payload
             idx._snapshot_payload = lambda h: blob if h == 1 else payload(h)
@@ -273,12 +278,6 @@ class TestIndexContainer:
             snap.q = BitVector([1])
         elif fault == "perm_out_of_range":
             snap.perm.raw[0] = 1
-        elif fault == "app_out_of_range":
-            snap.app = np.array([2])  # n_objects
-        elif fault == "app_without_aa":
-            snap.app = np.array([0, 1])  # object 1's log starts at the snapshot
-        elif fault == "dis_out_of_range":
-            idx.snapshots[2].dis = np.array([2**40])
         elif fault == "k_below_2":
             idx.params.k = 1
         elif fault == "period_0":
@@ -297,7 +296,7 @@ class TestIndexContainer:
             p0, p1 = idx.logs.portions
             assert p0.ids.tolist() == [1] and p0.sym_off.tolist() == [0, 2]
             assert p1.ids.tolist() == [0, 1] and p1.p_off.tolist() == [0, 4, 4]
-            if fault == "portion_id_repeated":  # app/dis still match the logs
+            if fault == "portion_id_repeated":
                 p1.ids = np.array([0, 0])
             elif fault == "portion_id_past_n":
                 p0.ids = np.array([2])
@@ -307,13 +306,14 @@ class TestIndexContainer:
                 p0.d_vals = np.array([7])
             elif fault == "d_before_end":  # with its D and P entries
                 idx.logs.syms[0] = EV_D
-                p0.d_vals, p0.d_off = np.array([0]), np.array([0, 1])
-                p0.p_vals, p0.p_off = np.array([20, 20]), np.array([0, 2])
-            else:  # five P entries for an AA and a D; the total still fits
+                p0.d_vals, p0.p_vals = np.array([0]), np.array([20, 20])
+            elif fault == "p_entries_shifted":  # five P entries for an AA and a D
                 p1.p_vals = np.append(p1.p_vals, 0)
-                p1.p_off = np.array([0, 5, 5])
+            else:  # object 0 appears at the snapshot and reaches its D in time
+                assert p1.d_vals.tolist() == [11, 13]
+                p1.d_vals = np.array([8, 10])
         blob = idx.to_bytes()
-        with _deadline(2.0):
+        with deadline(2.0):
             if fault == "deep_chain":  # may load: every rule the logs name exists
                 with contextlib.suppress(SerializationError):
                     TrajectoryIndex.from_bytes(blob)
@@ -328,6 +328,16 @@ class TestIndexContainer:
         write_dac(w, DacSequence.from_parts(n + 3, widths, levels, conts))
         idx._streams_payload = w.getvalue  # serialized with a valid CRC
         with pytest.raises(SerializationError, match="DAC"):
+            TrajectoryIndex.from_bytes(idx.to_bytes())
+
+    def test_log_instants_that_wrap_around_rejected(self):
+        # four gaps in place take the log from instant 0 to 100; two gaps of
+        # 2**63 instants add up to 0 modulo 2**64, and the other two to 100
+        idx = TrajectoryIndex.build({1: [(t, [(3, 3)]) for t in (0, 10, 20, 30, 100)]}, period=100)
+        portion = idx.logs.portions[0]
+        assert portion.d_vals.tolist() == [9, 9, 9, 69]
+        portion.d_vals = np.array([2**63 - 1, 2**63 - 1, 9, 89])
+        with pytest.raises(SerializationError, match="add up"):
             TrajectoryIndex.from_bytes(idx.to_bytes())
 
     def test_stats_shape(self, walkthrough_index):
@@ -372,20 +382,19 @@ def _answer_queries(idx, rng):
         idx.knn(len(idx.ids), (x, y), t)
 
 
-def _on_alarm(signum, frame):
-    raise TimeoutError("hung for more than the deadline")
+@pytest.mark.parametrize(
+    "name, value", [("k", 1), ("k", 0), ("period", 0), ("sample_rate", 0), ("sample_rate", 70000)]
+)
+def test_build_rejects_out_of_range_parameters(name, value):
+    # a k below 2 would grow the default grid side forever; sample_rate is a
+    # u16 field
+    with deadline(2.0), pytest.raises(ValueError, match="out of range"):
+        TrajectoryIndex.build(WALKTHROUGH_SERIES, **{"period": 8, name: value})
 
 
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Raise TimeoutError in the block once ``seconds`` have passed."""
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+def test_largest_sample_rate_round_trips():
+    idx = TrajectoryIndex.build(WALKTHROUGH_SERIES, period=8, sample_rate=0xFFFF)
+    assert TrajectoryIndex.from_bytes(idx.to_bytes()).params.sample_rate == 0xFFFF
 
 
 @pytest.mark.parametrize("target", sorted(FUZZ_TARGETS))
@@ -408,7 +417,7 @@ def test_flipped_bit_with_valid_crc_fails_named_or_answers(target):
         sections = payloads[:si] + [bytes(bad)] + payloads[si + 1:]
         mutant = HEADER + b"".join(wrap_section(s) for s in sections)
         try:
-            with _deadline(2.0):
+            with deadline(2.0):
                 try:
                     idx = TrajectoryIndex.from_bytes(mutant)
                 except SerializationError:

@@ -27,11 +27,12 @@ class TestWalkthroughMiddleSnapshot:
         assert s8.find_object(2) is None
         assert s8.find_object(6) is None
 
-    def test_appear_disappear_lists(self, s8):
-        assert list(s8.app) == [2, 4, 5, 6]
-        assert list(s8.dis) == [2, 4, 5]
-        assert 4 in s8.app and 0 not in s8.app
-        assert 5 in s8.dis and 6 not in s8.dis
+    def test_appear_disappear_lists(self, walkthrough_index):
+        app, dis = walkthrough_index.logs.appearing(1), walkthrough_index.logs.disappeared(1)
+        assert list(app) == [2, 4, 5, 6]
+        assert list(dis) == [2, 4, 5]
+        assert 4 in app and 0 not in app
+        assert 5 in dis and 6 not in dis
 
     def test_region_report(self, s8):
         assert s8.objects_in_region((7, 3, 10, 4)) == [(1, (10, 3))]
@@ -60,14 +61,16 @@ class TestEdgeSnapshots:
         s0 = walkthrough_index.snapshots[0]
         assert s0.time == 0
         assert s0.present.n_ones == 6  # everyone but object 7
-        assert list(s0.app) == []  # nobody appears mid-portion-0
-        assert list(s0.dis) == []
+        logs = walkthrough_index.logs
+        assert list(logs.appearing(0)) == []  # nobody appears mid-portion-0
+        assert list(logs.disappeared(0)) == []
 
     def test_last_snapshot(self, walkthrough_index):
         s16 = walkthrough_index.snapshots[2]
         assert s16.time == 16
         assert s16.present.n_ones == 7
-        assert list(s16.app) == [] and list(s16.dis) == []
+        logs = walkthrough_index.logs
+        assert list(logs.appearing(2)) == [] and list(logs.disappeared(2)) == []
         assert s16.find_object(6) == (12, 1)
 
 
@@ -77,8 +80,6 @@ def shared():
     return Snapshot.build(
         0,
         [(0, 3, 3), (1, 3, 3), (2, 5, 1)],
-        app=[],
-        dis=[],
         k=2,
         side=8,
         n_objects=3,
@@ -109,12 +110,10 @@ class TestGrouping:
 
     def test_duplicate_object_rejected(self):
         with pytest.raises(ValueError):
-            Snapshot.build(
-                0, [(0, 1, 1), (0, 2, 2)], [], [], k=2, side=4, n_objects=1
-            )
+            Snapshot.build(0, [(0, 1, 1), (0, 2, 2)], k=2, side=4, n_objects=1)
 
     def test_empty_snapshot(self):
-        snap = Snapshot.build(0, [], [], [], k=2, side=4, n_objects=5)
+        snap = Snapshot.build(0, [], k=2, side=4, n_objects=5)
         assert snap.present.n_ones == 0
         assert snap.find_object(3) is None
         assert snap.objects_in_region((0, 0, 3, 3)) == []
