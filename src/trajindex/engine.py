@@ -56,7 +56,7 @@ from .grammar import (
     RuleDictionary,
     repair_compress,
 )
-from .k2tree import K2Tree
+from .k2tree import MAX_K, MAX_SIDE, K2Tree, height_of
 from .logs import LogStore, Portion, move_back, move_jump, move_steps
 from .snapshot import Snapshot
 
@@ -111,10 +111,10 @@ class TrajectoryIndex:
         ``series``: {object id: [(start instant, [(x, y), ...]), ...]} with
         strictly increasing, non-overlapping segments per object.
         """
-        if period < 1 or k < 2 or not 1 <= sample_rate <= 0xFFFF:
+        if not (1 <= period < 2**63 and 2 <= k <= MAX_K and 1 <= sample_rate <= 0xFFFF):
             raise ValueError(
-                "period %d, k %d or sample_rate %d out of range (period >= 1, k >= 2, "
-                "sample_rate 1..65535)" % (period, k, sample_rate)
+                "period %d, k %d or sample_rate %d out of range (period 1..2^63-1, k 2..%d, "
+                "sample_rate 1..65535)" % (period, k, sample_rate, MAX_K)
             )
         ids = sorted(series.keys())
         if ids and ids[0] < 0:
@@ -148,12 +148,9 @@ class TrajectoryIndex:
             side = k
             while side <= max_coord:
                 side *= k
-        else:
-            s = k
-            while s < side:
-                s *= k
-            if s != side or side <= max_coord:
-                raise ValueError("side must be a power of k covering all cells")
+        elif side <= max_coord:
+            raise ValueError("side %d does not cover cell coordinate %d" % (side, max_coord))
+        height_of(k, side)  # a power of k within the k2-tree's bounds
 
         max_speed = 1
         for ts, xs, ys in timelines:
@@ -715,10 +712,13 @@ class TrajectoryIndex:
         ids = serial.read_uint_array(pr)
         k, period, t_max = params.k, params.period, params.t_max
         n_objects = params.n_objects
-        # t_max must fit int64, as every instant does
-        if k < 2 or period < 1 or t_max >= 2**63:
+        # t_max and period must fit int64, as every instant does, and k and
+        # side must be within the k2-tree's bounds
+        side_ok = params.side <= MAX_SIDE
+        if not (2 <= k <= MAX_K and 1 <= period < 2**63 and t_max < 2**63 and side_ok):
             raise serial.SerializationError(
-                "k %d, period %d or t_max %d out of range" % (k, period, t_max)
+                "k %d, period %d, side %d or t_max %d out of range"
+                % (k, period, params.side, t_max)
             )
         if len(ids) != n_objects or not _increasing_ids(ids, math.inf):
             raise serial.SerializationError("ids are not %d increasing ids" % n_objects)

@@ -12,10 +12,25 @@ Log symbols share one integer alphabet:
 Compression repeatedly replaces the most frequent *eligible* pair with a
 fresh nonterminal: a pair is eligible when neither side is an event marker
 and both halves sit in the same input stream.  Frequencies count
-non-overlapping occurrences (a run of L equal symbols counts floor(L/2));
-ties pick the smallest (a, b); replacement scans left to right.  The loop
-stops when no pair occurs twice.  Everything is deterministic, which the
-serialization round-trip tests rely on.
+non-overlapping occurrences (a run of L equal symbols counts floor(L/2),
+taken at even offsets from the run's start); ties pick the smallest
+(a, b); replacement scans left to right.  The loop stops when no pair
+occurs twice.  Everything is deterministic, which the serialization
+round-trip tests rely on.
+
+The loop is incremental, after Larsson & Moffat ("Off-line
+dictionary-based compression", Proc. IEEE 2000).  The streams form one
+doubly linked symbol list.  A dict maps every pair that occurs at least
+twice to the set of its countable left positions, and a max-heap of
+(-count, a, b) with lazy deletion picks the next pair.  Replacing one
+occurrence touches only its neighbours: it breaks the pairs on either side
+and forms the two pairs with the new symbol; a run that loses its head
+re-parities, and each run of the new symbol is counted once.  Old pairs
+only lose occurrences, so each rule pushes just its new pairs.  Every
+replacement costs O(1) set and list steps plus its share of the sort of
+the rule's sites and of the heap, so compressing n symbols takes
+O(n log n) time, against O(rules x n) for a rescan of the whole array per
+rule.
 
 After compression every rule s -> (a, b) is annotated bottom-up, one
 grammar level at a time, with the time span it covers, its net
@@ -24,6 +39,9 @@ position of its expansion ("relative MBR", origin included) — the payloads
 that let traversals jump over whole rules.  They follow from the pairs, so
 an index file stores only the pairs and loading derives the rest.
 """
+
+import collections
+import heapq
 
 import numpy as np
 
@@ -35,7 +53,8 @@ EV_RNM = 2
 EV_RM = 3
 MOVE_BASE = 4
 
-_HOLE = -1
+_SEP = -1  # stands between streams in the work array, so no pair spans two
+_HOLE = -2  # marks a deleted right half
 
 
 def repair_compress(streams, nt_base):
@@ -48,46 +67,116 @@ def repair_compress(streams, nt_base):
     if sum(lengths) == 0:
         return [np.zeros(0, dtype=np.int64) for _ in streams], []
     arr = np.concatenate([np.asarray(s, dtype=np.int64) for s in streams])
-    sid = np.repeat(np.arange(len(streams), dtype=np.int64), lengths)
     if arr.min() < 0 or arr.max() >= nt_base:
         raise ValueError("stream symbol outside the terminal alphabet")
+    arr = np.insert(arr, np.cumsum([0] + lengths), _SEP)  # around every stream
+    n = len(arr)
+    width = nt_base + n  # above every symbol the loop can create
+    occ = _initial_pairs(arr, width)
+    heap = [(-len(at), key) for key, at in occ.items()]
+    heapq.heapify(heap)
+    s = arr.tolist()
+    nxt = list(range(1, n + 1))
+    prv = list(range(-1, n - 1))
     rules = []
-    nt_next = nt_base
-    while len(arr) >= 2:
-        left, right = arr[:-1], arr[1:]
-        valid = (
-            (sid[:-1] == sid[1:]) & (left >= MOVE_BASE) & (right >= MOVE_BASE)
-        )
-        if not valid.any():
-            break
-        # equal-symbol runs: only even in-run offsets count (non-overlap)
-        start = np.empty(len(arr), dtype=bool)
-        start[0] = True
-        start[1:] = (arr[1:] != arr[:-1]) | (sid[1:] != sid[:-1])
-        first_idx = np.flatnonzero(start)[np.cumsum(start) - 1]
-        pos_in_run = np.arange(len(arr)) - first_idx
-        countable = valid & ((left != right) | (pos_in_run[:-1] % 2 == 0))
-        if not countable.any():
-            break
-        keys = left * nt_next + right
-        uniq, counts = np.unique(keys[countable], return_counts=True)
-        best = int(np.argmax(counts))  # first max = smallest key on ties
-        if counts[best] < 2:
-            break
-        a, b = divmod(int(uniq[best]), nt_next)
-        match = valid & (left == a) & (right == b)
-        if a == b:
-            match &= pos_in_run[:-1] % 2 == 0
-        pos = np.flatnonzero(match)
-        arr[pos] = nt_next
-        arr[pos + 1] = _HOLE
-        keep = arr != _HOLE
-        arr = arr[keep]
-        sid = sid[keep]
+    while heap:
+        negc, key = heapq.heappop(heap)
+        at = occ.get(key, ())
+        if len(at) != -negc:
+            # stale: the count fell since the push; a rise pushes anew
+            if 2 <= len(at) < -negc:
+                heapq.heappush(heap, (-len(at), key))
+            continue
+        del occ[key]
+        a, b = divmod(key, width)
+        new = nt_base + len(rules)
         rules.append((a, b))
-        nt_next += 1
-    bounds = np.searchsorted(sid, np.arange(1, len(streams)))
-    return [part.copy() for part in np.split(arr, bounds)], rules
+        for k, sites in _replace(s, nxt, prv, occ, width, a, b, new, at).items():
+            # later rules never add sites to these pairs, so one seen
+            # fewer than twice can be dropped for good
+            if len(sites) >= 2:
+                occ[k] = sites
+                heapq.heappush(heap, (-len(sites), k))
+    out = np.array(s, dtype=np.int64)
+    out = out[out != _HOLE]
+    cuts = np.flatnonzero(out == _SEP)
+    return [out[lo + 1 : hi] for lo, hi in zip(cuts[:-1], cuts[1:])], rules
+
+
+def _initial_pairs(arr, width):
+    """{a * width + b: set of countable left positions} of the pairs of
+    ``arr`` that occur at least twice."""
+    left, right = arr[:-1], arr[1:]
+    start = np.empty(len(arr), dtype=bool)
+    start[0] = True
+    start[1:] = right != left
+    # equal-symbol runs: only even in-run offsets count (non-overlap)
+    run_pos = np.arange(len(arr)) - np.flatnonzero(start)[np.cumsum(start) - 1]
+    valid = (left >= MOVE_BASE) & (right >= MOVE_BASE)
+    countable = valid & ((left != right) | (run_pos[:-1] % 2 == 0))
+    pos = np.flatnonzero(countable)
+    if not len(pos):
+        return {}
+    pos = pos[np.lexsort((right[pos], left[pos]))]
+    a, b = left[pos], right[pos]
+    lo = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
+    hi = np.r_[lo[1:], len(pos)]
+    many = hi - lo >= 2
+    pos = pos.tolist()
+    return {
+        x * width + y: set(pos[i:j])
+        for x, y, i, j in zip(*(v[many].tolist() for v in (a[lo], b[lo], lo, hi)))
+    }
+
+
+def _replace(s, nxt, prv, occ, width, a, b, new, at):
+    """Replace pair (a, b) at its sites ``at`` by ``new`` in the linked
+    symbol list, discarding the pairs this breaks from ``occ``; returns
+    the pairs it forms, all of which contain ``new``, as {key: sites}."""
+    fresh = collections.defaultdict(set)
+    sites = sorted(at)
+    for i in sites:
+        j = nxt[i]
+        p = prv[i]
+        q = nxt[j]
+        sp = s[p]
+        sq = s[q]
+        s[i] = new
+        s[j] = _HOLE
+        nxt[i] = q
+        prv[q] = i
+        if sp >= MOVE_BASE and sp != new:  # p is no earlier site
+            old = occ.get(sp * width + a)
+            if old is not None:
+                old.discard(p)
+            fresh[sp * width + new].add(p)
+        if sq >= MOVE_BASE:
+            old = occ.get(b * width + sq)
+            if old is not None:
+                old.discard(j)
+                if sq == b != a:
+                    # j headed a b-run: the rest of the run re-parities
+                    t, even = q, True
+                    while s[nxt[t]] == b:
+                        if even:
+                            old.add(t)
+                        else:
+                            old.discard(t)
+                        t = nxt[t]
+                        even = not even
+            if q not in at:  # q is no later site
+                fresh[new * width + sq].add(i)
+    # a run of the new symbol counts its even offsets; walk each run once
+    # from its head, as one walk per site would be quadratic in its length
+    for i in sites:
+        if s[prv[i]] != new and s[nxt[i]] == new:
+            t, even = i, True
+            while s[nxt[t]] == new:
+                if even:
+                    fresh[new * width + new].add(t)
+                t = nxt[t]
+                even = not even
+    return fresh
 
 
 class RuleDictionary:

@@ -18,18 +18,24 @@ distance from a query point.
 """
 
 import heapq
+import math
 
 import numpy as np
 
 from .bits import BitVector
 from .geometry import dist_point_region, regions_intersect
 
+# a node's k^2 child slots are allocated side by side, and a cell's path key
+# (base k^2, up to side^2 - 1) is an int64
+MAX_K = 256
+MAX_SIDE = math.isqrt(2**63)
+
 
 class K2Tree:
     def __init__(self, k, side, t_bits, l_bits):
         self.k = k
         self.side = side
-        self.height = _height_of(k, side)
+        self.height = height_of(k, side)
         self.t = t_bits
         self.l = l_bits
         # level 1 has k^2 bits, each later level k^2 per one of the level
@@ -48,7 +54,7 @@ class K2Tree:
     @classmethod
     def build(cls, k, side, xs, ys):
         """Build from occupied cells (duplicates allowed)."""
-        height = _height_of(k, side)
+        height = height_of(k, side)
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
         if len(xs) and (xs.min() < 0 or ys.min() < 0 or xs.max() >= side or ys.max() >= side):
@@ -198,7 +204,12 @@ class K2Tree:
                 counter += 1
 
 
-def _height_of(k, side):
+def height_of(k, side):
+    """Levels of a grid of ``side`` (a power of k within the bounds above)."""
+    if not 2 <= k <= MAX_K or side > MAX_SIDE:
+        raise ValueError(
+            "k %d or side %d out of range (k 2..%d, side at most %d)" % (k, side, MAX_K, MAX_SIDE)
+        )
     height = 0
     s = 1
     while s < side:
@@ -211,7 +222,7 @@ def _height_of(k, side):
 
 def path_keys(k, side, xs, ys):
     """Base-k^2 digit string of each cell's root-to-leaf child indices."""
-    height = _height_of(k, side)
+    height = height_of(k, side)
     keys = np.zeros(len(xs), dtype=np.int64)
     lx = np.asarray(xs, dtype=np.int64).copy()
     ly = np.asarray(ys, dtype=np.int64).copy()

@@ -83,7 +83,16 @@ class TestBuild:
         assert code == 1
         assert "error:" in err
 
-    @pytest.mark.parametrize("flag", [("--k", "1"), ("--sample-rate", "70000")])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ("--k", "1"),
+            ("--sample-rate", "70000"),
+            ("--k", "257"),
+            ("--period", "9223372036854775808"),
+            ("--side", "1099511627776"),
+        ],
+    )
     def test_build_parameter_out_of_range(self, cli_env, tmp_path, flag):
         _root, csv_path, _index, _stats = cli_env
         argv = ["build", "--input", str(csv_path), "--output", str(tmp_path / "x.idx")]

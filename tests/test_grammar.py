@@ -1,5 +1,9 @@
+import random
+
+import numpy as np
 import pytest
-from hypothesis import given
+from conftest import deadline
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajindex import spiral
@@ -12,6 +16,63 @@ from trajindex.grammar import (
 )
 
 BASE = 20  # terminal alphabet size used by most tests here
+
+# The reference below is the earlier whole-array Re-Pair, kept verbatim: it
+# rescans and re-sorts every symbol once per rule, so it costs O(rules x n),
+# and ``repair_compress`` must give exactly its rules and streams.
+_HOLE = -1
+
+
+def reference_repair(streams, nt_base):
+    """Compress integer streams jointly; returns (streams, rule pair list).
+
+    ``nt_base`` is the first nonterminal id (= alphabet size).  The input
+    streams may be empty; symbols must be < nt_base.
+    """
+    lengths = [len(s) for s in streams]
+    if sum(lengths) == 0:
+        return [np.zeros(0, dtype=np.int64) for _ in streams], []
+    arr = np.concatenate([np.asarray(s, dtype=np.int64) for s in streams])
+    sid = np.repeat(np.arange(len(streams), dtype=np.int64), lengths)
+    if arr.min() < 0 or arr.max() >= nt_base:
+        raise ValueError("stream symbol outside the terminal alphabet")
+    rules = []
+    nt_next = nt_base
+    while len(arr) >= 2:
+        left, right = arr[:-1], arr[1:]
+        valid = (
+            (sid[:-1] == sid[1:]) & (left >= MOVE_BASE) & (right >= MOVE_BASE)
+        )
+        if not valid.any():
+            break
+        # equal-symbol runs: only even in-run offsets count (non-overlap)
+        start = np.empty(len(arr), dtype=bool)
+        start[0] = True
+        start[1:] = (arr[1:] != arr[:-1]) | (sid[1:] != sid[:-1])
+        first_idx = np.flatnonzero(start)[np.cumsum(start) - 1]
+        pos_in_run = np.arange(len(arr)) - first_idx
+        countable = valid & ((left != right) | (pos_in_run[:-1] % 2 == 0))
+        if not countable.any():
+            break
+        keys = left * nt_next + right
+        uniq, counts = np.unique(keys[countable], return_counts=True)
+        best = int(np.argmax(counts))  # first max = smallest key on ties
+        if counts[best] < 2:
+            break
+        a, b = divmod(int(uniq[best]), nt_next)
+        match = valid & (left == a) & (right == b)
+        if a == b:
+            match &= pos_in_run[:-1] % 2 == 0
+        pos = np.flatnonzero(match)
+        arr[pos] = nt_next
+        arr[pos + 1] = _HOLE
+        keep = arr != _HOLE
+        arr = arr[keep]
+        sid = sid[keep]
+        rules.append((a, b))
+        nt_next += 1
+    bounds = np.searchsorted(sid, np.arange(1, len(streams)))
+    return [part.copy() for part in np.split(arr, bounds)], rules
 
 
 def compress_one(stream, nt_base=BASE):
@@ -69,6 +130,8 @@ class TestRepair:
             repair_compress([[BASE]], BASE)
         with pytest.raises(ValueError):
             repair_compress([[-1]], BASE)
+        with pytest.raises(ValueError):
+            repair_compress([[5, -1, 6], [5, 6]], BASE)
 
     def test_empty_streams(self):
         out, rules = repair_compress([[], []], BASE)
@@ -102,6 +165,71 @@ def test_repair_round_trip(streams):
     out, rules = repair_compress([list(s) for s in streams], 12)
     for original, compressed in zip(streams, out):
         assert expand_all(compressed, rules, 12) == list(original)
+
+
+def assert_matches_reference(streams, nt_base):
+    out, rules = repair_compress(streams, nt_base)
+    want_out, want_rules = reference_repair(streams, nt_base)
+    assert rules == want_rules
+    assert [s.tolist() for s in out] == [s.tolist() for s in want_out]
+
+
+@st.composite
+def stream_sets(draw):
+    """(streams, nt_base): 1-5 streams over 1-5 move symbols with event
+    markers mixed in, drawn as runs of one symbol (1-8 long in run-heavy
+    draws, all of length 1 in the others)."""
+    nt_base = MOVE_BASE + draw(st.integers(1, 5))
+    symbol = st.sampled_from(list(range(MOVE_BASE)) + 3 * list(range(MOVE_BASE, nt_base)))
+    run = st.tuples(symbol, st.integers(1, draw(st.sampled_from([1, 8]))))
+    streams = draw(st.lists(st.lists(run, max_size=30), min_size=1, max_size=5))
+    return [[sym for sym, n in runs for _ in range(n)] for runs in streams], nt_base
+
+
+@settings(max_examples=300)
+@given(stream_sets())
+def test_repair_matches_reference(case):
+    assert_matches_reference(*case)
+
+
+A, B = MOVE_BASE, MOVE_BASE + 1
+
+
+@pytest.mark.parametrize(
+    "streams",
+    [
+        # (a, b) ties (b, b) and wins, so every b-run loses its head and
+        # the rest of the run re-parities
+        [[A, B, B, B] * 6],
+        [[A, B, B, B, B] * 5, [B, B, A, B, B], [A, B, B, B]],
+        # (a, b) leaves one run of 20 new symbols
+        [[A, B] * 20],
+        # odd-length runs keep their last symbol
+        [[A] * 7 + [B] + [A] * 7, [A] * 5, [A] * 9 + [B, B, B]],
+        [[A, B] * 9 + [A], [EV_AA, B, B, B, EV_D, A, B, B, A, B]],
+    ],
+)
+def test_repair_matches_reference_on_runs(streams):
+    assert_matches_reference(streams, MOVE_BASE + 2)
+
+
+def test_repair_scales_near_linearly():
+    # about 1e5 walk moves over 60 streams; the reference takes about 12 s
+    rng = random.Random(7)
+    streams = [[MOVE_BASE + rng.randrange(25) for _ in range(1667)] for _ in range(60)]
+    with deadline(5.0):
+        out, rules = repair_compress(streams, MOVE_BASE + 25)
+    assert len(rules) > 1000
+    for original, compressed in zip(streams, out):
+        assert expand_all(compressed, rules, MOVE_BASE + 25) == original
+
+
+def test_repair_long_runs_stay_linear():
+    # a run of 5e4 equal symbols, then (a, b) forms a run of 2.5e4 new
+    # symbols, whose pairs are counted once per run, not once per symbol
+    stream = [A] * 50000 + [A, B] * 25000
+    with deadline(5.0):
+        assert_matches_reference([stream], MOVE_BASE + 2)
 
 
 @pytest.fixture(scope="module")

@@ -200,7 +200,10 @@ class TestIndexContainer:
             "q_all_ones",
             "perm_out_of_range",
             "k_below_2",
+            "k_past_256",
             "period_0",
+            "period_past_int64",
+            "side_past_int64",
             "t_max_past_snapshots",
             "ids_unsorted",
             "ids_short",
@@ -280,8 +283,14 @@ class TestIndexContainer:
             snap.perm.raw[0] = 1
         elif fault == "k_below_2":
             idx.params.k = 1
+        elif fault == "k_past_256":
+            idx.params.k = 257
         elif fault == "period_0":
             idx.params.period = 0
+        elif fault == "period_past_int64":
+            idx.params.period = 2**63
+        elif fault == "side_past_int64":
+            idx.params.side = 2**32
         elif fault == "t_max_past_snapshots":
             idx.params.t_max = 24
         elif fault == "ids_unsorted":
@@ -383,13 +392,39 @@ def _answer_queries(idx, rng):
 
 
 @pytest.mark.parametrize(
-    "name, value", [("k", 1), ("k", 0), ("period", 0), ("sample_rate", 0), ("sample_rate", 70000)]
+    "name, value",
+    [
+        ("k", 1),
+        ("k", 0),
+        ("k", 257),
+        ("k", 70000),
+        ("period", 0),
+        ("period", 2**63),
+        ("side", 2**32),
+        ("sample_rate", 0),
+        ("sample_rate", 70000),
+    ],
 )
 def test_build_rejects_out_of_range_parameters(name, value):
-    # a k below 2 would grow the default grid side forever; sample_rate is a
-    # u16 field
+    # a k below 2 would grow the default grid side forever, and a k past 256
+    # gives each k2-tree node more child slots than can be allocated; instants
+    # and the cells' k2-tree path keys (up to side^2 - 1) are int64;
+    # sample_rate is a u16 field
     with deadline(2.0), pytest.raises(ValueError, match="out of range"):
         TrajectoryIndex.build(WALKTHROUGH_SERIES, **{"period": 8, name: value})
+
+
+@pytest.mark.parametrize(
+    "params", [{"period": 2**63 - 1}, {"period": 8, "side": 2**31}, {"period": 8, "k": 256}]
+)
+def test_largest_parameters_round_trip(params, walkthrough_oracle):
+    idx = TrajectoryIndex.build(WALKTHROUGH_SERIES, **params)
+    loaded = TrajectoryIndex.from_bytes(idx.to_bytes())
+    assert loaded.params == idx.params
+    for t in range(0, 17, 4):
+        region = (0, 0, 15, 15)
+        assert loaded.time_slice(region, t) == walkthrough_oracle.time_slice(region, t)
+    assert loaded.knn(3, (5, 5), 9) == walkthrough_oracle.knn(3, (5, 5), 9)
 
 
 def test_largest_sample_rate_round_trips():
