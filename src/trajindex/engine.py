@@ -16,10 +16,12 @@ instant per object, gaps allowed).  It then:
 The index file stores each fact once.  Loading derives the rest with the
 code that build uses: the rule tables from the pairs, the snapshot and
 portion counts from t_max and the period, and each log's side-array
-offsets, AA/D flags and appear/disappear lists from its symbols.
+offsets, AA/D flags, appear/disappear lists and checkpoints from its
+symbols.
 
 Queries follow the classic plan: anchor at a snapshot (or an appearance /
-disappearance event), then walk the compressed log forward or backward,
+disappearance event), seek to the log checkpoint nearest the instant that
+matters, then walk the compressed log forward or backward from there,
 jumping whole rules whenever their metadata proves they cannot matter.
 ``counters`` tracks how many symbols each traversal family touched, which
 the pruning tests compare across debug flags (``use_mbr`` / ``use_er``).
@@ -245,7 +247,7 @@ class TrajectoryIndex:
             raw_symbols=raw_symbols,
             sample_rate=sample_rate,
         )
-        logs = LogStore(rules, period, t_max, syms_all, portions)
+        logs = LogStore(rules, period, t_max, side, syms_all, portions)
 
         snap_positions = [[] for _ in range(n_snaps)]
         for o, (ts, xs, ys) in enumerate(timelines):
@@ -322,7 +324,7 @@ class TrajectoryIndex:
 
     def _forward_to(self, oid, t_c, p_c, t_q):
         bump = self.counters.bump
-        for sym, t, p in self.logs.elements(oid, t_c, p_c, t_q):
+        for sym, t, p in self.logs.elements(oid, t_c, p_c, t_q, seek=t_q):
             if sym is not None:
                 bump("object_symbols")
                 if t > t_q:
@@ -332,7 +334,7 @@ class TrajectoryIndex:
 
     def _backward_to(self, h, oid, t_q, t_c, p_c):
         bump = self.counters.bump
-        for sym, t, p in self.logs.elements_backward(h, oid, t_c, p_c, t_q):
+        for sym, t, p in self.logs.elements_backward(h, oid, t_c, p_c, t_q, seek=True):
             if sym is not None:
                 bump("object_symbols")
                 if t < t_q:
@@ -365,7 +367,7 @@ class TrajectoryIndex:
         out = []
         if t_c >= t_b:
             out.append((t_c, p_c))
-        for sym, t, p in self.logs.elements(oid, t_c, p_c, t_e):
+        for sym, t, p in self.logs.elements(oid, t_c, p_c, t_e, seek=t_b):
             if sym is None:
                 if t_b <= t <= t_e:
                     out.append((t, p))
@@ -438,7 +440,7 @@ class TrajectoryIndex:
         side = self.params.side
         rules = self.rules
         bump = self.counters.bump
-        for sym, t, p in self.logs.elements(oid, t_c, p_c, t_q):
+        for sym, t, p in self.logs.elements(oid, t_c, p_c, t_q, seek=t_q):
             if sym is not None:
                 bump("slice_symbols")
                 if (
@@ -464,7 +466,7 @@ class TrajectoryIndex:
         side = self.params.side
         rules = self.rules
         bump = self.counters.bump
-        for sym, t, p in self.logs.elements_backward(h, oid, t_c, p_c, t_q):
+        for sym, t, p in self.logs.elements_backward(h, oid, t_c, p_c, t_q, seek=True):
             if sym is not None:
                 bump("slice_symbols")
                 if (
@@ -525,7 +527,7 @@ class TrajectoryIndex:
         span, dx, dy, pairs = rules.sym_span, rules.sym_dx, rules.sym_dy, rules.sym_pairs
         nt_base = rules.nt_base
         bump = self.counters.bump
-        for sym, t, p in self.logs.elements(oid, t_c, p_c, t_last):
+        for sym, t, p in self.logs.elements(oid, t_c, p_c, t_last, seek=t_b):
             stack = [sym]  # None for an event
             while stack and t_c < t_last:
                 s = stack.pop()
@@ -616,7 +618,7 @@ class TrajectoryIndex:
                     break
                 continue
             if cur is None:
-                cur = self.logs.elements(o, t_c, p_c, t_q)
+                cur = self.logs.elements(o, t_c, p_c, t_q, seek=t_q)
             step = next(cur, None)
             if step is None:
                 continue  # the log ends before t_q: not active, drop
@@ -757,7 +759,7 @@ class TrajectoryIndex:
             pos = int(sym_off[-1])
             portions.append(Portion(p_ids, sym_off, d_vals, p_vals))
         try:
-            logs = LogStore(rules, period, t_max, syms, portions)
+            logs = LogStore(rules, period, t_max, params.side, syms, portions)
         except ValueError as e:
             raise serial.SerializationError(str(e)) from e
 
@@ -785,7 +787,10 @@ class TrajectoryIndex:
         return cls(params, ids, snapshots, logs, rules)
 
     def stats(self):
-        """Size report (bytes per component, ratio against raw symbols)."""
+        """Size report: bytes per component in the file (``bytes``) and in
+        the numpy arrays the index holds (``mem_bytes``, counting the select
+        directories that queries build on first use once built), and the
+        log ratio against raw symbols."""
         size = collections.Counter(total=len(HEADER))
         for part, payload in self._sections():
             size[part] += len(payload)
@@ -807,6 +812,14 @@ class TrajectoryIndex:
                 part: size[part]
                 for part in ("snapshots", "log_streams", "log_events", "dictionary", "total")
             },
+            "mem_bytes": {
+                "snapshots": _array_bytes(self.snapshots),
+                "log_streams": self.logs.syms.nbytes,
+                "log_events": _array_bytes(self.logs.portions),
+                "checkpoints": _array_bytes(self.logs.checkpoints),
+                "dictionary": _array_bytes(self.rules),
+                "total": _array_bytes(self),
+            },
             "log_ratio_vs_raw": log_bytes / raw if raw else 0.0,
         }
 
@@ -820,3 +833,26 @@ def _increasing_ids(ids, bound):
     """Whether ``ids`` strictly increase within 0..bound-1."""
     return not len(ids) or (ids[0] >= 0 and ids[-1] < bound and (np.diff(ids) > 0).all())
 
+
+def _array_bytes(*roots):
+    """Bytes of the distinct numpy buffers reachable from ``roots`` through
+    containers, memoryviews and the attributes of this package's objects."""
+    seen, todo, total = set(), list(roots), 0
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, memoryview):
+            obj = obj.obj
+        if isinstance(obj, np.ndarray) and isinstance(obj.base, np.ndarray):
+            obj = obj.base  # a view: count the buffer it shares once
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            total += obj.nbytes
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif type(obj).__module__.startswith(__package__):
+            todo.extend(vars(obj).values())
+    return total

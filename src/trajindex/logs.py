@@ -22,14 +22,23 @@ object was absent at the starting snapshot, D closes a log whose object
 stops emitting before the portion ends (its payload repeats the last known
 instant/position so backward traversals can anchor on it).
 
+Every ``STRIDE`` compressed symbols after its opening AA, a log has a
+checkpoint: the instant, position and D/P side-array cursors before that
+symbol, relative to the log's start.  They follow from the symbols, the
+rule tables and the side arrays, so they are derived on construction and
+never stored in a file.
+
 Traversal primitives:
 
 * ``LogStore.elements`` — forward walker from a log start (a snapshot or an
   AA anchor), crossing portions; it decodes every event and yields one
   ``(sym, t, p)`` state per element: a move symbol with the state it
-  reaches applied whole, or ``sym=None`` with the state an AA/RM/RNM sets;
+  reaches applied whole, or ``sym=None`` with the state an AA/RM/RNM or a
+  checkpoint sets.  Given a seek instant, it enters each log at the last
+  checkpoint at or before that instant and walks on from there;
 * ``LogStore.elements_backward`` — the mirror over one portion's log, read
-  in place from its end, yielding the state before each element;
+  in place from its end, or with seeking from the first checkpoint at or
+  after the floor, yielding the state before each element;
 * ``move_jump`` / ``move_back`` — clip a symbol that straddles a time
   limit, descending into the rule with an explicit stack;
 * ``move_steps`` — expand a symbol to terminals, one (instant, position)
@@ -39,10 +48,22 @@ All of them read span, displacement and pairs from the symbol-indexed
 tables of ``RuleDictionary``.
 """
 
+import collections
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
 from . import spiral
 from .grammar import EV_AA, EV_D, EV_RM, EV_RNM, MOVE_BASE
+
+STRIDE = 16  # compressed symbols between two checkpoints of a log
+_P_ENTRIES = np.array([2, 2, 0, 1])  # P entries of a D, AA, RNM and RM event
+
+# Checkpoints of all logs, in log order (portion, then id): log g's
+# checkpoints are off[g]..off[g+1]-1, and t, x, y, d and p hold each one's
+# instant, position and side-array cursors relative to the log's start;
+# tot_x and tot_y hold each log's net displacement.
+Checkpoints = collections.namedtuple("Checkpoints", "off t x y d p tot_x tot_y")
 
 
 class Portion:
@@ -55,6 +76,7 @@ class Portion:
         self.d_vals = np.asarray(d_vals, dtype=np.int64)
         self.p_vals = np.asarray(p_vals, dtype=np.int64)
         # filled by LogStore._derive
+        self.first = 0  # index of the portion's first log among all logs
         self.d_off = self.p_off = None
         self.starts_aa = self.ends_d = self.last_covered = None
         self.app = self.dis = None
@@ -70,13 +92,15 @@ _NO_IDS = np.zeros(0, dtype=np.int64)
 
 
 class LogStore:
-    def __init__(self, dictionary, period, t_max, syms, portions):
+    def __init__(self, dictionary, period, t_max, side, syms, portions):
         self.dict = dictionary
         self.period = period
         self.t_max = t_max
-        self.syms = np.asarray(syms, dtype=np.int64)
-        if len(self.syms) and self.syms.max() >= len(dictionary.sym_span):
+        self.side = side
+        syms = np.asarray(syms, dtype=np.int64)
+        if len(syms) and (syms.min() < 0 or syms.max() >= len(dictionary.sym_span)):
             raise ValueError("log symbol is not a known move, event or rule")
+        self.syms = _narrow(syms)
         self._syms = memoryview(self.syms)
         self.portions = portions
         self._derive()
@@ -91,9 +115,15 @@ class LogStore:
         Each log's instants add up: its start (the AA instant, else the
         portion's snapshot) plus its move spans and its gaps + 1 reaches its
         D instant, else the portion end, and an AA instant lies inside the
-        portion.  One vectorized pass over the whole stream.
+        portion.  No move symbol and no RM code moves ``side`` or more along
+        an axis, as every position lies inside the grid.
+
+        The same pass derives the checkpoints (see ``Checkpoints``) every
+        ``STRIDE`` symbols after each log's opening AA.  One vectorized pass
+        over the whole stream.
         """
-        syms, ps = self.syms, self.portions
+        syms = self.syms.astype(np.intp)  # numpy gathers by a narrow index run slower
+        ps = self.portions
         none = [_NO_IDS]
         starts = np.concatenate(none + [p.sym_off[:-1] for p in ps])
         ends = np.concatenate(none + [p.sym_off[1:] for p in ps])
@@ -104,11 +134,16 @@ class LogStore:
         starts_aa, ends_d = is_aa[starts], is_d[ends - 1]
         if is_aa.sum() != starts_aa.sum() or is_d.sum() != ends_d.sum():
             raise ValueError("AA inside a log or D before its end")
-        # each log's first D and P entry, counted over all portions' side arrays
-        is_ev = syms < MOVE_BASE
-        d_at = np.append(0, np.cumsum(np.add.reduceat(is_ev.astype(np.int64), starts)))
-        n_p = 2 * (is_aa | is_d) + (syms == EV_RM)
-        p_at = np.append(0, np.cumsum(np.add.reduceat(n_p, starts)))
+        # the D and P entries before a symbol, counted over all portions' side
+        # arrays, are those of the events before it
+        ev = np.flatnonzero(syms < MOVE_BASE)
+        p_ev = np.append(0, np.cumsum(_P_ENTRIES[syms[ev]]))
+
+        def entries_before(at):
+            k = np.searchsorted(ev, at)
+            return k, p_ev[k]
+
+        d_at, p_at = entries_before(tiles)  # each log's first entries, then the totals
         bounds = np.cumsum([0] + [len(p.ids) for p in ps])
         if not (
             np.array_equal(np.diff(d_at[bounds]), [len(p.d_vals) for p in ps])
@@ -129,7 +164,6 @@ class LogStore:
         # every instant fits int64 and every span and gap is non-negative, so
         # a log's running time is exact in uint64 until it first passes the end
         inc = np.asarray(self.dict.sym_span)[syms].astype(np.uint64)
-        ev = np.flatnonzero(is_ev)
         gaps = syms[ev] >= EV_RNM  # RNM and RM; AA and D take no time
         inc[ev[gaps]] = d_all[gaps].astype(np.uint64) + 1
         run = np.cumsum(inc)
@@ -138,7 +172,47 @@ class LogStore:
         if (np.maximum.reduceat(run, starts) > want).any() or (run[ends - 1] != want).any():
             raise ValueError("log instants do not add up to its end")
 
+        # each symbol's (dx, dy), an RM's read off its spiral code; every one
+        # is under side along each axis, so the sums below are exact
+        rm = syms[ev] == EV_RM
+        codes = np.concatenate(none + [p.p_vals for p in ps])[p_ev[:-1][rm]]
+        mx, my = np.asarray(self.dict.sym_dx)[syms], np.asarray(self.dict.sym_dy)[syms]
+        side = self.side
+        if int(codes.max(initial=0)) > spiral.max_code_for_radius(side - 1) or any(
+            m.max(initial=0) >= side or m.min(initial=0) <= -side for m in (mx, my)
+        ):
+            raise ValueError("a log symbol moves past the grid side")
+        if len(codes):
+            mx[ev[rm]], my[ev[rm]] = spiral.decode_array(codes)
+
+        # checkpoint c of log g sits before symbol at[c] = body[g] + j * stride,
+        # j >= 1; after the AA every symbol takes time, so its instants rise
+        stride = self._stride = STRIDE
+        body = starts + starts_aa
+        n_cp = np.maximum(ends - body - 1, 0) // stride
+        cp_at = np.append(0, np.cumsum(n_cp))
+        of = np.repeat(np.arange(len(starts)), n_cp)
+        at = body[of] + (np.arange(cp_at[-1]) - cp_at[of] + 1) * stride
+        # the log starts and checkpoints cut the stream in order: log g's
+        # start is cut rows[g] and its checkpoints follow
+        rows = np.arange(len(cp_at)) + cp_at
+        cp_rows = of + 1 + np.arange(cp_at[-1])
+        cuts = np.empty(rows[-1], dtype=np.intp)
+        cuts[rows[:-1]], cuts[cp_rows] = starts, at
+        cp_xy, tot_xy = [], []
+        for m in (mx, my):
+            m = np.append(0, np.cumsum(np.add.reduceat(m, cuts)))  # moves before each cut
+            cp_xy.append(m[cp_rows] - m[rows[of]])
+            tot_xy.append(m[rows[1:]] - m[rows[:-1]])
+        cp_d, cp_p = entries_before(at)
+        self.checkpoints = Checkpoints(*map(_narrow, (
+            cp_at, run[at - 1].astype(np.int64), *cp_xy, cp_d - d_at[of], cp_p - p_at[of],
+            *tot_xy,
+        )))
+        self._cp = Checkpoints(*map(memoryview, self.checkpoints))
+
         for p, a, b in zip(ps, bounds[:-1], bounds[1:]):
+            p.first = int(a)
             p.d_off = d_at[a:b + 1] - d_at[a]
             p.p_off = p_at[a:b + 1] - p_at[a]
             p.starts_aa, p.ends_d, p.last_covered = starts_aa[a:b], ends_d[a:b], end[a:b]
@@ -183,7 +257,7 @@ class LogStore:
 
     # -- walkers ---------------------------------------------------------
 
-    def elements(self, oid, t_c, p_c, t_end):
+    def elements(self, oid, t_c, p_c, t_end, seek=None):
         """Walk forward from (t_c, p_c), the start of portion
         ``t_c // period``'s log, yielding ``(sym, t, p)`` per element until
         the first one that reaches ``t_end``.
@@ -192,11 +266,14 @@ class LogStore:
         consumer clips it with ``move_jump``); an AA/RM/RNM comes as
         ``sym=None`` with the state it sets.  The AA opening the first log is
         the start state and is not yielded.  D ends a log and is skipped: a
-        later portion's AA re-anchors the walk.
+        later portion's AA re-anchors the walk.  With a ``seek`` instant,
+        each log is entered at its last checkpoint at or before ``seek``,
+        yielded as ``sym=None``, so the elements it skips all end by then.
         """
         d = self.dict
         span, dx, dy = d.sym_span, d.sym_dx, d.sym_dy
         syms = self._syms
+        cp = self._cp
         t_start = t_c
         x, y = p_c
         h = t_c // self.period
@@ -207,22 +284,35 @@ class LogStore:
             if i < 0:
                 continue
             d_vals, p_vals = memoryview(p.d_vals), memoryview(p.p_vals)
-            di, pi = int(p.d_off[i]), int(p.p_off[i])
-            for sym in syms[p.sym_off[i]:p.sym_off[i + 1]]:
+            d0, p0 = int(p.d_off[i]), int(p.p_off[i])
+            s, s_end = int(p.sym_off[i]), int(p.sym_off[i + 1])
+            di, pi = d0, p0
+            if syms[s] == EV_AA:
+                t_c, x, y = d_vals[d0], p_vals[p0], p_vals[p0 + 1]
+                di, pi, s = d0 + 1, p0 + 2, s + 1
+                if t_c != t_start:
+                    yield None, t_c, (x, y)
+                    if t_c >= t_end:
+                        return
+            g = p.first + i
+            lo, hi = cp.off[g], cp.off[g + 1]
+            if seek is not None and lo < hi:
+                j = bisect_right(cp.t, seek - t_c, lo, hi) - 1
+                if j >= lo:
+                    s += (j - lo + 1) * self._stride
+                    di, pi = d0 + cp.d[j], p0 + cp.p[j]
+                    t_c, x, y = t_c + cp.t[j], x + cp.x[j], y + cp.y[j]
+                    yield None, t_c, (x, y)
+                    if t_c >= t_end:
+                        return
+            for sym in syms[s:s_end]:
                 if sym >= MOVE_BASE:
                     t_c += span[sym]
                     x += dx[sym]
                     y += dy[sym]
                 elif sym == EV_D:
                     break
-                elif sym == EV_AA:
-                    t_c, x, y = d_vals[di], p_vals[pi], p_vals[pi + 1]
-                    di += 1
-                    pi += 2
-                    if t_c == t_start:
-                        continue
-                    sym = None
-                else:
+                else:  # RNM or RM: AA only opens a log
                     t_c += d_vals[di] + 1
                     di += 1
                     if sym == EV_RM:  # displaced by a spiral code
@@ -235,7 +325,7 @@ class LogStore:
                 if t_c >= t_end:
                     return
 
-    def elements_backward(self, h, oid, t_c, p_c, t_floor):
+    def elements_backward(self, h, oid, t_c, p_c, t_floor, seek=False):
         """Walk portion ``h``'s log backward from its end state (t_c, p_c),
         yielding ``(sym, t, p)``, the state before each element, until the
         first one that reaches ``t_floor``.
@@ -243,18 +333,40 @@ class LogStore:
         The log is read in place from its end, the side-array cursors moving
         down.  ``sym`` is the move symbol, or None for an event; an AA or D
         sets the state to its payload.  ``h`` is explicit because a lone-D log
-        may sit on the snapshot instant that starts the next portion.
+        may sit on the snapshot instant that starts the next portion.  With
+        ``seek``, the walk starts at the log's first checkpoint at or after
+        ``t_floor``, yielded as ``sym=None``: the log's start is the end state
+        less the log's net displacement.
         """
         d = self.dict
         span, dx, dy = d.sym_span, d.sym_dx, d.sym_dy
+        syms = self._syms
         p = self.portions[h]
         i = p.find(oid)
         if i < 0:
             return
         d_vals, p_vals = memoryview(p.d_vals), memoryview(p.p_vals)
         di, pi = int(p.d_off[i + 1]), int(p.p_off[i + 1])
+        s0, s = int(p.sym_off[i]), int(p.sym_off[i + 1])
         x, y = p_c
-        for sym in reversed(self._syms[p.sym_off[i]:p.sym_off[i + 1]]):
+        cp = self._cp
+        g = p.first + i
+        lo, hi = cp.off[g], cp.off[g + 1]
+        if seek and lo < hi:
+            aa = syms[s0] == EV_AA
+            d0, p0 = int(p.d_off[i]), int(p.p_off[i])
+            t0 = d_vals[d0] if aa else h * self.period
+            j = bisect_left(cp.t, t_floor - t0, lo, hi)
+            if j < hi:
+                s = s0 + aa + (j - lo + 1) * self._stride
+                di, pi = d0 + cp.d[j], p0 + cp.p[j]
+                t_c = t0 + cp.t[j]
+                x += cp.x[j] - cp.tot_x[g]
+                y += cp.y[j] - cp.tot_y[g]
+                yield None, t_c, (x, y)
+                if t_c <= t_floor:
+                    return
+        for sym in reversed(syms[s0:s]):
             if sym >= MOVE_BASE:
                 t_c -= span[sym]
                 x -= dx[sym]
@@ -338,3 +450,15 @@ def move_steps(dictionary, p, t_c, t_e, sym):
             stack.append(pairs[s, 1])
             stack.append(pairs[s, 0])
     return out
+
+
+_NARROW = [
+    (np.iinfo(t).min, np.iinfo(t).max, t)
+    for t in (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.uint64, np.int64)
+]
+
+
+def _narrow(a):
+    """Integer array ``a`` in the narrowest dtype that holds its range."""
+    lo, hi = (int(a.min()), int(a.max())) if len(a) else (0, 0)
+    return a.astype(next(t for t_lo, t_hi, t in _NARROW if t_lo <= lo and hi <= t_hi))

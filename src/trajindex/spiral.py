@@ -76,12 +76,16 @@ def encode_array(dx, dy):
     return np.where(r == 0, 0, base + off)
 
 
-def decode_table(max_code):
-    """(dx, dy) int64 arrays for codes 0..max_code, for bulk lookups."""
-    codes = np.arange(max_code + 1)
-    isq = np.asarray([math.isqrt(int(c)) for c in codes], dtype=np.int64)
-    r = (isq + 1) // 2
-    off = codes - (2 * r - 1) ** 2
+def decode_array(codes):
+    """Vectorized decode: (dx, dy) int64 arrays for non-negative codes
+    below 2**63."""
+    c = np.asarray(codes, dtype=np.uint64)
+    # the float root is at most one off either way; uint64 holds the squares
+    q = np.sqrt(c.astype(np.float64)).astype(np.uint64)
+    q -= (q * q > c).astype(np.uint64)
+    q += ((q + 1) * (q + 1) <= c).astype(np.uint64)
+    r = ((q + 1) // 2).astype(np.int64)
+    off = c.astype(np.int64) - (2 * r - 1) ** 2
     dx = np.where(
         off <= 2 * r - 1,
         r,
@@ -98,8 +102,14 @@ def decode_table(max_code):
             off <= 4 * r - 1, -r, np.where(off <= 6 * r - 1, off - 5 * r + 1, r)
         ),
     )
-    dx[0] = dy[0] = 0
+    zero = r == 0
+    dx[zero] = dy[zero] = 0
     return dx, dy
+
+
+def decode_table(max_code):
+    """(dx, dy) int64 arrays for codes 0..max_code, for bulk lookups."""
+    return decode_array(np.arange(max_code + 1))
 
 
 def max_code_for_radius(r):

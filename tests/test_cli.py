@@ -198,6 +198,11 @@ class TestStats:
         code, out, _ = _run(["stats", "--index", str(index_path)])
         assert code == 0
         assert json.loads(out) == build_stats
+        mem = build_stats["mem_bytes"]
+        assert set(mem) == {
+            "snapshots", "log_streams", "log_events", "checkpoints", "dictionary", "total"
+        }
+        assert mem["total"] >= sum(v for part, v in mem.items() if part != "total") > 0
 
     def test_missing_index_file(self, tmp_path):
         code, _out, err = _run(["stats", "--index", str(tmp_path / "no.idx")])

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+import trajindex.logs
 from trajindex import Oracle, TrajectoryIndex
 from trajindex.geometry import clip_region, expanded_region
 
-from conftest import make_walk_series
+from conftest import DATASET_SIDE, DATASETS, PERIODS, make_walk_series
 
 
 class TestWalkthroughAnchors:
@@ -217,3 +218,31 @@ def test_counters_track_symbol_work(walkthrough_index):
     assert idx.counters.get("object_symbols", 0) == 0
     idx.time_interval((7, 3, 10, 4), 9, 12)
     assert idx.counters["interval_symbols"] > 0
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, trajindex.logs.STRIDE, 10**6])
+@pytest.mark.parametrize("period", PERIODS)
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_checkpoint_strides_match_oracle(name, period, stride, indexes, oracles, monkeypatch):
+    """All five queries answer as the oracle with a checkpoint every
+    ``stride`` symbols, down to every symbol and up to none at all."""
+    monkeypatch.setattr(trajindex.logs, "STRIDE", stride)
+    index = TrajectoryIndex.from_bytes(indexes[name, period].to_bytes())
+    oracle = oracles[name]
+    if stride == 10**6:
+        assert index.logs.checkpoints.off[-1] == 0
+    side, t_max, ids = DATASET_SIDE[name], index.params.t_max, list(oracle.timelines)
+    rng = random.Random(stride * 1000 + period)
+    for _ in range(20):
+        obj, t = rng.choice(ids), rng.randrange(t_max + 1)
+        t_e = min(t_max, t + rng.randrange(1, 2 * period))
+        x, y = rng.randrange(side), rng.randrange(side)
+        region = (x, y, min(side - 1, x + rng.randrange(1, 48)),
+                  min(side - 1, y + rng.randrange(1, 48)))
+        k = rng.randrange(1, 8)
+        assert index.position_of(obj, t) == oracle.position_of(obj, t), (obj, t)
+        assert index.trajectory(obj, t, t_e) == oracle.trajectory(obj, t, t_e), (obj, t)
+        assert index.time_slice(region, t) == oracle.time_slice(region, t), (region, t)
+        got = index.time_interval(region, t, t_e)
+        assert got == oracle.time_interval(region, t, t_e), (region, t, t_e)
+        assert index.knn(k, (x, y), t) == oracle.knn(k, (x, y), t), ((x, y), t, k)

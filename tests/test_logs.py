@@ -2,6 +2,7 @@ from itertools import groupby
 
 import pytest
 
+import trajindex.logs
 from conftest import DATASETS, PERIODS
 from trajindex import TrajectoryIndex
 from trajindex.grammar import EV_AA, EV_D, MOVE_BASE, RuleDictionary
@@ -164,14 +165,31 @@ class TestLogLayout:
         assert idx.logs.first_anchor(1, o5) == (9, (7, 2))
 
 
+def check_seek(walk, seeking, orig, oracle, ok):
+    """``seeking`` is ``walk`` or, after a first state that is a true state
+    of the walk for which ``ok(t)`` holds, a tail of it."""
+    if seeking == walk:
+        return
+    (sym, t, p), n = seeking[0], len(walk) - len(seeking)
+    assert sym is None and ok(t) and oracle.position_of(orig, t) == p, (orig, t)
+    assert n >= 0 and walk[n][1:] == (t, p) and walk[n + 1:] == seeking[1:], (orig, t)
+
+
 @pytest.mark.parametrize("period", PERIODS)
 @pytest.mark.parametrize("name", sorted(DATASETS))
-def test_walkers_match_oracle(name, period, indexes, oracles):
+def test_walkers_match_oracle(name, period, indexes, oracles, monkeypatch):
     """Every forward state equals the oracle position at that instant, and
     the backward walk from the log's end (next snapshot or D anchor) yields
-    the same states in reverse; a whole-timeline walk crosses portions."""
+    the same states in reverse; a whole-timeline walk crosses portions.
+
+    A walk that seeks starts at a true state at or before the seek instant
+    (forward) or at or after the floor (backward), then goes on as the walk
+    that does not seek, with checkpoints every STRIDE symbols and at every
+    symbol."""
     idx, oracle = indexes[name, period], oracles[name]
     logs = idx.logs
+    monkeypatch.setattr(trajindex.logs, "STRIDE", 1)
+    seekers = (logs, TrajectoryIndex.from_bytes(idx.to_bytes()).logs)
     for h, portion in enumerate(logs.portions):
         for i, oid in enumerate(int(o) for o in portion.ids):
             orig = int(idx.ids[oid])
@@ -197,6 +215,15 @@ def test_walkers_match_oracle(name, period, indexes, oracles):
             ]
             # D restates the end state and AA the start state: drop repeats
             assert [st for st, _ in groupby(back)] == fwd[::-1], (h, orig)
+            t_s, t_e = start[0], end[0]
+            walk = list(logs.elements(oid, *start, t_e))
+            for q in range(t_s, t_e + 1, max(1, (t_e - t_s) // 6)):
+                walk_back = list(logs.elements_backward(h, oid, *end, q))
+                for walker in seekers:
+                    seeking = list(walker.elements(oid, *start, t_e, seek=q))
+                    check_seek(walk, seeking, orig, oracle, lambda t: t <= q)
+                    seeking = list(walker.elements_backward(h, oid, *end, q, seek=True))
+                    check_seek(walk_back, seeking, orig, oracle, lambda t: t >= q)
     for oid in range(len(idx.ids)):
         orig = int(idx.ids[oid])
         h = 0

@@ -7,10 +7,10 @@ from conftest import WALKTHROUGH_SERIES, deadline, make_walk_series
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trajindex import TrajectoryIndex
+from trajindex import TrajectoryIndex, spiral
 from trajindex.bits import BitVector, DacSequence
 from trajindex.engine import HEADER
-from trajindex.grammar import EV_D, MOVE_BASE
+from trajindex.grammar import EV_D, EV_RM, MOVE_BASE
 from trajindex.serial import (
     ByteReader,
     ByteWriter,
@@ -215,6 +215,7 @@ class TestIndexContainer:
             "d_before_end",
             "p_entries_shifted",
             "aa_at_snapshot",
+            "rm_past_side",
         ],
     )
     def test_crc_valid_bad_symbols_rejected(self, appearance_series, fault):
@@ -318,6 +319,11 @@ class TestIndexContainer:
                 p0.d_vals, p0.p_vals = np.array([0]), np.array([20, 20])
             elif fault == "p_entries_shifted":  # five P entries for an AA and a D
                 p1.p_vals = np.append(p1.p_vals, 0)
+            elif fault == "rm_past_side":  # object 0's two moves become a gap
+                # of one instant that ends 40 cells east, past the 32-cell side
+                idx.logs.syms[p1.sym_off[0] + 1] = EV_RM
+                p1.d_vals = np.array([11, 1, 13])
+                p1.p_vals = np.insert(p1.p_vals, 2, spiral.encode(40, 0))
             else:  # object 0 appears at the snapshot and reaches its D in time
                 assert p1.d_vals.tolist() == [11, 13]
                 p1.d_vals = np.array([8, 10])
@@ -363,6 +369,19 @@ class TestIndexContainer:
             "total",
         }
         assert stats["bytes"]["total"] == len(walkthrough_index.to_bytes())
+        mem = stats["mem_bytes"]
+        parts = ("snapshots", "log_streams", "log_events", "checkpoints", "dictionary")
+        assert set(mem) == set(parts) | {"total"}
+        assert all(mem[part] > 0 for part in parts)
+        # the parts share no array; the total adds the id array
+        ids = walkthrough_index.ids.nbytes
+        assert mem["total"] == sum(mem[part] for part in parts) + ids
+        # one byte per symbol: every symbol id is below 256
+        assert mem["log_streams"] == stats["compressed_symbols"]
+        # a fresh build holds what its load holds (queries may add lazily
+        # built select directories, so the shared index is not compared)
+        built = TrajectoryIndex.build(WALKTHROUGH_SERIES, period=8, k=2, side=16)
+        assert TrajectoryIndex.from_bytes(built.to_bytes()).stats() == built.stats()
 
 
 FUZZ_TARGETS = {

@@ -95,3 +95,16 @@ def test_decode_table():
     tx, ty = spiral.decode_table(120)
     for c in range(121):
         assert (int(tx[c]), int(ty[c])) == spiral.decode(c)
+
+
+def test_decode_array_matches_scalar_up_to_int64():
+    # the float root is off by one next to perfect squares of large codes
+    rng = np.random.default_rng(4)
+    roots = rng.integers(1, 3_037_000_499, size=200)
+    codes = np.concatenate([
+        rng.integers(0, 2**63 - 1, size=500),
+        roots**2, roots**2 - 1, [2**63 - 1, 0],
+    ])
+    dx, dy = spiral.decode_array(codes)
+    for c, x, y in zip(codes.tolist(), dx.tolist(), dy.tolist()):
+        assert (x, y) == spiral.decode(c), c
