@@ -5,7 +5,8 @@ These three structures carry every other component of the package: the
 k2-tree is two bit vectors navigated with rank/select, the snapshots group
 object identifiers with a bitmap and a permutation, and all variable-length
 integer payloads (rule metadata, event side arrays, compressed streams) are
-DAC-encoded.
+DAC-encoded.  ``narrow`` gives an integer array the narrowest dtype that
+holds its range, as the loaded index keeps its tables.
 
 Conventions
 -----------
@@ -28,6 +29,20 @@ import numpy as np
 
 _SUPER = 512  # bits per rank-directory superblock
 
+_NARROW = [
+    (np.iinfo(t).min, np.iinfo(t).max, t)
+    for t in (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.uint64, np.int64)
+]
+
+
+def narrow(a):
+    """Integer array ``a`` in the narrowest dtype that holds its range.
+
+    Arithmetic on the result must widen first: numpy keeps the narrow dtype
+    and wraps silently."""
+    lo, hi = (int(a.min()), int(a.max())) if len(a) else (0, 0)
+    return a.astype(next(t for t_lo, t_hi, t in _NARROW if t_lo <= lo and hi <= t_hi))
+
 
 class BitVector:
     """Static bit sequence with O(1) rank and near-O(1) select."""
@@ -42,8 +57,12 @@ class BitVector:
         # _dir[i] = number of ones in the first i superblocks
         self._dir = np.zeros(nblocks + 1, dtype=np.uint32)
         if n:
-            ones = np.add.reduceat(bits.astype(np.int64), np.arange(0, n, _SUPER))
-            np.cumsum(ones, out=self._dir[1:])
+            # ones per superblock, summed with no widened copy of the bits
+            whole = n - n % _SUPER
+            ones = bits[:whole].reshape(-1, _SUPER).sum(axis=1, dtype=np.uint32)
+            np.cumsum(ones, out=self._dir[1:len(ones) + 1])
+            if whole < n:
+                self._dir[-1] = self._dir[-2] + np.count_nonzero(bits[whole:])
         self._nones = int(self._dir[-1]) if n else 0
         self._zdir = None  # zero-count directory, built by the first select0
 
@@ -300,13 +319,14 @@ def pack_uint_array(values, width):
     return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
 
 def unpack_uint_array(data, width, count):
-    if count == 0:
-        return np.zeros(0, dtype=np.uint64)
-    bits = np.unpackbits(
+    # each value's bits padded to a whole little-endian integer: one byte
+    # per bit of that integer, not eight per bit of the value
+    dtype = np.dtype(_dtype_for(width)).newbyteorder("<")
+    bits = np.zeros((count, 8 * dtype.itemsize), dtype=np.uint8)
+    bits[:, :width] = np.unpackbits(
         np.frombuffer(data, dtype=np.uint8), count=width * count, bitorder="little"
-    ).astype(np.uint64)
-    shifts = np.arange(width, dtype=np.uint64)
-    return (bits.reshape(count, width) << shifts).sum(axis=1, dtype=np.uint64)
+    ).reshape(count, width)
+    return np.packbits(bits, axis=1, bitorder="little").view(dtype)[:, 0].astype(np.uint64)
 
 
 class Permutation:

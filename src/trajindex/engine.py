@@ -16,8 +16,9 @@ instant per object, gaps allowed).  It then:
 The index file stores each fact once.  Loading derives the rest with the
 code that build uses: the rule tables from the pairs, the snapshot and
 portion counts from t_max and the period, and each log's side-array
-offsets, AA/D flags, appear/disappear lists and checkpoints from its
-symbols.
+offsets, AA/D flags, end instant and checkpoints from its symbols.  In
+memory the logs are one table indexed by log number, and every integer
+table is held in the narrowest dtype for its range.
 
 Queries follow the classic plan: anchor at a snapshot (or an appearance /
 disappearance event), seek to the log checkpoint nearest the instant that
@@ -59,7 +60,7 @@ from .grammar import (
     repair_compress,
 )
 from .k2tree import MAX_K, MAX_SIDE, K2Tree, height_of
-from .logs import LogStore, Portion, move_back, move_jump, move_steps
+from .logs import LogStore, move_back, move_jump, move_steps
 from .snapshot import Snapshot
 
 MAGIC = b"GCTI"
@@ -119,8 +120,8 @@ class TrajectoryIndex:
                 "sample_rate 1..65535)" % (period, k, sample_rate, MAX_K)
             )
         ids = sorted(series.keys())
-        if ids and ids[0] < 0:
-            raise ValueError("object ids must be non-negative integers")
+        if ids and not (ids[0] >= 0 and ids[-1] < 2**63):
+            raise ValueError("object ids must be integers in 0..2^63-1")
         timelines = []
         t_max = 0
         max_coord = 0
@@ -129,9 +130,14 @@ class TrajectoryIndex:
             for start, cells in series[oid]:
                 if not len(cells):
                     continue
-                ts_parts.append(np.arange(start, start + len(cells), dtype=np.int64))
-                xs_parts.append(np.asarray([c[0] for c in cells], dtype=np.int64))
-                ys_parts.append(np.asarray([c[1] for c in cells], dtype=np.int64))
+                try:  # every instant and cell coordinate is an int64
+                    ts_parts.append(np.arange(start, start + len(cells), dtype=np.int64))
+                    xs_parts.append(np.asarray([c[0] for c in cells], dtype=np.int64))
+                    ys_parts.append(np.asarray([c[1] for c in cells], dtype=np.int64))
+                except OverflowError:
+                    raise ValueError(
+                        "object %r: instant or cell coordinate outside int64" % oid
+                    ) from None
             if ts_parts:
                 ts = np.concatenate(ts_parts)
                 xs = np.concatenate(xs_parts)
@@ -221,21 +227,13 @@ class TrajectoryIndex:
         syms_all = (
             np.concatenate(compressed) if compressed else np.zeros(0, dtype=np.int64)
         )
-        portions = []
-        si = 0
-        pos = 0
-        for h in range(n_portions):
-            p_ids, d_vals, p_vals = [], [], []
-            s_off = [pos]
-            while si < len(stream_meta) and stream_meta[si][0] == h:
-                _, o, dv, pv = stream_meta[si]
-                p_ids.append(o)
-                s_off.append(s_off[-1] + len(compressed[si]))
-                d_vals.extend(dv)
-                p_vals.extend(pv)
-                si += 1
-            pos = s_off[-1]
-            portions.append(Portion(p_ids, s_off, d_vals, p_vals))
+        portions = [([], [], [], []) for _ in range(n_portions)]  # as a file stores them
+        for (h, o, dv, pv), syms in zip(stream_meta, compressed):
+            p_ids, sym_lens, d_vals, p_vals = portions[h]
+            p_ids.append(o)
+            sym_lens.append(len(syms))
+            d_vals.extend(dv)
+            p_vals.extend(pv)
 
         params = IndexParams(
             period=period,
@@ -585,15 +583,13 @@ class TrajectoryIndex:
         snap = self.snapshots[h]
         m_sp = self.params.max_speed
         slack = m_sp * (t_q - t_s)
-        portions = self.logs.portions
         cands = []  # min-heap of (lower bound, id, instant, position, walker)
 
         def admit(o, t_c, p_c, dist):
-            if t_c < t_q:  # a start at t_q walks no log (the last snapshot has none)
-                portion = portions[h]
-                i = portion.find(o)
-                if i < 0 or portion.last_covered[i] < t_q:
-                    return  # provably gone before t_q
+            # a start at t_q walks no log (the last snapshot has none); one
+            # whose log ends before t_q is provably gone
+            if t_c < t_q and self.logs.last_covered(h, o) < t_q:
+                return
             heapq.heappush(cands, (dist - m_sp * (t_q - t_c), o, t_c, p_c, None))
 
         for o in self.logs.appearing(h):
@@ -658,12 +654,12 @@ class TrajectoryIndex:
         return w.getvalue()
 
     def _portion_payload(self, h):
-        p = self.logs.portions[h]
+        ids, sym_lens, d_vals, p_vals = self.logs.portion(h)
         w = serial.ByteWriter()
-        serial.write_uint_array(w, p.ids)
-        serial.write_uint_array(w, np.diff(p.sym_off))
-        serial.write_dac(w, serial.DacSequence.fixed(p.d_vals, 8, 2))
-        serial.write_dac(w, serial.DacSequence.fixed(p.p_vals, 8, 2))
+        serial.write_uint_array(w, ids)
+        serial.write_uint_array(w, sym_lens)
+        serial.write_dac(w, serial.DacSequence.fixed(d_vals, 8, 2))
+        serial.write_dac(w, serial.DacSequence.fixed(p_vals, 8, 2))
         return w.getvalue()
 
     def _snapshot_payload(self, h):
@@ -745,7 +741,6 @@ class TrajectoryIndex:
         syms = serial.read_dac_int64(sr)
 
         portions = []
-        pos = 0
         n_portions, n_snapshots = _layout(t_max, period)
         for h in range(n_portions):
             hr = serial.ByteReader(serial.read_section(r))
@@ -755,9 +750,7 @@ class TrajectoryIndex:
             p_vals = serial.read_dac_int64(hr)
             if not (_increasing_ids(p_ids, n_objects) and len(p_ids) == len(sym_lens)):
                 raise serial.SerializationError("portion %d: ids or symbol lengths malformed" % h)
-            sym_off = np.concatenate([[pos], pos + np.cumsum(sym_lens)])
-            pos = int(sym_off[-1])
-            portions.append(Portion(p_ids, sym_off, d_vals, p_vals))
+            portions.append((p_ids, sym_lens, d_vals, p_vals))
         try:
             logs = LogStore(rules, period, t_max, params.side, syms, portions)
         except ValueError as e:
@@ -797,6 +790,7 @@ class TrajectoryIndex:
             size["total"] += len(serial.wrap_section(payload))
         log_bytes = size["log_streams"] + size["log_events"] + size["dictionary"]
         raw = self.params.raw_symbols
+        logs = self.logs
         return {
             "objects": int(self.params.n_objects),
             "t_max": int(self.params.t_max),
@@ -814,9 +808,9 @@ class TrajectoryIndex:
             },
             "mem_bytes": {
                 "snapshots": _array_bytes(self.snapshots),
-                "log_streams": self.logs.syms.nbytes,
-                "log_events": _array_bytes(self.logs.portions),
-                "checkpoints": _array_bytes(self.logs.checkpoints),
+                "log_streams": logs.syms.nbytes,
+                "log_events": _array_bytes(logs.bounds, logs.table, logs.d_vals, logs.p_vals),
+                "checkpoints": _array_bytes(logs.checkpoints),
                 "dictionary": _array_bytes(self.rules),
                 "total": _array_bytes(self),
             },

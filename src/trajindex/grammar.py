@@ -46,6 +46,7 @@ import heapq
 import numpy as np
 
 from . import spiral
+from .bits import narrow
 
 EV_D = 0
 EV_AA = 1
@@ -182,13 +183,15 @@ def _replace(s, nxt, prv, occ, width, a, b, new, at):
 class RuleDictionary:
     """Enriched Re-Pair rules.
 
-    Each field is one int64 table indexed by symbol id, covering event
-    markers (all zero), terminal moves and rules alike: span, net
-    displacement, relative MBR (x1, y1, x2, y2 around the origin) and the
-    rule's pair (zero below ``nt_base``).  Traversals read them through the
-    memoryviews ``sym_span``, ``sym_dx``, ``sym_dy``, ``sym_mbr`` and
-    ``sym_pairs``; ``span``, ``dx``, ``dy``, ``mbr`` and ``pairs`` are numpy
-    views of the rule rows.  Every table follows from the pairs alone.
+    Each field is one table indexed by symbol id, covering event markers
+    (all zero), terminal moves and rules alike: span, net displacement,
+    relative MBR (x1, y1, x2, y2 around the origin) and the rule's pair
+    (zero below ``nt_base``).  Each is held in the narrowest integer dtype
+    for its range, so a numpy gather from one must widen before any
+    arithmetic.  Traversals read them through the memoryviews ``sym_span``,
+    ``sym_dx``, ``sym_dy``, ``sym_mbr`` and ``sym_pairs``, which give Python
+    ints; ``span``, ``dx``, ``dy``, ``mbr`` and ``pairs`` are numpy views of
+    the rule rows.  Every table follows from the pairs alone.
     """
 
     def __init__(self, max_move_code, pairs):
@@ -237,7 +240,7 @@ class RuleDictionary:
         if (span[nt:] <= span[pairs].max(axis=1)).any() or int(span.max()) * radius >= 2**63:
             raise ValueError("rule spans or coordinates overflow int64")
 
-        tables = (span, dx, dy, mbr, sym_pairs)
+        tables = tuple(map(narrow, (span, dx, dy, mbr, sym_pairs)))
         self.span, self.dx, self.dy, self.mbr, self.pairs = (t[nt:] for t in tables)
         self.sym_span, self.sym_dx, self.sym_dy, self.sym_mbr, self.sym_pairs = map(
             memoryview, tables

@@ -32,7 +32,8 @@ class RawRecord(NamedTuple):
 
 
 def parse_csv(text, has_header=False):
-    """Parse ``id,time,x,y`` lines into records, in input order."""
+    """Parse ``id,time,x,y`` lines into records, in input order; a
+    non-numeric or non-finite field fails with its line number."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     if isinstance(text, str):
@@ -49,13 +50,12 @@ def parse_csv(text, has_header=False):
         if len(parts) != 4:
             raise ValueError("line %d: expected 4 fields, got %d" % (no, len(parts)))
         try:
-            records.append(
-                RawRecord(
-                    int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])
-                )
-            )
+            rec = RawRecord(int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]))
         except ValueError:
             raise ValueError("line %d: non-numeric field in %r" % (no, line)) from None
+        if not all(map(math.isfinite, rec[1:])):
+            raise ValueError("line %d: non-finite field in %r" % (no, line))
+        records.append(rec)
     return records
 
 

@@ -61,28 +61,17 @@ class K2Tree:
             raise ValueError("cell outside the grid")
         keys = np.unique(path_keys(k, side, xs, ys))
         kk = k * k
-        t_parts = []
-        l_part = np.zeros(0, dtype=np.uint8)
+        levels = []
         parents = np.zeros(1, dtype=np.int64)  # the root
         for level in range(1, height + 1):
-            prefixes = np.unique(keys // kk ** (height - level))
-            slots = (parents[:, None] * kk + np.arange(kk)).reshape(-1)
-            idx = np.searchsorted(prefixes, slots)
-            idx_c = np.minimum(idx, max(len(prefixes) - 1, 0))
-            bits = (
-                ((idx < len(prefixes)) & (prefixes[idx_c] == slots))
-                if len(prefixes)
-                else np.zeros(len(slots), dtype=bool)
-            )
-            bits = bits.astype(np.uint8)
-            if level == height:
-                l_part = bits
-            else:
-                t_parts.append(bits)
-            parents = prefixes
-            if len(parents) == 0:
-                break
-        t_all = np.concatenate(t_parts) if t_parts else np.zeros(0, dtype=np.uint8)
+            # each node's bit sits in its parent's k^2 slots, at its last digit
+            nodes = np.unique(keys // kk ** (height - level))
+            bits = np.zeros(len(parents) * kk, dtype=np.uint8)
+            bits[np.searchsorted(parents, nodes // kk) * kk + nodes % kk] = 1
+            levels.append(bits)
+            parents = nodes
+        l_part = levels.pop()  # with no cells, every level past the first is empty
+        t_all = np.concatenate([np.zeros(0, dtype=np.uint8), *levels])
         return cls(k, side, BitVector(t_all), BitVector(l_part))
 
     # -- point access ------------------------------------------------------

@@ -6,16 +6,20 @@ the last instant of the portion before it, so logs can be read forward from
 the earlier snapshot or backward from the later one.
 
 Each (portion, object) log is one slice of the jointly compressed symbol
-stream plus two side arrays aligned with its event symbols, in order:
+stream plus its entries in two side arrays, aligned with its event symbols,
+in order:
 
 * D entry:  gap length for RM/RNM, absolute instant for AA/D;
 * P entry:  spiral code for RM (one value), absolute x, y for AA/D (two
   values), nothing for RNM.
 
-Only the entries are stored.  Where each log's entries start follows from
-its event symbols, so ``LogStore`` derives the offsets on construction,
-along with each log's AA/D flags and the ids that appear after or have
-disappeared by each snapshot.
+A file stores each portion's logs as its object ids, each log's symbol
+count and the portion's D and P entries (``LogStore.portion``).  In memory
+``LogStore`` keeps one table of all logs instead, numbered in (portion, id)
+order (``LogTable``), with the D and P entries of all portions as two flat
+arrays.  Where each log's entries start follows from its event symbols, so
+the offsets are derived on construction, along with each log's AA/D flags
+and end instant.  Every array is held in the narrowest dtype for its range.
 
 A log looks like ``[AA?] (move | RM | RNM)* [D?]``: AA opens a log whose
 object was absent at the starting snapshot, D closes a log whose object
@@ -45,7 +49,7 @@ Traversal primitives:
   per step.
 
 All of them read span, displacement and pairs from the symbol-indexed
-tables of ``RuleDictionary``.
+tables of ``RuleDictionary``, and the log table through memoryviews.
 """
 
 import collections
@@ -54,45 +58,31 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from . import spiral
+from .bits import narrow
 from .grammar import EV_AA, EV_D, EV_RM, EV_RNM, MOVE_BASE
 
 STRIDE = 16  # compressed symbols between two checkpoints of a log
 _P_ENTRIES = np.array([2, 2, 0, 1])  # P entries of a D, AA, RNM and RM event
 
-# Checkpoints of all logs, in log order (portion, then id): log g's
-# checkpoints are off[g]..off[g+1]-1, and t, x, y, d and p hold each one's
-# instant, position and side-array cursors relative to the log's start;
-# tot_x and tot_y hold each log's net displacement.
+# One row per log, in log order (portion, then id): log g belongs to object
+# ids[g], its symbols are syms[sym_off[g]:sym_off[g+1]] and its entries
+# d_vals[d_off[g]:d_off[g+1]] and p_vals[p_off[g]:p_off[g+1]]; starts_aa and
+# ends_d flag an opening AA and a closing D, and end is its last instant.
+LogTable = collections.namedtuple("LogTable", "ids sym_off d_off p_off starts_aa ends_d end")
+
+# Checkpoints of all logs, indexed like the log table: log g's checkpoints
+# are off[g]..off[g+1]-1, and t, x, y, d and p hold each one's instant,
+# position and side-array cursors relative to the log's start; tot_x and
+# tot_y hold each log's net displacement.
 Checkpoints = collections.namedtuple("Checkpoints", "off t x y d p tot_x tot_y")
-
-
-class Portion:
-    """Logs of one portion: sorted object ids, symbol offsets and the D and
-    P side arrays of all its logs."""
-
-    def __init__(self, ids, sym_off, d_vals, p_vals):
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.sym_off = np.asarray(sym_off, dtype=np.int64)
-        self.d_vals = np.asarray(d_vals, dtype=np.int64)
-        self.p_vals = np.asarray(p_vals, dtype=np.int64)
-        # filled by LogStore._derive
-        self.first = 0  # index of the portion's first log among all logs
-        self.d_off = self.p_off = None
-        self.starts_aa = self.ends_d = self.last_covered = None
-        self.app = self.dis = None
-
-    def find(self, oid):
-        i = int(np.searchsorted(self.ids, oid))
-        if i < len(self.ids) and self.ids[i] == oid:
-            return i
-        return -1
-
 
 _NO_IDS = np.zeros(0, dtype=np.int64)
 
 
 class LogStore:
     def __init__(self, dictionary, period, t_max, side, syms, portions):
+        """``portions`` holds each portion's logs as a file stores them:
+        (object ids, symbol counts, D entries, P entries)."""
         self.dict = dictionary
         self.period = period
         self.t_max = t_max
@@ -100,13 +90,13 @@ class LogStore:
         syms = np.asarray(syms, dtype=np.int64)
         if len(syms) and (syms.min() < 0 or syms.max() >= len(dictionary.sym_span)):
             raise ValueError("log symbol is not a known move, event or rule")
-        self.syms = _narrow(syms)
+        self.syms = narrow(syms)
         self._syms = memoryview(self.syms)
-        self.portions = portions
-        self._derive()
+        self._derive(portions)
 
-    def _derive(self):
-        """Derive every log's side-array offsets, AA/D flags and end instant,
+    def _derive(self, portions):
+        """Fill the log table (portion bounds, the D and P entries, each
+        log's offsets, AA/D flags and end instant) and the checkpoints,
         raising ValueError unless the logs are well formed.
 
         The logs must tile ``syms`` in order, each non-empty, with AA only
@@ -123,19 +113,20 @@ class LogStore:
         over the whole stream.
         """
         syms = self.syms.astype(np.intp)  # numpy gathers by a narrow index run slower
-        ps = self.portions
-        none = [_NO_IDS]
-        starts = np.concatenate(none + [p.sym_off[:-1] for p in ps])
-        ends = np.concatenate(none + [p.sym_off[1:] for p in ps])
-        tiles = np.append(starts, len(syms))
-        if tiles[0] != 0 or not np.array_equal(tiles[1:], ends) or (ends <= starts).any():
+        ids, lens, d_all, p_all = (
+            np.concatenate([_NO_IDS] + [np.asarray(p[c], dtype=np.int64) for p in portions])
+            for c in range(4)
+        )
+        bounds = np.cumsum([0] + [len(p[0]) for p in portions])
+        tiles = np.append(0, np.cumsum(lens))  # a wrapped sum shows as a fall
+        starts, ends = tiles[:-1], tiles[1:]
+        if tiles[-1] != len(syms) or (ends <= starts).any():
             raise ValueError("logs do not tile the symbol stream")
         is_aa, is_d = syms == EV_AA, syms == EV_D
         starts_aa, ends_d = is_aa[starts], is_d[ends - 1]
         if is_aa.sum() != starts_aa.sum() or is_d.sum() != ends_d.sum():
             raise ValueError("AA inside a log or D before its end")
-        # the D and P entries before a symbol, counted over all portions' side
-        # arrays, are those of the events before it
+        # the D and P entries before a symbol are those of the events before it
         ev = np.flatnonzero(syms < MOVE_BASE)
         p_ev = np.append(0, np.cumsum(_P_ENTRIES[syms[ev]]))
 
@@ -144,18 +135,14 @@ class LogStore:
             return k, p_ev[k]
 
         d_at, p_at = entries_before(tiles)  # each log's first entries, then the totals
-        bounds = np.cumsum([0] + [len(p.ids) for p in ps])
-        if not (
-            np.array_equal(np.diff(d_at[bounds]), [len(p.d_vals) for p in ps])
-            and np.array_equal(np.diff(p_at[bounds]), [len(p.p_vals) for p in ps])
-        ):
-            raise ValueError("log side arrays disagree with the log's events")
+        for at, c in ((d_at, 2), (p_at, 3)):
+            if not np.array_equal(at[bounds], np.cumsum([0] + [len(p[c]) for p in portions])):
+                raise ValueError("log side arrays disagree with the log's events")
 
         # a log runs from its start to its end, both within its portion
         step = min(self.period, self.t_max)  # h * period == h * step for any portion h
-        lo = np.repeat(np.arange(len(ps)), np.diff(bounds)) * step
+        lo = np.repeat(np.arange(len(portions)), np.diff(bounds)) * step
         pe = lo + np.minimum(step, self.t_max - lo)
-        d_all = np.concatenate(none + [p.d_vals for p in ps])
         start, end = lo.copy(), pe.copy()
         start[starts_aa] = d_all[d_at[:-1][starts_aa]]
         end[ends_d] = d_all[d_at[1:][ends_d] - 1]
@@ -173,10 +160,12 @@ class LogStore:
             raise ValueError("log instants do not add up to its end")
 
         # each symbol's (dx, dy), an RM's read off its spiral code; every one
-        # is under side along each axis, so the sums below are exact
+        # is under side along each axis, so the int64 sums below are exact
         rm = syms[ev] == EV_RM
-        codes = np.concatenate(none + [p.p_vals for p in ps])[p_ev[:-1][rm]]
-        mx, my = np.asarray(self.dict.sym_dx)[syms], np.asarray(self.dict.sym_dy)[syms]
+        codes = p_all[p_ev[:-1][rm]]
+        # widened first: an RM's displacement need not fit the tables' dtype
+        mx = np.asarray(self.dict.sym_dx)[syms].astype(np.int64)
+        my = np.asarray(self.dict.sym_dy)[syms].astype(np.int64)
         side = self.side
         if int(codes.max(initial=0)) > spiral.max_code_for_radius(side - 1) or any(
             m.max(initial=0) >= side or m.min(initial=0) <= -side for m in (mx, my)
@@ -205,55 +194,75 @@ class LogStore:
             cp_xy.append(m[cp_rows] - m[rows[of]])
             tot_xy.append(m[rows[1:]] - m[rows[:-1]])
         cp_d, cp_p = entries_before(at)
-        self.checkpoints = Checkpoints(*map(_narrow, (
+        self.checkpoints = Checkpoints(*map(narrow, (
             cp_at, run[at - 1].astype(np.int64), *cp_xy, cp_d - d_at[of], cp_p - p_at[of],
             *tot_xy,
         )))
         self._cp = Checkpoints(*map(memoryview, self.checkpoints))
 
-        for p, a, b in zip(ps, bounds[:-1], bounds[1:]):
-            p.first = int(a)
-            p.d_off = d_at[a:b + 1] - d_at[a]
-            p.p_off = p_at[a:b + 1] - p_at[a]
-            p.starts_aa, p.ends_d, p.last_covered = starts_aa[a:b], ends_d[a:b], end[a:b]
-            p.app, p.dis = p.ids[p.starts_aa], p.ids[p.ends_d]
+        self.bounds, self.d_vals, self.p_vals = map(narrow, (bounds, d_all, p_all))
+        ids, tiles, d_at, p_at, end = map(narrow, (ids, tiles, d_at, p_at, end))
+        self.table = LogTable(ids, tiles, d_at, p_at, starts_aa, ends_d, end)
+        self._bounds, self._d, self._p = map(memoryview, (self.bounds, self.d_vals, self.p_vals))
+        self._log = LogTable(*map(memoryview, self.table))
 
     @property
     def n_portions(self):
-        return len(self.portions)
+        return len(self.bounds) - 1
 
     def portion_end(self, h):
         return min((h + 1) * self.period, self.t_max)
 
+    def portion(self, h):
+        """Portion h's logs as a file stores them: (object ids, symbol
+        counts, D entries, P entries)."""
+        t, (lo, hi) = self.table, self._bounds[h:h + 2]
+        return (t.ids[lo:hi], np.diff(t.sym_off[lo:hi + 1]),
+                self.d_vals[t.d_off[lo]:t.d_off[hi]], self.p_vals[t.p_off[lo]:t.p_off[hi]])
+
+    def find(self, h, oid):
+        """Number of oid's portion-h log; -1 when it has none."""
+        lo, hi = self._bounds[h], self._bounds[h + 1]
+        ids = self._log.ids
+        g = bisect_left(ids, oid, lo, hi)
+        return g if g < hi and ids[g] == oid else -1
+
     def appearing(self, h):
         """Ids absent from snapshot h whose portion-h log opens with AA."""
-        return self.portions[h].app if h < len(self.portions) else _NO_IDS
+        return self._flagged(h, self.table.starts_aa)
 
     def disappeared(self, h):
         """Ids whose portion-(h-1) log closes with D before snapshot h."""
-        return self.portions[h - 1].dis if 0 < h <= len(self.portions) else _NO_IDS
+        return self._flagged(h - 1, self.table.ends_d)
+
+    def _flagged(self, h, flags):
+        if not 0 <= h < self.n_portions:
+            return _NO_IDS
+        lo, hi = self._bounds[h], self._bounds[h + 1]
+        return self.table.ids[lo:hi][flags[lo:hi]]
+
+    def last_covered(self, h, oid):
+        """Last instant of oid's portion-h log; -1 when it has none."""
+        g = self.find(h, oid)
+        return self._log.end[g] if g >= 0 else -1
 
     def first_anchor(self, h, oid):
         """(instant, position) of an appearance-opened log; None otherwise."""
-        p = self.portions[h]
-        i = p.find(oid)
-        if i < 0 or not p.starts_aa[i]:
+        t = self._log
+        g = self.find(h, oid)
+        if g < 0 or not t.starts_aa[g]:
             return None
-        t = int(p.d_vals[p.d_off[i]])
-        x = int(p.p_vals[p.p_off[i]])
-        y = int(p.p_vals[p.p_off[i] + 1])
-        return t, (x, y)
+        d, p = t.d_off[g], t.p_off[g]
+        return self._d[d], (self._p[p], self._p[p + 1])
 
     def last_anchor(self, h, oid):
         """(instant, position) of a D-closed log; None otherwise."""
-        p = self.portions[h]
-        i = p.find(oid)
-        if i < 0 or not p.ends_d[i]:
+        t = self._log
+        g = self.find(h, oid)
+        if g < 0 or not t.ends_d[g]:
             return None
-        t = int(p.d_vals[p.d_off[i + 1] - 1])
-        x = int(p.p_vals[p.p_off[i + 1] - 2])
-        y = int(p.p_vals[p.p_off[i + 1] - 1])
-        return t, (x, y)
+        d, p = t.d_off[g + 1], t.p_off[g + 1]
+        return self._d[d - 1], (self._p[p - 2], self._p[p - 1])
 
     # -- walkers ---------------------------------------------------------
 
@@ -272,20 +281,17 @@ class LogStore:
         """
         d = self.dict
         span, dx, dy = d.sym_span, d.sym_dx, d.sym_dy
-        syms = self._syms
-        cp = self._cp
+        syms, d_vals, p_vals, log, cp = self._syms, self._d, self._p, self._log, self._cp
         t_start = t_c
         x, y = p_c
-        h = t_c // self.period
-        while t_c < t_end and h < len(self.portions) and h * self.period < t_end:
-            p = self.portions[h]
+        h, n_portions = t_c // self.period, self.n_portions
+        while t_c < t_end and h < n_portions and h * self.period < t_end:
+            g = self.find(h, oid)
             h += 1
-            i = p.find(oid)
-            if i < 0:
+            if g < 0:
                 continue
-            d_vals, p_vals = memoryview(p.d_vals), memoryview(p.p_vals)
-            d0, p0 = int(p.d_off[i]), int(p.p_off[i])
-            s, s_end = int(p.sym_off[i]), int(p.sym_off[i + 1])
+            d0, p0 = log.d_off[g], log.p_off[g]
+            s, s_end = log.sym_off[g], log.sym_off[g + 1]
             di, pi = d0, p0
             if syms[s] == EV_AA:
                 t_c, x, y = d_vals[d0], p_vals[p0], p_vals[p0 + 1]
@@ -294,7 +300,6 @@ class LogStore:
                     yield None, t_c, (x, y)
                     if t_c >= t_end:
                         return
-            g = p.first + i
             lo, hi = cp.off[g], cp.off[g + 1]
             if seek is not None and lo < hi:
                 j = bisect_right(cp.t, seek - t_c, lo, hi) - 1
@@ -340,21 +345,17 @@ class LogStore:
         """
         d = self.dict
         span, dx, dy = d.sym_span, d.sym_dx, d.sym_dy
-        syms = self._syms
-        p = self.portions[h]
-        i = p.find(oid)
-        if i < 0:
+        syms, d_vals, p_vals, log, cp = self._syms, self._d, self._p, self._log, self._cp
+        g = self.find(h, oid)
+        if g < 0:
             return
-        d_vals, p_vals = memoryview(p.d_vals), memoryview(p.p_vals)
-        di, pi = int(p.d_off[i + 1]), int(p.p_off[i + 1])
-        s0, s = int(p.sym_off[i]), int(p.sym_off[i + 1])
+        di, pi = log.d_off[g + 1], log.p_off[g + 1]
+        s0, s = log.sym_off[g], log.sym_off[g + 1]
         x, y = p_c
-        cp = self._cp
-        g = p.first + i
         lo, hi = cp.off[g], cp.off[g + 1]
         if seek and lo < hi:
             aa = syms[s0] == EV_AA
-            d0, p0 = int(p.d_off[i]), int(p.p_off[i])
+            d0, p0 = log.d_off[g], log.p_off[g]
             t0 = d_vals[d0] if aa else h * self.period
             j = bisect_left(cp.t, t_floor - t0, lo, hi)
             if j < hi:
@@ -451,14 +452,3 @@ def move_steps(dictionary, p, t_c, t_e, sym):
             stack.append(pairs[s, 0])
     return out
 
-
-_NARROW = [
-    (np.iinfo(t).min, np.iinfo(t).max, t)
-    for t in (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.uint64, np.int64)
-]
-
-
-def _narrow(a):
-    """Integer array ``a`` in the narrowest dtype that holds its range."""
-    lo, hi = (int(a.min()), int(a.max())) if len(a) else (0, 0)
-    return a.astype(next(t for t_lo, t_hi, t in _NARROW if t_lo <= lo and hi <= t_hi))

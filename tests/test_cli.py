@@ -102,6 +102,29 @@ class TestBuild:
         assert "error:" in err and "out of range" in err
         assert not (tmp_path / "x.idx").exists()
 
+    @pytest.mark.parametrize(
+        "name, data, message",
+        [
+            ("inf_time.csv", b"1,inf,0,0\n", "line 1: non-finite field"),
+            ("huge_cell.csv", b"1,0,1e30,0\n", "outside int64"),
+            (  # an 8-byte id of 2^63, then one-byte time, x and y
+                "huge_id.bin",
+                bytes([8, 1, 1, 1]) + (2**63).to_bytes(8, "little") + bytes(3),
+                "0..2^63-1",
+            ),
+        ],
+    )
+    def test_build_input_out_of_range(self, tmp_path, name, data, message):
+        src = tmp_path / name
+        src.write_bytes(data)
+        fmt = ["--format", "bin"] if name.endswith(".bin") else []
+        argv = ["build", "--input", str(src), "--output", str(tmp_path / "x.idx")]
+        with deadline(5.0):
+            code, _out, err = _run(argv + ["--period", "8", *fmt])
+        assert code == 1
+        assert "error:" in err and message in err
+        assert not (tmp_path / "x.idx").exists()
+
 
 class TestQuery:
     def test_object_csv(self, cli_env):

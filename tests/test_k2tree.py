@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,3 +130,20 @@ def test_distance_walk_complete_and_sorted():
     for x, y, r, d in cells:
         assert r == tree.cell(x, y)
         assert d == pytest.approx(math.hypot(x - q[0], y - q[1]))
+
+
+def test_build_peak_memory_stays_near_the_bits():
+    # at k=256 each node has 65,536 child slots; the build keeps one byte
+    # per slot and makes no wider per-slot temporaries (40 nodes of level 2
+    # hold 2.6 MB of slots)
+    rng = random.Random(40)
+    cells = [(rng.randrange(2**16), rng.randrange(2**16)) for _ in range(40)]
+    tracemalloc.start()
+    try:
+        tree = build_from_cells(cells, side=2**16, k=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
+    assert tree.n_leaves() == len(set(cells))
+    assert all(tree.cell(x, y) is not None for x, y in cells)

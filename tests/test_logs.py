@@ -1,18 +1,20 @@
 from itertools import groupby
 
+import numpy as np
 import pytest
 
 import trajindex.logs
 from conftest import DATASETS, PERIODS
-from trajindex import TrajectoryIndex
+from trajindex import Oracle, TrajectoryIndex
+from trajindex.bits import narrow
 from trajindex.grammar import EV_AA, EV_D, MOVE_BASE, RuleDictionary
 from trajindex.logs import move_back, move_jump, move_steps
 
 
 def log_symbols(idx, h, oid):
-    portion = idx.logs.portions[h]
-    i = portion.find(oid)
-    return [int(s) for s in idx.logs.syms[portion.sym_off[i]:portion.sym_off[i + 1]]]
+    logs = idx.logs
+    g = logs.find(h, oid)
+    return [int(s) for s in logs.syms[logs.table.sym_off[g]:logs.table.sym_off[g + 1]]]
 
 
 @pytest.fixture(scope="module")
@@ -59,11 +61,8 @@ class TestLogLayout:
         # portion 1 of the appearing object: AA, one covering rule, D
         idx = appearance_index
         o5 = int(idx._oid(5))
-        portion = idx.logs.portions[1]
-        i = portion.find(o5)
-        assert i >= 0
-        s0, s1 = portion.sym_off[i], portion.sym_off[i + 1]
-        syms = [int(s) for s in idx.logs.syms[s0:s1]]
+        assert idx.logs.find(1, o5) >= 0
+        syms = log_symbols(idx, 1, o5)
         assert syms[0] == EV_AA
         assert syms[-1] == EV_D
         assert len(syms) == 3
@@ -79,13 +78,13 @@ class TestLogLayout:
 
     def test_derived_flags(self, appearance_index):
         idx = appearance_index
-        portion = idx.logs.portions[1]
-        i5 = portion.find(int(idx._oid(5)))
-        i9 = portion.find(int(idx._oid(9)))
-        assert bool(portion.starts_aa[i5]) and bool(portion.ends_d[i5])
-        assert not portion.starts_aa[i9] and not portion.ends_d[i9]
-        assert portion.last_covered[i5] == 13
-        assert portion.last_covered[i9] == 16
+        logs, t = idx.logs, idx.logs.table
+        g5 = logs.find(1, int(idx._oid(5)))
+        g9 = logs.find(1, int(idx._oid(9)))
+        assert bool(t.starts_aa[g5]) and bool(t.ends_d[g5])
+        assert not t.starts_aa[g9] and not t.ends_d[g9]
+        assert t.end[g5] == 13 == logs.last_covered(1, int(idx._oid(5)))
+        assert t.end[g9] == 16 == logs.last_covered(1, int(idx._oid(9)))
 
     def test_forward_cursor_window(self, appearance_index):
         idx = appearance_index
@@ -122,16 +121,13 @@ class TestLogLayout:
         idx = walkthrough_index
         o4 = int(idx._oid(4))
         for h in range(idx.logs.n_portions):
-            portion = idx.logs.portions[h]
-            i = portion.find(o4)
-            s0, s1 = portion.sym_off[i], portion.sym_off[i + 1]
             flat = []
-            for sym in idx.logs.syms[s0:s1]:
-                flat.extend(idx.rules.expand(int(sym)))
+            for sym in log_symbols(idx, h, o4):
+                flat.extend(idx.rules.expand(sym))
             assert flat == [MOVE_BASE] * 8
             assert idx.logs.first_anchor(h, o4) is None
             assert idx.logs.last_anchor(h, o4) is None
-            assert portion.last_covered[i] == idx.logs.portion_end(h)
+            assert idx.logs.table.end[idx.logs.find(h, o4)] == idx.logs.portion_end(h)
 
     def test_snapshot_only_presence_leaves_d_log(self):
         # object 1's last sample is exactly the snapshot instant 8, so its
@@ -143,12 +139,9 @@ class TestLogLayout:
             side=16,
         )
         o1 = int(idx._oid(1))
-        portion = idx.logs.portions[1]
-        i = portion.find(o1)
-        s0, s1 = portion.sym_off[i], portion.sym_off[i + 1]
-        assert [int(s) for s in idx.logs.syms[s0:s1]] == [EV_D]
+        assert log_symbols(idx, 1, o1) == [EV_D]
         assert idx.logs.last_anchor(1, o1) == (8, (3, 3))
-        assert portion.last_covered[i] == 8
+        assert idx.logs.table.end[idx.logs.find(1, o1)] == 8
         # the walker needs h: (8 - 1) // period would name portion 0
         assert list(idx.logs.elements_backward(1, o1, 8, (3, 3), 8)) == [(None, 8, (3, 3))]
 
@@ -157,10 +150,7 @@ class TestLogLayout:
         # portion 1): portion 0 log must end with D, portion 1 start with AA
         idx = walkthrough_index
         o5 = int(idx._oid(5))
-        p0 = idx.logs.portions[0]
-        i = p0.find(o5)
-        s0, s1 = p0.sym_off[i], p0.sym_off[i + 1]
-        assert int(idx.logs.syms[s1 - 1]) == EV_D
+        assert log_symbols(idx, 0, o5)[-1] == EV_D
         assert idx.logs.last_anchor(0, o5) == (3, (7, 1))
         assert idx.logs.first_anchor(1, o5) == (9, (7, 2))
 
@@ -190,10 +180,13 @@ def test_walkers_match_oracle(name, period, indexes, oracles, monkeypatch):
     logs = idx.logs
     monkeypatch.setattr(trajindex.logs, "STRIDE", 1)
     seekers = (logs, TrajectoryIndex.from_bytes(idx.to_bytes()).logs)
-    for h, portion in enumerate(logs.portions):
-        for i, oid in enumerate(int(o) for o in portion.ids):
+    table = logs.table
+    for h in range(logs.n_portions):
+        for g in range(logs.bounds[h], logs.bounds[h + 1]):
+            oid = int(table.ids[g])
+            assert logs.find(h, oid) == g
             orig = int(idx.ids[oid])
-            if portion.starts_aa[i]:
+            if table.starts_aa[g]:
                 start = logs.first_anchor(h, oid)
             else:
                 start = (h * period, idx.snapshots[h].find_object(oid))
@@ -201,7 +194,7 @@ def test_walkers_match_oracle(name, period, indexes, oracles, monkeypatch):
             for sym, t, p in logs.elements(oid, *start, logs.portion_end(h)):
                 assert (sym is None) or sym >= MOVE_BASE
                 fwd.append((t, p))
-            if portion.ends_d[i]:
+            if table.ends_d[g]:
                 end = logs.last_anchor(h, oid)
             elif h + 1 < len(idx.snapshots):
                 end = (logs.portion_end(h), idx.snapshots[h + 1].find_object(oid))
@@ -236,3 +229,31 @@ def test_walkers_match_oracle(name, period, indexes, oracles, monkeypatch):
         for _sym, t_c, p_c in logs.elements(oid, t_c, p_c, idx.params.t_max):
             assert oracle.position_of(orig, t_c) == p_c, (orig, t_c)
         assert t_c == max(oracle.timelines[orig]), orig  # walked to the end
+
+
+def test_tables_are_held_narrow(indexes):
+    """Every integer array of the log table, the checkpoints and the rule
+    tables, built or loaded, has the dtype ``narrow`` picks for its range."""
+    for idx in indexes.values():
+        for index in (idx, TrajectoryIndex.from_bytes(idx.to_bytes())):
+            logs, rules = index.logs, index.rules
+            tables = ("sym_span", "sym_dx", "sym_dy", "sym_mbr", "sym_pairs")
+            arrays = [logs.syms, logs.bounds, logs.d_vals, logs.p_vals, *logs.table,
+                      *logs.checkpoints, *(np.asarray(getattr(rules, t)) for t in tables)]
+            for a in arrays:
+                assert a.dtype == bool or a.dtype == narrow(a).dtype, (a.dtype, narrow(a).dtype)
+            assert logs.table.starts_aa.dtype == logs.table.ends_d.dtype == bool
+
+
+def test_checkpoints_past_a_wide_relocation(monkeypatch):
+    """Moves of one cell east keep the displacement tables one byte wide,
+    and a gap relocates the object 300 cells east: the checkpoint sums
+    widen before they take in the relocation."""
+    monkeypatch.setattr(trajindex.logs, "STRIDE", 1)
+    series = {1: [(0, [(x, 5) for x in range(6)]), (10, [(x, 5) for x in range(305, 311)])]}
+    idx = TrajectoryIndex.build(series, period=16, k=2, side=512)
+    assert np.asarray(idx.rules.sym_dx).itemsize == 1
+    assert idx.logs.checkpoints.off[-1] > 0
+    oracle = Oracle(series)
+    for t in range(16):
+        assert idx.position_of(1, t) == oracle.position_of(1, t), t

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import random
 
 import numpy as np
@@ -303,30 +304,33 @@ class TestIndexContainer:
         else:
             # portion 0 holds object 1's log of two rules; portion 1 holds
             # object 0's [AA, move, D] and object 1's log of two rules
-            p0, p1 = idx.logs.portions
-            assert p0.ids.tolist() == [1] and p0.sym_off.tolist() == [0, 2]
-            assert p1.ids.tolist() == [0, 1] and p1.p_off.tolist() == [0, 4, 4]
+            logs, table = idx.logs, idx.logs.table
+            assert logs.bounds.tolist() == [0, 1, 3] and table.ids.tolist() == [1, 0, 1]
+            assert table.sym_off[:2].tolist() == [0, 2] and table.p_off[1:].tolist() == [0, 4, 4]
+            # each portion's logs as serialized: ids, symbol counts, D and P entries
+            p0, p1 = (list(logs.portion(h)) for h in range(2))
+            logs.portion = lambda h: (p0, p1)[h]
             if fault == "portion_id_repeated":
-                p1.ids = np.array([0, 0])
+                p1[0] = np.array([0, 0])
             elif fault == "portion_id_past_n":
-                p0.ids = np.array([2])
+                p0[0] = np.array([2])
             elif fault == "portion_ids_past_logs":
-                p0.ids = np.array([0, 1])
+                p0[0] = np.array([0, 1])
             elif fault == "side_array_long":
-                p0.d_vals = np.array([7])
+                p0[2] = np.array([7])
             elif fault == "d_before_end":  # with its D and P entries
                 idx.logs.syms[0] = EV_D
-                p0.d_vals, p0.p_vals = np.array([0]), np.array([20, 20])
+                p0[2], p0[3] = np.array([0]), np.array([20, 20])
             elif fault == "p_entries_shifted":  # five P entries for an AA and a D
-                p1.p_vals = np.append(p1.p_vals, 0)
+                p1[3] = np.append(p1[3], 0)
             elif fault == "rm_past_side":  # object 0's two moves become a gap
                 # of one instant that ends 40 cells east, past the 32-cell side
-                idx.logs.syms[p1.sym_off[0] + 1] = EV_RM
-                p1.d_vals = np.array([11, 1, 13])
-                p1.p_vals = np.insert(p1.p_vals, 2, spiral.encode(40, 0))
+                idx.logs.syms[table.sym_off[1] + 1] = EV_RM
+                p1[2] = np.array([11, 1, 13])
+                p1[3] = np.insert(p1[3].astype(np.int64), 2, spiral.encode(40, 0))
             else:  # object 0 appears at the snapshot and reaches its D in time
-                assert p1.d_vals.tolist() == [11, 13]
-                p1.d_vals = np.array([8, 10])
+                assert p1[2].tolist() == [11, 13]
+                p1[2] = np.array([8, 10])
         blob = idx.to_bytes()
         with deadline(2.0):
             if fault == "deep_chain":  # may load: every rule the logs name exists
@@ -349,9 +353,10 @@ class TestIndexContainer:
         # four gaps in place take the log from instant 0 to 100; two gaps of
         # 2**63 instants add up to 0 modulo 2**64, and the other two to 100
         idx = TrajectoryIndex.build({1: [(t, [(3, 3)]) for t in (0, 10, 20, 30, 100)]}, period=100)
-        portion = idx.logs.portions[0]
-        assert portion.d_vals.tolist() == [9, 9, 9, 69]
-        portion.d_vals = np.array([2**63 - 1, 2**63 - 1, 9, 89])
+        ids, sym_lens, d_vals, p_vals = idx.logs.portion(0)
+        assert d_vals.tolist() == [9, 9, 9, 69]
+        d_vals = np.array([2**63 - 1, 2**63 - 1, 9, 89])
+        idx.logs.portion = lambda h: (ids, sym_lens, d_vals, p_vals)
         with pytest.raises(SerializationError, match="add up"):
             TrajectoryIndex.from_bytes(idx.to_bytes())
 
@@ -382,6 +387,30 @@ class TestIndexContainer:
         # built select directories, so the shared index is not compared)
         built = TrajectoryIndex.build(WALKTHROUGH_SERIES, period=8, k=2, side=16)
         assert TrajectoryIndex.from_bytes(built.to_bytes()).stats() == built.stats()
+
+
+# sha256 of ``to_bytes()`` for the walkthrough index and every conftest
+# (dataset, period) build, recorded with index format version 3: a change
+# that must keep the files byte-identical keeps these
+FILE_DIGESTS = {
+    "walkthrough": "7d510a2bf7d9b8ec5fbfc4fbac152392582993d48a4f07c9d8340bd587ac69a2",
+    ("appear", 30): "0b47a52bef86c310dfee0b8f97c8d42c63a10ad5b8658e4c81f564495ce7f9c3",
+    ("appear", 120): "d4cb82e9699b5013adfc3f9875fafb57bc73ac4a153a5d66de26231e03dc38e0",
+    ("appear", 720): "22a1a4896edf8e64a9d711bdd0166e8f75aab737d2cb7bd18c8d1829da6fe4c0",
+    ("random", 30): "493cd8d40022703d07b758e75eaff41ddc7ee29dadda9f2192dfb18b18e8acb5",
+    ("random", 120): "85071b765fbeaad1850621aadfbbabc69ece3c56e0d85741dc01164d15127737",
+    ("random", 720): "5c8cbe1f3f5c4fe76c5c73674238af073d21a66ea6bca2636d60c0f7ea9d0b6e",
+    ("routes", 30): "af90b6ecaf6f494d7dd959b8efb3af7cbffb5bf1ee730104b977f5ac9aea4b17",
+    ("routes", 120): "c07aff494582c92daa38a7c54d7db880cd919fa6febc2fbea4642e21268b8f64",
+    ("routes", 720): "31d940f872a19f94739790624e7645dba8c575a9a2eeaaa4754d48e5c6c7232e",
+}
+
+
+def test_index_files_match_recorded_digests(walkthrough_index, indexes):
+    got = {"walkthrough": hashlib.sha256(walkthrough_index.to_bytes()).hexdigest()}
+    for key, idx in indexes.items():
+        got[key] = hashlib.sha256(idx.to_bytes()).hexdigest()
+    assert got == FILE_DIGESTS
 
 
 FUZZ_TARGETS = {
