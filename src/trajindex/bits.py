@@ -1,11 +1,11 @@
 """Succinct building blocks: rank/select bit vectors, directly addressable
-codes (DACs) and permutations with sampled inverse shortcuts.
+codes (DACs) and permutations.
 
-These three structures carry every other component of the package: the
-k2-tree is two bit vectors navigated with rank/select, the snapshots group
-object identifiers with a bitmap and a permutation, and all variable-length
+These three structures carry every other component of the package: each
+k2-tree is one bit vector navigated with rank/select, all variable-length
 integer payloads (rule metadata, event side arrays, compressed streams) are
-DAC-encoded.  ``narrow`` gives an integer array the narrowest dtype that
+DAC-encoded, and a ``Permutation`` validates each snapshot's id permutation
+as it is loaded.  ``narrow`` gives an integer array the narrowest dtype that
 holds its range, as the loaded index keeps its tables.
 
 Conventions
@@ -14,16 +14,18 @@ Conventions
   ``rank1(p)`` counts ones among the first ``p`` bits (positions 1..p) and
   ``select1(j)`` returns the 1-based position of the j-th one, with
   ``select1(0) == 0``.  ``p`` may be 0..n.
-* DAC sequences are plain 0-based sequences (``access(i)`` returns the i-th
-  stored value); chunks of the first level are the least significant bits.
+* DAC sequences are plain 0-based sequences; chunks of the first level are
+  the least significant bits, and ``to_list`` decodes them all at once.
 * Permutations are 0-based arrays; ``apply(i)`` is the forward mapping and
-  ``inverse(j)`` walks the cycle, using one sampled shortcut per query.
+  ``inverse(j)`` reads the inverse array.
 
-Bits are kept unpacked (one byte per bit) in memory for fast numpy
-counting; serialized forms are bit-packed little-endian.  The rank
-directory samples cumulative counts every 512 bits (uint32), a 6.25%
-overhead on the packed size.
+Bits are kept unpacked (one byte per bit, in a ``bytes`` object) in memory,
+so a slice of them is cheap to take and to count; serialized forms are
+bit-packed little-endian.  The rank directory samples cumulative counts
+every 512 bits (uint32), a 6.25% overhead on the packed size.
 """
+
+import bisect
 
 import numpy as np
 
@@ -51,7 +53,6 @@ class BitVector:
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.ndim != 1:
             raise ValueError("bits must be one-dimensional")
-        self._bits = bits
         n = len(bits)
         nblocks = (n + _SUPER - 1) // _SUPER
         # _dir[i] = number of ones in the first i superblocks
@@ -64,10 +65,13 @@ class BitVector:
             if whole < n:
                 self._dir[-1] = self._dir[-2] + np.count_nonzero(bits[whole:])
         self._nones = int(self._dir[-1]) if n else 0
+        self._counts = memoryview(self._dir)  # scalar reads give Python ints
+        self._bytes = bits.tobytes()
+        self._bits = np.frombuffer(self._bytes, dtype=np.uint8)  # read-only view
         self._zdir = None  # zero-count directory, built by the first select0
 
     def __len__(self):
-        return len(self._bits)
+        return len(self._bytes)
 
     @property
     def n_ones(self):
@@ -75,21 +79,21 @@ class BitVector:
 
     @property
     def n_zeros(self):
-        return len(self._bits) - self._nones
+        return len(self._bytes) - self._nones
 
     def bit(self, p):
         """Value of the bit at 1-based position p."""
-        return int(self._bits[p - 1])
+        return self._bytes[p - 1]
 
     def rank1(self, p):
         """Number of ones among positions 1..p (p in 0..n)."""
         if p <= 0:
             return 0
         q, r = divmod(p, _SUPER)
-        count = int(self._dir[q])
+        count = self._counts[q]
         if r:
             base = q * _SUPER
-            count += int(np.count_nonzero(self._bits[base:base + r]))
+            count += self._bytes.count(1, base, base + r)
         return count
 
     def rank0(self, p):
@@ -97,14 +101,14 @@ class BitVector:
 
     def select1(self, j):
         """1-based position of the j-th one; select1(0) == 0."""
-        return self._select(j, self._dir, 1)
+        return self._select(j, self._counts, 1)
 
     def select0(self, j):
         """1-based position of the j-th zero; select0(0) == 0."""
         if self._zdir is None:
             # zeros in the first i superblocks: i*SUPER (capped at n) - dir[i]
             blocks = np.arange(len(self._dir), dtype=np.int64) * _SUPER
-            self._zdir = np.minimum(blocks, len(self._bits)) - self._dir
+            self._zdir = memoryview(np.minimum(blocks, len(self._bits)) - self._dir)
         return self._select(j, self._zdir, 0)
 
     def _select(self, j, counts, value):
@@ -114,10 +118,10 @@ class BitVector:
             return 0
         if j < 0 or j > counts[-1]:
             raise ValueError("select%d argument out of range: %d" % (value, j))
-        q = int(np.searchsorted(counts, j, side="left")) - 1
+        q = bisect.bisect_left(counts, j) - 1
         base = q * _SUPER
         # j-th overall is the (j - counts[q])-th inside this block
-        k = j - int(counts[q])
+        k = j - counts[q]
         idx = np.flatnonzero(self._bits[base:base + _SUPER] == value)[k - 1]
         return base + int(idx) + 1
 
@@ -125,8 +129,12 @@ class BitVector:
 
     @property
     def raw(self):
-        """Underlying uint8 array (0-based).  Read-only by convention."""
+        """The bits as a read-only uint8 array (0-based)."""
         return self._bits
+
+    def slots(self, lo, hi):
+        """Bits lo+1..hi as a bytes object, one byte (0 or 1) per bit."""
+        return self._bytes[lo:hi]
 
     def to_bytes(self):
         return np.packbits(self._bits, bitorder="little").tobytes()
@@ -211,12 +219,12 @@ def _dtype_for(width):
 
 
 class DacSequence:
-    """Variable-length integer sequence with random access.
+    """Variable-length integer sequence, decoded whole.
 
     Values are split into per-level chunks; a continuation bitmap per level
     (absent on the last) marks values that extend further, and a level past
-    every value's length stays empty.  ``access(i)`` costs one rank per
-    traversed level; ``to_list`` decodes whole levels and needs no rank.
+    every value's length stays empty.  ``to_list`` decodes whole levels and
+    needs no rank.
     """
 
     def __init__(self, values, widths):
@@ -265,27 +273,6 @@ class DacSequence:
     def __len__(self):
         return self._n
 
-    @property
-    def n_levels(self):
-        return len(self._levels)
-
-    def access(self, i):
-        """Value at 0-based index i."""
-        if i < 0 or i >= self._n:
-            raise IndexError(i)
-        value = 0
-        shift = 0
-        for li in range(len(self._levels)):
-            value |= int(self._levels[li][i]) << shift
-            if li == len(self._cont):
-                break
-            cont = self._cont[li]
-            if not cont.bit(i + 1):
-                break
-            shift += self._widths[li]
-            i = cont.rank1(i + 1) - 1
-        return value
-
     def to_list(self):
         """All values in order, decoded one level at a time from the last.
 
@@ -330,52 +317,16 @@ def unpack_uint_array(data, width, count):
 
 
 class Permutation:
-    """Permutation with inverse queries via sampled cycle shortcuts.
+    """Permutation of 0..n-1 held as its forward and inverse arrays."""
 
-    Every cycle of length >= sample_rate gets a back-pointer at every
-    sample_rate-th element of its walk, so ``inverse`` follows at most about
-    2*sample_rate forward steps.  Shorter cycles are resolved by walking
-    alone.
-    """
-
-    def __init__(self, values, sample_rate=5):
+    def __init__(self, values):
         perm = np.asarray(values, dtype=np.int64)
         n = len(perm)
         if n and (np.sort(perm) != np.arange(n)).any():
             raise ValueError("not a permutation of 0..n-1")
-        if sample_rate < 1:
-            raise ValueError("sample_rate must be >= 1")
         self._perm = perm
-        self._t = sample_rate
-        marks = np.zeros(n, dtype=np.uint8)
-        shortcuts = {}
-        seen = np.zeros(n, dtype=bool)
-        for start in range(n):
-            if seen[start]:
-                continue
-            cycle = []
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                cycle.append(i)
-                i = int(perm[i])
-            L = len(cycle)
-            if L >= sample_rate:
-                for off in range(0, L, sample_rate):
-                    marks[cycle[off]] = 1
-                    shortcuts[cycle[off]] = cycle[(off - sample_rate) % L]
-        self._marks = BitVector(marks)
-        sp = np.zeros(self._marks.n_ones, dtype=np.int64)
-        for pos, target in shortcuts.items():
-            sp[self._marks.rank1(pos + 1) - 1] = target
-        self._sp = sp
-
-    def __len__(self):
-        return len(self._perm)
-
-    @property
-    def sample_rate(self):
-        return self._t
+        self._inv = np.empty(n, dtype=np.int64)
+        self._inv[perm] = np.arange(n)
 
     @property
     def raw(self):
@@ -386,14 +337,4 @@ class Permutation:
 
     def inverse(self, j):
         """The i with apply(i) == j."""
-        perm = self._perm
-        i = j
-        jumped = False
-        while True:
-            if int(perm[i]) == j:
-                return i
-            if not jumped and self._marks.bit(i + 1):
-                i = int(self._sp[self._marks.rank1(i + 1) - 1])
-                jumped = True
-            else:
-                i = int(perm[i])
+        return int(self._inv[j])

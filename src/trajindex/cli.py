@@ -42,7 +42,6 @@ def _add_build_flags(p):
     p.add_argument("--period", type=int, required=True, help="instants per snapshot")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--side", type=int, default=None, help="grid side (power of k)")
-    p.add_argument("--sample-rate", type=int, default=5)
 
 
 def _add_query_flags(p):
@@ -185,9 +184,7 @@ def _build_series(ns):
 
 def _build_index(ns):
     series = _build_series(ns)
-    index = TrajectoryIndex.build(
-        series, ns.period, k=ns.k, side=ns.side, sample_rate=ns.sample_rate
-    )
+    index = TrajectoryIndex.build(series, ns.period, k=ns.k, side=ns.side)
     return series, index
 
 

@@ -10,15 +10,16 @@ instant per object, gaps allowed).  It then:
    emitting spiral move codes and AA/D/RM/RNM events per portion,
 3. compresses all logs jointly with Re-Pair and annotates every rule with
    span / displacement / relative bounding box,
-4. builds one snapshot (k2-tree + id permutation) per multiple of the
-   period.
+4. builds one snapshot (k2-tree + the objects of each cell) per multiple
+   of the period.
 
 The index file stores each fact once.  Loading derives the rest with the
 code that build uses: the rule tables from the pairs, the snapshot and
-portion counts from t_max and the period, and each log's side-array
-offsets, AA/D flags, end instant and checkpoints from its symbols.  In
-memory the logs are one table indexed by log number, and every integer
-table is held in the narrowest dtype for its range.
+portion counts from t_max and the period, each log's side-array offsets,
+AA/D flags, end instant and checkpoints from its symbols, and each
+snapshot's per-cell id groups from its presence bitmap, permutation and Q
+bitmap.  In memory the logs are one table indexed by log number, and every
+integer table is held in the narrowest dtype for its range.
 
 Queries follow the classic plan: anchor at a snapshot (or an appearance /
 disappearance event), seek to the log checkpoint nearest the instant that
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serial, spiral
-from .bits import Permutation
 from .geometry import (
     clip_region,
     contains,
@@ -64,13 +64,12 @@ from .logs import LogStore, move_back, move_jump, move_steps
 from .snapshot import Snapshot
 
 MAGIC = b"GCTI"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 HEADER = MAGIC + FORMAT_VERSION.to_bytes(2, "little")
 # the params section's scalars in file order, as (name, ByteWriter/ByteReader method)
 PARAM_FIELDS = (
     ("k", "u32"), ("period", "u64"), ("side", "u64"), ("t_max", "u64"),
     ("max_speed", "u64"), ("raw_symbols", "u64"), ("n_objects", "u64"),
-    ("sample_rate", "u16"),
 )
 
 
@@ -83,7 +82,6 @@ class IndexParams:
     t_max: int
     max_speed: int
     raw_symbols: int
-    sample_rate: int = 5
 
 
 class Counters(dict):
@@ -108,16 +106,15 @@ class TrajectoryIndex:
     # ------------------------------------------------------------------
 
     @classmethod
-    def build(cls, series, period, k=2, side=None, sample_rate=5):
+    def build(cls, series, period, k=2, side=None):
         """Build from normalized per-object segments.
 
         ``series``: {object id: [(start instant, [(x, y), ...]), ...]} with
         strictly increasing, non-overlapping segments per object.
         """
-        if not (1 <= period < 2**63 and 2 <= k <= MAX_K and 1 <= sample_rate <= 0xFFFF):
+        if not (1 <= period < 2**63 and 2 <= k <= MAX_K):
             raise ValueError(
-                "period %d, k %d or sample_rate %d out of range (period 1..2^63-1, k 2..%d, "
-                "sample_rate 1..65535)" % (period, k, sample_rate, MAX_K)
+                "period %d or k %d out of range (period 1..2^63-1, k 2..%d)" % (period, k, MAX_K)
             )
         ids = sorted(series.keys())
         if ids and not (ids[0] >= 0 and ids[-1] < 2**63):
@@ -243,7 +240,6 @@ class TrajectoryIndex:
             t_max=t_max,
             max_speed=max_speed,
             raw_symbols=raw_symbols,
-            sample_rate=sample_rate,
         )
         logs = LogStore(rules, period, t_max, side, syms_all, portions)
 
@@ -258,7 +254,7 @@ class TrajectoryIndex:
                 i = int(idx[hh])
                 snap_positions[hh].append((o, int(xs[i]), int(ys[i])))
         snapshots = [
-            Snapshot.build(hh * period, positions, k, side, len(ids), sample_rate)
+            Snapshot.build(hh * period, positions, k, side, len(ids))
             for hh, positions in enumerate(snap_positions)
         ]
         return cls(params, np.asarray(ids, dtype=np.int64), snapshots, logs, rules)
@@ -664,12 +660,13 @@ class TrajectoryIndex:
 
     def _snapshot_payload(self, h):
         s = self.snapshots[h]
+        present, perm, q = s.file_fields()
         w = serial.ByteWriter()
         serial.write_bitvector(w, s.tree.t)
         serial.write_bitvector(w, s.tree.l)
-        serial.write_bitvector(w, s.present)
-        serial.write_uint_array(w, s.perm.raw)
-        serial.write_bitvector(w, s.q)
+        serial.write_bitvector(w, present)
+        serial.write_uint_array(w, perm)
+        serial.write_bitvector(w, q)
         return w.getvalue()
 
     def save(self, path):
@@ -766,15 +763,9 @@ class TrajectoryIndex:
             q = serial.read_bitvector(sr2)
             try:
                 tree = K2Tree(k, params.side, t_bits, l_bits)
-                perm = Permutation(perm_vals, params.sample_rate)
-                snapshots.append(Snapshot(h * period, tree, present, perm, q))
+                snapshots.append(Snapshot.load(h * period, tree, present, perm_vals, q, n_objects))
             except ValueError as e:
                 raise serial.SerializationError("snapshot %d: %s" % (h, e)) from e
-            if len(present) != n_objects:
-                raise serial.SerializationError(
-                    "snapshot %d presence bitmap covers %d objects, not %d"
-                    % (h, len(present), n_objects)
-                )
         if not r.at_end():
             raise serial.SerializationError("trailing data after final section")
         return cls(params, ids, snapshots, logs, rules)

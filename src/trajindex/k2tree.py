@@ -3,11 +3,15 @@
 The grid (side = k^height) is split into k x k sub-squares, row-major with
 ascending y then ascending x; each sub-square contributes one bit (1 when it
 contains at least one occupied cell).  Non-empty sub-squares recurse.  Bits
-of all internal levels are concatenated level by level into T; the last
-level (individual cells) goes to L.  A node whose bit is the c-th one of T
-finds its k^2 children at positions c*k^2 .. c*k^2+k^2-1 of the combined
-T:L position space, so navigation both downward (rank) and upward (select)
-needs no pointers.
+of all levels are concatenated level by level into one bitmap T:L; the
+internal levels make up T and the last level (individual cells) makes up L,
+which the file stores apart.  A node is numbered by the rank of its bit in
+T:L, the root being node 0.  Node c is internal while c is at most the
+number of ones in T, and finds its k^2 child slots at positions
+c*k^2 .. c*k^2+k^2-1 (0-based); past that it is an occupied cell.  So
+navigation both downward (rank) and upward (select) needs no pointers, and
+every walk expands a node the same way: one slice of its k^2 slots and one
+rank for the number of its first child.
 
 Occupied cells are numbered 1..m in L order ("leaf rank"); snapshots attach
 per-cell object groups through that numbering.
@@ -33,21 +37,22 @@ MAX_SIDE = math.isqrt(2**63)
 
 class K2Tree:
     def __init__(self, k, side, t_bits, l_bits):
+        """``t_bits``, ``l_bits``: T and L as uint8 arrays of 0s and 1s."""
         self.k = k
         self.side = side
         self.height = height_of(k, side)
-        self.t = t_bits
-        self.l = l_bits
+        self.bits = BitVector(np.concatenate([t_bits, l_bits]))
+        self.len_t = len_t = len(t_bits)
         # level 1 has k^2 bits, each later level k^2 per one of the level
-        # before; levels 1..height-1 fill T and level height is L (a level
-        # running past T leaves pos past its end)
+        # before; levels 1..height-1 fill T and level height is L
         kk = k * k
         pos, size = 0, kk
         for _ in range(self.height - 1):
-            ones = int(np.count_nonzero(t_bits.raw[pos:pos + size]))
+            ones = int(np.count_nonzero(self.bits.raw[pos:pos + size]))
             pos, size = pos + size, kk * ones
-        if pos != len(t_bits) or size != len(l_bits):
+        if pos != len_t or pos + size != len(self.bits):
             raise ValueError("k2-tree level sizes disagree with T and L")
+        self.t_ones = self.bits.rank1(len_t)
 
     # -- construction -----------------------------------------------------
 
@@ -72,54 +77,68 @@ class K2Tree:
             parents = nodes
         l_part = levels.pop()  # with no cells, every level past the first is empty
         t_all = np.concatenate([np.zeros(0, dtype=np.uint8), *levels])
-        return cls(k, side, BitVector(t_all), BitVector(l_part))
+        return cls(k, side, t_all, l_part)
+
+    @property
+    def t(self):
+        """The internal levels' bits, as the file stores them."""
+        return self.bits.raw[:self.len_t]
+
+    @property
+    def l(self):
+        """The cells' bits, as the file stores them."""
+        return self.bits.raw[self.len_t:]
 
     # -- point access ------------------------------------------------------
 
     def n_leaves(self):
-        return self.l.n_ones
+        return self.bits.n_ones - self.t_ones
 
     def cell(self, x, y):
         """Leaf rank (1-based, in L order) of cell (x, y); None when empty."""
         if not (0 <= x < self.side and 0 <= y < self.side):
             return None
-        k, kk = self.k, self.k * self.k
-        len_t = len(self.t)
-        group = 0
+        k = self.k
+        node = 0
         sub = self.side
-        lx, ly = x, y
-        for level in range(1, self.height + 1):
+        for _ in range(self.height):
             sub //= k
-            cy, ly = divmod(ly, sub)
-            cx, lx = divmod(lx, sub)
-            pos = group * kk + (cy * k + cx)
-            if level == self.height:
-                if not self.l.bit(pos - len_t + 1):
-                    return None
-                return self.l.rank1(pos - len_t + 1)
-            if not self.t.bit(pos + 1):
+            cy, y = divmod(y, sub)
+            cx, x = divmod(x, sub)
+            pos = node * k * k + cy * k + cx + 1
+            if not self.bits.bit(pos):
                 return None
-            group = self.t.rank1(pos + 1)
-        return None
+            node = self.bits.rank1(pos)
+        return node - self.t_ones
 
     def locate(self, leaf_rank):
         """Cell (x, y) of the leaf with the given 1-based rank."""
-        kk = self.k * self.k
-        pos = len(self.t) + self.l.select1(leaf_rank) - 1
-        digits = []
-        while True:
-            digits.append(pos % kk)
-            group = pos // kk
-            if group == 0:
-                break
-            pos = self.t.select1(group) - 1
+        k, kk = self.k, self.k * self.k
+        pos = self.bits.select1(self.t_ones + leaf_rank) - 1
         x = y = 0
-        sub = self.side
-        for d in reversed(digits):
-            sub //= self.k
-            y += (d // self.k) * sub
-            x += (d % self.k) * sub
-        return (x, y)
+        sub = 1  # the side of the sub-square at pos, walking up from a cell
+        while True:
+            node, slot = divmod(pos, kk)
+            y += (slot // k) * sub
+            x += (slot % k) * sub
+            if node == 0:
+                return (x, y)
+            sub *= k
+            pos = self.bits.select1(node) - 1
+
+    def _children(self, node):
+        """(slot, node) of each child of internal ``node``, in slot order."""
+        kk = self.k * self.k
+        base = node * kk
+        child = self.bits.rank1(base)
+        slots = self.bits.slots(base, base + kk)
+        out = []
+        slot = slots.find(1)
+        while slot >= 0:
+            child += 1
+            out.append((slot, child))
+            slot = slots.find(1, slot + 1)
+        return out
 
     # -- region access -----------------------------------------------------
 
@@ -128,27 +147,21 @@ class K2Tree:
         out = []
         if region is None:
             return out
-        k, kk = self.k, self.k * self.k
-        len_t = len(self.t)
+        k, t_ones = self.k, self.t_ones
 
-        def visit(group, level, x0, y0, size):
+        def visit(node, x0, y0, size):
             sub = size // k
-            base = group * kk
-            for ci in range(kk):
-                cx0 = x0 + (ci % k) * sub
-                cy0 = y0 + (ci // k) * sub
-                box = (cx0, cy0, cx0 + sub - 1, cy0 + sub - 1)
-                if not regions_intersect(box, region):
+            for slot, child in self._children(node):
+                cx0 = x0 + (slot % k) * sub
+                cy0 = y0 + (slot // k) * sub
+                if not regions_intersect((cx0, cy0, cx0 + sub - 1, cy0 + sub - 1), region):
                     continue
-                pos = base + ci
-                if level == self.height:
-                    if self.l.bit(pos - len_t + 1):
-                        out.append((cx0, cy0, self.l.rank1(pos - len_t + 1)))
-                elif self.t.bit(pos + 1):
-                    visit(self.t.rank1(pos + 1), level + 1, cx0, cy0, sub)
+                if child > t_ones:
+                    out.append((cx0, cy0, child - t_ones))
+                else:
+                    visit(child, cx0, cy0, sub)
 
-        if len(self.l):
-            visit(0, 1, 0, 0, self.side)
+        visit(0, 0, 0, self.side)
         return out
 
     def nodes_by_distance(self, qx, qy):
@@ -159,37 +172,24 @@ class K2Tree:
         in discovery order.  The caller may simply stop consuming once
         distances exceed its cut-off.
         """
-        k, kk = self.k, self.k * self.k
-        len_t = len(self.t)
+        k, t_ones = self.k, self.t_ones
         q = (qx, qy)
         root_box = (0, 0, self.side - 1, self.side - 1)
-        # (dist, counter, level of the entry's children, T rank or leaf rank, box)
-        heap = [(dist_point_region(q, root_box), 0, 1, 0, root_box)]
+        # (dist, counter, node, box)
+        heap = [(dist_point_region(q, root_box), 0, 0, root_box)]
         counter = 1
         while heap:
-            dist, _, level, payload, box = heapq.heappop(heap)
-            if level > self.height:
-                yield box[0], box[1], payload, dist
+            dist, _, node, box = heapq.heappop(heap)
+            if node > t_ones:
+                yield box[0], box[1], node - t_ones, dist
                 continue
             x0, y0 = box[0], box[1]
             sub = (box[2] - x0 + 1) // k
-            base = payload * kk
-            for ci in range(kk):
-                pos = base + ci
-                if level == self.height:
-                    if not self.l.bit(pos - len_t + 1):
-                        continue
-                    child = self.l.rank1(pos - len_t + 1)
-                elif self.t.bit(pos + 1):
-                    child = self.t.rank1(pos + 1)
-                else:
-                    continue
-                cx0 = x0 + (ci % k) * sub
-                cy0 = y0 + (ci // k) * sub
+            for slot, child in self._children(node):
+                cx0 = x0 + (slot % k) * sub
+                cy0 = y0 + (slot // k) * sub
                 cbox = (cx0, cy0, cx0 + sub - 1, cy0 + sub - 1)
-                heapq.heappush(
-                    heap, (dist_point_region(q, cbox), counter, level + 1, child, cbox)
-                )
+                heapq.heappush(heap, (dist_point_region(q, cbox), counter, child, cbox))
                 counter += 1
 
 

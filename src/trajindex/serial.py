@@ -112,15 +112,17 @@ def read_uint_array(r):
     return unpack_uint_array(data, width, count).astype(np.int64)
 
 
-def write_bitvector(w, bv):
-    w.u64(len(bv))
-    w.raw(bv.to_bytes())
+def write_bitvector(w, bits):
+    """``bits``: a uint8 array of 0s and 1s."""
+    w.u64(len(bits))
+    w.raw(np.packbits(bits, bitorder="little").tobytes())
 
 
 def read_bitvector(r):
+    """The bits as a uint8 array of 0s and 1s."""
     n = r.u64()
     data = r.raw((n + 7) // 8)
-    return BitVector.from_bytes(data, n)
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n, bitorder="little")
 
 
 def write_dac(w, dac):

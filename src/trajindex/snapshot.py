@@ -1,17 +1,22 @@
-"""Absolute positions at one instant: k2-tree + object permutation.
+"""Absolute positions at one instant: a k2-tree plus the objects per cell.
 
-The k2-tree records which cells are occupied.  Object ids are attached to
-its leaves through a permutation: list the present objects cell by cell in
-leaf order, and write down each one's presence rank (its 0-based rank among
-the present ids).  A companion bitmap Q marks group boundaries — 1 for a
-non-final member of a cell's group, 0 for the last — so the group of the
-i-th occupied leaf sits between select0(Q, i-1)+1 and select0(Q, i).
+The k2-tree records which cells are occupied, and numbers them 1..m in leaf
+order.  In memory a snapshot holds three narrow arrays beside it:
 
-Lookups run both ways: from an object id, presence-rank -> permutation
-inverse -> Q rank gives the leaf, and the tree walks upward to the cell;
-from a cell, the tree gives the leaf rank and Q + the permutation give the
-ids.  A presence bitmap over all object ids maps between global ids and
-presence ranks (objects may be absent from any given snapshot).
+* ``ids`` — the present object ids, cell by cell in leaf order (build
+  sorts each cell's ids);
+* ``group`` — where each cell's ids start: the ids of leaf r are
+  ``ids[group[r-1]:group[r]]``;
+* ``leaf`` — each object id's leaf rank, 0 when the object is absent.
+
+So an object's cell is one lookup plus ``K2Tree.locate``, and a cell's
+objects are one slice.
+
+The file keeps the paper's layout instead: a presence bitmap over all ids,
+a permutation listing the presence ranks (0-based ranks among the present
+ids) in leaf order, and a bitmap Q marking group boundaries, 1 for a
+non-final member of a cell's group and 0 for the last.  ``load`` derives the
+arrays from those fields and ``file_fields`` gives them back.
 
 The ids absent here that appear before the next snapshot, and those that
 stopped emitting in the portion before, follow from the logs' AA and D
@@ -20,22 +25,31 @@ events; ``LogStore.appearing`` and ``LogStore.disappeared`` list them.
 
 import numpy as np
 
-from .bits import BitVector, Permutation
+from .bits import Permutation, narrow
 from .k2tree import K2Tree, path_keys
 
 
 class Snapshot:
-    def __init__(self, time, tree, present, perm, q):
-        if not (present.n_ones == len(perm) == len(q)) or q.n_zeros != tree.n_leaves():
-            raise ValueError("presence bitmap, permutation, Q bitmap and k2-tree disagree")
+    def __init__(self, time, tree, ids, group, leaf):
         self.time = time
         self.tree = tree
-        self.present = present
-        self.perm = perm
-        self.q = q
+        self.ids = narrow(ids)
+        self.group = narrow(group)
+        self.leaf = narrow(leaf)
+        # scalar reads go through memoryviews, which give Python ints
+        self._ids = memoryview(self.ids)
+        self._group = memoryview(self.group)
 
     @classmethod
-    def build(cls, time, positions, k, side, n_objects, sample_rate=5):
+    def _from_q(cls, time, tree, ids, q, n_objects):
+        """From the ids in leaf order and the Q bits over them."""
+        group = np.concatenate([[0], np.flatnonzero(q == 0) + 1])
+        leaf = np.zeros(n_objects, dtype=np.int64)
+        leaf[ids] = np.repeat(np.arange(1, len(group)), np.diff(group))
+        return cls(time, tree, ids, group, leaf)
+
+    @classmethod
+    def build(cls, time, positions, k, side, n_objects):
         """``positions``: (object id, x, y) triples, at most one per object."""
         if positions:
             oids = np.asarray([p[0] for p in positions], dtype=np.int64)
@@ -45,46 +59,54 @@ class Snapshot:
             oids = xs = ys = np.zeros(0, dtype=np.int64)
         if len(np.unique(oids)) != len(oids):
             raise ValueError("duplicate object in snapshot input")
-        order0 = np.argsort(oids)
-        oids, xs, ys = oids[order0], xs[order0], ys[order0]
-        present_bits = np.zeros(n_objects, dtype=np.uint8)
-        present_bits[oids] = 1
         tree = K2Tree.build(k, side, xs, ys)
-        # arrange presence ranks (0..m-1, ascending id) by leaf then id
+        # order by leaf, then by id; a group ends where the cell changes
         keys = path_keys(k, side, xs, ys)
-        order = np.lexsort((np.arange(len(oids)), keys))
-        perm = Permutation(order, sample_rate)
-        keys_sorted = keys[order]
-        q_bits = np.zeros(len(oids), dtype=np.uint8)
-        if len(oids):
-            q_bits[:-1] = (keys_sorted[1:] == keys_sorted[:-1]).astype(np.uint8)
-        return cls(time, tree, BitVector(present_bits), perm, BitVector(q_bits))
+        order = np.lexsort((oids, keys))
+        keys = keys[order]
+        q = np.zeros(len(oids), dtype=np.uint8)
+        q[:-1] = keys[1:] == keys[:-1]
+        return cls._from_q(time, tree, oids[order], q, n_objects)
+
+    @classmethod
+    def load(cls, time, tree, present, perm, q, n_objects):
+        """From the file's fields: presence and Q bits as uint8 arrays, and
+        the permutation's values."""
+        if len(present) != n_objects:
+            raise ValueError(
+                "presence bitmap covers %d objects, not %d" % (len(present), n_objects)
+            )
+        present_ids = np.flatnonzero(present)
+        perm = Permutation(perm).raw
+        if not len(present_ids) == len(perm) == len(q):
+            raise ValueError("presence bitmap, permutation and Q bitmap disagree")
+        if len(q) and q[-1]:
+            raise ValueError("Q bitmap leaves the last group open")
+        if len(q) - np.count_nonzero(q) != tree.n_leaves():
+            raise ValueError("Q bitmap and k2-tree disagree on the occupied cells")
+        return cls._from_q(time, tree, present_ids[perm], q, n_objects)
+
+    def file_fields(self):
+        """(presence bits, permutation values, Q bits) as the file stores them."""
+        present = (self.leaf > 0).astype(np.uint8)
+        rank = np.cumsum(present, dtype=np.int64) - 1  # presence rank per id
+        q = np.ones(len(self.ids), dtype=np.uint8)
+        q[self.group[1:].astype(np.int64) - 1] = 0
+        return present, rank[self.ids], q
 
     def find_object(self, oid):
         """Cell of an object, or None when it is absent from this snapshot."""
-        if not self.present.bit(oid + 1):
-            return None
-        rank = self.present.rank1(oid + 1) - 1
-        pos = self.perm.inverse(rank)
-        leaf = self.q.rank0(pos) + 1
-        return self.tree.locate(leaf)
-
-    def _group_ids(self, leaf_rank):
-        start = self.q.select0(leaf_rank - 1) + 1
-        end = self.q.select0(leaf_rank)
-        out = []
-        for pos in range(start, end + 1):
-            rank = self.perm.apply(pos - 1)
-            out.append(self.present.select1(rank + 1) - 1)
-        return out
+        leaf = int(self.leaf[oid])
+        return self.tree.locate(leaf) if leaf else None
 
     def objects_in_region(self, region):
         """(object id, position) pairs inside a region, in leaf/group order."""
         if region is None:
             return []
+        ids, group = self._ids, self._group
         out = []
         for x, y, leaf in self.tree.range_report(region):
-            for oid in self._group_ids(leaf):
+            for oid in ids[group[leaf - 1]:group[leaf]]:
                 out.append((oid, (x, y)))
         return out
 
@@ -96,6 +118,7 @@ class Snapshot:
         ordered, a consumer may stop at the first entry whose distance
         exceeds its cut-off.
         """
+        ids, group = self._ids, self._group
         for x, y, leaf, dist in self.tree.nodes_by_distance(qx, qy):
-            for oid in self._group_ids(leaf):
+            for oid in ids[group[leaf - 1]:group[leaf]]:
                 yield oid, (x, y), dist

@@ -98,27 +98,24 @@ class TestChunkWidths:
 class TestDacSequence:
     def test_two_level_example(self):
         dac = DacSequence.fixed([1, 300, 5], chunk_bits=8, max_levels=2)
-        assert dac.access(1) == 300
-        assert [dac.access(i) for i in range(3)] == [1, 300, 5]
-        n, widths, levels, _conts = dac.parts
+        assert dac.to_list() == [1, 300, 5]
+        n, widths, levels, conts = dac.parts
         assert n == 3
+        assert widths == [8, 8]
         assert levels[0][1] == 44  # low byte of 300
         assert levels[1][0] == 1  # high chunk of 300
+        assert conts[0].raw.tolist() == [0, 1, 0]  # only 300 continues
 
     def test_fixed_respects_level_cap(self):
         dac = DacSequence.fixed([2**23 - 1], chunk_bits=8, max_levels=2)
-        assert dac.n_levels <= 2
-        assert dac.access(0) == 2**23 - 1
+        _n, widths, levels, _conts = dac.parts
+        assert widths == [8, 15] and len(levels) == 2
+        assert dac.to_list() == [2**23 - 1]
 
     def test_empty(self):
         dac = DacSequence.optimal([])
         assert len(dac) == 0
         assert dac.to_list() == []
-
-    def test_access_out_of_range(self):
-        dac = DacSequence.optimal([1, 2])
-        with pytest.raises(IndexError):
-            dac.access(2)
 
     @given(st.lists(st.integers(0, 2**48), min_size=0, max_size=120))
     def test_access_matches_values(self, values):
@@ -148,28 +145,27 @@ class TestPackedArrays:
 
 class TestPermutation:
     def test_single_cycle(self):
-        perm = Permutation([2, 0, 1], sample_rate=2)
+        perm = Permutation([2, 0, 1])
         assert [perm.apply(i) for i in range(3)] == [2, 0, 1]
         assert [perm.inverse(j) for j in [2, 0, 1]] == [0, 1, 2]
 
-    @pytest.mark.parametrize("rate", [1, 2, 5, 32])
-    def test_inverse_round_trip(self, rate):
-        rng = np.random.default_rng(rate)
+    @pytest.mark.parametrize("seed", [1, 2, 5, 32])
+    def test_inverse_round_trip(self, seed):
+        rng = np.random.default_rng(seed)
         for n in [1, 2, 5, 17, 64, 200]:
             values = rng.permutation(n)
-            perm = Permutation(values, sample_rate=rate)
+            perm = Permutation(values)
             for i in range(n):
                 assert perm.inverse(perm.apply(i)) == i
                 assert perm.apply(perm.inverse(i)) == i
 
     def test_identity_and_reversal(self):
         for values in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0]):
-            perm = Permutation(values, sample_rate=5)
+            perm = Permutation(values)
             for i, v in enumerate(values):
                 assert perm.apply(i) == v
                 assert perm.inverse(v) == i
 
     def test_raw_preserved(self):
-        perm = Permutation([3, 1, 2, 0], sample_rate=2)
+        perm = Permutation([3, 1, 2, 0])
         assert [int(v) for v in perm.raw] == [3, 1, 2, 0]
-        assert perm.sample_rate == 2

@@ -87,7 +87,7 @@ class TestBuild:
         "flag",
         [
             ("--k", "1"),
-            ("--sample-rate", "70000"),
+            ("--period", "0"),
             ("--k", "257"),
             ("--period", "9223372036854775808"),
             ("--side", "1099511627776"),

@@ -16,8 +16,8 @@ def build_from_cells(cells, side=16, k=2):
 
 def test_single_cell_bitmaps():
     tree = build_from_cells([(0, 0)], side=4)
-    assert list(tree.t.raw) == [1, 0, 0, 0]
-    assert list(tree.l.raw) == [1, 0, 0, 0]
+    assert list(tree.t) == [1, 0, 0, 0]
+    assert list(tree.l) == [1, 0, 0, 0]
 
 
 def test_cell_and_locate_round_trip():

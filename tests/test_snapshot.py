@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from trajindex import TrajectoryIndex
+from trajindex.bits import BitVector, narrow
 from trajindex.snapshot import Snapshot
 
 
@@ -15,7 +17,7 @@ class TestWalkthroughMiddleSnapshot:
 
     def test_presence(self, s8):
         assert s8.time == 8
-        assert s8.present.n_ones == 3
+        assert len(s8.ids) == 3
         assert [s8.find_object(o) is not None for o in range(7)] == [
             True, True, False, True, False, False, False,
         ]
@@ -60,7 +62,7 @@ class TestEdgeSnapshots:
     def test_first_snapshot_has_no_predecessors(self, walkthrough_index):
         s0 = walkthrough_index.snapshots[0]
         assert s0.time == 0
-        assert s0.present.n_ones == 6  # everyone but object 7
+        assert len(s0.ids) == 6  # everyone but object 7
         logs = walkthrough_index.logs
         assert list(logs.appearing(0)) == []  # nobody appears mid-portion-0
         assert list(logs.disappeared(0)) == []
@@ -68,7 +70,7 @@ class TestEdgeSnapshots:
     def test_last_snapshot(self, walkthrough_index):
         s16 = walkthrough_index.snapshots[2]
         assert s16.time == 16
-        assert s16.present.n_ones == 7
+        assert len(s16.ids) == 7
         logs = walkthrough_index.logs
         assert list(logs.appearing(2)) == [] and list(logs.disappeared(2)) == []
         assert s16.find_object(6) == (12, 1)
@@ -93,9 +95,15 @@ class TestGrouping:
         assert shared.objects_in_region((0, 0, 0, 0)) == []
 
     def test_group_boundary_bits(self, shared):
-        # one non-final member (the shared cell) -> exactly one 1-bit
-        assert shared.q.n_ones == 1
-        assert shared.q.n_zeros == 2
+        # two cells: the shared one (leaf 1) holds objects 0 and 1
+        assert shared.ids.tolist() == [0, 1, 2]
+        assert shared.group.tolist() == [0, 2, 3]
+        assert shared.leaf.tolist() == [1, 1, 2]
+        # the file's Q bitmap has one non-final member (the shared cell)
+        present, perm, q = shared.file_fields()
+        assert present.tolist() == [1, 1, 1]
+        assert perm.tolist() == [0, 1, 2]
+        assert q.tolist() == [1, 0, 0]
 
     def test_find_object_in_shared_cell(self, shared):
         assert shared.find_object(0) == (3, 3)
@@ -114,7 +122,8 @@ class TestGrouping:
 
     def test_empty_snapshot(self):
         snap = Snapshot.build(0, [], k=2, side=4, n_objects=5)
-        assert snap.present.n_ones == 0
+        assert len(snap.ids) == 0 and snap.group.tolist() == [0]
+        assert snap.leaf.tolist() == [0] * 5
         assert snap.find_object(3) is None
         assert snap.objects_in_region((0, 0, 3, 3)) == []
         assert list(snap.candidates_by_distance(0, 0)) == []
@@ -126,6 +135,21 @@ def test_locate_round_trip(walkthrough_index):
         for oid in range(7):
             cell = snap.find_object(oid)
             if cell is None:
-                assert not snap.present.bit(oid + 1)
+                assert snap.leaf[oid] == 0
             else:
                 assert oid in [o for o, _ in snap.objects_in_region(cell + cell)]
+
+
+def test_load_derives_the_built_arrays(indexes):
+    """Loading derives each snapshot's arrays as build made them, each in
+    its narrowest dtype, and the only bit vector a snapshot holds is its
+    k2-tree's T:L."""
+    for idx in indexes.values():
+        loaded = TrajectoryIndex.from_bytes(idx.to_bytes())
+        for built, snap in zip(idx.snapshots, loaded.snapshots):
+            for name in ("ids", "group", "leaf"):
+                want, got = getattr(built, name), getattr(snap, name)
+                assert got.tolist() == want.tolist()
+                assert got.dtype == want.dtype == narrow(got).dtype
+            held = [v for obj in (snap, snap.tree) for v in vars(obj).values()]
+            assert [type(v) for v in held if isinstance(v, BitVector)] == [BitVector]
