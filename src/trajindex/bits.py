@@ -232,7 +232,7 @@ class DacSequence:
         self._n = len(values)
         self._widths = list(widths)
         self._levels = []  # chunk arrays, least significant level first
-        self._cont = []  # continuation BitVector per non-last level
+        self._cont = []  # continuation bits (uint8 0/1) per non-last level
         rem = values.copy()
         for li, w in enumerate(self._widths):
             mask = np.uint64((1 << w) - 1)
@@ -244,7 +244,7 @@ class DacSequence:
                     raise ValueError("values do not fit the level widths")
             else:
                 more = rem != 0
-                self._cont.append(BitVector(more.astype(np.uint8)))
+                self._cont.append(more.astype(np.uint8))
                 rem = rem[more]
 
     @classmethod
@@ -267,7 +267,7 @@ class DacSequence:
 
     @property
     def parts(self):
-        """(n, widths, level chunk arrays, continuation bitmaps)."""
+        """(n, widths, level chunk arrays, continuation bit arrays)."""
         return self._n, list(self._widths), self._levels, self._cont
 
     def __len__(self):
@@ -282,7 +282,7 @@ class DacSequence:
         values = self._levels[-1].astype(np.uint64)
         for li in range(len(self._cont) - 1, -1, -1):
             low = self._levels[li].astype(np.uint64)
-            low[self._cont[li].raw == 1] |= values << np.uint64(self._widths[li])
+            low[self._cont[li] == 1] |= values << np.uint64(self._widths[li])
             values = low
         return values.tolist()
 

@@ -16,15 +16,16 @@ instant per object, gaps allowed).  It then:
 The index file stores each fact once.  Loading derives the rest with the
 code that build uses: the rule tables from the pairs, the snapshot and
 portion counts from t_max and the period, each log's side-array offsets,
-AA/D flags, end instant and checkpoints from its symbols, and each
-snapshot's per-cell id groups from its presence bitmap, permutation and Q
-bitmap.  In memory the logs are one table indexed by log number, and every
-integer table is held in the narrowest dtype for its range.
+AA/D flags, end instant, checkpoints and block boxes from its symbols, and
+each snapshot's per-cell id groups from its presence bitmap, permutation
+and Q bitmap.  In memory the logs are one table indexed by log number, and
+every integer table is held in the narrowest dtype for its range.
 
 Queries follow the classic plan: anchor at a snapshot (or an appearance /
 disappearance event), seek to the log checkpoint nearest the instant that
 matters, then walk the compressed log forward or backward from there,
-jumping whole rules whenever their metadata proves they cannot matter.
+jumping whole rules whenever their metadata proves they cannot matter (a
+time interval also passes over whole checkpoint blocks by their boxes).
 ``counters`` tracks how many symbols each traversal family touched, which
 the pruning tests compare across debug flags (``use_mbr`` / ``use_er``).
 
@@ -516,45 +517,48 @@ class TrajectoryIndex:
 
     def _interval_scan(self, oid, t_c, p_c, t_b, t_e, t_last, r, use_mbr, use_er):
         m_sp = self.params.max_speed
-        side = self.params.side
         rules = self.rules
         span, dx, dy, pairs = rules.sym_span, rules.sym_dx, rules.sym_dy, rules.sym_pairs
         nt_base = rules.nt_base
-        bump = self.counters.bump
-        for sym, t, p in self.logs.elements(oid, t_c, p_c, t_last, seek=t_b):
-            stack = [sym]  # None for an event
-            while stack and t_c < t_last:
-                s = stack.pop()
-                bump("interval_symbols")
-                if s is None:  # the event sets the state
-                    t_c, p_c = t, p
-                else:
-                    if t_c + span[s] < t_b:  # fully before the window: pure skip
-                        t_c, p_c = t_c + span[s], (p_c[0] + dx[s], p_c[1] + dy[s])
-                        continue
-                    if use_mbr:
-                        box = rules.box(s, *p_c)
-                        if not regions_intersect(box, r):
-                            # cannot touch r anywhere inside: consume whole, even
-                            # past t_last — the portion log bounds the span anyway
-                            t_c, p_c = t_c + span[s], (p_c[0] + dx[s], p_c[1] + dy[s])
+        x1, y1, x2, y2 = r
+        x, y = p_c
+        walk = self.logs.elements(oid, t_c, p_c, t_last, seek=t_b, region=r if use_mbr else None)
+        n = 0  # symbols touched, counted once per scan
+        try:
+            for sym, t, p in walk:
+                stack = [sym]  # None for an event
+                while stack and t_c < t_last:
+                    s = stack.pop()
+                    n += 1
+                    if s is None:  # the event sets the state
+                        t_c, (x, y) = t, p
+                    else:
+                        if t_c + span[s] < t_b:  # fully before the window: pure skip
+                            t_c, x, y = t_c + span[s], x + dx[s], y + dy[s]
                             continue
-                        if s >= nt_base and region_in_region(box, r):
-                            return True
-                    if s >= nt_base:
-                        stack.append(pairs[s, 1])
-                        stack.append(pairs[s, 0])
-                        continue
-                    t_c, p_c = t_c + 1, (p_c[0] + dx[s], p_c[1] + dy[s])
-                if t_b <= t_c <= t_e and contains(r, *p_c):
-                    return True
-                if (
-                    use_er
-                    and t_c < t_last
-                    and not contains(expanded_region(r, t_c, t_last, m_sp, side), *p_c)
-                ):
-                    return False
-        return False
+                        if use_mbr:
+                            box = rules.box(s, x, y)
+                            if not regions_intersect(box, r):
+                                # cannot touch r anywhere inside: consume whole, even
+                                # past t_last — the portion log bounds the span anyway
+                                t_c, x, y = t_c + span[s], x + dx[s], y + dy[s]
+                                continue
+                            if s >= nt_base and region_in_region(box, r):
+                                return True
+                        if s >= nt_base:
+                            stack.append(pairs[s, 1])
+                            stack.append(pairs[s, 0])
+                            continue
+                        t_c, x, y = t_c + 1, x + dx[s], y + dy[s]
+                    if t_b <= t_c <= t_e and x1 <= x <= x2 and y1 <= y <= y2:
+                        return True
+                    # r is out of reach by t_last: more than max_speed cells per
+                    # instant away along an axis (Chebyshev distance)
+                    if use_er and max(x1 - x, x - x2, y1 - y, y - y2) > m_sp * (t_last - t_c):
+                        return False
+            return False
+        finally:
+            self.counters.bump("interval_symbols", n)
 
     # ------------------------------------------------------------------
     # k nearest neighbours

@@ -28,9 +28,13 @@ instant/position so backward traversals can anchor on it).
 
 Every ``STRIDE`` compressed symbols after its opening AA, a log has a
 checkpoint: the instant, position and D/P side-array cursors before that
-symbol, relative to the log's start.  They follow from the symbols, the
-rule tables and the side arrays, so they are derived on construction and
-never stored in a file.
+symbol, relative to the log's start.  The log starts and checkpoints cut
+the logs into blocks of at most ``STRIDE`` symbols, and each block has a
+box holding every position it visits, relative to where it starts: the
+rules' MBR idea one level up, so a walk can pass over a block that misses
+a query region.  Checkpoints and boxes follow from the symbols, the rule
+tables and the side arrays, so they are derived on construction and never
+stored in a file.
 
 Traversal primitives:
 
@@ -39,7 +43,8 @@ Traversal primitives:
   ``(sym, t, p)`` state per element: a move symbol with the state it
   reaches applied whole, or ``sym=None`` with the state an AA/RM/RNM or a
   checkpoint sets.  Given a seek instant, it enters each log at the last
-  checkpoint at or before that instant and walks on from there;
+  checkpoint at or before that instant and walks on from there; given a
+  region, it passes over each block whose box misses it;
 * ``LogStore.elements_backward`` — the mirror over one portion's log, read
   in place from its end, or with seeking from the first checkpoint at or
   after the floor, yielding the state before each element;
@@ -73,8 +78,12 @@ LogTable = collections.namedtuple("LogTable", "ids sym_off d_off p_off starts_aa
 # Checkpoints of all logs, indexed like the log table: log g's checkpoints
 # are off[g]..off[g+1]-1, and t, x, y, d and p hold each one's instant,
 # position and side-array cursors relative to the log's start; tot_x and
-# tot_y hold each log's net displacement.
-Checkpoints = collections.namedtuple("Checkpoints", "off t x y d p tot_x tot_y")
+# tot_y hold each log's net displacement.  The log starts and checkpoints
+# cut the logs into blocks: log g's are rows g + off[g] .. g + off[g+1] of
+# box, the one from its start first, then the one from each checkpoint.  A
+# row is the block's box (x1, y1, x2, y2) relative to the block's start
+# position, holding every position the block visits.
+Checkpoints = collections.namedtuple("Checkpoints", "off t x y d p tot_x tot_y box")
 
 _NO_IDS = np.zeros(0, dtype=np.int64)
 
@@ -109,8 +118,8 @@ class LogStore:
         an axis, as every position lies inside the grid.
 
         The same pass derives the checkpoints (see ``Checkpoints``) every
-        ``STRIDE`` symbols after each log's opening AA.  One vectorized pass
-        over the whole stream.
+        ``STRIDE`` symbols after each log's opening AA, and the box of each
+        block they cut.  One vectorized pass over the whole stream.
         """
         syms = self.syms.astype(np.intp)  # numpy gathers by a narrow index run slower
         ids, lens, d_all, p_all = (
@@ -188,15 +197,23 @@ class LogStore:
         cp_rows = of + 1 + np.arange(cp_at[-1])
         cuts = np.empty(rows[-1], dtype=np.intp)
         cuts[rows[:-1]], cuts[cp_rows] = starts, at
-        cp_xy, tot_xy = [], []
-        for m in (mx, my):
-            m = np.append(0, np.cumsum(np.add.reduceat(m, cuts)))  # moves before each cut
-            cp_xy.append(m[cp_rows] - m[rows[of]])
-            tot_xy.append(m[rows[1:]] - m[rows[:-1]])
+        # the block from each cut to the next visits the positions before and
+        # after each of its symbols and, inside a rule, the rule's MBR
+        mbr = np.asarray(self.dict.sym_mbr).take(syms, axis=0)  # take: mbr[syms] runs far slower
+        cp_xy, tot_xy, box = [], [], []
+        for axis, m in enumerate((mx, my)):
+            pos = np.append(0, np.cumsum(m))  # position before each symbol
+            cut = np.append(pos[cuts], pos[-1])  # before each cut, then the total
+            cp_xy.append(cut[cp_rows] - cut[rows[of]])
+            tot_xy.append(cut[rows[1:]] - cut[rows[:-1]])
+            pos = pos[:-1]
+            for col, f in ((axis, np.minimum), (axis + 2, np.maximum)):
+                reach = pos + f(mbr[:, col], m)  # widened to m's int64
+                box.append(f.reduceat(reach, cuts) - cut[:-1])
         cp_d, cp_p = entries_before(at)
         self.checkpoints = Checkpoints(*map(narrow, (
             cp_at, run[at - 1].astype(np.int64), *cp_xy, cp_d - d_at[of], cp_p - p_at[of],
-            *tot_xy,
+            *tot_xy, np.column_stack(box[::2] + box[1::2]),
         )))
         self._cp = Checkpoints(*map(memoryview, self.checkpoints))
 
@@ -266,7 +283,7 @@ class LogStore:
 
     # -- walkers ---------------------------------------------------------
 
-    def elements(self, oid, t_c, p_c, t_end, seek=None):
+    def elements(self, oid, t_c, p_c, t_end, seek=None, region=None):
         """Walk forward from (t_c, p_c), the start of portion
         ``t_c // period``'s log, yielding ``(sym, t, p)`` per element until
         the first one that reaches ``t_end``.
@@ -278,10 +295,18 @@ class LogStore:
         later portion's AA re-anchors the walk.  With a ``seek`` instant,
         each log is entered at its last checkpoint at or before ``seek``,
         yielded as ``sym=None``, so the elements it skips all end by then.
+
+        With a ``region``, each block of the log (see ``Checkpoints``) whose
+        box, placed at the block's start, misses the region is skipped whole:
+        the state at its end (the next checkpoint, else the log's end) comes
+        as ``sym=None``, so no position the walk skips lies in the region.
         """
         d = self.dict
         span, dx, dy = d.sym_span, d.sym_dx, d.sym_dy
         syms, d_vals, p_vals, log, cp = self._syms, self._d, self._p, self._log, self._cp
+        box = cp.box
+        if region is not None:
+            rx1, ry1, rx2, ry2 = region
         t_start = t_c
         x, y = p_c
         h, n_portions = t_c // self.period, self.n_portions
@@ -301,34 +326,56 @@ class LogStore:
                     if t_c >= t_end:
                         return
             lo, hi = cp.off[g], cp.off[g + 1]
+            t0, x0, y0, body = t_c, x, y, s  # the log's start state and body
+            j = lo - 1  # the last checkpoint passed; lo - 1 before the first
             if seek is not None and lo < hi:
-                j = bisect_right(cp.t, seek - t_c, lo, hi) - 1
+                j = bisect_right(cp.t, seek - t0, lo, hi) - 1
                 if j >= lo:
-                    s += (j - lo + 1) * self._stride
+                    s = body + (j - lo + 1) * self._stride
                     di, pi = d0 + cp.d[j], p0 + cp.p[j]
-                    t_c, x, y = t_c + cp.t[j], x + cp.x[j], y + cp.y[j]
+                    t_c, x, y = t0 + cp.t[j], x0 + cp.x[j], y0 + cp.y[j]
                     yield None, t_c, (x, y)
                     if t_c >= t_end:
                         return
-            for sym in syms[s:s_end]:
-                if sym >= MOVE_BASE:
-                    t_c += span[sym]
-                    x += dx[sym]
-                    y += dy[sym]
-                elif sym == EV_D:
-                    break
-                else:  # RNM or RM: AA only opens a log
-                    t_c += d_vals[di] + 1
-                    di += 1
-                    if sym == EV_RM:  # displaced by a spiral code
-                        mdx, mdy = spiral.decode(p_vals[pi])
-                        x += mdx
-                        y += mdy
-                        pi += 1
-                    sym = None
-                yield sym, t_c, (x, y)
-                if t_c >= t_end:
-                    return
+            while s < s_end:
+                stop = s_end
+                if region is not None:
+                    j += 1  # the block runs to checkpoint j, else to the log's end
+                    if j < hi:
+                        stop = body + (j - lo + 1) * self._stride
+                    b = g + j
+                    x1, y1, x2, y2 = box[b, 0], box[b, 1], box[b, 2], box[b, 3]
+                    if x + x2 < rx1 or x + x1 > rx2 or y + y2 < ry1 or y + y1 > ry2:
+                        if j < hi:
+                            di, pi = d0 + cp.d[j], p0 + cp.p[j]
+                            t_c, x, y = t0 + cp.t[j], x0 + cp.x[j], y0 + cp.y[j]
+                        else:
+                            t_c, x, y = log.end[g], x0 + cp.tot_x[g], y0 + cp.tot_y[g]
+                        s = stop
+                        yield None, t_c, (x, y)
+                        if t_c >= t_end:
+                            return
+                        continue
+                for sym in syms[s:stop]:
+                    if sym >= MOVE_BASE:
+                        t_c += span[sym]
+                        x += dx[sym]
+                        y += dy[sym]
+                    elif sym == EV_D:
+                        break
+                    else:  # RNM or RM: AA only opens a log
+                        t_c += d_vals[di] + 1
+                        di += 1
+                        if sym == EV_RM:  # displaced by a spiral code
+                            mdx, mdy = spiral.decode(p_vals[pi])
+                            x += mdx
+                            y += mdy
+                            pi += 1
+                        sym = None
+                    yield sym, t_c, (x, y)
+                    if t_c >= t_end:
+                        return
+                s = stop
 
     def elements_backward(self, h, oid, t_c, p_c, t_floor, seek=False):
         """Walk portion ``h``'s log backward from its end state (t_c, p_c),

@@ -23,7 +23,7 @@ import zlib
 
 import numpy as np
 
-from .bits import BitVector, DacSequence, pack_uint_array, unpack_uint_array
+from .bits import DacSequence, pack_uint_array, unpack_uint_array
 
 
 class SerializationError(ValueError):
@@ -112,17 +112,24 @@ def read_uint_array(r):
     return unpack_uint_array(data, width, count).astype(np.int64)
 
 
+def _pack_bits(bits):
+    return np.packbits(bits, bitorder="little").tobytes()
+
+
+def _read_bits(r, n):
+    data = r.raw((n + 7) // 8)
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n, bitorder="little")
+
+
 def write_bitvector(w, bits):
     """``bits``: a uint8 array of 0s and 1s."""
     w.u64(len(bits))
-    w.raw(np.packbits(bits, bitorder="little").tobytes())
+    w.raw(_pack_bits(bits))
 
 
 def read_bitvector(r):
     """The bits as a uint8 array of 0s and 1s."""
-    n = r.u64()
-    data = r.raw((n + 7) // 8)
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n, bitorder="little")
+    return _read_bits(r, r.u64())
 
 
 def write_dac(w, dac):
@@ -134,7 +141,7 @@ def write_dac(w, dac):
         w.u64(len(chunks))
         w.raw(pack_uint_array(chunks, widths[li]))
         if li < len(conts):
-            w.raw(conts[li].to_bytes())
+            w.raw(_pack_bits(conts[li]))
 
 
 def read_dac(r):
@@ -151,7 +158,7 @@ def read_dac(r):
             raise SerializationError("DAC level widths sum past 64 bits")
         count = r.u64()
         # level 0 holds every value; each later level, the ones continued
-        expected = conts[-1].n_ones if conts else n
+        expected = int(np.count_nonzero(conts[-1])) if conts else n
         if count != expected:
             raise SerializationError(
                 "DAC level %d holds %d chunks, expected %d" % (li, count, expected)
@@ -161,7 +168,7 @@ def read_dac(r):
         widths.append(width)
         levels.append(chunks)
         if li < n_levels - 1:
-            conts.append(BitVector.from_bytes(r.raw((count + 7) // 8), count))
+            conts.append(_read_bits(r, count))
     return DacSequence.from_parts(n, widths, levels, conts)
 
 

@@ -104,7 +104,7 @@ class TestDacSequence:
         assert widths == [8, 8]
         assert levels[0][1] == 44  # low byte of 300
         assert levels[1][0] == 1  # high chunk of 300
-        assert conts[0].raw.tolist() == [0, 1, 0]  # only 300 continues
+        assert conts[0].tolist() == [0, 1, 0]  # only 300 continues
 
     def test_fixed_respects_level_cap(self):
         dac = DacSequence.fixed([2**23 - 1], chunk_bits=8, max_levels=2)

@@ -220,6 +220,20 @@ def test_counters_track_symbol_work(walkthrough_index):
     assert idx.counters["interval_symbols"] > 0
 
 
+def test_interval_reached_at_full_speed_on_its_last_instant():
+    """An object heading straight for the region at max_speed enters it at
+    the window's last instant, so every state on its way lies exactly as
+    far from the region as it can travel in the time left: the reach test
+    keeps it under every flag combination."""
+    series = {1: [(0, [(x, 5) for x in range(41)])], 2: [(0, [(0, 0)] * 41)]}
+    index = TrajectoryIndex.build(series, period=40, k=2, side=64)
+    assert index.params.max_speed == 1
+    for t_b in range(0, 31, 3):
+        for mbr, er in itertools.product((True, False), repeat=2):
+            got = index.time_interval((30, 5, 33, 7), t_b, 30, use_mbr=mbr, use_er=er)
+            assert got == [1], (t_b, mbr, er)
+
+
 @pytest.mark.parametrize("stride", [1, 2, 3, trajindex.logs.STRIDE, 10**6])
 @pytest.mark.parametrize("period", PERIODS)
 @pytest.mark.parametrize("name", sorted(DATASETS))

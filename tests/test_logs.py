@@ -1,3 +1,4 @@
+import random
 from itertools import groupby
 
 import numpy as np
@@ -7,14 +8,29 @@ import trajindex.logs
 from conftest import DATASETS, PERIODS
 from trajindex import Oracle, TrajectoryIndex
 from trajindex.bits import narrow
-from trajindex.grammar import EV_AA, EV_D, MOVE_BASE, RuleDictionary
+from trajindex.geometry import clip_region, contains
+from trajindex.grammar import EV_AA, EV_D, EV_RM, MOVE_BASE, RuleDictionary
 from trajindex.logs import move_back, move_jump, move_steps
+from trajindex.spiral import decode
 
 
 def log_symbols(idx, h, oid):
     logs = idx.logs
     g = logs.find(h, oid)
     return [int(s) for s in logs.syms[logs.table.sym_off[g]:logs.table.sym_off[g + 1]]]
+
+
+def log_starts(idx):
+    """(h, g, oid, start state) of every log: its AA anchor, else its
+    object's position at snapshot h."""
+    logs = idx.logs
+    for h in range(logs.n_portions):
+        for g in range(logs.bounds[h], logs.bounds[h + 1]):
+            oid = int(logs.table.ids[g])
+            if logs.table.starts_aa[g]:
+                yield h, g, oid, logs.first_anchor(h, oid)
+            else:
+                yield h, g, oid, (h * idx.params.period, idx.snapshots[h].find_object(oid))
 
 
 @pytest.fixture(scope="module")
@@ -181,42 +197,36 @@ def test_walkers_match_oracle(name, period, indexes, oracles, monkeypatch):
     monkeypatch.setattr(trajindex.logs, "STRIDE", 1)
     seekers = (logs, TrajectoryIndex.from_bytes(idx.to_bytes()).logs)
     table = logs.table
-    for h in range(logs.n_portions):
-        for g in range(logs.bounds[h], logs.bounds[h + 1]):
-            oid = int(table.ids[g])
-            assert logs.find(h, oid) == g
-            orig = int(idx.ids[oid])
-            if table.starts_aa[g]:
-                start = logs.first_anchor(h, oid)
-            else:
-                start = (h * period, idx.snapshots[h].find_object(oid))
-            fwd = [start]
-            for sym, t, p in logs.elements(oid, *start, logs.portion_end(h)):
-                assert (sym is None) or sym >= MOVE_BASE
-                fwd.append((t, p))
-            if table.ends_d[g]:
-                end = logs.last_anchor(h, oid)
-            elif h + 1 < len(idx.snapshots):
-                end = (logs.portion_end(h), idx.snapshots[h + 1].find_object(oid))
-            else:  # a last portion cut short by t_max has no next snapshot
-                end = fwd[-1]
-            assert fwd[-1] == end
-            for t, p in fwd:
-                assert oracle.position_of(orig, t) == p, (h, orig, t)
-            back = [end] + [
-                (t, p) for _sym, t, p in logs.elements_backward(h, oid, *end, h * period)
-            ]
-            # D restates the end state and AA the start state: drop repeats
-            assert [st for st, _ in groupby(back)] == fwd[::-1], (h, orig)
-            t_s, t_e = start[0], end[0]
-            walk = list(logs.elements(oid, *start, t_e))
-            for q in range(t_s, t_e + 1, max(1, (t_e - t_s) // 6)):
-                walk_back = list(logs.elements_backward(h, oid, *end, q))
-                for walker in seekers:
-                    seeking = list(walker.elements(oid, *start, t_e, seek=q))
-                    check_seek(walk, seeking, orig, oracle, lambda t: t <= q)
-                    seeking = list(walker.elements_backward(h, oid, *end, q, seek=True))
-                    check_seek(walk_back, seeking, orig, oracle, lambda t: t >= q)
+    for h, g, oid, start in log_starts(idx):
+        assert logs.find(h, oid) == g
+        orig = int(idx.ids[oid])
+        fwd = [start]
+        for sym, t, p in logs.elements(oid, *start, logs.portion_end(h)):
+            assert (sym is None) or sym >= MOVE_BASE
+            fwd.append((t, p))
+        if table.ends_d[g]:
+            end = logs.last_anchor(h, oid)
+        elif h + 1 < len(idx.snapshots):
+            end = (logs.portion_end(h), idx.snapshots[h + 1].find_object(oid))
+        else:  # a last portion cut short by t_max has no next snapshot
+            end = fwd[-1]
+        assert fwd[-1] == end
+        for t, p in fwd:
+            assert oracle.position_of(orig, t) == p, (h, orig, t)
+        back = [end] + [
+            (t, p) for _sym, t, p in logs.elements_backward(h, oid, *end, h * period)
+        ]
+        # D restates the end state and AA the start state: drop repeats
+        assert [st for st, _ in groupby(back)] == fwd[::-1], (h, orig)
+        t_s, t_e = start[0], end[0]
+        walk = list(logs.elements(oid, *start, t_e))
+        for q in range(t_s, t_e + 1, max(1, (t_e - t_s) // 6)):
+            walk_back = list(logs.elements_backward(h, oid, *end, q))
+            for walker in seekers:
+                seeking = list(walker.elements(oid, *start, t_e, seek=q))
+                check_seek(walk, seeking, orig, oracle, lambda t: t <= q)
+                seeking = list(walker.elements_backward(h, oid, *end, q, seek=True))
+                check_seek(walk_back, seeking, orig, oracle, lambda t: t >= q)
     for oid in range(len(idx.ids)):
         orig = int(idx.ids[oid])
         h = 0
@@ -257,3 +267,84 @@ def test_checkpoints_past_a_wide_relocation(monkeypatch):
     oracle = Oracle(series)
     for t in range(16):
         assert idx.position_of(1, t) == oracle.position_of(1, t), t
+
+
+@pytest.mark.parametrize("stride", [1, 3, trajindex.logs.STRIDE])
+def test_block_boxes_hold_every_position(stride, monkeypatch, indexes):
+    """Each block of a log, from its start or a checkpoint to the next
+    checkpoint or its end, has as box the tight bounds of every position it
+    visits, relative to the position it starts at: each move symbol
+    expanded to terminals, an AA's anchor, both ends of an RM relocation
+    and a D's anchor.  Every box is held narrow."""
+    monkeypatch.setattr(trajindex.logs, "STRIDE", stride)
+    for idx in indexes.values():
+        index = TrajectoryIndex.from_bytes(idx.to_bytes())
+        logs, cp, table = index.logs, index.logs.checkpoints, index.logs.table
+        assert cp.box.dtype == narrow(cp.box).dtype
+        assert len(cp.box) == len(table.ids) + int(cp.off[-1])
+        reach = {}  # a move symbol's terminal positions as (x1, y1, x2, y2, dx, dy)
+        for _h, g, _oid, (_t, (x, y)) in log_starts(index):
+            s, s_end, p_at, lo_cp, hi_cp = (
+                int(a[i]) for a, i in ((table.sym_off, g), (table.sym_off, g + 1),
+                                       (table.p_off, g), (cp.off, g), (cp.off, g + 1))
+            )
+            body = s + bool(table.starts_aa[g])
+            cuts = [s] + [body + j * stride for j in range(1, hi_cp - lo_cp + 1)] + [s_end]
+            for row, (lo, hi) in enumerate(zip(cuts, cuts[1:]), g + lo_cp):
+                x0, y0 = x, y
+                box = [x, y, x, y]
+                for sym in logs.syms[lo:hi].tolist():
+                    if sym >= MOVE_BASE:
+                        if sym not in reach:
+                            steps = [decode(m - MOVE_BASE) for m in index.rules.expand(sym)]
+                            px, py = np.cumsum(steps, axis=0).T.tolist()
+                            reach[sym] = (min(px), min(py), max(px), max(py), px[-1], py[-1])
+                        x1, y1, x2, y2, dx, dy = reach[sym]
+                        box = [min(box[0], x + x1), min(box[1], y + y1),
+                               max(box[2], x + x2), max(box[3], y + y2)]
+                        x, y = x + dx, y + dy
+                    elif sym == EV_RM:
+                        dx, dy = decode(int(logs.p_vals[p_at]))
+                        p_at += 1
+                        x, y = x + dx, y + dy
+                        box = [min(box[0], x), min(box[1], y), max(box[2], x), max(box[3], y)]
+                    elif sym in (EV_AA, EV_D):  # the anchor is the current position
+                        assert logs.p_vals[p_at:p_at + 2].tolist() == [x, y]
+                        p_at += 2
+                assert cp.box[row].tolist() == [box[0] - x0, box[1] - y0,
+                                                box[2] - x0, box[3] - y0], (stride, g, row)
+
+
+@pytest.mark.parametrize("stride", [1, 3, trajindex.logs.STRIDE])
+def test_region_walk_skips_only_blocks_off_the_region(stride, monkeypatch, indexes, oracles):
+    """A forward walk given a region yields true states, each one a state of
+    the walk without it, and ends where that walk ends; where it skips a
+    block, the object lies outside the region at every instant skipped."""
+    monkeypatch.setattr(trajindex.logs, "STRIDE", stride)
+    rng = random.Random(stride)
+    skipped = walked = 0
+    for (name, _period), idx in sorted(indexes.items()):
+        index, oracle = TrajectoryIndex.from_bytes(idx.to_bytes()), oracles[name]
+        logs, side = index.logs, index.params.side
+        for _h, g, oid, start in log_starts(index):
+            orig, t_e = int(index.ids[oid]), int(logs.table.end[g])
+            cx, cy = (c + rng.randrange(-40, 41) for c in start[1])
+            r = clip_region((cx - 8, cy - 8, cx + 8, cy + 8), side)
+            if r is None:
+                continue
+            plain = [(None, *start)] + list(logs.elements(oid, *start, t_e))
+            at = {t: k for k, (_sym, t, _p) in enumerate(plain)}
+            k_prev, last = 0, plain[0]
+            for sym, t, p in logs.elements(oid, *start, t_e, region=r):
+                k = at[t]
+                assert plain[k][1:] == (t, p), (stride, orig, t)
+                if k != k_prev + 1 or plain[k][0] != sym:  # a block was skipped
+                    skipped += 1
+                    for u in range(last[1] + 1, t + 1):
+                        q = oracle.position_of(orig, u)
+                        assert q is None or not contains(r, *q), (stride, orig, u)
+                else:
+                    walked += 1
+                k_prev, last = k, (sym, t, p)
+            assert last[1:] == plain[-1][1:], (stride, orig)
+    assert skipped and walked
