@@ -19,10 +19,15 @@ Conventions
 * Permutations are 0-based arrays; ``apply(i)`` is the forward mapping and
   ``inverse(j)`` reads the inverse array.
 
-Bits are kept unpacked (one byte per bit, in a ``bytes`` object) in memory,
-so a slice of them is cheap to take and to count; serialized forms are
-bit-packed little-endian.  The rank directory samples cumulative counts
-every 512 bits (uint32), a 6.25% overhead on the packed size.
+Bits are kept packed in a ``bytes`` object, eight to a byte and
+little-endian (position p is bit (p-1) % 8 of byte (p-1) // 8), as the file
+stores them.  The rank directory samples cumulative counts every 512 bits
+(uint32), a 6.25% overhead on the packed size.  ``rank1`` adds to it the
+``int.bit_count`` of the partial superblock, read with ``int.from_bytes``;
+select bisects the directory and then halves its superblock by popcounts.
+Only ``select0``'s first call uses numpy, to derive its zero directory.
+``to_bytes`` hands out the packed bits themselves, so a k2-tree reads a
+node's child slots from them as one int.
 """
 
 import bisect
@@ -53,7 +58,7 @@ class BitVector:
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.ndim != 1:
             raise ValueError("bits must be one-dimensional")
-        n = len(bits)
+        self._n = n = len(bits)
         nblocks = (n + _SUPER - 1) // _SUPER
         # _dir[i] = number of ones in the first i superblocks
         self._dir = np.zeros(nblocks + 1, dtype=np.uint32)
@@ -66,12 +71,11 @@ class BitVector:
                 self._dir[-1] = self._dir[-2] + np.count_nonzero(bits[whole:])
         self._nones = int(self._dir[-1]) if n else 0
         self._counts = memoryview(self._dir)  # scalar reads give Python ints
-        self._bytes = bits.tobytes()
-        self._bits = np.frombuffer(self._bytes, dtype=np.uint8)  # read-only view
+        self._packed = np.packbits(bits, bitorder="little").tobytes()
         self._zdir = None  # zero-count directory, built by the first select0
 
     def __len__(self):
-        return len(self._bytes)
+        return self._n
 
     @property
     def n_ones(self):
@@ -79,11 +83,12 @@ class BitVector:
 
     @property
     def n_zeros(self):
-        return len(self._bytes) - self._nones
+        return self._n - self._nones
 
     def bit(self, p):
         """Value of the bit at 1-based position p."""
-        return self._bytes[p - 1]
+        p -= 1
+        return self._packed[p >> 3] >> (p & 7) & 1
 
     def rank1(self, p):
         """Number of ones among positions 1..p (p in 0..n)."""
@@ -92,8 +97,9 @@ class BitVector:
         q, r = divmod(p, _SUPER)
         count = self._counts[q]
         if r:
-            base = q * _SUPER
-            count += self._bytes.count(1, base, base + r)
+            # the superblock starts on a byte; mask the bits past p
+            data = self._packed[(p - r) >> 3:(p + 7) >> 3]
+            count += (int.from_bytes(data, "little") & ((1 << r) - 1)).bit_count()
         return count
 
     def rank0(self, p):
@@ -108,7 +114,7 @@ class BitVector:
         if self._zdir is None:
             # zeros in the first i superblocks: i*SUPER (capped at n) - dir[i]
             blocks = np.arange(len(self._dir), dtype=np.int64) * _SUPER
-            self._zdir = memoryview(np.minimum(blocks, len(self._bits)) - self._dir)
+            self._zdir = memoryview(np.minimum(blocks, self._n) - self._dir)
         return self._select(j, self._zdir, 0)
 
     def _select(self, j, counts, value):
@@ -120,24 +126,38 @@ class BitVector:
             raise ValueError("select%d argument out of range: %d" % (value, j))
         q = bisect.bisect_left(counts, j) - 1
         base = q * _SUPER
-        # j-th overall is the (j - counts[q])-th inside this block
+        # j-th overall is the (j - counts[q])-th inside this superblock
         k = j - counts[q]
-        idx = np.flatnonzero(self._bits[base:base + _SUPER] == value)[k - 1]
-        return base + int(idx) + 1
+        word = int.from_bytes(self._packed[base >> 3:(base + _SUPER) >> 3], "little")
+        if not value:
+            word ^= (1 << _SUPER) - 1  # the j-th zero lies before any padding
+        # halve the superblock until one bit is left: the k-th one lies in
+        # the low half when that half holds at least k ones
+        pos, width = base, _SUPER
+        while width > 1:
+            width >>= 1
+            low = word & ((1 << width) - 1)
+            ones = low.bit_count()
+            if ones < k:
+                k -= ones
+                word >>= width
+                pos += width
+            else:
+                word = low
+        return pos + 1
 
-    # -- raw access for internal users ------------------------------------
+    # -- raw access -------------------------------------------------------
 
     @property
     def raw(self):
-        """The bits as a read-only uint8 array (0-based)."""
-        return self._bits
-
-    def slots(self, lo, hi):
-        """Bits lo+1..hi as a bytes object, one byte (0 or 1) per bit."""
-        return self._bytes[lo:hi]
+        """The bits unpacked into a uint8 array of 0s and 1s (0-based)."""
+        return np.unpackbits(
+            np.frombuffer(self._packed, dtype=np.uint8), count=self._n, bitorder="little"
+        )
 
     def to_bytes(self):
-        return np.packbits(self._bits, bitorder="little").tobytes()
+        """The packed bits (the layout above), padded with zeros."""
+        return self._packed
 
     @classmethod
     def from_bytes(cls, data, n):

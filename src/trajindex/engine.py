@@ -776,9 +776,9 @@ class TrajectoryIndex:
 
     def stats(self):
         """Size report: bytes per component in the file (``bytes``) and in
-        the numpy arrays the index holds (``mem_bytes``, counting the select
-        directories that queries build on first use once built), and the
-        log ratio against raw symbols."""
+        the arrays and packed bits the index holds (``mem_bytes``, counting
+        the select directories that queries build on first use once built),
+        and the log ratio against raw symbols."""
         size = collections.Counter(total=len(HEADER))
         for part, payload in self._sections():
             size[part] += len(payload)
@@ -824,8 +824,9 @@ def _increasing_ids(ids, bound):
 
 
 def _array_bytes(*roots):
-    """Bytes of the distinct numpy buffers reachable from ``roots`` through
-    containers, memoryviews and the attributes of this package's objects."""
+    """Bytes of the distinct numpy and ``bytes`` buffers reachable from
+    ``roots`` through containers, memoryviews and the attributes of this
+    package's objects."""
     seen, todo, total = set(), list(roots), 0
     while todo:
         obj = todo.pop()
@@ -838,6 +839,8 @@ def _array_bytes(*roots):
         seen.add(id(obj))
         if isinstance(obj, np.ndarray):
             total += obj.nbytes
+        elif isinstance(obj, bytes):
+            total += len(obj)
         elif isinstance(obj, (list, tuple)):
             todo.extend(obj)
         elif isinstance(obj, dict):

@@ -1,9 +1,7 @@
 """Plain-tuple geometry over integer cell grids.
 
 A region is (x1, y1, x2, y2) with inclusive bounds and x1 <= x2, y1 <= y2.
-Points are (x, y) cell coordinates.  Distances are Euclidean in cell units;
-the distance from a point to a region is the distance to the nearest cell
-of the region (0 when the point lies inside).
+Points are (x, y) cell coordinates.  Distances are Euclidean in cell units.
 """
 
 import math
@@ -55,11 +53,3 @@ def regions_intersect(a, b):
 
 def dist_point_point(p, q):
     return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
-def dist_point_region(p, region):
-    x, y = p
-    x1, y1, x2, y2 = region
-    dx = max(x1 - x, 0, x - x2)
-    dy = max(y1 - y, 0, y - y2)
-    return math.hypot(dx, dy)

@@ -9,9 +9,16 @@ which the file stores apart.  A node is numbered by the rank of its bit in
 T:L, the root being node 0.  Node c is internal while c is at most the
 number of ones in T, and finds its k^2 child slots at positions
 c*k^2 .. c*k^2+k^2-1 (0-based); past that it is an occupied cell.  So
-navigation both downward (rank) and upward (select) needs no pointers, and
-every walk expands a node the same way: one slice of its k^2 slots and one
-rank for the number of its first child.
+navigation both downward (rank) and upward (select) needs no pointers.
+
+A walk reads a node's k^2 slots from the packed bits as one integer mask
+(bit i for slot i) and visits its set bits only (``m & -m``), since at
+k = 256 a mask has 65,536 slots; the children are numbered on from the rank
+of the node's first slot.  ``range_report`` goes a level at a time: it keeps
+the nodes of one level that the region meets, in node order, masks each
+node's slots to the block of columns and rows the region covers, and
+carries the child count from one node to the next, so it ranks only where
+the frontier skips nodes.
 
 Occupied cells are numbered 1..m in L order ("leaf rank"); snapshots attach
 per-cell object groups through that numbering.
@@ -27,7 +34,6 @@ import math
 import numpy as np
 
 from .bits import BitVector
-from .geometry import dist_point_region, regions_intersect
 
 # a node's k^2 child slots are allocated side by side, and a cell's path key
 # (base k^2, up to side^2 - 1) is an int64
@@ -41,17 +47,18 @@ class K2Tree:
         self.k = k
         self.side = side
         self.height = height_of(k, side)
-        self.bits = BitVector(np.concatenate([t_bits, l_bits]))
+        bits = np.concatenate([t_bits, l_bits])
         self.len_t = len_t = len(t_bits)
         # level 1 has k^2 bits, each later level k^2 per one of the level
         # before; levels 1..height-1 fill T and level height is L
         kk = k * k
         pos, size = 0, kk
         for _ in range(self.height - 1):
-            ones = int(np.count_nonzero(self.bits.raw[pos:pos + size]))
+            ones = int(np.count_nonzero(bits[pos:pos + size]))
             pos, size = pos + size, kk * ones
-        if pos != len_t or pos + size != len(self.bits):
+        if pos != len_t or pos + size != len(bits):
             raise ValueError("k2-tree level sizes disagree with T and L")
+        self.bits = BitVector(bits)
         self.t_ones = self.bits.rank1(len_t)
 
     # -- construction -----------------------------------------------------
@@ -126,43 +133,61 @@ class K2Tree:
             sub *= k
             pos = self.bits.select1(node) - 1
 
-    def _children(self, node):
-        """(slot, node) of each child of internal ``node``, in slot order."""
-        kk = self.k * self.k
-        base = node * kk
-        child = self.bits.rank1(base)
-        slots = self.bits.slots(base, base + kk)
-        out = []
-        slot = slots.find(1)
-        while slot >= 0:
-            child += 1
-            out.append((slot, child))
-            slot = slots.find(1, slot + 1)
-        return out
-
     # -- region access -----------------------------------------------------
 
     def range_report(self, region):
         """All occupied cells inside a region, as (x, y, leaf_rank) in L order."""
-        out = []
         if region is None:
-            return out
-        k, t_ones = self.k, self.t_ones
-
-        def visit(node, x0, y0, size):
+            return []
+        rx1, ry1, rx2, ry2 = region
+        # the slot masks below assume a region that meets the grid
+        if rx1 > rx2 or ry1 > ry2 or rx2 < 0 or ry2 < 0 or rx1 >= self.side or ry1 >= self.side:
+            return []
+        k, kk = self.k, self.k * self.k
+        ones_k, full = (1 << k) - 1, (1 << kk) - 1
+        bits = self.bits
+        data = bits.to_bytes()
+        # (node, x0, y0) of each node of one level that the region meets, in
+        # node order; the children of node c are numbered right after those
+        # of node c - 1, so only a skipped node costs a rank
+        frontier = [(0, 0, 0)]
+        size = self.side
+        for _ in range(self.height):
             sub = size // k
-            for slot, child in self._children(node):
-                cx0 = x0 + (slot % k) * sub
-                cy0 = y0 + (slot // k) * sub
-                if not regions_intersect((cx0, cy0, cx0 + sub - 1, cy0 + sub - 1), region):
-                    continue
-                if child > t_ones:
-                    out.append((cx0, cy0, child - t_ones))
-                else:
-                    visit(child, cx0, cy0, sub)
-
-        visit(0, 0, 0, self.side)
-        return out
+            below = []
+            last, child = -2, 0  # no node expanded yet: the first one ranks
+            for node, x0, y0 in frontier:
+                base = node * kk
+                if node != last + 1:
+                    child = bits.rank1(base)
+                last = node
+                slots = int.from_bytes(data[base >> 3:(base + kk + 7) >> 3], "little")
+                slots = slots >> (base & 7) & full
+                # the slots whose squares meet the region: columns a..b of
+                # rows c..d, a mask of one row's columns times the sum of
+                # 2^(j*k) over those rows
+                hits = slots
+                if x0 < rx1 or y0 < ry1 or x0 + size > rx2 + 1 or y0 + size > ry2 + 1:
+                    a = (rx1 - x0) // sub if rx1 > x0 else 0
+                    b = (rx2 - x0) // sub if rx2 - x0 < size else k - 1
+                    c = (ry1 - y0) // sub if ry1 > y0 else 0
+                    d = (ry2 - y0) // sub if ry2 - y0 < size else k - 1
+                    rows = ((1 << (d + 1) * k) - (1 << c * k)) // ones_k
+                    hits &= ((2 << b) - (1 << a)) * rows
+                while hits:
+                    low = hits & -hits
+                    hits ^= low
+                    slot = low.bit_length() - 1
+                    below.append((
+                        child + (slots & (low - 1)).bit_count() + 1,
+                        x0 + slot % k * sub,
+                        y0 + slot // k * sub,
+                    ))
+                child += slots.bit_count()
+            frontier = below
+            size = sub
+        t_ones = self.t_ones
+        return [(x, y, node - t_ones) for node, x, y in frontier]
 
     def nodes_by_distance(self, qx, qy):
         """Occupied cells in non-decreasing distance from (qx, qy).
@@ -172,24 +197,35 @@ class K2Tree:
         in discovery order.  The caller may simply stop consuming once
         distances exceed its cut-off.
         """
-        k, t_ones = self.k, self.t_ones
-        q = (qx, qy)
-        root_box = (0, 0, self.side - 1, self.side - 1)
-        # (dist, counter, node, box)
-        heap = [(dist_point_region(q, root_box), 0, 0, root_box)]
+        k, kk, t_ones = self.k, self.k * self.k, self.t_ones
+        full = (1 << kk) - 1
+        bits = self.bits
+        data = bits.to_bytes()
+        hypot = math.hypot
+        # (dist, counter, node, x0, y0, side of the node's square)
+        heap = [(0.0, 0, 0, 0, 0, self.side)]
         counter = 1
         while heap:
-            dist, _, node, box = heapq.heappop(heap)
+            dist, _, node, x0, y0, size = heapq.heappop(heap)
             if node > t_ones:
-                yield box[0], box[1], node - t_ones, dist
+                yield x0, y0, node - t_ones, dist
                 continue
-            x0, y0 = box[0], box[1]
-            sub = (box[2] - x0 + 1) // k
-            for slot, child in self._children(node):
-                cx0 = x0 + (slot % k) * sub
-                cy0 = y0 + (slot // k) * sub
-                cbox = (cx0, cy0, cx0 + sub - 1, cy0 + sub - 1)
-                heapq.heappush(heap, (dist_point_region(q, cbox), counter, child, cbox))
+            sub = size // k
+            base = node * kk
+            child = bits.rank1(base)
+            slots = int.from_bytes(data[base >> 3:(base + kk + 7) >> 3], "little")
+            slots = slots >> (base & 7) & full
+            while slots:
+                low = slots & -slots
+                slots ^= low
+                slot = low.bit_length() - 1
+                child += 1
+                cx = x0 + slot % k * sub
+                cy = y0 + slot // k * sub
+                # distance from the query point to the child's square
+                dx = cx - qx if qx < cx else max(qx - cx - sub + 1, 0)
+                dy = cy - qy if qy < cy else max(qy - cy - sub + 1, 0)
+                heapq.heappush(heap, (hypot(dx, dy), counter, child, cx, cy, sub))
                 counter += 1
 
 

@@ -50,6 +50,23 @@ class TestBitVector:
         for p in [0, 1, 511, 512, 513, 1024, 2047, 4999, 5000]:
             assert bv.rank1(p) == pref[p]
 
+    @pytest.mark.parametrize("n", [511, 512, 513, 1500, 5000])
+    @pytest.mark.parametrize("fill", ["random", "ones", "zeros"])
+    def test_every_position_past_one_superblock(self, n, fill):
+        if fill == "random":
+            bits = (np.random.default_rng(n).random(n) < 0.4).astype(np.uint8)
+        else:
+            bits = np.full(n, fill == "ones", dtype=np.uint8)
+        bv = BitVector(bits)
+        pref = np.concatenate([[0], np.cumsum(bits)])
+        assert [bv.rank1(p) for p in range(n + 1)] == pref.tolist()
+        assert [bv.bit(p) for p in range(1, n + 1)] == bits.tolist()
+        ones = np.flatnonzero(bits) + 1
+        zeros = np.flatnonzero(bits == 0) + 1
+        assert [bv.select1(j) for j in range(1, len(ones) + 1)] == ones.tolist()
+        assert [bv.select0(j) for j in range(1, len(zeros) + 1)] == zeros.tolist()
+        assert bv.to_bytes() == np.packbits(bits, bitorder="little").tobytes()
+
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
     def test_rank_select_laws(self, bits):
         bv = BitVector(bits)

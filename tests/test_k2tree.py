@@ -132,6 +132,35 @@ def test_distance_walk_complete_and_sorted():
         assert d == pytest.approx(math.hypot(x - q[0], y - q[1]))
 
 
+@pytest.mark.parametrize("k,side", [(2, 64), (3, 81), (4, 64)])
+def test_whole_grid_reports_every_leaf_in_order(k, side):
+    rng = np.random.default_rng(k)
+    xs = rng.integers(0, side, size=90)
+    ys = rng.integers(0, side, size=90)
+    tree = K2Tree.build(k, side, xs, ys)
+    hits = tree.range_report((0, 0, side - 1, side - 1))
+    assert [r for _x, _y, r in hits] == list(range(1, tree.n_leaves() + 1))
+    assert [(x, y) for x, y, _r in hits] == [tree.locate(r) for _x, _y, r in hits]
+
+
+@pytest.mark.parametrize("k,side", [(3, 27), (4, 64)])
+def test_distance_walk_matches_brute_force(k, side):
+    rng = np.random.default_rng(side)
+    cells = {(int(x), int(y)) for x, y in rng.integers(0, side, size=(50, 2))}
+    # four cells at distance 5 from the grid centre, and two at 2
+    c = side // 2
+    cells |= {(c + 3, c + 4), (c - 4, c + 3), (c - 3, c - 4), (c + 5, c), (c, c + 2), (c - 2, c)}
+    tree = build_from_cells(sorted(cells), side=side, k=k)
+    for q in [(c, c), (0, side - 1), (int(rng.integers(side)), int(rng.integers(side)))]:
+        got = list(tree.nodes_by_distance(*q))
+        dists = [d for _x, _y, _r, d in got]
+        assert dists == sorted(dists)
+        assert sorted((d, x, y) for x, y, _r, d in got) == sorted(
+            (math.hypot(x - q[0], y - q[1]), x, y) for x, y in cells
+        )
+        assert all(r == tree.cell(x, y) for x, y, r, _d in got)
+
+
 def test_build_peak_memory_stays_near_the_bits():
     # at k=256 each node has 65,536 child slots; the build keeps one byte
     # per slot and makes no wider per-slot temporaries (40 nodes of level 2
@@ -147,3 +176,7 @@ def test_build_peak_memory_stays_near_the_bits():
     assert peak < 12_000_000
     assert tree.n_leaves() == len(set(cells))
     assert all(tree.cell(x, y) is not None for x, y in cells)
+    # the walks read each 65,536-slot mask as one int
+    hits = tree.range_report((0, 0, 2**16 - 1, 2**16 - 1))
+    assert sorted((x, y) for x, y, _r in hits) == sorted(set(cells))
+    assert len(hits) == 40

@@ -399,6 +399,17 @@ class TestIndexContainer:
         built = TrajectoryIndex.build(WALKTHROUGH_SERIES, period=8, k=2, side=16)
         assert TrajectoryIndex.from_bytes(built.to_bytes()).stats() == built.stats()
 
+    def test_snapshot_mem_counts_the_packed_bits(self, indexes):
+        # each tree holds its T:L packed, eight bits to a byte, plus one
+        # uint32 count per 512-bit superblock and one for the start
+        idx = TrajectoryIndex.from_bytes(indexes["appear", 30].to_bytes())
+        want = 0
+        for snap in idx.snapshots:
+            n = len(snap.tree.bits)
+            want += (n + 7) // 8 + 4 * ((n + 511) // 512 + 1)
+            want += snap.ids.nbytes + snap.group.nbytes + snap.leaf.nbytes
+        assert idx.stats()["mem_bytes"]["snapshots"] == want
+
 
 # sha256 of ``to_bytes()`` for the walkthrough index and every conftest
 # (dataset, period) build, recorded with index format version 4: a change
