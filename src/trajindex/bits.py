@@ -81,10 +81,6 @@ class BitVector:
     def n_ones(self):
         return self._nones
 
-    @property
-    def n_zeros(self):
-        return self._n - self._nones
-
     def bit(self, p):
         """Value of the bit at 1-based position p."""
         p -= 1
@@ -158,13 +154,6 @@ class BitVector:
     def to_bytes(self):
         """The packed bits (the layout above), padded with zeros."""
         return self._packed
-
-    @classmethod
-    def from_bytes(cls, data, n):
-        bits = np.unpackbits(
-            np.frombuffer(data, dtype=np.uint8), count=n, bitorder="little"
-        )
-        return cls(bits)
 
 
 def _bitlen(values):

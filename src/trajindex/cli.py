@@ -59,6 +59,13 @@ def _add_query_flags(p):
     p.add_argument("--k-nn", type=int)
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, not %d" % value)
+    return value
+
+
 def _parser():
     ap = argparse.ArgumentParser(
         prog="trajindex",
@@ -81,11 +88,11 @@ def _parser():
     be = sub.add_parser("bench", help="time a workload file, CSV to stdout")
     be.add_argument("--index", required=True)
     be.add_argument("--workload", required=True, help="one query per line")
-    be.add_argument("--repeat", type=int, default=1)
+    be.add_argument("--repeat", type=_positive_int, default=1)
 
     v = sub.add_parser("verify", help="compare the index against a brute-force scan")
     _add_build_flags(v)
-    v.add_argument("--queries", type=int, default=100, help="queries per type")
+    v.add_argument("--queries", type=_positive_int, default=100, help="queries per type")
     v.add_argument("--seed", type=int, default=0)
     return ap
 
@@ -274,81 +281,62 @@ def _random_region(rng, side):
     return (x1, y1, x2, y2)
 
 
-def cmd_verify(ns):
-    series, index = _build_index(ns)
-    oracle = Oracle(series)
-    rng = random.Random(ns.seed)
-    ids = [int(v) for v in index.ids]
-    if not ids:
-        print("PASS 5x%d (empty dataset)" % ns.queries)
-        return 0
-    t_max = index.params.t_max
-    side = index.params.side
-    n = ns.queries
+def _verify_queries(rng, n, ids, index_params):
+    """``n`` queries of each type, drawn from ``rng`` in a fixed order, as
+    (type, params, method name, args); the index and the oracle share each
+    method's name and signature."""
+    t_max, side, period = index_params.t_max, index_params.side, index_params.period
 
-    def fail(qtype, params, expected, got):
-        print(
-            "FAIL %s %r seed=%d\n  expected: %r\n  got:      %r"
-            % (qtype, params, ns.seed, expected, got)
-        )
-        return 1
+    def window():
+        t0 = rng.randrange(t_max + 1)
+        return t0, min(t_max, t0 + rng.randrange(3 * period + 1))
 
     for _ in range(n):
-        oid = rng.choice(ids)
-        t = rng.randrange(t_max + 1)
-        if index.position_of(oid, t) != oracle.position_of(oid, t):
-            return fail(
-                "object",
-                {"id": oid, "t": t},
-                oracle.position_of(oid, t),
-                index.position_of(oid, t),
-            )
+        oid, t = rng.choice(ids), rng.randrange(t_max + 1)
+        yield "object", {"id": oid, "t": t}, "position_of", (oid, t)
     for _ in range(n):
-        oid = rng.choice(ids)
-        t0 = rng.randrange(t_max + 1)
-        t1 = min(t_max, t0 + rng.randrange(3 * index.params.period + 1))
-        if index.trajectory(oid, t0, t1) != oracle.trajectory(oid, t0, t1):
-            return fail(
-                "trajectory",
-                {"id": oid, "t_begin": t0, "t_end": t1},
-                oracle.trajectory(oid, t0, t1),
-                index.trajectory(oid, t0, t1),
-            )
+        oid, (t0, t1) = rng.choice(ids), window()
+        yield "trajectory", {"id": oid, "t_begin": t0, "t_end": t1}, "trajectory", (oid, t0, t1)
     for _ in range(n):
-        region = _random_region(rng, side)
-        t = rng.randrange(t_max + 1)
-        if index.time_slice(region, t) != oracle.time_slice(region, t):
-            return fail(
-                "time-slice",
-                {"region": region, "t": t},
-                oracle.time_slice(region, t),
-                index.time_slice(region, t),
-            )
+        region, t = _random_region(rng, side), rng.randrange(t_max + 1)
+        yield "time-slice", {"region": region, "t": t}, "time_slice", (region, t)
     for _ in range(n):
-        region = _random_region(rng, side)
-        t0 = rng.randrange(t_max + 1)
-        t1 = min(t_max, t0 + rng.randrange(3 * index.params.period + 1))
-        if index.time_interval(region, t0, t1) != oracle.time_interval(region, t0, t1):
-            return fail(
-                "time-interval",
-                {"region": region, "t_begin": t0, "t_end": t1},
-                oracle.time_interval(region, t0, t1),
-                index.time_interval(region, t0, t1),
-            )
+        region, (t0, t1) = _random_region(rng, side), window()
+        params = {"region": region, "t_begin": t0, "t_end": t1}
+        yield "time-interval", params, "time_interval", (region, t0, t1)
     for _ in range(n):
         count = 1 + rng.randrange(10)
         point = (rng.randrange(side), rng.randrange(side))
         t = rng.randrange(t_max + 1)
-        got = index.knn(count, point, t)
-        want = oracle.knn(count, point, t)
-        same = len(got) == len(want) and all(
-            g[0] == w[0] and abs(g[1] - w[1]) <= 1e-9 for g, w in zip(got, want)
-        )
-        if not same:
-            return fail(
-                "knn", {"count": count, "point": point, "t": t}, want, got
+        yield "knn", {"count": count, "point": point, "t": t}, "knn", (count, point, t)
+
+
+def _same(qtype, got, want):
+    if qtype != "knn":
+        return got == want
+    return len(got) == len(want) and all(
+        g[0] == w[0] and abs(g[1] - w[1]) <= 1e-9 for g, w in zip(got, want)
+    )
+
+
+def cmd_verify(ns):
+    series, index = _build_index(ns)
+    oracle = Oracle(series)
+    ids = [int(v) for v in index.ids]
+    if not ids:
+        print("PASS 5x%d (empty dataset)" % ns.queries)
+        return 0
+    queries = _verify_queries(random.Random(ns.seed), ns.queries, ids, index.params)
+    for qtype, params, method, args in queries:
+        got = getattr(index, method)(*args)
+        want = getattr(oracle, method)(*args)
+        if not _same(qtype, got, want):
+            print(
+                "FAIL %s %r seed=%d\n  expected: %r\n  got:      %r"
+                % (qtype, params, ns.seed, want, got)
             )
-    print("PASS 5x%d" % n)
+            return 1
+    print("PASS 5x%d" % ns.queries)
     return 0
 
 

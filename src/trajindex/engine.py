@@ -21,11 +21,14 @@ each snapshot's per-cell id groups from its presence bitmap, permutation
 and Q bitmap.  In memory the logs are one table indexed by log number, and
 every integer table is held in the narrowest dtype for its range.
 
-Queries follow the classic plan: anchor at a snapshot (or an appearance /
-disappearance event), seek to the log checkpoint nearest the instant that
-matters, then walk the compressed log forward or backward from there,
-jumping whole rules whenever their metadata proves they cannot matter (a
-time interval also passes over whole checkpoint blocks by their boxes).
+Queries follow the classic plan: anchor at the snapshot at or before the
+instant that matters (or at an appearance event), seek to the last log
+checkpoint at or before that instant, then walk the compressed log forward
+from there, jumping whole rules whenever their metadata proves they cannot
+matter (a time interval also passes over whole checkpoint blocks by their
+boxes).  Only a time slice in the later half of a portion anchors at the
+next snapshot (or a disappearance event) and walks backward, which keeps
+its expanded region and its walks short.
 ``counters`` tracks how many symbols each traversal family touched, which
 the pruning tests compare across debug flags (``use_mbr`` / ``use_er``).
 
@@ -293,12 +296,8 @@ class TrajectoryIndex:
         oid = self._oid(obj)
         if not self._in_extent(t_q):
             return None
-        h = self._nearest_snapshot(t_q)
-        if h * self.params.period <= t_q:
-            anchor = self._start(h, oid)
-            return None if anchor is None else self._forward_to(oid, *anchor, t_q)
-        anchor = self._end(h, oid)
-        return None if anchor is None else self._backward_to(h - 1, oid, t_q, *anchor)
+        anchor = self._start(t_q // self.params.period, oid)
+        return None if anchor is None else self._forward_to(oid, *anchor, t_q)
 
     def _start(self, h, oid):
         """(instant, position) where oid's log forward from snapshot h starts:
@@ -308,15 +307,6 @@ class TrajectoryIndex:
             return h * self.params.period, p
         return self.logs.first_anchor(h, oid) if h < self.logs.n_portions else None
 
-    def _end(self, h, oid):
-        """(instant, position) where oid's log backward from snapshot h
-        starts: the snapshot, or else the D anchor of its portion-(h-1) log;
-        or None."""
-        p = self.snapshots[h].find_object(oid)
-        if p is not None:
-            return h * self.params.period, p
-        return self.logs.last_anchor(h - 1, oid) if h >= 1 else None
-
     def _forward_to(self, oid, t_c, p_c, t_q):
         bump = self.counters.bump
         for sym, t, p in self.logs.elements(oid, t_c, p_c, t_q, seek=t_q):
@@ -324,16 +314,6 @@ class TrajectoryIndex:
                 bump("object_symbols")
                 if t > t_q:
                     t, p = move_jump(self.rules, p_c, t_c, t_q, sym)
-            t_c, p_c = t, p
-        return p_c if t_c == t_q else None
-
-    def _backward_to(self, h, oid, t_q, t_c, p_c):
-        bump = self.counters.bump
-        for sym, t, p in self.logs.elements_backward(h, oid, t_c, p_c, t_q, seek=True):
-            if sym is not None:
-                bump("object_symbols")
-                if t < t_q:
-                    t, p = move_back(self.rules, p_c, t_q, t_c, sym)
             t_c, p_c = t, p
         return p_c if t_c == t_q else None
 

@@ -2,8 +2,9 @@
 
 The timeline is cut into portions: portion h covers the instants
 (h*period, min((h+1)*period, t_max)].  A snapshot instant is therefore also
-the last instant of the portion before it, so logs can be read forward from
-the earlier snapshot or backward from the later one.
+the last instant of the portion before it.  Queries read logs forward from
+the earlier snapshot; only a time slice in the later half of a portion
+reads them backward from the later one.
 
 Each (portion, object) log is one slice of the jointly compressed symbol
 stream plus its entries in two side arrays, aligned with its event symbols,
@@ -24,7 +25,7 @@ and end instant.  Every array is held in the narrowest dtype for its range.
 A log looks like ``[AA?] (move | RM | RNM)* [D?]``: AA opens a log whose
 object was absent at the starting snapshot, D closes a log whose object
 stops emitting before the portion ends (its payload repeats the last known
-instant/position so backward traversals can anchor on it).
+instant/position so a backward time-slice walk can anchor on it).
 
 Every ``STRIDE`` compressed symbols after its opening AA, a log has a
 checkpoint: the instant, position and D/P side-array cursors before that
@@ -47,7 +48,8 @@ Traversal primitives:
   region, it passes over each block whose box misses it;
 * ``LogStore.elements_backward`` — the mirror over one portion's log, read
   in place from its end, or with seeking from the first checkpoint at or
-  after the floor, yielding the state before each element;
+  after the floor, yielding the state before each element; only the later
+  half of a time slice walks backward;
 * ``move_jump`` / ``move_back`` — clip a symbol that straddles a time
   limit, descending into the rule with an explicit stack;
 * ``move_steps`` — expand a symbol to terminals, one (instant, position)

@@ -40,9 +40,6 @@ class ByteWriter:
     def u8(self, v):
         self._parts.append(struct.pack("<B", v))
 
-    def u16(self, v):
-        self._parts.append(struct.pack("<H", v))
-
     def u32(self, v):
         self._parts.append(struct.pack("<I", v))
 
@@ -72,9 +69,6 @@ class ByteReader:
 
     def u8(self):
         return struct.unpack("<B", self._take(1))[0]
-
-    def u16(self):
-        return struct.unpack("<H", self._take(2))[0]
 
     def u32(self):
         return struct.unpack("<I", self._take(4))[0]

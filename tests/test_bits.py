@@ -32,7 +32,6 @@ class TestBitVector:
         bv = BitVector([1, 0, 1, 1, 0])
         assert len(bv) == 5
         assert bv.n_ones == 3
-        assert bv.n_zeros == 2
 
     def test_select_out_of_range(self):
         bv = BitVector([1, 0])
@@ -81,12 +80,6 @@ class TestBitVector:
             assert bv.rank0(p) == j
         for p in range(len(bits) + 1):
             assert bv.rank1(p) + bv.rank0(p) == p
-
-    @given(st.lists(st.integers(0, 1), min_size=0, max_size=200))
-    def test_byte_round_trip(self, bits):
-        bv = BitVector(bits)
-        again = BitVector.from_bytes(bv.to_bytes(), len(bits))
-        assert list(again.raw) == bits
 
 
 class TestChunkWidths:

@@ -6,6 +6,7 @@ import math
 import pytest
 from conftest import deadline
 
+from trajindex import TrajectoryIndex
 from trajindex.cli import main
 
 
@@ -284,6 +285,45 @@ class TestVerify:
         )
         assert code == 0
         assert out.strip() == "PASS 5x25"
+
+    def test_failure_reports_the_first_mismatch(self, cli_env, monkeypatch):
+        _root, csv_path, _idx, _ = cli_env
+        calls = []
+
+        def wrong(self, region, t):
+            calls.append((region, t))
+            return ["wrong"]
+
+        monkeypatch.setattr(TrajectoryIndex, "time_slice", wrong)
+        code, out, _ = _run(
+            ["verify", "--input", str(csv_path), "--period", "8", "--side", "16",
+             "--gap", "2", "--queries", "5", "--seed", "3"]
+        )
+        assert code == 1
+        (region, t), = calls  # evaluated once, and the first slice query fails
+        lines = out.splitlines()
+        assert lines[0] == "FAIL time-slice %r seed=3" % {"region": region, "t": t}
+        assert lines[1].startswith("  expected: [")
+        assert lines[2] == "  got:      ['wrong']"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--index", "i.idx", "--workload", "w.txt", "--repeat", "0"],
+        ["bench", "--index", "i.idx", "--workload", "w.txt", "--repeat", "-2"],
+        ["verify", "--input", "r.csv", "--period", "8", "--queries", "0"],
+        ["verify", "--input", "r.csv", "--period", "8", "--queries", "-3"],
+    ],
+)
+def test_counts_below_one_are_usage_errors(argv, cli_env):
+    root, csv_path, index_path, _ = cli_env
+    wl = root / "one.txt"
+    wl.write_text("--type object --id 2 --t 10\n")
+    paths = {"i.idx": str(index_path), "w.txt": str(wl), "r.csv": str(csv_path)}
+    with pytest.raises(SystemExit) as exc:
+        _run([paths.get(a, a) for a in argv])
+    assert exc.value.code == 2
 
 
 def test_usage_error_exit_code():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import trajindex.engine
 import trajindex.logs
 from trajindex import Oracle, TrajectoryIndex
 from trajindex.geometry import clip_region, expanded_region
@@ -78,16 +79,6 @@ class TestRegionExpansion:
     def test_clip(self):
         assert clip_region((-4, 2, 3, 20), 16) == (0, 2, 3, 15)
         assert clip_region((16, 0, 20, 4), 16) is None
-
-
-class TestSnapshotChoice:
-    def test_nearest_anchor_agrees_with_oracle(
-        self, walkthrough_index, walkthrough_oracle
-    ):
-        for obj in range(1, 8):
-            for t in range(17):
-                want = walkthrough_oracle.position_of(obj, t)
-                assert walkthrough_index.position_of(obj, t) == want, (obj, t)
 
 
 class TestPruningFlags:
@@ -260,3 +251,30 @@ def test_checkpoint_strides_match_oracle(name, period, stride, indexes, oracles,
         got = index.time_interval(region, t, t_e)
         assert got == oracle.time_interval(region, t, t_e), (region, t, t_e)
         assert index.knn(k, (x, y), t) == oracle.knn(k, (x, y), t), ((x, y), t, k)
+
+
+def _positions_walking_forward(index, oracle, monkeypatch):
+    """position_of answers as the oracle for every object at every instant
+    while the backward walker and ``move_back`` raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an object query walked backward")
+
+    monkeypatch.setattr(trajindex.logs.LogStore, "elements_backward", refuse)
+    monkeypatch.setattr(trajindex.engine, "move_back", refuse)
+    for obj in oracle.timelines:
+        for t in range(index.params.t_max + 1):
+            assert index.position_of(obj, t) == oracle.position_of(obj, t), (obj, t)
+
+
+@pytest.mark.parametrize("period", PERIODS)
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_object_queries_walk_forward_only(name, period, indexes, oracles, monkeypatch):
+    _positions_walking_forward(indexes[name, period], oracles[name], monkeypatch)
+
+
+def test_fixture_object_queries_walk_forward_only(
+    walkthrough_index, walkthrough_oracle, appearance_index, appearance_series, monkeypatch
+):
+    _positions_walking_forward(walkthrough_index, walkthrough_oracle, monkeypatch)
+    _positions_walking_forward(appearance_index, Oracle(appearance_series), monkeypatch)
