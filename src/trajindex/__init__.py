@@ -6,7 +6,7 @@ metadata per rule to jump over whole subsequences during queries.
 """
 
 from .engine import IndexParams, TrajectoryIndex
-from .ingest import RawRecord, normalize, parse_binary, parse_csv
+from .ingest import Records, normalize, parse_binary, parse_csv
 from .oracle import Oracle
 
 __version__ = "0.1.0"
@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 __all__ = [
     "IndexParams",
     "Oracle",
-    "RawRecord",
+    "Records",
     "TrajectoryIndex",
     "normalize",
     "parse_binary",

@@ -7,7 +7,8 @@ instant per object, gaps allowed).  It then:
 1. computes the dataset's maximum per-instant displacement (Euclidean,
    rounded up; the bound behind every pruning rule),
 2. cuts each object's timeline into portions of ``period`` instants,
-   emitting spiral move codes and AA/D/RM/RNM events per portion,
+   emitting spiral move codes and AA/D/RM/RNM events per portion (one
+   vectorized pass over all cells; only portions with cells get a log),
 3. compresses all logs jointly with Re-Pair and annotates every rule with
    span / displacement / relative bounding box,
 4. builds one snapshot (k2-tree + the objects of each cell) per multiple
@@ -123,36 +124,9 @@ class TrajectoryIndex:
         ids = sorted(series.keys())
         if ids and not (ids[0] >= 0 and ids[-1] < 2**63):
             raise ValueError("object ids must be integers in 0..2^63-1")
-        timelines = []
-        t_max = 0
-        max_coord = 0
-        for oid in ids:
-            ts_parts, xs_parts, ys_parts = [], [], []
-            for start, cells in series[oid]:
-                if not len(cells):
-                    continue
-                try:  # every instant and cell coordinate is an int64
-                    ts_parts.append(np.arange(start, start + len(cells), dtype=np.int64))
-                    xs_parts.append(np.asarray([c[0] for c in cells], dtype=np.int64))
-                    ys_parts.append(np.asarray([c[1] for c in cells], dtype=np.int64))
-                except OverflowError:
-                    raise ValueError(
-                        "object %r: instant or cell coordinate outside int64" % oid
-                    ) from None
-            if ts_parts:
-                ts = np.concatenate(ts_parts)
-                xs = np.concatenate(xs_parts)
-                ys = np.concatenate(ys_parts)
-            else:
-                ts = xs = ys = np.zeros(0, dtype=np.int64)
-            if len(ts):
-                if ts[0] < 0 or (np.diff(ts) <= 0).any():
-                    raise ValueError("object %r: instants must strictly increase" % oid)
-                if xs.min() < 0 or ys.min() < 0:
-                    raise ValueError("object %r: negative cell coordinate" % oid)
-                t_max = max(t_max, int(ts[-1]))
-                max_coord = max(max_coord, int(xs.max()), int(ys.max()))
-            timelines.append((ts, xs, ys))
+        obj, ts, xs, ys = _timelines(ids, series)
+        t_max = int(ts.max(initial=0))
+        max_coord = int(max(xs.max(initial=0), ys.max(initial=0)))
         if side is None:
             side = k
             while side <= max_coord:
@@ -161,65 +135,10 @@ class TrajectoryIndex:
             raise ValueError("side %d does not cover cell coordinate %d" % (side, max_coord))
         height_of(k, side)  # a power of k within the k2-tree's bounds
 
-        max_speed = 1
-        for ts, xs, ys in timelines:
-            if len(ts) < 2:
-                continue
-            dt = np.diff(ts)
-            dd = np.diff(xs) ** 2 + np.diff(ys) ** 2
-            nz = dd > 0
-            if nz.any():
-                per = [
-                    math.isqrt(int(sq) - 1) // int(el) + 1
-                    for sq, el in zip(dd[nz], dt[nz])
-                ]
-                max_speed = max(max_speed, max(per))
-
         n_portions, n_snaps = _layout(t_max, period)
-        streams = []
-        stream_meta = []  # (portion, internal id, d values, p values)
-        max_move = 0
-        for h in range(n_portions):
-            lo = h * period
-            pe = min(lo + period, t_max)
-            for o, (ts, xs, ys) in enumerate(timelines):
-                i0 = int(np.searchsorted(ts, lo, side="right"))
-                i1 = int(np.searchsorted(ts, pe, side="right"))
-                at_snap = i0 > 0 and ts[i0 - 1] == lo
-                if i0 == i1 and not at_snap:
-                    continue
-                syms, dv, pv = [], [], []
-                j = i0
-                if not at_snap:
-                    syms.append(EV_AA)
-                    dv.append(int(ts[i0]))
-                    pv.append(int(xs[i0]))
-                    pv.append(int(ys[i0]))
-                    j = i0 + 1
-                for jj in range(j, i1):
-                    step = int(ts[jj] - ts[jj - 1])
-                    dx = int(xs[jj] - xs[jj - 1])
-                    dy = int(ys[jj] - ys[jj - 1])
-                    if step == 1:
-                        code = spiral.encode(dx, dy)
-                        max_move = max(max_move, code)
-                        syms.append(code + MOVE_BASE)
-                    elif dx == 0 and dy == 0:
-                        syms.append(EV_RNM)
-                        dv.append(step - 1)
-                    else:
-                        syms.append(EV_RM)
-                        dv.append(step - 1)
-                        pv.append(spiral.encode(dx, dy))
-                last = i1 - 1 if i1 > i0 else i0 - 1
-                if int(ts[last]) < pe:
-                    syms.append(EV_D)
-                    dv.append(int(ts[last]))
-                    pv.append(int(xs[last]))
-                    pv.append(int(ys[last]))
-                streams.append(syms)
-                stream_meta.append((h, o, dv, pv))
-
+        log_h, log_o, streams, d_vals, d_off, p_vals, p_off, max_move = _emit_logs(
+            obj, ts, xs, ys, period, t_max
+        )
         raw_symbols = sum(len(s) for s in streams)
         nt_base = MOVE_BASE + max_move + 1
         compressed, rule_pairs = repair_compress(streams, nt_base)
@@ -228,13 +147,14 @@ class TrajectoryIndex:
         syms_all = (
             np.concatenate(compressed) if compressed else np.zeros(0, dtype=np.int64)
         )
-        portions = [([], [], [], []) for _ in range(n_portions)]  # as a file stores them
-        for (h, o, dv, pv), syms in zip(stream_meta, compressed):
-            p_ids, sym_lens, d_vals, p_vals = portions[h]
-            p_ids.append(o)
-            sym_lens.append(len(syms))
-            d_vals.extend(dv)
-            p_vals.extend(pv)
+        # each portion's logs as a file stores them: ids, symbol counts, D and P entries
+        sym_lens = np.array([len(s) for s in compressed], dtype=np.int64)
+        portions = [(np.zeros(0, dtype=np.int64),) * 4] * n_portions
+        hs, firsts = np.unique(log_h, return_index=True)
+        ends = np.append(firsts[1:], len(log_h))
+        for h, i, j in zip(hs.tolist(), firsts.tolist(), ends.tolist()):
+            d, p = d_vals[d_off[i] : d_off[j]], p_vals[p_off[i] : p_off[j]]
+            portions[h] = (log_o[i:j], sym_lens[i:j], d, p)
 
         params = IndexParams(
             period=period,
@@ -242,24 +162,25 @@ class TrajectoryIndex:
             side=side,
             n_objects=len(ids),
             t_max=t_max,
-            max_speed=max_speed,
+            max_speed=_max_speed(obj, ts, xs, ys),
             raw_symbols=raw_symbols,
         )
         logs = LogStore(rules, period, t_max, side, syms_all, portions)
 
-        snap_positions = [[] for _ in range(n_snaps)]
-        for o, (ts, xs, ys) in enumerate(timelines):
-            if not len(ts):
-                continue
-            snap_ts = np.arange(n_snaps, dtype=np.int64) * period
-            idx = np.searchsorted(ts, snap_ts)
-            ok = (idx < len(ts)) & (ts[np.minimum(idx, len(ts) - 1)] == snap_ts)
-            for hh in np.flatnonzero(ok):
-                i = int(idx[hh])
-                snap_positions[hh].append((o, int(xs[i]), int(ys[i])))
+        # every object at each snapshot instant, in id order
+        at = np.flatnonzero(ts % period == 0)
+        at = at[np.argsort(ts[at] // period, kind="stable")]
+        cuts = np.searchsorted(ts[at] // period, np.arange(n_snaps + 1)).tolist()
+        o_at, x_at, y_at = obj[at].tolist(), xs[at].tolist(), ys[at].tolist()
         snapshots = [
-            Snapshot.build(hh * period, positions, k, side, len(ids))
-            for hh, positions in enumerate(snap_positions)
+            Snapshot.build(
+                hh * period,
+                list(zip(o_at[i:j], x_at[i:j], y_at[i:j])),
+                k,
+                side,
+                len(ids),
+            )
+            for hh, (i, j) in enumerate(zip(cuts[:-1], cuts[1:]))
         ]
         return cls(params, np.asarray(ids, dtype=np.int64), snapshots, logs, rules)
 
@@ -701,6 +622,14 @@ class TrajectoryIndex:
             )
         if len(ids) != n_objects or not _increasing_ids(ids, math.inf):
             raise serial.SerializationError("ids are not %d increasing ids" % n_objects)
+        # no move inside the grid is faster than one corner to the other in
+        # an instant; this also bounds the move codes below
+        top_speed = math.isqrt(max(2 * (params.side - 1) ** 2 - 1, 0)) + 1
+        if params.max_speed > top_speed:
+            raise serial.SerializationError(
+                "max_speed %d exceeds %d, the most a %d grid allows"
+                % (params.max_speed, top_speed, params.side)
+            )
 
         dr = serial.ByteReader(serial.read_section(r))
         max_move = dr.u32()
@@ -796,6 +725,131 @@ class TrajectoryIndex:
 def _layout(t_max, period):
     """(portions, snapshots) of the timeline 0..t_max at ``period``."""
     return -(-t_max // period), t_max // period + 1
+
+
+def _timelines(ids, series):
+    """Every cell of ``series`` as int64 columns (internal id, instant, x,
+    y), by id and then instant.  ValueError names the first object whose
+    instants do not strictly increase from 0, whose cells are negative, or
+    whose instants or cells do not fit int64."""
+    cols = []
+    for o, oid in enumerate(ids):
+        ts_parts, xs_parts, ys_parts = [], [], []
+        for start, cells in series[oid]:
+            if not len(cells):
+                continue
+            try:  # every instant and cell coordinate is an int64
+                ts_parts.append(np.arange(start, start + len(cells), dtype=np.int64))
+                xs_parts.append(np.asarray([c[0] for c in cells], dtype=np.int64))
+                ys_parts.append(np.asarray([c[1] for c in cells], dtype=np.int64))
+            except OverflowError:
+                raise ValueError(
+                    "object %r: instant or cell coordinate outside int64" % oid
+                ) from None
+        if not ts_parts:
+            continue
+        ts, xs, ys = (np.concatenate(p) for p in (ts_parts, xs_parts, ys_parts))
+        if ts[0] < 0 or (np.diff(ts) <= 0).any():
+            raise ValueError("object %r: instants must strictly increase" % oid)
+        if xs.min() < 0 or ys.min() < 0:
+            raise ValueError("object %r: negative cell coordinate" % oid)
+        cols.append((np.full(len(ts), o, dtype=np.int64), ts, xs, ys))
+    if not cols:
+        return (np.zeros(0, dtype=np.int64),) * 4
+    return tuple(np.concatenate(c) for c in zip(*cols))
+
+
+def _max_speed(obj, ts, xs, ys):
+    """The largest per-instant displacement, ceil(|move| / elapsed) over
+    each object's consecutive cells, and at least 1.  The float ratio only
+    picks the candidates; their ceilings are exact integers."""
+    same = obj[1:] == obj[:-1]
+    dt, dx, dy = (np.diff(c)[same] for c in (ts, xs, ys))
+    moved = (dx != 0) | (dy != 0)
+    if not moved.any():
+        return 1
+    dt, dx, dy = dt[moved], dx[moved], dy[moved]
+    ratio = np.hypot(dx, dy) / dt  # within a few ulps of the true ratio
+    top = np.flatnonzero(ratio >= ratio.max() * (1 - 1e-9))
+    moves = set(zip(dx[top].tolist(), dy[top].tolist(), dt[top].tolist()))
+    return max(1, max(math.isqrt(a * a + b * b - 1) // el + 1 for a, b, el in moves))
+
+
+# the largest Chebyshev radius whose spiral codes all fit int64
+_MAX_CODE_RADIUS = (math.isqrt(2**63 - 1) - 1) // 2
+
+
+def _emit_logs(obj, ts, xs, ys, period, t_max):
+    """Every object's logs from its cells (columns by object, then instant),
+    in (portion, object) order: (portion per log, internal id per log,
+    symbol stream per log, D entries, each log's offset into them and
+    their total, the same two for P entries, largest one-instant move
+    code).
+
+    A cell at instant t >= 1 opens or extends the log of portion
+    (t - 1) // period: with AA when its object was absent at the portion's
+    snapshot and had no cell since, else with the move from the previous
+    cell (a spiral code after one instant, RNM or RM after a gap).  A D
+    closes a log that ends before its portion does, and a log holding only
+    an object's snapshot cell.
+    """
+    n = len(ts)
+    has_prev = np.zeros(n, dtype=bool)
+    has_prev[1:] = obj[1:] == obj[:-1]
+    has_next = np.append(has_prev[1:], False)
+    body = ts >= 1  # instant 0 is snapshot 0's and in no log's body
+    h = np.maximum(ts - 1, 0) // period
+    lo = h * period
+    pe = lo + np.minimum(period, t_max - lo)
+    step, dx, dy = (np.diff(c, prepend=0) for c in (ts, xs, ys))  # from the cell before
+    aa = body & ~(has_prev & (ts - step >= lo))
+    move = body & ~aa
+    if (np.maximum(np.abs(dx), np.abs(dy))[move] > _MAX_CODE_RADIUS).any():
+        raise ValueError(
+            "a move of over %d cells along an axis has no int64 spiral code" % _MAX_CODE_RADIUS
+        )
+    code = spiral.encode_array(np.where(move, dx, 0), np.where(move, dy, 0))  # 0 if no move
+    unit = move & (step == 1)
+    still = move & ~unit & (dx == 0) & (dy == 0)
+    rm = move & ~unit & ~still
+    sym = np.where(aa, EV_AA, np.where(unit, code + MOVE_BASE, np.where(still, EV_RNM, EV_RM)))
+    h_next = np.append(h[1:], -1)
+    snap_h = ts // period
+    snap_only = (ts % period == 0) & (snap_h < -(-t_max // period))
+    snap_only &= ~(has_next & (h_next == snap_h))
+    closes = body & ~(has_next & (h_next == h)) & (ts < pe)
+    d_end = snap_only | closes
+
+    # two entry slots per cell: the cell's own symbol, then a D closing a log
+    keep = np.stack([body, d_end], axis=1).ravel()
+    log_h = np.stack([h, np.where(snap_only, snap_h, h)], axis=1).ravel()
+    log_o = np.repeat(obj, 2)
+    sel = np.flatnonzero(keep)
+    order = sel[np.lexsort((log_o[sel], log_h[sel]))]  # stable: keeps each log's order
+    syms = np.stack([sym, np.full(n, EV_D)], axis=1).ravel()[order]
+    has_d = np.stack([aa | still | rm, d_end], axis=1).ravel()[order]
+    d_all = np.stack([np.where(aa, ts, step - 1), ts], axis=1).ravel()[order]
+    n_p = np.stack([np.where(aa, 2, rm.astype(np.int64)), np.full(n, 2)], axis=1).ravel()[order]
+    p_first = np.stack([np.where(aa, xs, code), xs], axis=1).ravel()[order]
+    p_second = np.repeat(ys, 2)[order]
+
+    log_h, log_o = log_h[order], log_o[order]
+    opens = np.ones(len(order), dtype=bool)
+    opens[1:] = (log_h[1:] != log_h[:-1]) | (log_o[1:] != log_o[:-1])
+    starts = np.flatnonzero(opens)
+    bounds = np.append(starts, len(order))
+    p_vals = np.stack([p_first, p_second], axis=1)[np.stack([n_p >= 1, n_p >= 2], axis=1)]
+    cuts = bounds.tolist()
+    return (
+        log_h[starts],
+        log_o[starts],
+        [syms[i:j] for i, j in zip(cuts[:-1], cuts[1:])],
+        d_all[has_d],
+        np.append(0, np.cumsum(has_d))[bounds],
+        p_vals,
+        np.append(0, np.cumsum(n_p))[bounds],
+        int(code[unit].max(initial=0)),
+    )
 
 
 def _increasing_ids(ids, bound):

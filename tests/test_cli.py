@@ -127,6 +127,25 @@ class TestBuild:
         assert not (tmp_path / "x.idx").exists()
 
 
+    @pytest.mark.parametrize(
+        "flag, name",
+        [
+            (("--cell-size", "nan"), "cell_size"),
+            (("--cell-size", "inf"), "cell_size"),
+            (("--time-step", "nan"), "time_step"),
+            (("--time-step", "inf"), "time_step"),
+            (("--speed-cap", "nan"), "speed_cap"),
+        ],
+    )
+    def test_build_non_finite_parameter_named(self, cli_env, tmp_path, flag, name):
+        _root, csv_path, _index, _stats = cli_env
+        argv = ["build", "--input", str(csv_path), "--output", str(tmp_path / "x.idx")]
+        code, _out, err = _run(argv + ["--period", "8", *flag])
+        assert code == 1
+        assert err.startswith("error: %s must be" % name)
+        assert not (tmp_path / "x.idx").exists()
+
+
 class TestQuery:
     def test_object_csv(self, cli_env):
         _, _, index_path, _ = cli_env

@@ -479,6 +479,34 @@ def test_build_rejects_out_of_range_parameters(name, value):
         TrajectoryIndex.build(WALKTHROUGH_SERIES, **{"period": 8, name: value})
 
 
+@pytest.mark.parametrize("gap", [0, 5])
+def test_build_rejects_a_move_without_an_int64_code(gap):
+    far = 2**31 - 1  # its spiral codes pass 2^63
+    series = {1: [(0, [(0, 0)]), (1 + gap, [(far, 0)])]}
+    with deadline(2.0), pytest.raises(ValueError, match="no int64 spiral code"):
+        TrajectoryIndex.build(series, period=8, side=2**31)
+
+
+def test_max_speed_bounded_by_the_grid():
+    # with both raised, the move code bound no longer caps the tables that
+    # loading sizes by the largest move code (2^32 entries each)
+    idx = TrajectoryIndex.build(WALKTHROUGH_SERIES, period=8, k=2, side=16)
+    pairs = idx.rules.pairs.reshape(-1)
+    w = ByteWriter()
+    w.u32(2**32 - 1)
+    w.u32(idx.rules.n_rules)
+    write_uint_array(w, pairs)
+    idx._dict_payload = w.getvalue
+    idx.params.max_speed = 40_000
+    blob = idx.to_bytes()
+    with deadline(2.0), pytest.raises(SerializationError, match="max_speed 40000 exceeds 22"):
+        TrajectoryIndex.from_bytes(blob)
+    # the bound itself loads: a diagonal jump across the 16 grid is 21.2 cells
+    idx = TrajectoryIndex.build({1: [(0, [(0, 0), (15, 15)])]}, period=8, side=16)
+    assert idx.params.max_speed == 22
+    assert TrajectoryIndex.from_bytes(idx.to_bytes()).params == idx.params
+
+
 @pytest.mark.parametrize(
     "params", [{"period": 2**63 - 1}, {"period": 8, "side": 2**31}, {"period": 8, "k": 256}]
 )
