@@ -38,7 +38,7 @@ def _add_build_flags(p):
     p.add_argument("--cell-size", type=float, default=1.0)
     p.add_argument("--time-step", type=float, default=1.0)
     p.add_argument("--speed-cap", type=float, default=None)
-    p.add_argument("--gap", type=int, default=15, help="segment split threshold")
+    p.add_argument("--gap", type=_gap, default=15, help="segment split threshold")
     p.add_argument("--period", type=int, required=True, help="instants per snapshot")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--side", type=int, default=None, help="grid side (power of k)")
@@ -63,6 +63,15 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1, not %d" % value)
+    return value
+
+
+def _gap(text):
+    value = int(text)
+    try:
+        float(value)  # normalize scales it by the time step
+    except OverflowError:
+        raise argparse.ArgumentTypeError("must be within float range") from None
     return value
 
 

@@ -472,10 +472,12 @@ class TrajectoryIndex:
         snapshot at or before t_q, keyed by a lower bound on the distance at
         t_q: the distance so far minus what ``max_speed`` covers in the time
         left.  Snapshot objects join from the k2-tree's distance stream once
-        their bound is no more than the heap's top.  A walk's bound never
-        falls as it advances, and a walk that reaches t_q is keyed by its
-        exact distance, so neighbours are returned in the order they leave
-        the queue, which is (distance, id) order.
+        their bound is no more than the heap's top; that stream is the
+        snapshot's cells, decoded at once and sorted by distance, so it
+        ranks nothing.  A walk's bound never falls as it advances, and a
+        walk that reaches t_q is keyed by its exact distance, so neighbours
+        are returned in the order they leave the queue, which is (distance,
+        id) order.  Every distance equals ``math.hypot``'s, as the oracle's.
         """
         if count <= 0 or not self._in_extent(t_q) or not len(self.ids):
             return []

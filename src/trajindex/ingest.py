@@ -153,6 +153,10 @@ def normalize(records, cell_size, time_step, speed_cap=None, gap_threshold=15):
         raise ValueError("speed_cap must be finite, not %r" % (speed_cap,))
     if not gap_threshold >= 2:
         raise ValueError("gap_threshold must be at least 2, not %r" % (gap_threshold,))
+    try:
+        gap = float(gap_threshold) * float(time_step)
+    except OverflowError:  # an int beyond float range
+        raise ValueError("gap_threshold must be within float range") from None
     cell_size, time_step = float(cell_size), float(time_step)
     oid = np.asarray(records.oid, dtype=np.int64)
     t, x, y = (np.asarray(c, dtype=np.float64) for c in (records.t, records.x, records.y))
@@ -182,7 +186,7 @@ def normalize(records, cell_size, time_step, speed_cap=None, gap_threshold=15):
 
     # segments: each object's records, cut where the raw gap reaches the threshold
     cut = first.copy()
-    cut[1:] |= t[1:] - t[:-1] >= gap_threshold * time_step
+    cut[1:] |= t[1:] - t[:-1] >= gap
     s0 = np.flatnonzero(cut)
     s1 = np.append(s0[1:], len(t))  # exclusive ends
     owner = oid[s0]

@@ -23,12 +23,17 @@ the frontier skips nodes.
 Occupied cells are numbered 1..m in L order ("leaf rank"); snapshots attach
 per-cell object groups through that numbering.
 
-``nodes_by_distance`` drives nearest-neighbour search: a best-first walk
-over tree regions yielding the occupied cells in non-decreasing Euclidean
-distance from a query point.
+``cells`` decodes every occupied cell at once with numpy and ranks
+nothing.  It finds the set bits in the packed bytes, unpacking only the
+nonzero bytes, so its memory follows the ones rather than the k^2 slots of
+each node.  The j-th one (0-based), at position p, is node j + 1, a child
+of node p // k^2 in slot p % k^2; one pass per level then places each
+node's square inside its parent's.  It serves ``range_report`` when the
+region covers the whole grid, and ``nodes_by_distance``, which drives
+nearest-neighbour search: it sorts the cells by their distance from the
+query point and yields them in that order.
 """
 
-import heapq
 import math
 
 import numpy as np
@@ -143,6 +148,9 @@ class K2Tree:
         # the slot masks below assume a region that meets the grid
         if rx1 > rx2 or ry1 > ry2 or rx2 < 0 or ry2 < 0 or rx1 >= self.side or ry1 >= self.side:
             return []
+        if rx1 <= 0 and ry1 <= 0 and rx2 >= self.side - 1 and ry2 >= self.side - 1:
+            xs, ys = self.cells()
+            return list(zip(xs.tolist(), ys.tolist(), range(1, len(xs) + 1)))
         k, kk = self.k, self.k * self.k
         ones_k, full = (1 << k) - 1, (1 << kk) - 1
         bits = self.bits
@@ -189,44 +197,36 @@ class K2Tree:
         t_ones = self.t_ones
         return [(x, y, node - t_ones) for node, x, y in frontier]
 
+    def cells(self):
+        """Every occupied cell as two int64 arrays ``xs, ys`` in L order, so
+        index i holds leaf rank i + 1 (see the module docstring)."""
+        k, kk, side = self.k, self.k * self.k, self.side
+        packed = np.frombuffer(self.bits.to_bytes(), dtype=np.uint8)
+        nonzero = np.flatnonzero(packed)
+        row, bit = np.nonzero(np.unpackbits(packed[nonzero][:, None], axis=1, bitorder="little"))
+        parent, slot = np.divmod(nonzero[row] * 8 + bit, kk)
+        # x * side + y of each node's square, in units of its own side; the
+        # root is entry 0, and after pass i every node of level i is exact
+        step = slot % k * side + slot // k
+        square = np.zeros(len(step) + 1, dtype=np.int64)
+        for _ in range(self.height):
+            square[1:] = square[parent] * k + step
+        return np.divmod(square[self.t_ones + 1:], side)
+
     def nodes_by_distance(self, qx, qy):
         """Occupied cells in non-decreasing distance from (qx, qy).
 
-        A best-first walk over the tree regions that yields one
-        (x, y, leaf_rank, dist) per occupied cell; equal distances come out
-        in discovery order.  The caller may simply stop consuming once
-        distances exceed its cut-off.
+        Yields one (x, y, leaf_rank, dist) per occupied cell, lazily, so the
+        caller may simply stop consuming once distances exceed its cut-off.
+        ``dist`` is ``math.hypot`` of the offsets, bit for bit what the
+        oracle computes, and equal distances come out in L order.
         """
-        k, kk, t_ones = self.k, self.k * self.k, self.t_ones
-        full = (1 << kk) - 1
-        bits = self.bits
-        data = bits.to_bytes()
+        xs, ys = self.cells()
+        xl, yl = xs.tolist(), ys.tolist()
         hypot = math.hypot
-        # (dist, counter, node, x0, y0, side of the node's square)
-        heap = [(0.0, 0, 0, 0, 0, self.side)]
-        counter = 1
-        while heap:
-            dist, _, node, x0, y0, size = heapq.heappop(heap)
-            if node > t_ones:
-                yield x0, y0, node - t_ones, dist
-                continue
-            sub = size // k
-            base = node * kk
-            child = bits.rank1(base)
-            slots = int.from_bytes(data[base >> 3:(base + kk + 7) >> 3], "little")
-            slots = slots >> (base & 7) & full
-            while slots:
-                low = slots & -slots
-                slots ^= low
-                slot = low.bit_length() - 1
-                child += 1
-                cx = x0 + slot % k * sub
-                cy = y0 + slot // k * sub
-                # distance from the query point to the child's square
-                dx = cx - qx if qx < cx else max(qx - cx - sub + 1, 0)
-                dy = cy - qy if qy < cy else max(qy - cy - sub + 1, 0)
-                heapq.heappush(heap, (hypot(dx, dy), counter, child, cx, cy, sub))
-                counter += 1
+        dist = [hypot(x - qx, y - qy) for x, y in zip(xl, yl)]
+        for i in sorted(range(len(dist)), key=dist.__getitem__):
+            yield xl[i], yl[i], i + 1, dist[i]
 
 
 def height_of(k, side):

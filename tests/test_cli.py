@@ -145,6 +145,16 @@ class TestBuild:
         assert err.startswith("error: %s must be" % name)
         assert not (tmp_path / "x.idx").exists()
 
+    def test_build_gap_beyond_float_range_is_usage_error(self, cli_env, tmp_path, capsys):
+        _root, csv_path, _index, _stats = cli_env
+        argv = ["build", "--input", str(csv_path), "--output", str(tmp_path / "x.idx"),
+                "--period", "8", "--gap", "9" * 400]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --gap: must be within float range" in capsys.readouterr().err
+        assert not (tmp_path / "x.idx").exists()
+
 
 class TestQuery:
     def test_object_csv(self, cli_env):

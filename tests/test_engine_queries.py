@@ -7,6 +7,7 @@ import pytest
 import trajindex.engine
 import trajindex.logs
 from trajindex import Oracle, TrajectoryIndex
+from trajindex.bits import BitVector
 from trajindex.geometry import clip_region, expanded_region
 
 from conftest import DATASET_SIDE, DATASETS, PERIODS, make_walk_series
@@ -209,6 +210,51 @@ def test_counters_track_symbol_work(walkthrough_index):
     assert idx.counters.get("object_symbols", 0) == 0
     idx.time_interval((7, 3, 10, 4), 9, 12)
     assert idx.counters["interval_symbols"] > 0
+
+
+def test_knn_distances_equal_math_hypot():
+    """A cell 17 and 27 cells off the query point: ``np.hypot`` gives
+    31.906112267087636, one ulp off ``math.hypot`` (the oracle's), and
+    every layer must give the oracle's distance."""
+    q = (20, 30)
+    series = {1: [(0, [(37, 57)] * 9)], 2: [(0, [(3, 3)] * 9)]}
+    index = TrajectoryIndex.build(series, period=8, k=2, side=64)
+    want = math.hypot(17, 27)
+    snap = index.snapshots[0]
+    got = {(x, y): d for x, y, _r, d in snap.tree.nodes_by_distance(*q)}
+    assert got[37, 57] == want
+    got = {p: d for _o, p, d in snap.candidates_by_distance(*q)}
+    assert got[37, 57] == want
+    oracle = Oracle(series)
+    for t in (0, 4, 8):  # the snapshot, a log walk, the last snapshot
+        assert index.knn(1, q, t) == [(1, want)]
+        assert index.knn(2, q, t) == oracle.knn(2, q, t)
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_knn_ranks_and_selects_nothing(name, indexes, oracles, monkeypatch):
+    """kNN reads each snapshot's cells in one decode: no rank or select."""
+    calls = []
+
+    def counting(attr):
+        inner = getattr(BitVector, attr)
+
+        def wrapper(self, *args):
+            calls.append(attr)
+            return inner(self, *args)
+
+        return wrapper
+
+    for attr in ("rank1", "select1"):
+        monkeypatch.setattr(BitVector, attr, counting(attr))
+    side, rng = DATASET_SIDE[name], random.Random(106)
+    for period in PERIODS:
+        index, oracle = indexes[name, period], oracles[name]
+        for _ in range(10):
+            point = (rng.randrange(side), rng.randrange(side))
+            t, k = rng.randrange(index.params.t_max + 1), rng.randrange(1, 8)
+            assert index.knn(k, point, t) == oracle.knn(k, point, t), (point, t, k)
+    assert calls == []
 
 
 def test_interval_reached_at_full_speed_on_its_last_instant():

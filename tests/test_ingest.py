@@ -315,6 +315,11 @@ class TestNormalize:
         with pytest.raises(ValueError, match="^%s must be" % name):
             normalize(recs, **params)
 
+    def test_gap_beyond_float_range_named(self):
+        recs = _records([(1, 0, 0, 0), (1, 3, 3, 3)])
+        with pytest.raises(ValueError, match="^gap_threshold must be within float range"):
+            normalize(recs, 1, 1, gap_threshold=10**400)
+
     def test_infinite_gap_never_splits(self):
         recs = _records([(1, 0, 0, 0), (1, 40, 40, 0)])
         got = normalize(recs, 1, 1, gap_threshold=math.inf)

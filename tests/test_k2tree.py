@@ -64,11 +64,34 @@ def test_range_report_orders_by_leaf():
 
 
 def test_empty_tree():
-    tree = K2Tree.build(2, 16, [], [])
-    assert tree.n_leaves() == 0
-    assert tree.cell(5, 5) is None
-    assert tree.range_report((0, 0, 15, 15)) == []
-    assert list(tree.nodes_by_distance(3, 3)) == []
+    for k, side in [(2, 16), (3, 3), (4, 64)]:
+        tree = K2Tree.build(k, side, [], [])
+        assert tree.n_leaves() == 0
+        assert tree.cell(1, 1) is None
+        xs, ys = tree.cells()
+        assert xs.tolist() == ys.tolist() == []
+        assert tree.range_report((0, 0, side - 1, side - 1)) == []
+        assert tree.range_report((-3, -3, side + 2, side + 2)) == []
+        assert list(tree.nodes_by_distance(1, 1)) == []
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_height_one_tree(k):
+    # side = k: T is empty and L is the root's k^2 slots
+    cells = [(k - 1, 0), (0, 0), (1, k - 1)]
+    tree = build_from_cells(cells, side=k, k=k)
+    assert tree.height == 1 and len(tree.t) == 0
+    in_l_order = sorted(set(cells), key=lambda c: (c[1], c[0]))
+    xs, ys = tree.cells()
+    assert list(zip(xs.tolist(), ys.tolist())) == in_l_order
+    assert tree.range_report((0, 0, k - 1, k - 1)) == [
+        (x, y, r) for r, (x, y) in enumerate(in_l_order, 1)
+    ]
+    got = list(tree.nodes_by_distance(k - 1, k - 1))
+    assert sorted((d, x, y) for x, y, _r, d in got) == sorted(
+        (math.hypot(x - k + 1, y - k + 1), x, y) for x, y in in_l_order
+    )
+    assert all(r == tree.cell(x, y) for x, y, r, _d in got)
 
 
 def test_distance_walk_on_verified_scene():
@@ -138,9 +161,16 @@ def test_whole_grid_reports_every_leaf_in_order(k, side):
     xs = rng.integers(0, side, size=90)
     ys = rng.integers(0, side, size=90)
     tree = K2Tree.build(k, side, xs, ys)
-    hits = tree.range_report((0, 0, side - 1, side - 1))
-    assert [r for _x, _y, r in hits] == list(range(1, tree.n_leaves() + 1))
-    assert [(x, y) for x, y, _r in hits] == [tree.locate(r) for _x, _y, r in hits]
+    want = [(*tree.locate(r), r) for r in range(1, tree.n_leaves() + 1)]
+    # the grid itself, and a region that spills past it on every side
+    for region in ((0, 0, side - 1, side - 1), (-3, -3, side + 2, side + 2)):
+        assert tree.range_report(region) == want
+    cx, cy = tree.cells()
+    assert list(zip(cx.tolist(), cy.tolist())) == [(x, y) for x, y, _r in want]
+    # one cell short of the grid on one side: the level-order walk
+    assert tree.range_report((0, 0, side - 2, side - 1)) == [
+        (x, y, r) for x, y, r in want if x < side - 1
+    ]
 
 
 @pytest.mark.parametrize("k,side", [(3, 27), (4, 64)])
@@ -152,13 +182,13 @@ def test_distance_walk_matches_brute_force(k, side):
     cells |= {(c + 3, c + 4), (c - 4, c + 3), (c - 3, c - 4), (c + 5, c), (c, c + 2), (c - 2, c)}
     tree = build_from_cells(sorted(cells), side=side, k=k)
     for q in [(c, c), (0, side - 1), (int(rng.integers(side)), int(rng.integers(side)))]:
-        got = list(tree.nodes_by_distance(*q))
-        dists = [d for _x, _y, _r, d in got]
-        assert dists == sorted(dists)
-        assert sorted((d, x, y) for x, y, _r, d in got) == sorted(
-            (math.hypot(x - q[0], y - q[1]), x, y) for x, y in cells
+        # equal distances come out in L order
+        want = sorted(
+            ((x - q[0]) ** 2 + (y - q[1]) ** 2, tree.cell(x, y), x, y) for x, y in cells
         )
-        assert all(r == tree.cell(x, y) for x, y, r, _d in got)
+        assert list(tree.nodes_by_distance(*q)) == [
+            (x, y, r, math.hypot(x - q[0], y - q[1])) for _sq, r, x, y in want
+        ]
 
 
 def test_build_peak_memory_stays_near_the_bits():
@@ -180,3 +210,36 @@ def test_build_peak_memory_stays_near_the_bits():
     hits = tree.range_report((0, 0, 2**16 - 1, 2**16 - 1))
     assert sorted((x, y) for x, y, _r in hits) == sorted(set(cells))
     assert len(hits) == 40
+
+
+def test_distance_walk_far_off_the_grid():
+    # offsets whose squares overflow int64; from (10^30, 10^30) all four
+    # distances round to one float, so they come out in L order
+    cells = [(0, 0), (15, 15), (3, 12), (12, 3)]
+    tree = build_from_cells(cells)
+    for q in [(10**12, -5), (-(2**40), 2**40), (10**30, 10**30)]:
+        want = sorted((math.hypot(x - q[0], y - q[1]), tree.cell(x, y), x, y) for x, y in cells)
+        assert list(tree.nodes_by_distance(*q)) == [(x, y, r, d) for d, r, x, y in want]
+
+
+def test_distance_walk_memory_follows_the_cells():
+    # k=256 over a 2^24 grid: levels 2 and 3 hold 40 x 65,536 slots each
+    # (2.6 MB unpacked, 5.3 MB for the whole T:L), but the decode unpacks
+    # only the bytes that hold a one
+    rng = random.Random(24)
+    cells = [(rng.randrange(2**24), rng.randrange(2**24)) for _ in range(40)]
+    tree = build_from_cells(cells, side=2**24, k=256)
+    assert tree.height == 3
+    q = (2**23, 2**22)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = list(tree.nodes_by_distance(*q))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert [(d, x, y) for x, y, _r, d in got] == sorted(
+        (math.hypot(x - q[0], y - q[1]), x, y) for x, y in cells
+    )
+    assert all(r == tree.cell(x, y) for x, y, r, _d in got)
