@@ -148,6 +148,8 @@ class K2Tree:
         # the slot masks below assume a region that meets the grid
         if rx1 > rx2 or ry1 > ry2 or rx2 < 0 or ry2 < 0 or rx1 >= self.side or ry1 >= self.side:
             return []
+        # the decode reads every cell, the walk only the nodes the region
+        # meets: the decode wins on the whole grid, the walk on small regions
         if rx1 <= 0 and ry1 <= 0 and rx2 >= self.side - 1 and ry2 >= self.side - 1:
             xs, ys = self.cells()
             return list(zip(xs.tolist(), ys.tolist(), range(1, len(xs) + 1)))
