@@ -22,15 +22,16 @@ Conventions
 Bits are kept packed in a ``bytes`` object, eight to a byte and
 little-endian (position p is bit (p-1) % 8 of byte (p-1) // 8), as the file
 stores them.  The rank directory samples cumulative counts every 512 bits
-(uint32), a 6.25% overhead on the packed size.  ``rank1`` adds to it the
-``int.bit_count`` of the partial superblock, read with ``int.from_bytes``;
-select bisects the directory and then halves its superblock by popcounts.
-Only ``select0``'s first call uses numpy, to derive its zero directory.
+in an ``array("I")``, a 6.25% overhead on the packed size, whose items read
+as Python ints.  ``rank1`` adds to it the ``int.bit_count`` of the partial
+superblock, read with ``int.from_bytes``; select bisects the directory and
+then halves its superblock by popcounts.
 ``to_bytes`` hands out the packed bits themselves, so a k2-tree reads a
 node's child slots from them as one int.
 """
 
 import bisect
+from array import array
 
 import numpy as np
 
@@ -60,17 +61,17 @@ class BitVector:
             raise ValueError("bits must be one-dimensional")
         self._n = n = len(bits)
         nblocks = (n + _SUPER - 1) // _SUPER
-        # _dir[i] = number of ones in the first i superblocks
-        self._dir = np.zeros(nblocks + 1, dtype=np.uint32)
+        # counts[i] = number of ones in the first i superblocks
+        counts = np.zeros(nblocks + 1, dtype=np.uint32)
         if n:
             # ones per superblock, summed with no widened copy of the bits
             whole = n - n % _SUPER
             ones = bits[:whole].reshape(-1, _SUPER).sum(axis=1, dtype=np.uint32)
-            np.cumsum(ones, out=self._dir[1:len(ones) + 1])
+            np.cumsum(ones, out=counts[1:len(ones) + 1])
             if whole < n:
-                self._dir[-1] = self._dir[-2] + np.count_nonzero(bits[whole:])
-        self._nones = int(self._dir[-1]) if n else 0
-        self._counts = memoryview(self._dir)  # scalar reads give Python ints
+                counts[-1] = counts[-2] + np.count_nonzero(bits[whole:])
+        self._dir = array("I", counts.tobytes())
+        self._nones = self._dir[-1]
         self._packed = np.packbits(bits, bitorder="little").tobytes()
         self._zdir = None  # zero-count directory, built by the first select0
 
@@ -91,7 +92,7 @@ class BitVector:
         if p <= 0:
             return 0
         q, r = divmod(p, _SUPER)
-        count = self._counts[q]
+        count = self._dir[q]
         if r:
             # the superblock starts on a byte; mask the bits past p
             data = self._packed[(p - r) >> 3:(p + 7) >> 3]
@@ -103,14 +104,14 @@ class BitVector:
 
     def select1(self, j):
         """1-based position of the j-th one; select1(0) == 0."""
-        return self._select(j, self._counts, 1)
+        return self._select(j, self._dir, 1)
 
     def select0(self, j):
         """1-based position of the j-th zero; select0(0) == 0."""
         if self._zdir is None:
             # zeros in the first i superblocks: i*SUPER (capped at n) - dir[i]
-            blocks = np.arange(len(self._dir), dtype=np.int64) * _SUPER
-            self._zdir = memoryview(np.minimum(blocks, self._n) - self._dir)
+            n = self._n
+            self._zdir = array("I", (min(i * _SUPER, n) - c for i, c in enumerate(self._dir)))
         return self._select(j, self._zdir, 0)
 
     def _select(self, j, counts, value):

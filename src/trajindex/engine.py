@@ -42,6 +42,7 @@ from __future__ import annotations
 import collections
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,14 +90,6 @@ class IndexParams:
     raw_symbols: int
 
 
-class Counters(dict):
-    def bump(self, key, n=1):
-        self[key] = self.get(key, 0) + n
-
-    def reset(self):
-        self.clear()
-
-
 class TrajectoryIndex:
     def __init__(self, params, ids, snapshots, logs, rules):
         self.params = params
@@ -104,7 +97,7 @@ class TrajectoryIndex:
         self.snapshots = snapshots
         self.logs = logs
         self.rules = rules
-        self.counters = Counters()
+        self.counters = collections.Counter()
 
     # ------------------------------------------------------------------
     # construction
@@ -171,16 +164,10 @@ class TrajectoryIndex:
         at = np.flatnonzero(ts % period == 0)
         at = at[np.argsort(ts[at] // period, kind="stable")]
         cuts = np.searchsorted(ts[at] // period, np.arange(n_snaps + 1)).tolist()
-        o_at, x_at, y_at = obj[at].tolist(), xs[at].tolist(), ys[at].tolist()
+        o_at, x_at, y_at = obj[at], xs[at], ys[at]
         snapshots = [
-            Snapshot.build(
-                hh * period,
-                list(zip(o_at[i:j], x_at[i:j], y_at[i:j])),
-                k,
-                side,
-                len(ids),
-            )
-            for hh, (i, j) in enumerate(zip(cuts[:-1], cuts[1:]))
+            Snapshot.build(o_at[i:j], x_at[i:j], y_at[i:j], k, side, len(ids))
+            for i, j in zip(cuts[:-1], cuts[1:])
         ]
         return cls(params, np.asarray(ids, dtype=np.int64), snapshots, logs, rules)
 
@@ -229,10 +216,10 @@ class TrajectoryIndex:
         return self.logs.first_anchor(h, oid) if h < self.logs.n_portions else None
 
     def _forward_to(self, oid, t_c, p_c, t_q):
-        bump = self.counters.bump
+        counters = self.counters
         for sym, t, p in self.logs.elements(oid, t_c, p_c, t_q, seek=t_q):
             if sym is not None:
-                bump("object_symbols")
+                counters["object_symbols"] += 1
                 if t > t_q:
                     t, p = move_jump(self.rules, p_c, t_c, t_q, sym)
             t_c, p_c = t, p
@@ -335,10 +322,10 @@ class TrajectoryIndex:
         m_sp = self.params.max_speed
         side = self.params.side
         rules = self.rules
-        bump = self.counters.bump
+        counters = self.counters
         for sym, t, p in self.logs.elements(oid, t_c, p_c, t_q, seek=t_q):
             if sym is not None:
-                bump("slice_symbols")
+                counters["slice_symbols"] += 1
                 if (
                     use_mbr
                     and t >= t_q
@@ -361,10 +348,10 @@ class TrajectoryIndex:
         m_sp = self.params.max_speed
         side = self.params.side
         rules = self.rules
-        bump = self.counters.bump
+        counters = self.counters
         for sym, t, p in self.logs.elements_backward(h, oid, t_c, p_c, t_q, seek=True):
             if sym is not None:
-                bump("slice_symbols")
+                counters["slice_symbols"] += 1
                 if (
                     use_mbr
                     and t <= t_q
@@ -459,7 +446,7 @@ class TrajectoryIndex:
                         return False
             return False
         finally:
-            self.counters.bump("interval_symbols", n)
+            self.counters["interval_symbols"] += n
 
     # ------------------------------------------------------------------
     # k nearest neighbours
@@ -503,7 +490,7 @@ class TrajectoryIndex:
         stream = snap.candidates_by_distance(point[0], point[1])
         nxt = next(stream, None)
         out = []
-        bump = self.counters.bump
+        counters = self.counters
         while cands or nxt is not None:
             if nxt is not None and (not cands or nxt[2] - slack <= cands[0][0]):
                 o, p, dist = nxt
@@ -523,7 +510,7 @@ class TrajectoryIndex:
                 continue  # the log ends before t_q: not active, drop
             sym, t, p = step
             if sym is not None:
-                bump("knn_symbols")
+                counters["knn_symbols"] += 1
                 if t > t_q:
                     t, p = move_jump(self.rules, p_c, t_c, t_q, sym)
             t_c, p_c = t, p
@@ -612,6 +599,7 @@ class TrajectoryIndex:
         pr = serial.ByteReader(serial.read_section(r))
         params = IndexParams(**{name: getattr(pr, kind)() for name, kind in PARAM_FIELDS})
         ids = serial.read_uint_array(pr)
+        pr.expect_end("params section")
         k, period, t_max = params.k, params.period, params.t_max
         n_objects = params.n_objects
         # t_max and period must fit int64, as every instant does, and k and
@@ -637,6 +625,7 @@ class TrajectoryIndex:
         max_move = dr.u32()
         n_rules = dr.u32()
         pairs = serial.read_uint_array(dr)
+        dr.expect_end("dictionary section")
         if len(pairs) != 2 * n_rules:
             raise serial.SerializationError("%d pair members for %d rules" % (len(pairs), n_rules))
         # a one-instant move's Chebyshev radius is at most max_speed
@@ -651,6 +640,7 @@ class TrajectoryIndex:
 
         sr = serial.ByteReader(serial.read_section(r))
         syms = serial.read_dac_int64(sr)
+        sr.expect_end("log_streams section")
 
         portions = []
         n_portions, n_snapshots = _layout(t_max, period)
@@ -660,6 +650,7 @@ class TrajectoryIndex:
             sym_lens = serial.read_uint_array(hr)
             d_vals = serial.read_dac_int64(hr)
             p_vals = serial.read_dac_int64(hr)
+            hr.expect_end("log_events section %d" % h)
             if not (_increasing_ids(p_ids, n_objects) and len(p_ids) == len(sym_lens)):
                 raise serial.SerializationError("portion %d: ids or symbol lengths malformed" % h)
             portions.append((p_ids, sym_lens, d_vals, p_vals))
@@ -676,13 +667,13 @@ class TrajectoryIndex:
             present = serial.read_bitvector(sr2)
             perm_vals = serial.read_uint_array(sr2)
             q = serial.read_bitvector(sr2)
+            sr2.expect_end("snapshots section %d" % h)
             try:
                 tree = K2Tree(k, params.side, t_bits, l_bits)
-                snapshots.append(Snapshot.load(h * period, tree, present, perm_vals, q, n_objects))
+                snapshots.append(Snapshot.load(tree, present, perm_vals, q, n_objects))
             except ValueError as e:
                 raise serial.SerializationError("snapshot %d: %s" % (h, e)) from e
-        if not r.at_end():
-            raise serial.SerializationError("trailing data after final section")
+        r.expect_end("index file")
         return cls(params, ids, snapshots, logs, rules)
 
     def stats(self):
@@ -860,9 +851,9 @@ def _increasing_ids(ids, bound):
 
 
 def _array_bytes(*roots):
-    """Bytes of the distinct numpy and ``bytes`` buffers reachable from
-    ``roots`` through containers, memoryviews and the attributes of this
-    package's objects."""
+    """Bytes of the distinct numpy, ``array.array`` and ``bytes`` buffers
+    reachable from ``roots`` through containers, memoryviews and the
+    attributes of this package's objects."""
     seen, todo, total = set(), list(roots), 0
     while todo:
         obj = todo.pop()
@@ -875,6 +866,8 @@ def _array_bytes(*roots):
         seen.add(id(obj))
         if isinstance(obj, np.ndarray):
             total += obj.nbytes
+        elif isinstance(obj, array):
+            total += len(obj) * obj.itemsize
         elif isinstance(obj, bytes):
             total += len(obj)
         elif isinstance(obj, (list, tuple)):

@@ -117,7 +117,7 @@ class LogStore:
         portion's snapshot) plus its move spans and its gaps + 1 reaches its
         D instant, else the portion end, and an AA instant lies inside the
         portion.  No move symbol and no RM code moves ``side`` or more along
-        an axis, as every position lies inside the grid.
+        an axis, and every AA and D position lies inside the grid.
 
         The same pass derives the checkpoints (see ``Checkpoints``) every
         ``STRIDE`` symbols after each log's opening AA, and the box of each
@@ -182,6 +182,9 @@ class LogStore:
             m.max(initial=0) >= side or m.min(initial=0) <= -side for m in (mx, my)
         ):
             raise ValueError("a log symbol moves past the grid side")
+        anchor_p = p_ev[:-1][syms[ev] < EV_RNM]  # AA and D: an absolute x, y
+        if (p_all[np.append(anchor_p, anchor_p + 1)] >= side).any():  # none is negative
+            raise ValueError("an AA or D position lies outside the grid")
         if len(codes):
             mx[ev[rm]], my[ev[rm]] = spiral.decode_array(codes)
 

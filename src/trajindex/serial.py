@@ -79,6 +79,13 @@ class ByteReader:
     def at_end(self):
         return self._pos == len(self._data)
 
+    def expect_end(self, what):
+        """Raise unless every byte has been read; ``what`` names the data."""
+        if not self.at_end():
+            raise SerializationError(
+                "%s: %d trailing bytes" % (what, len(self._data) - self._pos)
+            )
+
 
 def bits_needed(max_value):
     return max(int(max_value).bit_length(), 1)

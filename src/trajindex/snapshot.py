@@ -10,7 +10,11 @@ order.  In memory a snapshot holds three narrow arrays beside it:
 * ``leaf`` — each object id's leaf rank, 0 when the object is absent.
 
 So an object's cell is one lookup plus ``K2Tree.locate``, and a cell's
-objects are one slice.
+objects are one slice.  Each table is held once, as a numpy array with no
+memoryview beside it: a region query converts the slices of the cells it
+reports to Python ints, and a distance query the whole of ``ids`` and
+``group`` at once, since it reads every cell.  ``build`` takes the id, x
+and y columns of the objects present.
 
 The file keeps the paper's layout instead: a presence bitmap over all ids,
 a permutation listing the presence ranks (0-based ranks among the present
@@ -30,33 +34,25 @@ from .k2tree import K2Tree, path_keys
 
 
 class Snapshot:
-    def __init__(self, time, tree, ids, group, leaf):
-        self.time = time
+    def __init__(self, tree, ids, group, leaf):
         self.tree = tree
         self.ids = narrow(ids)
         self.group = narrow(group)
         self.leaf = narrow(leaf)
-        # scalar reads go through memoryviews, which give Python ints
-        self._ids = memoryview(self.ids)
-        self._group = memoryview(self.group)
 
     @classmethod
-    def _from_q(cls, time, tree, ids, q, n_objects):
+    def _from_q(cls, tree, ids, q, n_objects):
         """From the ids in leaf order and the Q bits over them."""
         group = np.concatenate([[0], np.flatnonzero(q == 0) + 1])
         leaf = np.zeros(n_objects, dtype=np.int64)
         leaf[ids] = np.repeat(np.arange(1, len(group)), np.diff(group))
-        return cls(time, tree, ids, group, leaf)
+        return cls(tree, ids, group, leaf)
 
     @classmethod
-    def build(cls, time, positions, k, side, n_objects):
-        """``positions``: (object id, x, y) triples, at most one per object."""
-        if positions:
-            oids = np.asarray([p[0] for p in positions], dtype=np.int64)
-            xs = np.asarray([p[1] for p in positions], dtype=np.int64)
-            ys = np.asarray([p[2] for p in positions], dtype=np.int64)
-        else:
-            oids = xs = ys = np.zeros(0, dtype=np.int64)
+    def build(cls, oids, xs, ys, k, side, n_objects):
+        """From the id, x and y columns of the objects present, at most one
+        cell per object."""
+        oids, xs, ys = (np.asarray(c, dtype=np.int64) for c in (oids, xs, ys))
         if len(np.unique(oids)) != len(oids):
             raise ValueError("duplicate object in snapshot input")
         tree = K2Tree.build(k, side, xs, ys)
@@ -66,10 +62,10 @@ class Snapshot:
         keys = keys[order]
         q = np.zeros(len(oids), dtype=np.uint8)
         q[:-1] = keys[1:] == keys[:-1]
-        return cls._from_q(time, tree, oids[order], q, n_objects)
+        return cls._from_q(tree, oids[order], q, n_objects)
 
     @classmethod
-    def load(cls, time, tree, present, perm, q, n_objects):
+    def load(cls, tree, present, perm, q, n_objects):
         """From the file's fields: presence and Q bits as uint8 arrays, and
         the permutation's values."""
         if len(present) != n_objects:
@@ -84,7 +80,7 @@ class Snapshot:
             raise ValueError("Q bitmap leaves the last group open")
         if len(q) - np.count_nonzero(q) != tree.n_leaves():
             raise ValueError("Q bitmap and k2-tree disagree on the occupied cells")
-        return cls._from_q(time, tree, present_ids[perm], q, n_objects)
+        return cls._from_q(tree, present_ids[perm], q, n_objects)
 
     def file_fields(self):
         """(presence bits, permutation values, Q bits) as the file stores them."""
@@ -103,10 +99,10 @@ class Snapshot:
         """(object id, position) pairs inside a region, in leaf/group order."""
         if region is None:
             return []
-        ids, group = self._ids, self._group
+        ids, group = self.ids, self.group
         out = []
         for x, y, leaf in self.tree.range_report(region):
-            for oid in ids[group[leaf - 1]:group[leaf]]:
+            for oid in ids[group[leaf - 1]:group[leaf]].tolist():
                 out.append((oid, (x, y)))
         return out
 
@@ -118,7 +114,7 @@ class Snapshot:
         ordered, a consumer may stop at the first entry whose distance
         exceeds its cut-off.
         """
-        ids, group = self._ids, self._group
+        ids, group = self.ids.tolist(), self.group.tolist()
         for x, y, leaf, dist in self.tree.nodes_by_distance(qx, qy):
             for oid in ids[group[leaf - 1]:group[leaf]]:
                 yield oid, (x, y), dist

@@ -285,7 +285,7 @@ def test_criterion_5_pruning(capfd, datasets, indexes):
         ]
 
         def counted(use_mbr):
-            index.counters.reset()
+            index.counters.clear()
             for region, t0 in queries:
                 index.time_interval(region, t0, t0 + 100, use_mbr=use_mbr)
             return index.counters.get("interval_symbols", 0)

@@ -203,10 +203,10 @@ class TestOracleEquivalence:
 
 def test_counters_track_symbol_work(walkthrough_index):
     idx = walkthrough_index
-    idx.counters.reset()
+    idx.counters.clear()
     idx.position_of(2, 10)
     assert idx.counters["object_symbols"] > 0
-    idx.counters.reset()
+    idx.counters.clear()
     assert idx.counters.get("object_symbols", 0) == 0
     idx.time_interval((7, 3, 10, 4), 9, 12)
     assert idx.counters["interval_symbols"] > 0

@@ -1,6 +1,8 @@
 import contextlib
+import gc
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,11 @@ from trajindex.serial import (
     write_dac,
     write_uint_array,
 )
+
+
+# object 1 stays in one cell over 0..16; object 2 appears at instant 10 in
+# (3, 5), moves to (4, 6) and is gone after 11
+TWO_OBJECTS = {1: [(0, [(1, 1)] * 17)], 2: [(10, [(3, 5), (4, 6)])]}
 
 
 class TestByteStream:
@@ -369,6 +376,34 @@ class TestIndexContainer:
         with pytest.raises(SerializationError, match="add up"):
             TrajectoryIndex.from_bytes(idx.to_bytes())
 
+    @pytest.mark.parametrize(
+        "section", ["params", "dictionary", "log_streams", "log_events", "snapshots"]
+    )
+    def test_trailing_bytes_inside_a_section_rejected(self, section):
+        idx = TrajectoryIndex.build(TWO_OBJECTS, period=8, side=8)
+        sections = list(idx._sections())
+        hits = [i for i, (part, _) in enumerate(sections) if part == section]
+        assert hits
+        for i in hits:
+            payloads = [payload for _, payload in sections]
+            payloads[i] += bytes(range(1, 7))  # re-wrapped with a valid CRC
+            blob = HEADER + b"".join(wrap_section(p) for p in payloads)
+            with pytest.raises(SerializationError, match="%s section.*6 trailing" % section):
+                TrajectoryIndex.from_bytes(blob)
+
+    @pytest.mark.parametrize("entry", [0, 1, 2, 3])  # the AA's x, y, then the D's
+    def test_anchor_position_outside_the_grid_rejected(self, entry):
+        idx = TrajectoryIndex.build(TWO_OBJECTS, period=8, side=8)
+        # portion 1: object 1 stays put, object 2 is [AA, move, D]
+        ids, sym_lens, d_vals, p_vals = idx.logs.portion(1)
+        assert p_vals.tolist() == [3, 5, 4, 6]
+        p_vals = p_vals.astype(np.int64)
+        p_vals[entry] += 8  # past the 8-cell side; the move stays as it was
+        portion = idx.logs.portion
+        idx.logs.portion = lambda h: (ids, sym_lens, d_vals, p_vals) if h == 1 else portion(h)
+        with pytest.raises(SerializationError, match="outside the grid"):
+            TrajectoryIndex.from_bytes(idx.to_bytes())
+
     def test_stats_shape(self, walkthrough_index):
         stats = walkthrough_index.stats()
         assert stats["objects"] == 7
@@ -407,6 +442,21 @@ class TestIndexContainer:
             want += (n + 7) // 8 + 4 * ((n + 511) // 512 + 1)
             want += snap.ids.nbytes + snap.group.nbytes + snap.leaf.nbytes
         assert idx.stats()["mem_bytes"]["snapshots"] == want
+
+    def test_load_retains_little_beyond_mem_bytes(self, indexes):
+        # what a loaded index holds beyond its counted arrays and bits is
+        # object and container overhead, bounded per snapshot
+        blob = indexes["appear", 30].to_bytes()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            idx = TrajectoryIndex.from_bytes(blob)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= idx.stats()["mem_bytes"]["total"] + 2000 * len(idx.snapshots)
 
 
 # sha256 of ``to_bytes()`` for the walkthrough index and every conftest

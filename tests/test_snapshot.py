@@ -16,7 +16,6 @@ class TestWalkthroughMiddleSnapshot:
     # internal ids are 0..6 for original objects 1..7
 
     def test_presence(self, s8):
-        assert s8.time == 8
         assert len(s8.ids) == 3
         assert [s8.find_object(o) is not None for o in range(7)] == [
             True, True, False, True, False, False, False,
@@ -61,7 +60,6 @@ class TestWalkthroughMiddleSnapshot:
 class TestEdgeSnapshots:
     def test_first_snapshot_has_no_predecessors(self, walkthrough_index):
         s0 = walkthrough_index.snapshots[0]
-        assert s0.time == 0
         assert len(s0.ids) == 6  # everyone but object 7
         logs = walkthrough_index.logs
         assert list(logs.appearing(0)) == []  # nobody appears mid-portion-0
@@ -69,7 +67,6 @@ class TestEdgeSnapshots:
 
     def test_last_snapshot(self, walkthrough_index):
         s16 = walkthrough_index.snapshots[2]
-        assert s16.time == 16
         assert len(s16.ids) == 7
         logs = walkthrough_index.logs
         assert list(logs.appearing(2)) == [] and list(logs.disappeared(2)) == []
@@ -79,13 +76,7 @@ class TestEdgeSnapshots:
 @pytest.fixture(scope="module")
 def shared():
     # objects 0 and 1 share cell (3, 3); object 2 sits alone
-    return Snapshot.build(
-        0,
-        [(0, 3, 3), (1, 3, 3), (2, 5, 1)],
-        k=2,
-        side=8,
-        n_objects=3,
-    )
+    return Snapshot.build([0, 1, 2], [3, 3, 5], [3, 3, 1], k=2, side=8, n_objects=3)
 
 
 class TestGrouping:
@@ -118,10 +109,10 @@ class TestGrouping:
 
     def test_duplicate_object_rejected(self):
         with pytest.raises(ValueError):
-            Snapshot.build(0, [(0, 1, 1), (0, 2, 2)], k=2, side=4, n_objects=1)
+            Snapshot.build([0, 0], [1, 2], [1, 2], k=2, side=4, n_objects=1)
 
     def test_empty_snapshot(self):
-        snap = Snapshot.build(0, [], k=2, side=4, n_objects=5)
+        snap = Snapshot.build([], [], [], k=2, side=4, n_objects=5)
         assert len(snap.ids) == 0 and snap.group.tolist() == [0]
         assert snap.leaf.tolist() == [0] * 5
         assert snap.find_object(3) is None
