@@ -72,11 +72,17 @@ from .snapshot import Snapshot
 MAGIC = b"GCTI"
 FORMAT_VERSION = 4
 HEADER = MAGIC + FORMAT_VERSION.to_bytes(2, "little")
-# the params section's scalars in file order, as (name, ByteWriter/ByteReader method)
-PARAM_FIELDS = (
-    ("k", "u32"), ("period", "u64"), ("side", "u64"), ("t_max", "u64"),
-    ("max_speed", "u64"), ("raw_symbols", "u64"), ("n_objects", "u64"),
-)
+# the params section's scalars in file order
+PARAM_NAMES = ("k", "period", "side", "t_max", "max_speed", "raw_symbols", "n_objects")
+# each section's field kinds (serial.FIELDS) in file order, for the values
+# ``TrajectoryIndex._fields`` yields and ``from_bytes`` unpacks
+SECTION_FIELDS = {
+    "params": ("u32",) + ("u64",) * 6 + ("uints",),
+    "dictionary": ("u32", "u32", "uints"),
+    "log_streams": ("dac",),
+    "log_events": ("uints", "uints", "dac_fixed", "dac_fixed"),
+    "snapshots": ("bits", "bits", "bits", "uints", "bits"),
+}
 
 
 @dataclass
@@ -524,59 +530,26 @@ class TrajectoryIndex:
     # serialization & statistics
     # ------------------------------------------------------------------
 
-    def _params_payload(self):
-        w = serial.ByteWriter()
-        for name, kind in PARAM_FIELDS:
-            getattr(w, kind)(getattr(self.params, name))
-        serial.write_uint_array(w, self.ids)
-        return w.getvalue()
-
-    def _dict_payload(self):
-        w = serial.ByteWriter()
-        w.u32(self.rules.max_move_code)
-        w.u32(self.rules.n_rules)
-        serial.write_uint_array(w, self.rules.pairs.reshape(-1))
-        return w.getvalue()
-
-    def _streams_payload(self):
-        w = serial.ByteWriter()
-        serial.write_dac(w, serial.DacSequence.optimal(self.logs.syms))
-        return w.getvalue()
-
-    def _portion_payload(self, h):
-        ids, sym_lens, d_vals, p_vals = self.logs.portion(h)
-        w = serial.ByteWriter()
-        serial.write_uint_array(w, ids)
-        serial.write_uint_array(w, sym_lens)
-        serial.write_dac(w, serial.DacSequence.fixed(d_vals, 8, 2))
-        serial.write_dac(w, serial.DacSequence.fixed(p_vals, 8, 2))
-        return w.getvalue()
-
-    def _snapshot_payload(self, h):
-        s = self.snapshots[h]
-        present, perm, q = s.file_fields()
-        w = serial.ByteWriter()
-        serial.write_bitvector(w, s.tree.t)
-        serial.write_bitvector(w, s.tree.l)
-        serial.write_bitvector(w, present)
-        serial.write_uint_array(w, perm)
-        serial.write_bitvector(w, q)
-        return w.getvalue()
-
     def save(self, path):
         blob = self.to_bytes()
         with open(path, "wb") as fh:
             fh.write(blob)
 
+    def _fields(self):
+        """(section, its field values) of every section, in file order."""
+        yield "params", [getattr(self.params, name) for name in PARAM_NAMES] + [self.ids]
+        rules = self.rules
+        yield "dictionary", (rules.max_move_code, rules.n_rules, rules.pairs.reshape(-1))
+        yield "log_streams", (self.logs.syms,)
+        for h in range(self.logs.n_portions):
+            yield "log_events", self.logs.portion(h)
+        for s in self.snapshots:
+            yield "snapshots", (s.tree.t, s.tree.l, *s.file_fields())
+
     def _sections(self):
         """(stats component, payload) of every section, in file order."""
-        yield "params", self._params_payload()
-        yield "dictionary", self._dict_payload()
-        yield "log_streams", self._streams_payload()
-        for h in range(self.logs.n_portions):
-            yield "log_events", self._portion_payload(h)
-        for h in range(len(self.snapshots)):
-            yield "snapshots", self._snapshot_payload(h)
+        for part, values in self._fields():
+            yield part, serial.write_fields(SECTION_FIELDS[part], values)
 
     def to_bytes(self):
         parts = [HEADER]
@@ -596,10 +569,13 @@ class TrajectoryIndex:
         version = int.from_bytes(r.raw(2), "little")
         if version != FORMAT_VERSION:
             raise serial.SerializationError("unsupported format version %d" % version)
-        pr = serial.ByteReader(serial.read_section(r))
-        params = IndexParams(**{name: getattr(pr, kind)() for name, kind in PARAM_FIELDS})
-        ids = serial.read_uint_array(pr)
-        pr.expect_end("params section")
+
+        def section(part, h=None):
+            what = part + " section" + ("" if h is None else " %d" % h)
+            return serial.read_fields(r, SECTION_FIELDS[part], what)
+
+        *scalars, ids = section("params")
+        params = IndexParams(**dict(zip(PARAM_NAMES, scalars)))
         k, period, t_max = params.k, params.period, params.t_max
         n_objects = params.n_objects
         # t_max and period must fit int64, as every instant does, and k and
@@ -621,11 +597,7 @@ class TrajectoryIndex:
                 % (params.max_speed, top_speed, params.side)
             )
 
-        dr = serial.ByteReader(serial.read_section(r))
-        max_move = dr.u32()
-        n_rules = dr.u32()
-        pairs = serial.read_uint_array(dr)
-        dr.expect_end("dictionary section")
+        max_move, n_rules, pairs = section("dictionary")
         if len(pairs) != 2 * n_rules:
             raise serial.SerializationError("%d pair members for %d rules" % (len(pairs), n_rules))
         # a one-instant move's Chebyshev radius is at most max_speed
@@ -638,19 +610,11 @@ class TrajectoryIndex:
         except ValueError as e:
             raise serial.SerializationError(str(e)) from e
 
-        sr = serial.ByteReader(serial.read_section(r))
-        syms = serial.read_dac_int64(sr)
-        sr.expect_end("log_streams section")
-
+        (syms,) = section("log_streams")
         portions = []
         n_portions, n_snapshots = _layout(t_max, period)
         for h in range(n_portions):
-            hr = serial.ByteReader(serial.read_section(r))
-            p_ids = serial.read_uint_array(hr)
-            sym_lens = serial.read_uint_array(hr)
-            d_vals = serial.read_dac_int64(hr)
-            p_vals = serial.read_dac_int64(hr)
-            hr.expect_end("log_events section %d" % h)
+            p_ids, sym_lens, d_vals, p_vals = section("log_events", h)
             if not (_increasing_ids(p_ids, n_objects) and len(p_ids) == len(sym_lens)):
                 raise serial.SerializationError("portion %d: ids or symbol lengths malformed" % h)
             portions.append((p_ids, sym_lens, d_vals, p_vals))
@@ -661,13 +625,7 @@ class TrajectoryIndex:
 
         snapshots = []
         for h in range(n_snapshots):
-            sr2 = serial.ByteReader(serial.read_section(r))
-            t_bits = serial.read_bitvector(sr2)
-            l_bits = serial.read_bitvector(sr2)
-            present = serial.read_bitvector(sr2)
-            perm_vals = serial.read_uint_array(sr2)
-            q = serial.read_bitvector(sr2)
-            sr2.expect_end("snapshots section %d" % h)
+            t_bits, l_bits, present, perm_vals, q = section("snapshots", h)
             try:
                 tree = K2Tree(k, params.side, t_bits, l_bits)
                 snapshots.append(Snapshot.load(tree, present, perm_vals, q, n_objects))

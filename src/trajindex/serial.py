@@ -182,6 +182,35 @@ def read_dac_int64(r):
     return values.astype(np.int64)
 
 
+# (writer, reader) of each field kind; a writer takes (ByteWriter, value)
+# and a reader a ByteReader
+FIELDS = {
+    "u32": (ByteWriter.u32, ByteReader.u32),
+    "u64": (ByteWriter.u64, ByteReader.u64),
+    "uints": (write_uint_array, read_uint_array),
+    "bits": (write_bitvector, read_bitvector),
+    "dac": (lambda w, v: write_dac(w, DacSequence.optimal(v)), read_dac_int64),
+    "dac_fixed": (lambda w, v: write_dac(w, DacSequence.fixed(v, 8, 2)), read_dac_int64),
+}
+
+
+def write_fields(kinds, values):
+    """The payload of ``values``, one field of each kind in ``kinds``."""
+    w = ByteWriter()
+    for kind, value in zip(kinds, values, strict=True):
+        FIELDS[kind][0](w, value)
+    return w.getvalue()
+
+
+def read_fields(r, kinds, what):
+    """The values of the next section's fields, one of each kind in
+    ``kinds``; ``what`` names the section in errors."""
+    fr = ByteReader(read_section(r))
+    values = [FIELDS[kind][1](fr) for kind in kinds]
+    fr.expect_end(what)
+    return values
+
+
 def wrap_section(payload):
     return struct.pack("<Q", len(payload)) + payload + struct.pack(
         "<I", zlib.crc32(payload)

@@ -1,6 +1,6 @@
-import contextlib
 import gc
 import hashlib
+import itertools
 import random
 import tracemalloc
 
@@ -26,6 +26,7 @@ from trajindex.serial import (
     wrap_section,
     write_bitvector,
     write_dac,
+    write_fields,
     write_uint_array,
 )
 
@@ -33,6 +34,20 @@ from trajindex.serial import (
 # object 1 stays in one cell over 0..16; object 2 appears at instant 10 in
 # (3, 5), moves to (4, 6) and is gone after 11
 TWO_OBJECTS = {1: [(0, [(1, 1)] * 17)], 2: [(10, [(3, 5), (4, 6)])]}
+
+
+def _replace_section(idx, hook, part, value, nth=0):
+    """Make ``idx`` serialize ``value`` as its ``nth`` ``part`` section:
+    the field values when ``hook`` is "_fields", the payload bytes when it
+    is "_sections"."""
+    original = getattr(idx, hook)
+
+    def replaced():
+        hits = itertools.count()
+        for p, v in original():
+            yield p, value if p == part and next(hits) == nth else v
+
+    setattr(idx, hook, replaced)
 
 
 class TestByteStream:
@@ -247,11 +262,8 @@ class TestIndexContainer:
                 pairs += [(nt_base + i, MOVE_BASE) for i in range(4999)]
             else:  # (previous rule, previous rule): the last spans 2**70
                 pairs += [(nt_base + i, nt_base + i) for i in range(69)]
-            w = ByteWriter()
-            w.u32(idx.rules.max_move_code)
-            w.u32(len(pairs))
-            write_uint_array(w, np.array(pairs).reshape(-1))
-            idx._dict_payload = w.getvalue
+            dictionary = (idx.rules.max_move_code, len(pairs), np.array(pairs).reshape(-1))
+            _replace_section(idx, "_fields", "dictionary", dictionary)
         elif fault == "unknown_symbol":
             moves = np.flatnonzero(idx.logs.syms >= nt_base)
             idx.logs.syms[moves[0]] = nt_base + n_rules
@@ -264,11 +276,8 @@ class TestIndexContainer:
         elif fault.startswith("app_width"):
             # rewrite a packed uint array's width: snapshot 1's permutation,
             # the field before its Q bitmap
-            perm_w, q_w = ByteWriter(), ByteWriter()
-            write_uint_array(perm_w, perm)
-            write_bitvector(q_w, q)
-            tail = perm_w.getvalue() + q_w.getvalue()
-            good = idx._snapshot_payload(1)
+            tail = write_fields(("uints", "bits"), (perm, q))
+            good = [payload for part, payload in idx._sections() if part == "snapshots"][1]
             assert good.endswith(tail)
             bad = ByteWriter()
             bad.raw(good[: -len(tail)])
@@ -279,10 +288,8 @@ class TestIndexContainer:
                 bad.u8(200)
                 bad.u64(1)
                 bad.raw(bytes(25))
-            bad.raw(q_w.getvalue())
-            blob = bad.getvalue()
-            payload = idx._snapshot_payload
-            idx._snapshot_payload = lambda h: blob if h == 1 else payload(h)
+            bad.raw(write_fields(("bits",), (q,)))
+            _replace_section(idx, "_sections", "snapshots", bad.getvalue(), nth=1)
         elif fault in ("present_extra", "present_long", "q_all_ones", "q_open_last_group",
                        "perm_out_of_range"):
             # snapshot 1's payload is written from these fields
@@ -350,7 +357,14 @@ class TestIndexContainer:
         blob = idx.to_bytes()
         with deadline(2.0):
             if fault == "deep_chain":  # may load: every rule the logs name exists
-                with contextlib.suppress(SerializationError):
+                try:
+                    loaded = TrajectoryIndex.from_bytes(blob)
+                except SerializationError:
+                    pass
+                else:
+                    assert loaded.rules.n_rules == 5000
+            elif fault == "span_overflow":
+                with pytest.raises(SerializationError, match="overflow"):
                     TrajectoryIndex.from_bytes(blob)
             else:
                 with pytest.raises(SerializationError):
@@ -361,7 +375,7 @@ class TestIndexContainer:
         n, widths, levels, conts = DacSequence.optimal(idx.logs.syms).parts
         w = ByteWriter()
         write_dac(w, DacSequence.from_parts(n + 3, widths, levels, conts))
-        idx._streams_payload = w.getvalue  # serialized with a valid CRC
+        _replace_section(idx, "_sections", "log_streams", w.getvalue())  # with a valid CRC
         with pytest.raises(SerializationError, match="DAC"):
             TrajectoryIndex.from_bytes(idx.to_bytes())
 
@@ -541,16 +555,16 @@ def test_max_speed_bounded_by_the_grid():
     # with both raised, the move code bound no longer caps the tables that
     # loading sizes by the largest move code (2^32 entries each)
     idx = TrajectoryIndex.build(WALKTHROUGH_SERIES, period=8, k=2, side=16)
-    pairs = idx.rules.pairs.reshape(-1)
-    w = ByteWriter()
-    w.u32(2**32 - 1)
-    w.u32(idx.rules.n_rules)
-    write_uint_array(w, pairs)
-    idx._dict_payload = w.getvalue
+    rules, max_speed = idx.rules, idx.params.max_speed
+    dictionary = (2**32 - 1, rules.n_rules, rules.pairs.reshape(-1))
+    _replace_section(idx, "_fields", "dictionary", dictionary)
     idx.params.max_speed = 40_000
-    blob = idx.to_bytes()
     with deadline(2.0), pytest.raises(SerializationError, match="max_speed 40000 exceeds 22"):
-        TrajectoryIndex.from_bytes(blob)
+        TrajectoryIndex.from_bytes(idx.to_bytes())
+    # with the real max_speed, the move code is what is out of bounds
+    idx.params.max_speed = max_speed
+    with deadline(2.0), pytest.raises(SerializationError, match="move code 4294967295 exceeds"):
+        TrajectoryIndex.from_bytes(idx.to_bytes())
     # the bound itself loads: a diagonal jump across the 16 grid is 21.2 cells
     idx = TrajectoryIndex.build({1: [(0, [(0, 0), (15, 15)])]}, period=8, side=16)
     assert idx.params.max_speed == 22
