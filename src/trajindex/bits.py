@@ -15,7 +15,8 @@ Conventions
   ``select1(j)`` returns the 1-based position of the j-th one, with
   ``select1(0) == 0``.  ``p`` may be 0..n.
 * DAC sequences are plain 0-based sequences; chunks of the first level are
-  the least significant bits, and ``to_list`` decodes them all at once.
+  the least significant bits, and ``to_list`` decodes them all at once
+  into a uint64 array.
 * Permutations are 0-based arrays; ``apply(i)`` is the forward mapping and
   ``inverse(j)`` reads the inverse array.
 
@@ -284,7 +285,8 @@ class DacSequence:
         return self._n
 
     def to_list(self):
-        """All values in order, decoded one level at a time from the last.
+        """All values in order, as a new uint64 array (not a list), decoded
+        one level at a time from the last.
 
         The values continued past level li are, in order, the chunks of
         level li+1, so no rank is needed.
@@ -294,7 +296,7 @@ class DacSequence:
             low = self._levels[li].astype(np.uint64)
             low[self._cont[li] == 1] |= values << np.uint64(self._widths[li])
             values = low
-        return values.tolist()
+        return values
 
     def bit_size(self):
         """Total payload bits: chunks plus continuation bitmaps."""

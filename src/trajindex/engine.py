@@ -636,9 +636,10 @@ class TrajectoryIndex:
 
     def stats(self):
         """Size report: bytes per component in the file (``bytes``) and in
-        the arrays and packed bits the index holds (``mem_bytes``, counting
-        the select directories that queries build on first use once built),
-        and the log ratio against raw symbols."""
+        the arrays and packed bits the index holds (``mem_bytes``; a bit
+        vector's select0 directory, which no query builds, counts once a
+        ``select0`` call has built it), and the log ratio against raw
+        symbols."""
         size = collections.Counter(total=len(HEADER))
         for part, payload in self._sections():
             size[part] += len(payload)

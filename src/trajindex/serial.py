@@ -6,16 +6,26 @@ SerializationError, not garbage).  Sections wrap a payload with a u64
 length prefix and a CRC32 suffix, so a corrupted or cut-off file fails
 fast during load.
 
-Primitive encodings:
+A section's payload is a run of fields, each of one kind in ``FIELDS``,
+which holds the one writer and the one reader of every kind;
+``write_fields`` and ``read_fields`` turn a section's values into its
+payload and back.  The kinds:
 
-* uint array — u8 bit width, u64 count, bit-packed little-endian values;
-* bit vector — u64 bit count, packed bits;
-* DAC — u64 value count, u8 level count, then per level u8 width + u64
-  chunk count + packed chunks, followed by the packed continuation bitmap
-  on every level except the last.  Level 0 holds one chunk per value and
-  each later level one per set bit of the bitmap before it; a section that
-  disagrees, a width outside 1..64 in either encoding, or DAC level widths
-  that sum past 64 are rejected on load.
+* ``u32``, ``u64`` — one little-endian scalar;
+* ``uints`` — a uint array: u8 bit width, u64 count, bit-packed
+  little-endian values;
+* ``bits`` — a bit vector: u64 bit count, packed bits;
+* ``dac`` — an int64 array as a DAC with the optimal level widths, and
+  ``dac_fixed`` as one with 8-bit chunks on at most two levels; both are
+  u64 value count, u8 level count, then per level u8 width + u64 chunk
+  count + packed chunks, followed by the packed continuation bitmap on
+  every level except the last.  Level 0 holds one chunk per value and
+  each later level one per set bit of the bitmap before it.
+
+Loading rejects a DAC whose levels disagree with that, a width outside
+1..64 in a uint array or DAC level, DAC level widths that sum past 64,
+DAC values of 2**63 or more, and nonzero padding bits after the last
+packed value or bit in any of them.
 """
 
 import struct
@@ -106,10 +116,19 @@ def _read_width(r, what):
     return width
 
 
+def _read_packed(r, n_bits):
+    """The bytes that pack ``n_bits`` bits; the padding bits after them
+    must be 0."""
+    data = r.raw((n_bits + 7) // 8)
+    if n_bits % 8 and data[-1] >> n_bits % 8:
+        raise SerializationError("nonzero padding bits")
+    return data
+
+
 def read_uint_array(r):
     width = _read_width(r, "uint array")
     count = r.u64()
-    data = r.raw((width * count + 7) // 8)
+    data = _read_packed(r, width * count)
     return unpack_uint_array(data, width, count).astype(np.int64)
 
 
@@ -118,7 +137,7 @@ def _pack_bits(bits):
 
 
 def _read_bits(r, n):
-    data = r.raw((n + 7) // 8)
+    data = _read_packed(r, n)
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n, bitorder="little")
 
 
@@ -164,7 +183,7 @@ def read_dac(r):
             raise SerializationError(
                 "DAC level %d holds %d chunks, expected %d" % (li, count, expected)
             )
-        chunk_data = r.raw((width * count + 7) // 8)
+        chunk_data = _read_packed(r, width * count)
         chunks = unpack_uint_array(chunk_data, width, count)
         widths.append(width)
         levels.append(chunks)
@@ -176,10 +195,10 @@ def read_dac(r):
 def read_dac_int64(r):
     """A DAC section decoded to an int64 array; values of 2**63 or more
     are rejected."""
-    values = np.asarray(read_dac(r).to_list(), dtype=np.uint64)
-    if len(values) and int(values.max()) >= 2**63:
+    values = read_dac(r).to_list().view(np.int64)
+    if len(values) and values.min() < 0:
         raise SerializationError("DAC value does not fit int64")
-    return values.astype(np.int64)
+    return values
 
 
 # (writer, reader) of each field kind; a writer takes (ByteWriter, value)

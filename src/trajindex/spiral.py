@@ -15,7 +15,6 @@ small codes, which keeps the downstream integer alphabet dense.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +36,6 @@ def encode(dx, dy):
     return base + off
 
 
-@lru_cache(maxsize=65536)
 def decode(code):
     """Displacement (dx, dy) of a code."""
     if code < 0:

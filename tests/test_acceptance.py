@@ -337,7 +337,7 @@ def test_criterion_6_structure_properties(capfd):
                 DacSequence.optimal(values),
                 DacSequence.fixed(values, 8, 2),
             ):
-                if seq.to_list() != values:
+                if seq.to_list().tolist() != values:
                     check(False, "DAC decode mismatch (n=%d)" % n)
                     return
 

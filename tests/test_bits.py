@@ -108,7 +108,8 @@ class TestChunkWidths:
 class TestDacSequence:
     def test_two_level_example(self):
         dac = DacSequence.fixed([1, 300, 5], chunk_bits=8, max_levels=2)
-        assert dac.to_list() == [1, 300, 5]
+        assert dac.to_list().tolist() == [1, 300, 5]
+        assert dac.to_list().dtype == np.uint64
         n, widths, levels, conts = dac.parts
         assert n == 3
         assert widths == [8, 8]
@@ -120,12 +121,12 @@ class TestDacSequence:
         dac = DacSequence.fixed([2**23 - 1], chunk_bits=8, max_levels=2)
         _n, widths, levels, _conts = dac.parts
         assert widths == [8, 15] and len(levels) == 2
-        assert dac.to_list() == [2**23 - 1]
+        assert dac.to_list().tolist() == [2**23 - 1]
 
     def test_empty(self):
         dac = DacSequence.optimal([])
         assert len(dac) == 0
-        assert dac.to_list() == []
+        assert dac.to_list().tolist() == []
 
     @given(st.lists(st.integers(0, 2**48), min_size=0, max_size=120))
     def test_access_matches_values(self, values):
@@ -134,7 +135,7 @@ class TestDacSequence:
             DacSequence.fixed(values, 8, 2),
             DacSequence.fixed(values, 3, 10),
         ):
-            assert dac.to_list() == values
+            assert dac.to_list().tolist() == values
 
 
 class TestPackedArrays:

@@ -83,6 +83,24 @@ class TestByteStream:
         got = read_bitvector(ByteReader(w.getvalue()))
         assert got.tolist() == bits.tolist()
 
+    @pytest.mark.parametrize(
+        "write, read, values",
+        [
+            (write_bitvector, read_bitvector, [1, 0, 1, 1, 0, 0, 0, 1, 1]),
+            (write_uint_array, read_uint_array, [5, 0, 3]),
+        ],
+        ids=["bit_vector", "uint_array"],
+    )
+    def test_nonzero_padding_rejected(self, write, read, values):
+        # nine packed bits either way: the last byte's top seven are padding
+        w = ByteWriter()
+        write(w, np.array(values))
+        good = w.getvalue()
+        assert read(ByteReader(good)).tolist() == values
+        bad = good[:-1] + bytes([good[-1] | 0x80])
+        with pytest.raises(SerializationError, match="padding"):
+            read(ByteReader(bad))
+
     def test_dac_round_trip(self):
         values = [0, 1, 300, 70000, 5, 2**33]
         for dac, want in (
@@ -95,7 +113,7 @@ class TestByteStream:
             write_dac(w, dac)
             got = read_dac(ByteReader(w.getvalue()))
             assert got.parts[1] == dac.parts[1]  # the level widths
-            assert got.to_list() == want
+            assert got.to_list().tolist() == want
 
     @pytest.mark.parametrize(
         "fault",
@@ -405,6 +423,16 @@ class TestIndexContainer:
             with pytest.raises(SerializationError, match="%s section.*6 trailing" % section):
                 TrajectoryIndex.from_bytes(blob)
 
+    def test_nonzero_padding_in_a_section_rejected(self):
+        # the final snapshots section ends with its Q bitmap's last byte
+        idx = TrajectoryIndex.build(TWO_OBJECTS, period=8, side=8)
+        part, payload = list(idx._sections())[-1]
+        assert part == "snapshots" and not payload[-1] & 0x80
+        bad = payload[:-1] + bytes([payload[-1] | 0x80])  # re-wrapped with a valid CRC
+        _replace_section(idx, "_sections", "snapshots", bad, nth=len(idx.snapshots) - 1)
+        with pytest.raises(SerializationError, match="padding"):
+            TrajectoryIndex.from_bytes(idx.to_bytes())
+
     @pytest.mark.parametrize("entry", [0, 1, 2, 3])  # the AA's x, y, then the D's
     def test_anchor_position_outside_the_grid_rejected(self, entry):
         idx = TrajectoryIndex.build(TWO_OBJECTS, period=8, side=8)
@@ -441,8 +469,8 @@ class TestIndexContainer:
         assert mem["total"] == sum(mem[part] for part in parts) + ids
         # one byte per symbol: every symbol id is below 256
         assert mem["log_streams"] == stats["compressed_symbols"]
-        # a fresh build holds what its load holds (queries may add lazily
-        # built select directories, so the shared index is not compared)
+        # a fresh build holds what its load holds (other tests' select0
+        # calls may add directories, so the shared index is not compared)
         built = TrajectoryIndex.build(WALKTHROUGH_SERIES, period=8, k=2, side=16)
         assert TrajectoryIndex.from_bytes(built.to_bytes()).stats() == built.stats()
 
