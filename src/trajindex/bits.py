@@ -317,10 +317,13 @@ def pack_uint_array(values, width):
     bits = ((values[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
     return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
 
+
 def unpack_uint_array(data, width, count):
+    dtype = np.dtype(_dtype_for(width)).newbyteorder("<")
+    if width == 8 * dtype.itemsize:  # byte-aligned: the bytes are the integers
+        return np.frombuffer(data, dtype=dtype, count=count).astype(np.uint64)
     # each value's bits padded to a whole little-endian integer: one byte
     # per bit of that integer, not eight per bit of the value
-    dtype = np.dtype(_dtype_for(width)).newbyteorder("<")
     bits = np.zeros((count, 8 * dtype.itemsize), dtype=np.uint8)
     bits[:, :width] = np.unpackbits(
         np.frombuffer(data, dtype=np.uint8), count=width * count, bitorder="little"

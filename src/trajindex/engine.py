@@ -26,10 +26,13 @@ Queries follow the classic plan: anchor at the snapshot at or before the
 instant that matters (or at an appearance event), seek to the last log
 checkpoint at or before that instant, then walk the compressed log forward
 from there, jumping whole rules whenever their metadata proves they cannot
-matter (a time interval also passes over whole checkpoint blocks by their
-boxes).  Only a time slice in the later half of a portion anchors at the
-next snapshot (or a disappearance event) and walks backward, which keeps
-its expanded region and its walks short.
+matter.  A time interval also reads whole checkpoint blocks by their
+boxes: before it walks a candidate's log, it steps over the log's block
+boxes in the window and drops the candidate when none meets the region,
+else seeks to the first block that does, and its walk passes over every
+later block whose box misses the region.  Only a time slice in the later
+half of a portion anchors at the next snapshot (or a disappearance event)
+and walks backward, which keeps its expanded region and its walks short.
 ``counters`` tracks how many symbols each traversal family touched, which
 the pruning tests compare across debug flags (``use_mbr`` / ``use_er``).
 
@@ -404,19 +407,25 @@ class TrajectoryIndex:
                 if t_b <= t_c <= t_e and contains(r, *p_c):
                     answers.add(o)
                     continue
-                if self._interval_scan(o, t_c, p_c, t_b, t_e, t_last, r, use_mbr, use_er):
+                seek = t_b
+                if use_mbr:  # the log's first block box that meets r, if any
+                    t_hit = self.logs.first_block_meeting(h, o, t_c, p_c, t_b, t_last, r)
+                    if t_hit is None:
+                        continue
+                    seek = max(t_b, t_hit)
+                if self._interval_scan(o, t_c, p_c, seek, t_b, t_e, t_last, r, use_mbr, use_er):
                     answers.add(o)
             h += 1
         return sorted(self._orig(o) for o in answers)
 
-    def _interval_scan(self, oid, t_c, p_c, t_b, t_e, t_last, r, use_mbr, use_er):
+    def _interval_scan(self, oid, t_c, p_c, seek, t_b, t_e, t_last, r, use_mbr, use_er):
         m_sp = self.params.max_speed
         rules = self.rules
         span, dx, dy, pairs = rules.sym_span, rules.sym_dx, rules.sym_dy, rules.sym_pairs
         nt_base = rules.nt_base
         x1, y1, x2, y2 = r
         x, y = p_c
-        walk = self.logs.elements(oid, t_c, p_c, t_last, seek=t_b, region=r if use_mbr else None)
+        walk = self.logs.elements(oid, t_c, p_c, t_last, seek=seek, region=r if use_mbr else None)
         n = 0  # symbols touched, counted once per scan
         try:
             for sym, t, p in walk:

@@ -50,13 +50,18 @@ Traversal primitives:
   in place from its end, or with seeking from the first checkpoint at or
   after the floor, yielding the state before each element; only the later
   half of a time slice walks backward;
+* ``LogStore.first_block_meeting`` — no walk: steps over one log's block
+  boxes in a time window, placing each at its block's start, and gives the
+  start instant of the first that meets a region; a time interval walks a
+  log only from there, and not at all when none does;
 * ``move_jump`` / ``move_back`` — clip a symbol that straddles a time
   limit, descending into the rule with an explicit stack;
 * ``move_steps`` — expand a symbol to terminals, one (instant, position)
   per step.
 
-All of them read span, displacement and pairs from the symbol-indexed
-tables of ``RuleDictionary``, and the log table through memoryviews.
+The walkers read span, displacement and pairs from the symbol-indexed
+tables of ``RuleDictionary``, and all of them read the log table and the
+checkpoints through memoryviews.
 """
 
 import collections
@@ -285,6 +290,41 @@ class LogStore:
             return None
         d, p = t.d_off[g + 1], t.p_off[g + 1]
         return self._d[d - 1], (self._p[p - 2], self._p[p - 1])
+
+    def first_block_meeting(self, h, oid, t_c, p_c, t_from, t_to, region):
+        """Start instant of the first block of oid's portion-h log, started
+        at (t_c, p_c), that runs into [t_from, t_to] and whose box, placed at
+        the block's start, meets ``region``; None when there is no such block
+        or no log.  No position the log visits in [t_from, t_to] before that
+        instant lies in the region.
+        """
+        g = self.find(h, oid)
+        if g < 0:
+            return None
+        cp = self._cp
+        ct, box = cp.t, cp.box
+        lo, hi = cp.off[g], cp.off[g + 1]
+        rx1, ry1, rx2, ry2 = region
+        x0, y0 = p_c
+        # block j (lo <= j <= hi) runs from checkpoint j - 1, or the log's
+        # start, to checkpoint j, or the log's end; its box is row g + j
+        j = bisect_left(ct, t_from - t_c, lo, hi)
+        if j == hi and self._log.end[g] < t_from:
+            return None
+        if j == lo:
+            t, x, y = t_c, x0, y0
+        else:
+            t, x, y = t_c + ct[j - 1], x0 + cp.x[j - 1], y0 + cp.y[j - 1]
+        while t <= t_to:
+            b = g + j
+            if not (x + box[b, 2] < rx1 or x + box[b, 0] > rx2
+                    or y + box[b, 3] < ry1 or y + box[b, 1] > ry2):
+                return t
+            if j == hi:
+                return None
+            t, x, y = t_c + ct[j], x0 + cp.x[j], y0 + cp.y[j]
+            j += 1
+        return None
 
     # -- walkers ---------------------------------------------------------
 

@@ -153,6 +153,23 @@ class TestPackedArrays:
         out = unpack_uint_array(data, width, len(values))
         assert [int(v) for v in out] == values
 
+    @pytest.mark.parametrize("width", range(1, 65))
+    def test_round_trip_every_width(self, width):
+        """Every width, the byte-aligned ones read straight from the bytes,
+        at counts around a byte's worth of values."""
+        rng = np.random.default_rng(width)
+        top = np.uint64(2**width - 1)
+        for count in (0, 1, 7, 8, 9, 1000):
+            values = rng.integers(0, 2**63, count, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+            values &= top
+            if count:
+                values[0], values[-1] = top, 0
+            data = pack_uint_array(values, width)
+            assert len(data) == (width * count + 7) // 8
+            out = unpack_uint_array(data, width, count)
+            assert out.dtype == np.uint64
+            assert out.tolist() == values.tolist()
+
 
 class TestPermutation:
     def test_single_cycle(self):

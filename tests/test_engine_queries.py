@@ -299,6 +299,90 @@ def test_checkpoint_strides_match_oracle(name, period, stride, indexes, oracles,
         assert index.knn(k, (x, y), t) == oracle.knn(k, (x, y), t), ((x, y), t, k)
 
 
+def _path(start, moves):
+    """The cells a walk from ``start`` visits, one per instant."""
+    cells = [start]
+    for dx, dy in moves:
+        x, y = cells[-1]
+        cells.append((x + dx, y + dy))
+    return cells
+
+
+R, U = (1, 0), (0, 1)
+_BLOCK_TEST_SERIES = {
+    # from snapshot 0 across three portions; the repeats become rules
+    1: [(0, _path((0, 0), [R, R, U] * 12 + [U, R] * 5 + [R] * 7))],
+    # opened by AA inside the first portion
+    2: [(7, _path((40, 0), [U, U, R] * 13))],
+    # closed by D at instant 7, back by AA in the last portion
+    3: [(0, _path((0, 40), [R] * 7)), (44, _path((20, 50), [R, U] * 7))],
+    # RM after a two-instant gap, RNM after a one-instant gap
+    4: [(0, _path((58, 20), [U] * 14)), (17, _path((60, 36), [U] * 4)),
+        (23, _path((60, 40), [U] * 12))],
+    # up to two cells along each axis per instant: its logs run longest
+    5: [(0, _path((30, 30), random.Random(19).choices(
+        [(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b], k=58)))],
+}
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 16])
+def test_block_test_keeps_every_visit(stride, monkeypatch):
+    """An interval whose region holds one cell an object visits answers as
+    the oracle for windows around that visit, wherever the visit falls: on
+    a block's first instant, on its last (the next checkpoint's), inside a
+    rule, in an AA-opened log, or after a D-closed log's end."""
+    monkeypatch.setattr(trajindex.logs, "STRIDE", stride)
+    index = TrajectoryIndex.build(_BLOCK_TEST_SERIES, period=20, k=2, side=64)
+    oracle = Oracle(_BLOCK_TEST_SERIES)
+    logs, t_max = index.logs, index.params.t_max
+    assert logs.checkpoints.off[-1] > 0  # blocks end at checkpoints too
+    assert (logs.syms >= index.rules.nt_base).any()
+    assert len(logs.appearing(0)) and len(logs.disappeared(1))
+    visits = {
+        (t, cell)
+        for timeline in oracle.timelines.values()
+        for t, cell in timeline.items()
+    }
+    for v, (x, y) in sorted(visits):
+        region = (x, y, x, y)
+        for t_b in {max(0, v - 2), max(0, v - 1), v, v + 1, 0, 8, 21, 41}:
+            for t_e in {t_b, v - 1, v, v + 1, t_max}:
+                if t_e < t_b:
+                    continue
+                want = oracle.time_interval(region, t_b, t_e)
+                for mbr, er in itertools.product((True, False), repeat=2):
+                    got = index.time_interval(region, t_b, t_e, use_mbr=mbr, use_er=er)
+                    assert got == want, (region, t_b, t_e, mbr, er)
+
+
+def test_interval_walks_only_candidates_a_block_box_admits(monkeypatch):
+    """A region no object visits in the window starts no log walk, though
+    both objects can reach it; an answer found only inside a log still
+    starts one."""
+    walks = []
+    inner = trajindex.logs.LogStore.elements
+
+    def counting(self, *args, **kwargs):
+        walks.append(args[0])
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(trajindex.logs.LogStore, "elements", counting)
+    series = {
+        1: [(0, [(5, 8), (6, 8)] * 20 + [(5, 8)])],  # two cells short of (8, 8)
+        2: [(0, _path((20, 20), [(0, 0)] * 10 + [R] * 10 + [(0, 0)] * 20))],
+    }
+    index = TrajectoryIndex.build(series, period=20, k=2, side=64)
+    assert index.params.max_speed == 1
+    assert index.time_interval((8, 8, 8, 8), 1, 39, use_mbr=False) == []
+    assert sorted(set(walks)) == [0, 1]  # both are candidates
+    walks.clear()
+    assert index.time_interval((8, 8, 8, 8), 1, 39) == []
+    assert walks == []
+    # object 2 passes (25, 20) at instant 15 only, inside its first log
+    assert index.time_interval((25, 20, 25, 20), 12, 18) == [2]
+    assert walks == [1]
+
+
 def _positions_walking_forward(index, oracle, monkeypatch):
     """position_of answers as the oracle for every object at every instant
     while the backward walker and ``move_back`` raise."""
