@@ -18,12 +18,19 @@ The index file stores each fact once.  Loading derives the rest with the
 code that build uses: the rule tables from the pairs, the snapshot and
 portion counts from t_max and the period, each log's side-array offsets,
 AA/D flags, end instant, checkpoints and block boxes from its symbols, and
-each snapshot's per-cell id groups from its presence bitmap, permutation
-and Q bitmap.  In memory the logs are one table indexed by log number, and
-every integer table is held in the narrowest dtype for its range.
+each snapshot's table of ids and cells from its presence bitmap,
+permutation and Q bitmap and the cells of its k2-tree, all trees decoded
+in one numpy pass.  Loading also checks that every log's moves lead from
+its start (its AA position, else its object's cell in the snapshot before)
+to its end (its D position, else its object's cell in the snapshot after,
+when there is one).  In memory the logs are one table indexed by log
+number, and every integer table is held in the narrowest dtype for its
+range.
 
 Queries follow the classic plan: anchor at the snapshot at or before the
-instant that matters (or at an appearance event), seek to the last log
+instant that matters (or at an appearance event), reading its decoded table
+rather than navigating its k2-tree (a region test or a distance per present
+object, one lookup for an object's cell), seek to the last log
 checkpoint at or before that instant, then walk the compressed log forward
 from there, jumping whole rules whenever their metadata proves they cannot
 matter.  A time interval also reads whole checkpoint blocks by their
@@ -68,7 +75,7 @@ from .grammar import (
     RuleDictionary,
     repair_compress,
 )
-from .k2tree import MAX_K, MAX_SIDE, K2Tree, height_of
+from .k2tree import MAX_K, MAX_SIDE, K2Tree, decode_cells, height_of
 from .logs import LogStore, move_back, move_jump, move_steps
 from .snapshot import Snapshot
 
@@ -473,10 +480,10 @@ class TrajectoryIndex:
         Distance browsing: one best-first search over log walks from the
         snapshot at or before t_q, keyed by a lower bound on the distance at
         t_q: the distance so far minus what ``max_speed`` covers in the time
-        left.  Snapshot objects join from the k2-tree's distance stream once
-        their bound is no more than the heap's top; that stream is the
-        snapshot's cells, decoded at once and sorted by distance, so it
-        ranks nothing.  A walk's bound never falls as it advances, and a
+        left.  Snapshot objects join from the snapshot's distance stream
+        once their bound is no more than the heap's top; that stream is the
+        snapshot's table of present objects sorted by distance, so it
+        touches no k2-tree.  A walk's bound never falls as it advances, and a
         walk that reaches t_q is keyed by its exact distance, so neighbours
         are returned in the order they leave the queue, which is (distance,
         id) order.  Every distance equals ``math.hypot``'s, as the oracle's.
@@ -632,15 +639,26 @@ class TrajectoryIndex:
         except ValueError as e:
             raise serial.SerializationError(str(e)) from e
 
-        snapshots = []
+        trees, fields = [], []
         for h in range(n_snapshots):
-            t_bits, l_bits, present, perm_vals, q = section("snapshots", h)
+            t_bits, l_bits, *rest = section("snapshots", h)
             try:
-                tree = K2Tree(k, params.side, t_bits, l_bits)
-                snapshots.append(Snapshot.load(tree, present, perm_vals, q, n_objects))
+                trees.append(K2Tree(k, params.side, t_bits, l_bits))
             except ValueError as e:
                 raise serial.SerializationError("snapshot %d: %s" % (h, e)) from e
+            fields.append(rest)
         r.expect_end("index file")
+        # every tree's cells in one decode, then each snapshot's table
+        xs, ys, counts = decode_cells(trees)
+        cuts = np.append(0, np.cumsum(counts)).tolist()
+        snapshots = []
+        for h, (tree, (present, perm_vals, q)) in enumerate(zip(trees, fields)):
+            cells = xs[cuts[h]:cuts[h + 1]], ys[cuts[h]:cuts[h + 1]]
+            try:
+                snapshots.append(Snapshot.load(tree, cells, present, perm_vals, q, n_objects))
+            except ValueError as e:
+                raise serial.SerializationError("snapshot %d: %s" % (h, e)) from e
+        _check_log_ends(logs, snapshots, n_objects)
         return cls(params, ids, snapshots, logs, rules)
 
     def stats(self):
@@ -811,6 +829,49 @@ def _emit_logs(obj, ts, xs, ys, period, t_max):
         np.append(0, np.cumsum(n_p))[bounds],
         int(code[unit].max(initial=0)),
     )
+
+
+def _check_log_ends(logs, snapshots, n_objects):
+    """Raise SerializationError unless every log's start plus its net
+    displacement is its end.  A log starts at its AA position, else at its
+    object's cell in its portion's snapshot, where the object must be
+    present; it ends at its D position, else, when its portion ends on a
+    snapshot, at its object's cell there.  One pass over all logs."""
+    t, p, cp = logs.table, logs.p_vals.astype(np.int64), logs.checkpoints
+    h = np.repeat(np.arange(logs.n_portions), np.diff(logs.bounds.astype(np.int64)))
+    o = t.ids.astype(np.int64)
+    p_off = t.p_off.astype(np.int64)
+    # every present object's cell, keyed by snapshot * n_objects + id and
+    # sorted by key, then a key no object has
+    sizes = [len(s.ids) for s in snapshots]
+    keys = np.concatenate([s.ids for s in snapshots]).astype(np.int64)
+    keys += np.repeat(np.arange(len(snapshots)) * n_objects, sizes)
+    order = np.argsort(keys)
+    keys = np.append(keys[order], -1)
+    cells = np.concatenate([s.xy for s in snapshots]).astype(np.int64)[order]
+
+    def snapshot_cells(hs, os, what):
+        want = hs * n_objects + os
+        i = np.searchsorted(keys[:-1], want)
+        if (keys[i] != want).any():
+            raise serial.SerializationError("a log %s an object absent from the snapshot" % what)
+        return cells[i]
+
+    start = np.empty((len(o), 2), dtype=np.int64)
+    aa = t.starts_aa
+    start[aa] = p[p_off[:-1][aa, None] + [0, 1]]
+    start[~aa] = snapshot_cells(h[~aa], o[~aa], "without AA starts from")
+    end = start + np.column_stack((cp.tot_x, cp.tot_y)).astype(np.int64)
+    d = t.ends_d
+    on_snapshot = ~d & (h + 1 < len(snapshots))
+    if not (
+        np.array_equal(end[d], p[p_off[1:][d, None] - [2, 1]])
+        and np.array_equal(
+            end[on_snapshot],
+            snapshot_cells(h[on_snapshot] + 1, o[on_snapshot], "without D ends at"),
+        )
+    ):
+        raise serial.SerializationError("a log's moves do not lead from its start to its end")
 
 
 def _increasing_ids(ids, bound):

@@ -20,18 +20,22 @@ node's slots to the block of columns and rows the region covers, and
 carries the child count from one node to the next, so it ranks only where
 the frontier skips nodes.
 
-Occupied cells are numbered 1..m in L order ("leaf rank"); snapshots attach
-per-cell object groups through that numbering.
+Occupied cells are numbered 1..m in L order ("leaf rank"); a snapshot's
+file form groups its objects per cell through that numbering.
 
-``cells`` decodes every occupied cell at once with numpy and ranks
-nothing.  It finds the set bits in the packed bytes, unpacking only the
-nonzero bytes, so its memory follows the ones rather than the k^2 slots of
-each node.  The j-th one (0-based), at position p, is node j + 1, a child
-of node p // k^2 in slot p % k^2; one pass per level then places each
-node's square inside its parent's.  It serves ``range_report`` when the
-region covers the whole grid, and ``nodes_by_distance``, which drives
-nearest-neighbour search: it sorts the cells by their distance from the
-query point and yields them in that order.
+``decode_cells`` decodes every occupied cell of many trees at once with
+numpy and ranks nothing.  It finds the set bits in the packed bytes,
+unpacking only the nonzero bytes, so its memory follows the ones rather
+than the k^2 slots of each node.  The j-th one (0-based), at position p, is
+node j + 1, a child of node p // k^2 in slot p % k^2; one pass per level
+then places each node's square inside its parent's.  Loading an index
+decodes all of its trees in that one pass, and each snapshot then answers
+from its decoded table (see ``snapshot``), so no query navigates a tree.
+``cells`` is the decode of one tree; it serves ``range_report`` when the
+region covers the whole grid, and ``nodes_by_distance``, which sorts the
+cells by their distance from a query point.  ``locate``, ``range_report``
+and ``nodes_by_distance`` remain the reference navigators the snapshot
+table is tested against.
 """
 
 import math
@@ -201,19 +205,9 @@ class K2Tree:
 
     def cells(self):
         """Every occupied cell as two int64 arrays ``xs, ys`` in L order, so
-        index i holds leaf rank i + 1 (see the module docstring)."""
-        k, kk, side = self.k, self.k * self.k, self.side
-        packed = np.frombuffer(self.bits.to_bytes(), dtype=np.uint8)
-        nonzero = np.flatnonzero(packed)
-        row, bit = np.nonzero(np.unpackbits(packed[nonzero][:, None], axis=1, bitorder="little"))
-        parent, slot = np.divmod(nonzero[row] * 8 + bit, kk)
-        # x * side + y of each node's square, in units of its own side; the
-        # root is entry 0, and after pass i every node of level i is exact
-        step = slot % k * side + slot // k
-        square = np.zeros(len(step) + 1, dtype=np.int64)
-        for _ in range(self.height):
-            square[1:] = square[parent] * k + step
-        return np.divmod(square[self.t_ones + 1:], side)
+        index i holds leaf rank i + 1 (see ``decode_cells``)."""
+        xs, ys, _ = decode_cells([self])
+        return xs, ys
 
     def nodes_by_distance(self, qx, qy):
         """Occupied cells in non-decreasing distance from (qx, qy).
@@ -229,6 +223,48 @@ class K2Tree:
         dist = [hypot(x - qx, y - qy) for x, y in zip(xl, yl)]
         for i in sorted(range(len(dist)), key=dist.__getitem__):
             yield xl[i], yl[i], i + 1, dist[i]
+
+
+def decode_cells(trees):
+    """Every occupied cell of each of ``trees`` (one k and side), decoded in
+    one numpy pass: ``xs, ys, counts``, where tree i's cells, in L order,
+    are the ``counts[i]`` entries after those of the trees before it.
+
+    The trees' packed bits are read end to end, each starting on a byte and
+    padded with zeros, and only the nonzero bytes are unpacked, so memory
+    follows the ones rather than the k^2 slots of each node.  A tree's
+    j-th one (0-based), at position p, is its node j + 1, a child of its
+    node p // k^2 in slot p % k^2.  Entry e of the joint table is the e-th
+    one of all the trees, and one entry after them stands for every root;
+    one pass per level then places each node's square inside its
+    parent's.
+    """
+    if not trees:
+        return (np.zeros(0, dtype=np.int64),) * 3
+    k, side, height = trees[0].k, trees[0].side, trees[0].height
+    kk = k * k
+    chunks = [t.bits.to_bytes() for t in trees]
+    packed = np.frombuffer(b"".join(chunks), dtype=np.uint8)
+    nonzero = np.flatnonzero(packed)
+    hit = np.flatnonzero(np.unpackbits(packed[nonzero], bitorder="little"))
+    ones = np.array([t.bits.n_ones for t in trees], dtype=np.int64)
+    t_ones = np.array([t.t_ones for t in trees], dtype=np.int64)
+    n = int(ones.sum())
+    first_bit = np.cumsum([0] + [8 * len(c) for c in chunks[:-1]])
+    before = np.repeat(np.cumsum(ones) - ones, ones)  # the ones of earlier trees
+    parent, slot = np.divmod(
+        nonzero[hit >> 3] * 8 + (hit & 7) - np.repeat(first_bit, ones), kk
+    )
+    parent = np.where(parent == 0, n, before + parent - 1)
+    # x * side + y of each node's square, in units of its own side; the
+    # roots' entry stays 0, and after pass i every node of level i is exact
+    step = slot % k * side + slot // k
+    square = np.zeros(n + 1, dtype=np.int64)
+    for _ in range(height):
+        square[:n] = square[parent] * k + step
+    leaf = np.arange(n) - before >= np.repeat(t_ones, ones)  # node number past t_ones
+    xs, ys = np.divmod(square[:n][leaf], side)
+    return xs, ys, ones - t_ones
 
 
 def height_of(k, side):

@@ -1,31 +1,38 @@
 """Absolute positions at one instant: a k2-tree plus the objects per cell.
 
 The k2-tree records which cells are occupied, and numbers them 1..m in leaf
-order.  In memory a snapshot holds three narrow arrays beside it:
+order.  In memory a snapshot answers from a table decoded once, held as
+narrow arrays beside the tree:
 
 * ``ids`` — the present object ids, cell by cell in leaf order (build
   sorts each cell's ids);
-* ``group`` — where each cell's ids start: the ids of leaf r are
-  ``ids[group[r-1]:group[r]]``;
-* ``leaf`` — each object id's leaf rank, 0 when the object is absent.
+* ``xy`` — an ``(n, 2)`` array, each row the cell of the id in the same
+  row of ``ids``;
+* ``at`` — each object id's row in ``xy`` plus 1, 0 when it is absent.
 
-So an object's cell is one lookup plus ``K2Tree.locate``, and a cell's
-objects are one slice.  Each table is held once, as a numpy array with no
-memoryview beside it: a region query converts the slices of the cells it
-reports to Python ints, and a distance query the whole of ``ids`` and
-``group`` at once, since it reads every cell.  ``build`` takes the id, x
-and y columns of the objects present.
+So an object's cell is one lookup, and a region query or a distance query
+is one pass over the table: a region query costs O(present objects) rather
+than O(nodes the region meets), which on small snapshots (tens of cells) is
+far less Python work than a k2-tree walk.  No query ranks, selects or walks
+the k2-tree; it stays the snapshot's file form.  ``build`` fills the table
+from the id, x and y columns of the objects present; ``load`` from the
+cells that ``k2tree.decode_cells`` decodes for all of an index's trees in
+one pass.
 
 The file keeps the paper's layout instead: a presence bitmap over all ids,
 a permutation listing the presence ranks (0-based ranks among the present
 ids) in leaf order, and a bitmap Q marking group boundaries, 1 for a
 non-final member of a cell's group and 0 for the last.  ``load`` derives the
-arrays from those fields and ``file_fields`` gives them back.
+table from those fields and ``file_fields`` gives them back, reading a
+group boundary wherever two neighbouring rows of ``xy`` differ.
 
 The ids absent here that appear before the next snapshot, and those that
 stopped emitting in the portion before, follow from the logs' AA and D
 events; ``LogStore.appearing`` and ``LogStore.disappeared`` list them.
 """
+
+import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,19 +41,14 @@ from .k2tree import K2Tree, path_keys
 
 
 class Snapshot:
-    def __init__(self, tree, ids, group, leaf):
+    def __init__(self, tree, ids, xy, n_objects):
+        """``ids`` in leaf order and ``xy`` their cells, row for row."""
         self.tree = tree
         self.ids = narrow(ids)
-        self.group = narrow(group)
-        self.leaf = narrow(leaf)
-
-    @classmethod
-    def _from_q(cls, tree, ids, q, n_objects):
-        """From the ids in leaf order and the Q bits over them."""
-        group = np.concatenate([[0], np.flatnonzero(q == 0) + 1])
-        leaf = np.zeros(n_objects, dtype=np.int64)
-        leaf[ids] = np.repeat(np.arange(1, len(group)), np.diff(group))
-        return cls(tree, ids, group, leaf)
+        self.xy = narrow(xy)
+        at = np.zeros(n_objects, dtype=np.int64)
+        at[ids] = np.arange(1, len(ids) + 1)
+        self.at = narrow(at)
 
     @classmethod
     def build(cls, oids, xs, ys, k, side, n_objects):
@@ -56,18 +58,14 @@ class Snapshot:
         if len(np.unique(oids)) != len(oids):
             raise ValueError("duplicate object in snapshot input")
         tree = K2Tree.build(k, side, xs, ys)
-        # order by leaf, then by id; a group ends where the cell changes
-        keys = path_keys(k, side, xs, ys)
-        order = np.lexsort((oids, keys))
-        keys = keys[order]
-        q = np.zeros(len(oids), dtype=np.uint8)
-        q[:-1] = keys[1:] == keys[:-1]
-        return cls._from_q(tree, oids[order], q, n_objects)
+        order = np.lexsort((oids, path_keys(k, side, xs, ys)))  # by leaf, then id
+        return cls(tree, oids[order], np.column_stack((xs[order], ys[order])), n_objects)
 
     @classmethod
-    def load(cls, tree, present, perm, q, n_objects):
-        """From the file's fields: presence and Q bits as uint8 arrays, and
-        the permutation's values."""
+    def load(cls, tree, cells, present, perm, q, n_objects):
+        """From the tree's occupied cells ``(xs, ys)`` in L order and the
+        file's fields: presence and Q bits as uint8 arrays, and the
+        permutation's values."""
         if len(present) != n_objects:
             raise ValueError(
                 "presence bitmap covers %d objects, not %d" % (len(present), n_objects)
@@ -78,43 +76,50 @@ class Snapshot:
             raise ValueError("presence bitmap, permutation and Q bitmap disagree")
         if len(q) and q[-1]:
             raise ValueError("Q bitmap leaves the last group open")
-        if len(q) - np.count_nonzero(q) != tree.n_leaves():
+        xs, ys = cells
+        if len(q) - np.count_nonzero(q) != len(xs):
             raise ValueError("Q bitmap and k2-tree disagree on the occupied cells")
-        return cls._from_q(tree, present_ids[perm], q, n_objects)
+        leaf = np.cumsum(q == 0) - (q == 0)  # each member's 0-based leaf rank
+        return cls(tree, present_ids[perm], np.column_stack((xs[leaf], ys[leaf])), n_objects)
 
     def file_fields(self):
         """(presence bits, permutation values, Q bits) as the file stores them."""
-        present = (self.leaf > 0).astype(np.uint8)
+        present = (self.at > 0).astype(np.uint8)
         rank = np.cumsum(present, dtype=np.int64) - 1  # presence rank per id
-        q = np.ones(len(self.ids), dtype=np.uint8)
-        q[self.group[1:].astype(np.int64) - 1] = 0
+        q = np.zeros(len(self.ids), dtype=np.uint8)
+        q[:-1] = (self.xy[1:] == self.xy[:-1]).all(axis=1)
         return present, rank[self.ids], q
 
     def find_object(self, oid):
         """Cell of an object, or None when it is absent from this snapshot."""
-        leaf = int(self.leaf[oid])
-        return self.tree.locate(leaf) if leaf else None
+        row = int(self.at[oid])
+        return tuple(self.xy[row - 1].tolist()) if row else None
 
     def objects_in_region(self, region):
         """(object id, position) pairs inside a region, in leaf/group order."""
         if region is None:
             return []
-        ids, group = self.ids, self.group
-        out = []
-        for x, y, leaf in self.tree.range_report(region):
-            for oid in ids[group[leaf - 1]:group[leaf]].tolist():
-                out.append((oid, (x, y)))
-        return out
+        x1, y1, x2, y2 = region
+        return [
+            (oid, (x, y))
+            for oid, (x, y) in zip(self.ids.tolist(), self.xy.tolist())
+            if x1 <= x <= x2 and y1 <= y <= y2
+        ]
 
     def candidates_by_distance(self, qx, qy):
         """Present objects in non-decreasing distance from (qx, qy).
 
-        Yields (object id, position, distance), the objects of each cell
-        from the k2-tree's cell stream.  Because that stream is globally
-        ordered, a consumer may stop at the first entry whose distance
-        exceeds its cut-off.
+        Yields (object id, position, distance), ``distance`` being
+        ``math.hypot`` of the offsets, bit for bit what the oracle computes.
+        Equal distances keep table order: leaf order, then id.  Because the
+        stream is globally ordered, a consumer may stop at the first entry
+        whose distance exceeds its cut-off.
         """
-        ids, group = self.ids.tolist(), self.group.tolist()
-        for x, y, leaf, dist in self.tree.nodes_by_distance(qx, qy):
-            for oid in ids[group[leaf - 1]:group[leaf]]:
-                yield oid, (x, y), dist
+        hypot = math.hypot
+        rows = [
+            (hypot(x - qx, y - qy), oid, (x, y))
+            for oid, (x, y) in zip(self.ids.tolist(), self.xy.tolist())
+        ]
+        rows.sort(key=itemgetter(0))  # stable
+        for dist, oid, p in rows:
+            yield oid, p, dist

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trajindex.k2tree import K2Tree
+from trajindex.k2tree import K2Tree, decode_cells
 
 
 def build_from_cells(cells, side=16, k=2):
@@ -171,6 +171,25 @@ def test_whole_grid_reports_every_leaf_in_order(k, side):
     assert tree.range_report((0, 0, side - 2, side - 1)) == [
         (x, y, r) for x, y, r in want if x < side - 1
     ]
+
+
+@pytest.mark.parametrize("k,side", [(2, 64), (3, 81), (4, 64)])
+def test_decode_of_many_trees_matches_each_tree(k, side):
+    # empty trees first, between and last, and trees of one cell and of many
+    rng = np.random.default_rng(side + k)
+    trees = [
+        K2Tree.build(k, side, *rng.integers(0, side, size=(2, n)))
+        for n in (0, 1, 60, 0, 0, 7, 200, 3, 0)
+    ]
+    xs, ys, counts = decode_cells(trees)
+    assert counts.tolist() == [t.n_leaves() for t in trees]
+    cuts = np.append(0, np.cumsum(counts))
+    for tree, i, j in zip(trees, cuts[:-1], cuts[1:]):
+        cx, cy = tree.cells()
+        assert xs[i:j].tolist() == cx.tolist() and ys[i:j].tolist() == cy.tolist()
+        want = [tree.locate(r) for r in range(1, tree.n_leaves() + 1)]
+        assert list(zip(cx.tolist(), cy.tolist())) == want
+    assert [a.tolist() for a in decode_cells([])] == [[], [], []]
 
 
 @pytest.mark.parametrize("k,side", [(3, 27), (4, 64)])

@@ -29,6 +29,7 @@ from trajindex.serial import (
     write_fields,
     write_uint_array,
 )
+from trajindex.snapshot import Snapshot
 
 
 # object 1 stays in one cell over 0..16; object 2 appears at instant 10 in
@@ -446,6 +447,58 @@ class TestIndexContainer:
         with pytest.raises(SerializationError, match="outside the grid"):
             TrajectoryIndex.from_bytes(idx.to_bytes())
 
+    @pytest.mark.parametrize("entry", [0, 1, 2, 3])  # the AA's x, y, then the D's
+    def test_anchor_the_moves_do_not_lead_to_rejected(self, entry):
+        idx = TrajectoryIndex.build(TWO_OBJECTS, period=8, side=8)
+        # portion 1: object 2's [AA (3, 5), move (1, 1), D (4, 6)]
+        ids, sym_lens, d_vals, p_vals = idx.logs.portion(1)
+        p_vals = p_vals.astype(np.int64)
+        p_vals[entry] += 1  # inside the grid, the instants unchanged
+        portion = idx.logs.portion
+        idx.logs.portion = lambda h: (ids, sym_lens, d_vals, p_vals) if h == 1 else portion(h)
+        with pytest.raises(SerializationError, match="do not lead from its start to its end"):
+            TrajectoryIndex.from_bytes(idx.to_bytes())
+
+    @pytest.mark.parametrize("cells, match", [
+        ([(2, 1)], "do not lead from its start to its end"),  # object 1 moved
+        ([], "absent from the snapshot"),  # object 1 gone
+    ])
+    def test_snapshot_cell_the_moves_do_not_lead_to_rejected(self, cells, match):
+        idx = TrajectoryIndex.build(TWO_OBJECTS, period=8, side=8)
+        # object 1 stays at (1, 1): its portion-0 log ends on snapshot 1 and
+        # its portion-1 log starts there
+        xs, ys = [c[0] for c in cells], [c[1] for c in cells]
+        snap = Snapshot.build([0] * len(cells), xs, ys, k=2, side=8, n_objects=2)
+        fields = (snap.tree.t, snap.tree.l, *snap.file_fields())
+        _replace_section(idx, "_fields", "snapshots", fields, nth=1)
+        with pytest.raises(SerializationError, match=match):
+            TrajectoryIndex.from_bytes(idx.to_bytes())
+
+    def test_same_span_pair_swap_rejected(self):
+        # every walk runs over instants 0..120, so every log ends at a D or
+        # on a snapshot, where its end is known
+        idx = TrajectoryIndex.build(make_walk_series(3, n_obj=8, t_len=121, side=64), period=30)
+        rules = idx.rules
+        span, dx, dy = (np.asarray(a) for a in (rules.sym_span, rules.sym_dx, rules.sym_dy))
+        moves = np.arange(MOVE_BASE, MOVE_BASE + rules.max_move_code + 1)
+        swaps = []  # a pair member for an earlier symbol of its span, moving elsewhere
+        for r in range(rules.n_rules):
+            earlier = np.append(moves, np.arange(rules.nt_base, rules.nt_base + r))
+            for m, old in enumerate(rules.pairs[r].tolist()):
+                alike = (span[earlier] == span[old]) & (
+                    (dx[earlier] != dx[old]) | (dy[earlier] != dy[old])
+                )
+                swaps.extend((r, m, int(s)) for s in earlier[alike])
+        rng = random.Random(3)
+        for r, m, s in rng.sample(swaps, 25):
+            pairs = rules.pairs.copy()
+            pairs[r, m] = s
+            dictionary = (rules.max_move_code, rules.n_rules, pairs.reshape(-1))
+            _replace_section(idx, "_fields", "dictionary", dictionary)
+            with pytest.raises(SerializationError, match="do not lead from its start to its end"):
+                TrajectoryIndex.from_bytes(idx.to_bytes())
+            del idx._fields  # the class's own again
+
     def test_stats_shape(self, walkthrough_index):
         stats = walkthrough_index.stats()
         assert stats["objects"] == 7
@@ -482,7 +535,7 @@ class TestIndexContainer:
         for snap in idx.snapshots:
             n = len(snap.tree.bits)
             want += (n + 7) // 8 + 4 * ((n + 511) // 512 + 1)
-            want += snap.ids.nbytes + snap.group.nbytes + snap.leaf.nbytes
+            want += snap.ids.nbytes + snap.xy.nbytes + snap.at.nbytes
         assert idx.stats()["mem_bytes"]["snapshots"] == want
 
     def test_load_retains_little_beyond_mem_bytes(self, indexes):

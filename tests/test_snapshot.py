@@ -1,9 +1,12 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from trajindex import TrajectoryIndex
 from trajindex.bits import BitVector, narrow
+from trajindex.k2tree import K2Tree, decode_cells
 from trajindex.snapshot import Snapshot
 
 
@@ -88,8 +91,9 @@ class TestGrouping:
     def test_group_boundary_bits(self, shared):
         # two cells: the shared one (leaf 1) holds objects 0 and 1
         assert shared.ids.tolist() == [0, 1, 2]
-        assert shared.group.tolist() == [0, 2, 3]
-        assert shared.leaf.tolist() == [1, 1, 2]
+        assert shared.xy.tolist() == [[3, 3], [3, 3], [5, 1]]
+        assert [shared.tree.cell(x, y) for x, y in shared.xy.tolist()] == [1, 1, 2]
+        assert shared.at.tolist() == [1, 2, 3]
         # the file's Q bitmap has one non-final member (the shared cell)
         present, perm, q = shared.file_fields()
         assert present.tolist() == [1, 1, 1]
@@ -113,21 +117,23 @@ class TestGrouping:
 
     def test_empty_snapshot(self):
         snap = Snapshot.build([], [], [], k=2, side=4, n_objects=5)
-        assert len(snap.ids) == 0 and snap.group.tolist() == [0]
-        assert snap.leaf.tolist() == [0] * 5
+        assert len(snap.ids) == 0 and snap.xy.shape == (0, 2)
+        assert snap.at.tolist() == [0] * 5
         assert snap.find_object(3) is None
         assert snap.objects_in_region((0, 0, 3, 3)) == []
         assert list(snap.candidates_by_distance(0, 0)) == []
 
 
 def test_locate_round_trip(walkthrough_index):
-    # every present object maps id -> cell -> group -> id consistently
+    # every present object maps id -> cell -> row -> id consistently
     for snap in walkthrough_index.snapshots:
         for oid in range(7):
             cell = snap.find_object(oid)
             if cell is None:
-                assert snap.leaf[oid] == 0
+                assert snap.at[oid] == 0
             else:
+                assert snap.ids[snap.at[oid] - 1] == oid
+                assert snap.tree.cell(*cell) is not None
                 assert oid in [o for o, _ in snap.objects_in_region(cell + cell)]
 
 
@@ -138,9 +144,86 @@ def test_load_derives_the_built_arrays(indexes):
     for idx in indexes.values():
         loaded = TrajectoryIndex.from_bytes(idx.to_bytes())
         for built, snap in zip(idx.snapshots, loaded.snapshots):
-            for name in ("ids", "group", "leaf"):
+            for name in ("ids", "xy", "at"):
                 want, got = getattr(built, name), getattr(snap, name)
                 assert got.tolist() == want.tolist()
                 assert got.dtype == want.dtype == narrow(got).dtype
             held = [v for obj in (snap, snap.tree) for v in vars(obj).values()]
             assert [type(v) for v in held if isinstance(v, BitVector)] == [BitVector]
+
+
+class TreeAnswers:
+    """A snapshot's answers as the k2-tree's navigators give them: each
+    cell's ids are a slice of the ids in leaf order, cut where the file's Q
+    bits are 0, and the tree gives each leaf rank's cell."""
+
+    def __init__(self, snap):
+        present, perm, q = snap.file_fields()
+        ids = np.flatnonzero(present)[perm].tolist()
+        self.tree = tree = snap.tree
+        group = [0] + (np.flatnonzero(q == 0) + 1).tolist()
+        self.members = [ids[i:j] for i, j in zip(group[:-1], group[1:])]
+        self.leaf = {oid: r for r, cell in enumerate(self.members, 1) for oid in cell}
+        assert len(self.members) == tree.n_leaves()
+
+    def find_object(self, oid):
+        return self.tree.locate(self.leaf[oid]) if oid in self.leaf else None
+
+    def objects_in_region(self, region):
+        return [
+            (oid, (x, y))
+            for x, y, r in self.tree.range_report(region)
+            for oid in self.members[r - 1]
+        ]
+
+    def candidates_by_distance(self, qx, qy):
+        return [
+            (oid, (x, y), d)
+            for x, y, r, d in self.tree.nodes_by_distance(qx, qy)
+            for oid in self.members[r - 1]
+        ]
+
+
+def _random_snapshots(rng, k, side, n_objects):
+    """Built snapshots with no object, one, and many, in few cells (so most
+    cells are shared) and in many."""
+    out = []
+    for n_present, n_cells in ((0, 0), (1, 1), (12, 3), (30, 30), (n_objects, 9)):
+        cells = [(rng.randrange(side), rng.randrange(side)) for _ in range(n_cells)]
+        oids = rng.sample(range(n_objects), n_present)
+        xs, ys = zip(*[rng.choice(cells) for _ in oids]) if oids else ((), ())
+        out.append(Snapshot.build(oids, xs, ys, k, side, n_objects))
+    return out
+
+
+@pytest.mark.parametrize("k,side", [(2, 64), (3, 81), (4, 64)])
+def test_table_answers_as_the_tree(k, side):
+    rng = random.Random(k * side)
+    n_objects = 40
+    built = _random_snapshots(rng, k, side, n_objects)
+    # loaded: the file's fields, with every tree decoded in one pass
+    trees = [K2Tree(k, side, s.tree.t, s.tree.l) for s in built]
+    xs, ys, counts = decode_cells(trees)
+    cuts = np.append(0, np.cumsum(counts)).tolist()
+    loaded = [
+        Snapshot.load(tree, (xs[i:j], ys[i:j]), *s.file_fields(), n_objects)
+        for tree, s, i, j in zip(trees, built, cuts[:-1], cuts[1:])
+    ]
+    regions = [None, (0, 0, side - 1, side - 1), (-5, -5, side + 4, side + 4), (3, 3, 2, 2)]
+    for _ in range(40):
+        x1, y1 = rng.randrange(-4, side), rng.randrange(-4, side)
+        regions.append((x1, y1, x1 + rng.randrange(side // 2), y1 + rng.randrange(side // 2)))
+    points = [(0, 0), (side - 1, side - 1), (-7, side + 3), (10**20, -(10**20))]
+    points += [(rng.randrange(side), rng.randrange(side)) for _ in range(10)]
+    for snap in built + loaded:
+        want = TreeAnswers(snap)
+        for oid in range(n_objects):
+            assert snap.find_object(oid) == want.find_object(oid)
+        for region in regions:
+            assert snap.objects_in_region(region) == want.objects_in_region(region)
+        for q in points:
+            assert list(snap.candidates_by_distance(*q)) == want.candidates_by_distance(*q)
+    for b, snap in zip(built, loaded):
+        assert snap.file_fields()[2].tolist() == b.file_fields()[2].tolist()
+        for name in ("ids", "xy", "at"):
+            assert getattr(snap, name).tolist() == getattr(b, name).tolist()
