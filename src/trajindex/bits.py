@@ -1,12 +1,13 @@
 """Succinct building blocks: rank/select bit vectors, directly addressable
 codes (DACs) and permutations.
 
-These three structures carry every other component of the package: each
-k2-tree is one bit vector navigated with rank/select, all variable-length
-integer payloads (rule metadata, event side arrays, compressed streams) are
-DAC-encoded, and a ``Permutation`` validates each snapshot's id permutation
-as it is loaded.  ``narrow`` gives an integer array the narrowest dtype that
-holds its range, as the loaded index keeps its tables.
+All variable-length integer payloads (rule metadata, event side arrays,
+compressed streams) are DAC-encoded, and a ``Permutation`` validates each
+snapshot's id permutation as it is loaded.  A ``BitVector`` is the T:L of
+a ``K2Tree``, which only encodes a snapshot file's cells and serves as the
+reference its decoded table is tested against, so no index holds one.
+``narrow`` gives an integer array the narrowest dtype that holds its range,
+as the loaded index keeps its tables.
 
 Conventions
 -----------

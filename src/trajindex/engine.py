@@ -11,37 +11,38 @@ instant per object, gaps allowed).  It then:
    vectorized pass over all cells; only portions with cells get a log),
 3. compresses all logs jointly with Re-Pair and annotates every rule with
    span / displacement / relative bounding box,
-4. builds one snapshot (k2-tree + the objects of each cell) per multiple
-   of the period.
+4. builds one snapshot per multiple of the period: a table of the objects
+   present and their cells, in the leaf order of a k2-tree over the cells.
 
-The index file stores each fact once.  Loading derives the rest with the
-code that build uses: the rule tables from the pairs, the snapshot and
-portion counts from t_max and the period, each log's side-array offsets,
-AA/D flags, end instant, checkpoints and block boxes from its symbols, and
-each snapshot's table of ids and cells from its presence bitmap,
-permutation and Q bitmap and the cells of its k2-tree, all trees decoded
-in one numpy pass.  Loading also checks that every log's moves lead from
-its start (its AA position, else its object's cell in the snapshot before)
-to its end (its D position, else its object's cell in the snapshot after,
-when there is one).  In memory the logs are one table indexed by log
-number, and every integer table is held in the narrowest dtype for its
-range.
+The index file stores each fact once, each snapshot's cells as a k2-tree
+that ``to_bytes`` encodes from the snapshot's table; no index holds a tree.
+Loading derives the rest with the code that build uses: the rule tables
+from the pairs, the snapshot and portion counts from t_max and the period,
+each log's side-array offsets, AA/D flags, end instant, checkpoints and
+block boxes from its symbols, and each snapshot's table of ids and cells
+from its presence bitmap, permutation and Q bitmap and the cells of its
+k2-tree, all trees decoded in one numpy pass that rejects a tree no build
+writes.  Loading also checks that every log's moves lead from its start
+(its AA position, else its object's cell in the snapshot before) to its end
+(its D position, else its object's cell in the snapshot after, when there
+is one).  In memory the logs are one table indexed by log number, and every
+integer table is held in the narrowest dtype for its range.
 
 Queries follow the classic plan: anchor at the snapshot at or before the
-instant that matters (or at an appearance event), reading its decoded table
-rather than navigating its k2-tree (a region test or a distance per present
-object, one lookup for an object's cell), seek to the last log
-checkpoint at or before that instant, then walk the compressed log forward
-from there, jumping whole rules whenever their metadata proves they cannot
-matter.  A time interval also reads whole checkpoint blocks by their
-boxes: before it walks a candidate's log, it steps over the log's block
-boxes in the window and drops the candidate when none meets the region,
-else seeks to the first block that does, and its walk passes over every
-later block whose box misses the region.  Only a time slice in the later
-half of a portion anchors at the next snapshot (or a disappearance event)
-and walks backward, which keeps its expanded region and its walks short.
-``counters`` tracks how many symbols each traversal family touched, which
-the pruning tests compare across debug flags (``use_mbr`` / ``use_er``).
+instant that matters (or at an appearance event), reading its table (a
+region test or a distance per present object, one lookup for an object's
+cell), seek to the last log checkpoint at or before that instant, then walk
+the compressed log forward from there, jumping whole rules whenever their
+metadata proves they cannot matter.  A time interval also reads whole
+checkpoint blocks by their boxes: before it walks a candidate's log, it
+steps over the log's block boxes in the window and drops the candidate when
+none meets the region, else seeks to the first block that does, and its
+walk passes over every later block whose box misses the region.  Only a
+time slice in the later half of a portion anchors at the next snapshot (or
+a disappearance event) and walks backward, which keeps its expanded region
+and its walks short.  ``counters`` tracks how many symbols each traversal
+family touched, which the pruning tests compare across debug flags
+(``use_mbr`` / ``use_er``).
 
 Results are deterministic: object lists sort by id, nearest-neighbour
 answers by (distance, id).
@@ -52,7 +53,6 @@ from __future__ import annotations
 import collections
 import heapq
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +75,7 @@ from .grammar import (
     RuleDictionary,
     repair_compress,
 )
-from .k2tree import MAX_K, MAX_SIDE, K2Tree, decode_cells, height_of
+from .k2tree import MAX_K, MAX_SIDE, K2Tree, check_levels, decode_cells, height_of
 from .logs import LogStore, move_back, move_jump, move_steps
 from .snapshot import Snapshot
 
@@ -559,8 +559,10 @@ class TrajectoryIndex:
         yield "log_streams", (self.logs.syms,)
         for h in range(self.logs.n_portions):
             yield "log_events", self.logs.portion(h)
+        k, side = self.params.k, self.params.side
         for s in self.snapshots:
-            yield "snapshots", (s.tree.t, s.tree.l, *s.file_fields())
+            tree = K2Tree.build(k, side, *s.xy.T)
+            yield "snapshots", (tree.t, tree.l, *s.file_fields())
 
     def _sections(self):
         """(stats component, payload) of every section, in file order."""
@@ -643,19 +645,21 @@ class TrajectoryIndex:
         for h in range(n_snapshots):
             t_bits, l_bits, *rest = section("snapshots", h)
             try:
-                trees.append(K2Tree(k, params.side, t_bits, l_bits))
+                check_levels(k, params.side, t_bits, l_bits)
             except ValueError as e:
                 raise serial.SerializationError("snapshot %d: %s" % (h, e)) from e
+            bits = np.packbits(np.concatenate([t_bits, l_bits]), bitorder="little")
+            trees.append((bits.tobytes(), len(t_bits)))
             fields.append(rest)
         r.expect_end("index file")
         # every tree's cells in one decode, then each snapshot's table
-        xs, ys, counts = decode_cells(trees)
+        xs, ys, counts = decode_cells(k, params.side, trees)
         cuts = np.append(0, np.cumsum(counts)).tolist()
         snapshots = []
-        for h, (tree, (present, perm_vals, q)) in enumerate(zip(trees, fields)):
+        for h, (present, perm_vals, q) in enumerate(fields):
             cells = xs[cuts[h]:cuts[h + 1]], ys[cuts[h]:cuts[h + 1]]
             try:
-                snapshots.append(Snapshot.load(tree, cells, present, perm_vals, q, n_objects))
+                snapshots.append(Snapshot.load(cells, present, perm_vals, q, n_objects))
             except ValueError as e:
                 raise serial.SerializationError("snapshot %d: %s" % (h, e)) from e
         _check_log_ends(logs, snapshots, n_objects)
@@ -663,10 +667,8 @@ class TrajectoryIndex:
 
     def stats(self):
         """Size report: bytes per component in the file (``bytes``) and in
-        the arrays and packed bits the index holds (``mem_bytes``; a bit
-        vector's select0 directory, which no query builds, counts once a
-        ``select0`` call has built it), and the log ratio against raw
-        symbols."""
+        the arrays the index holds (``mem_bytes``), and the log ratio
+        against raw symbols."""
         size = collections.Counter(total=len(HEADER))
         for part, payload in self._sections():
             size[part] += len(payload)
@@ -880,9 +882,8 @@ def _increasing_ids(ids, bound):
 
 
 def _array_bytes(*roots):
-    """Bytes of the distinct numpy, ``array.array`` and ``bytes`` buffers
-    reachable from ``roots`` through containers, memoryviews and the
-    attributes of this package's objects."""
+    """Bytes of the distinct numpy buffers reachable from ``roots`` through
+    containers, memoryviews and the attributes of this package's objects."""
     seen, todo, total = set(), list(roots), 0
     while todo:
         obj = todo.pop()
@@ -895,10 +896,6 @@ def _array_bytes(*roots):
         seen.add(id(obj))
         if isinstance(obj, np.ndarray):
             total += obj.nbytes
-        elif isinstance(obj, array):
-            total += len(obj) * obj.itemsize
-        elif isinstance(obj, bytes):
-            total += len(obj)
         elif isinstance(obj, (list, tuple)):
             todo.extend(obj)
         elif isinstance(obj, dict):

@@ -23,19 +23,21 @@ the frontier skips nodes.
 Occupied cells are numbered 1..m in L order ("leaf rank"); a snapshot's
 file form groups its objects per cell through that numbering.
 
-``decode_cells`` decodes every occupied cell of many trees at once with
-numpy and ranks nothing.  It finds the set bits in the packed bytes,
-unpacking only the nonzero bytes, so its memory follows the ones rather
-than the k^2 slots of each node.  The j-th one (0-based), at position p, is
-node j + 1, a child of node p // k^2 in slot p % k^2; one pass per level
-then places each node's square inside its parent's.  Loading an index
-decodes all of its trees in that one pass, and each snapshot then answers
-from its decoded table (see ``snapshot``), so no query navigates a tree.
+The k2-tree is the snapshots' file codec and nothing more: no index holds
+one.  ``TrajectoryIndex.to_bytes`` encodes each snapshot's cells with
+``build``; loading checks each tree's level sizes with ``check_levels``
+and decodes all of an index's trees in one numpy pass with
+``decode_cells``, which ranks nothing, unpacks only the nonzero bytes and
+rejects a one in T over no cells.  So each loaded tree is the one
+``build`` makes from its cells, and an index re-saves to the bytes it was
+loaded from; each snapshot answers from its decoded table (see
+``snapshot``).
+
 ``cells`` is the decode of one tree; it serves ``range_report`` when the
 region covers the whole grid, and ``nodes_by_distance``, which sorts the
-cells by their distance from a query point.  ``locate``, ``range_report``
-and ``nodes_by_distance`` remain the reference navigators the snapshot
-table is tested against.
+cells by their distance from a query point.  ``cell``, ``locate``,
+``range_report`` and ``nodes_by_distance`` remain the reference navigators
+the snapshot tables are tested against.
 """
 
 import math
@@ -43,6 +45,7 @@ import math
 import numpy as np
 
 from .bits import BitVector
+from .serial import SerializationError
 
 # a node's k^2 child slots are allocated side by side, and a cell's path key
 # (base k^2, up to side^2 - 1) is an int64
@@ -53,22 +56,13 @@ MAX_SIDE = math.isqrt(2**63)
 class K2Tree:
     def __init__(self, k, side, t_bits, l_bits):
         """``t_bits``, ``l_bits``: T and L as uint8 arrays of 0s and 1s."""
+        check_levels(k, side, t_bits, l_bits)
         self.k = k
         self.side = side
         self.height = height_of(k, side)
-        bits = np.concatenate([t_bits, l_bits])
-        self.len_t = len_t = len(t_bits)
-        # level 1 has k^2 bits, each later level k^2 per one of the level
-        # before; levels 1..height-1 fill T and level height is L
-        kk = k * k
-        pos, size = 0, kk
-        for _ in range(self.height - 1):
-            ones = int(np.count_nonzero(bits[pos:pos + size]))
-            pos, size = pos + size, kk * ones
-        if pos != len_t or pos + size != len(bits):
-            raise ValueError("k2-tree level sizes disagree with T and L")
-        self.bits = BitVector(bits)
-        self.t_ones = self.bits.rank1(len_t)
+        self.len_t = len(t_bits)
+        self.bits = BitVector(np.concatenate([t_bits, l_bits]))
+        self.t_ones = self.bits.rank1(self.len_t)
 
     # -- construction -----------------------------------------------------
 
@@ -76,10 +70,6 @@ class K2Tree:
     def build(cls, k, side, xs, ys):
         """Build from occupied cells (duplicates allowed)."""
         height = height_of(k, side)
-        xs = np.asarray(xs, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
-        if len(xs) and (xs.min() < 0 or ys.min() < 0 or xs.max() >= side or ys.max() >= side):
-            raise ValueError("cell outside the grid")
         keys = np.unique(path_keys(k, side, xs, ys))
         kk = k * k
         levels = []
@@ -106,9 +96,6 @@ class K2Tree:
         return self.bits.raw[self.len_t:]
 
     # -- point access ------------------------------------------------------
-
-    def n_leaves(self):
-        return self.bits.n_ones - self.t_ones
 
     def cell(self, x, y):
         """Leaf rank (1-based, in L order) of cell (x, y); None when empty."""
@@ -206,7 +193,7 @@ class K2Tree:
     def cells(self):
         """Every occupied cell as two int64 arrays ``xs, ys`` in L order, so
         index i holds leaf rank i + 1 (see ``decode_cells``)."""
-        xs, ys, _ = decode_cells([self])
+        xs, ys, _ = decode_cells(self.k, self.side, [(self.bits.to_bytes(), self.len_t)])
         return xs, ys
 
     def nodes_by_distance(self, qx, qy):
@@ -225,46 +212,69 @@ class K2Tree:
             yield xl[i], yl[i], i + 1, dist[i]
 
 
-def decode_cells(trees):
-    """Every occupied cell of each of ``trees`` (one k and side), decoded in
-    one numpy pass: ``xs, ys, counts``, where tree i's cells, in L order,
-    are the ``counts[i]`` entries after those of the trees before it.
+def decode_cells(k, side, trees):
+    """Every occupied cell of each of ``trees``, decoded in one numpy pass:
+    ``xs, ys, counts``, where tree i's cells, in L order, are the
+    ``counts[i]`` entries after those of the trees before it.
 
-    The trees' packed bits are read end to end, each starting on a byte and
-    padded with zeros, and only the nonzero bytes are unpacked, so memory
-    follows the ones rather than the k^2 slots of each node.  A tree's
-    j-th one (0-based), at position p, is its node j + 1, a child of its
-    node p // k^2 in slot p % k^2.  Entry e of the joint table is the e-th
-    one of all the trees, and one entry after them stands for every root;
-    one pass per level then places each node's square inside its
-    parent's.
+    Each tree is given as (its T:L packed as ``BitVector.to_bytes`` lays it
+    out, the length of T), over a grid of ``side`` at ``k``, with level
+    sizes that ``check_levels`` accepts.  The packed bits are read end to
+    end, and only the nonzero bytes are unpacked, so memory follows the
+    ones rather than the k^2 slots of each node.  A tree's j-th one
+    (0-based), at position p, is its node j + 1, a child of its node
+    p // k^2 in slot p % k^2.  Entry e of the joint table is the e-th one
+    of all the trees, and one entry after them stands for every root; one
+    pass per level then places each node's square inside its parent's.
+
+    A one in T whose k^2 child slots are all zero, which no build writes,
+    raises ``SerializationError`` naming the tree's position as its snapshot.
     """
-    if not trees:
-        return (np.zeros(0, dtype=np.int64),) * 3
-    k, side, height = trees[0].k, trees[0].side, trees[0].height
-    kk = k * k
-    chunks = [t.bits.to_bytes() for t in trees]
-    packed = np.frombuffer(b"".join(chunks), dtype=np.uint8)
+    height, kk = height_of(k, side), k * k
+    packed = np.frombuffer(b"".join(c for c, _ in trees), dtype=np.uint8)
+    first_bit = np.cumsum([0] + [8 * len(c) for c, _ in trees], dtype=np.int64)
     nonzero = np.flatnonzero(packed)
     hit = np.flatnonzero(np.unpackbits(packed[nonzero], bitorder="little"))
-    ones = np.array([t.bits.n_ones for t in trees], dtype=np.int64)
-    t_ones = np.array([t.t_ones for t in trees], dtype=np.int64)
-    n = int(ones.sum())
-    first_bit = np.cumsum([0] + [8 * len(c) for c in chunks[:-1]])
-    before = np.repeat(np.cumsum(ones) - ones, ones)  # the ones of earlier trees
-    parent, slot = np.divmod(
-        nonzero[hit >> 3] * 8 + (hit & 7) - np.repeat(first_bit, ones), kk
-    )
+    pos = nonzero[hit >> 3] * 8 + (hit & 7)
+    tree = np.searchsorted(first_bit, pos, side="right") - 1  # each one's tree
+    pos -= first_bit[tree]
+    len_t = np.array([n for _, n in trees], dtype=np.int64)
+    ones = np.bincount(tree, minlength=len(trees))
+    t_ones = np.bincount(tree[pos < len_t[tree]], minlength=len(trees))
+    n = len(pos)
+    before = (np.cumsum(ones) - ones)[tree]  # the ones of earlier trees
+    parent, slot = np.divmod(pos, kk)
     parent = np.where(parent == 0, n, before + parent - 1)
+    leaf = np.arange(n) - before >= t_ones[tree]  # node number past t_ones
+    has_child = np.zeros(n + 1, dtype=bool)
+    has_child[parent] = True
+    childless = np.flatnonzero(~(leaf | has_child[:n]))
+    if len(childless):
+        raise SerializationError(
+            "snapshot %d: a one in T has all its child slots 0" % tree[childless[0]]
+        )
     # x * side + y of each node's square, in units of its own side; the
     # roots' entry stays 0, and after pass i every node of level i is exact
     step = slot % k * side + slot // k
     square = np.zeros(n + 1, dtype=np.int64)
     for _ in range(height):
         square[:n] = square[parent] * k + step
-    leaf = np.arange(n) - before >= np.repeat(t_ones, ones)  # node number past t_ones
     xs, ys = np.divmod(square[:n][leaf], side)
     return xs, ys, ones - t_ones
+
+
+def check_levels(k, side, t_bits, l_bits):
+    """Raise ValueError unless T and L, uint8 arrays of 0s and 1s, have the
+    level sizes of a tree over a grid of ``side``: level 1 has k^2 bits,
+    each later level k^2 per one of the level before, levels 1..height-1
+    fill T and level height is L."""
+    kk = k * k
+    pos, size = 0, kk
+    for _ in range(height_of(k, side) - 1):
+        ones = int(np.count_nonzero(t_bits[pos:pos + size]))
+        pos, size = pos + size, kk * ones
+    if pos != len(t_bits) or size != len(l_bits):
+        raise ValueError("k2-tree level sizes disagree with T and L")
 
 
 def height_of(k, side):
@@ -287,8 +297,10 @@ def path_keys(k, side, xs, ys):
     """Base-k^2 digit string of each cell's root-to-leaf child indices."""
     height = height_of(k, side)
     keys = np.zeros(len(xs), dtype=np.int64)
-    lx = np.asarray(xs, dtype=np.int64).copy()
-    ly = np.asarray(ys, dtype=np.int64).copy()
+    lx = np.array(xs, dtype=np.int64)
+    ly = np.array(ys, dtype=np.int64)
+    if len(lx) and (lx.min() < 0 or ly.min() < 0 or lx.max() >= side or ly.max() >= side):
+        raise ValueError("cell outside the grid")
     sub = side
     for _ in range(height):
         sub //= k

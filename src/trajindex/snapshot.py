@@ -1,8 +1,6 @@
-"""Absolute positions at one instant: a k2-tree plus the objects per cell.
+"""Absolute positions at one instant: the objects present and their cells.
 
-The k2-tree records which cells are occupied, and numbers them 1..m in leaf
-order.  In memory a snapshot answers from a table decoded once, held as
-narrow arrays beside the tree:
+In memory a snapshot is a table of three narrow arrays:
 
 * ``ids`` — the present object ids, cell by cell in leaf order (build
   sorts each cell's ids);
@@ -10,16 +8,17 @@ narrow arrays beside the tree:
   row of ``ids``;
 * ``at`` — each object id's row in ``xy`` plus 1, 0 when it is absent.
 
-So an object's cell is one lookup, and a region query or a distance query
-is one pass over the table: a region query costs O(present objects) rather
-than O(nodes the region meets), which on small snapshots (tens of cells) is
-far less Python work than a k2-tree walk.  No query ranks, selects or walks
-the k2-tree; it stays the snapshot's file form.  ``build`` fills the table
-from the id, x and y columns of the objects present; ``load`` from the
-cells that ``k2tree.decode_cells`` decodes for all of an index's trees in
-one pass.
+Leaf order is the order in which a k2-tree over the occupied cells numbers
+them 1..m (``k2tree.path_keys``).  The k2-tree is the snapshot's file form
+only: ``TrajectoryIndex.to_bytes`` encodes it from ``xy``, and loading
+decodes it with ``k2tree.decode_cells`` for all of an index's trees in one
+pass, so no snapshot holds a tree.  An object's cell is one lookup, and a
+region query or a distance query is one pass over the table: O(present
+objects), which on small snapshots (tens of cells) is far less Python work
+than a k2-tree walk.  ``build`` fills the table from the id, x and y
+columns of the objects present; ``load`` from the decoded cells.
 
-The file keeps the paper's layout instead: a presence bitmap over all ids,
+Beside the tree the file keeps the paper's layout: a presence bitmap over all ids,
 a permutation listing the presence ranks (0-based ranks among the present
 ids) in leaf order, and a bitmap Q marking group boundaries, 1 for a
 non-final member of a cell's group and 0 for the last.  ``load`` derives the
@@ -37,13 +36,12 @@ from operator import itemgetter
 import numpy as np
 
 from .bits import Permutation, narrow
-from .k2tree import K2Tree, path_keys
+from .k2tree import path_keys
 
 
 class Snapshot:
-    def __init__(self, tree, ids, xy, n_objects):
+    def __init__(self, ids, xy, n_objects):
         """``ids`` in leaf order and ``xy`` their cells, row for row."""
-        self.tree = tree
         self.ids = narrow(ids)
         self.xy = narrow(xy)
         at = np.zeros(n_objects, dtype=np.int64)
@@ -57,13 +55,12 @@ class Snapshot:
         oids, xs, ys = (np.asarray(c, dtype=np.int64) for c in (oids, xs, ys))
         if len(np.unique(oids)) != len(oids):
             raise ValueError("duplicate object in snapshot input")
-        tree = K2Tree.build(k, side, xs, ys)
         order = np.lexsort((oids, path_keys(k, side, xs, ys)))  # by leaf, then id
-        return cls(tree, oids[order], np.column_stack((xs[order], ys[order])), n_objects)
+        return cls(oids[order], np.column_stack((xs[order], ys[order])), n_objects)
 
     @classmethod
-    def load(cls, tree, cells, present, perm, q, n_objects):
-        """From the tree's occupied cells ``(xs, ys)`` in L order and the
+    def load(cls, cells, present, perm, q, n_objects):
+        """From the k2-tree's occupied cells ``(xs, ys)`` in L order and the
         file's fields: presence and Q bits as uint8 arrays, and the
         permutation's values."""
         if len(present) != n_objects:
@@ -80,7 +77,7 @@ class Snapshot:
         if len(q) - np.count_nonzero(q) != len(xs):
             raise ValueError("Q bitmap and k2-tree disagree on the occupied cells")
         leaf = np.cumsum(q == 0) - (q == 0)  # each member's 0-based leaf rank
-        return cls(tree, present_ids[perm], np.column_stack((xs[leaf], ys[leaf])), n_objects)
+        return cls(present_ids[perm], np.column_stack((xs[leaf], ys[leaf])), n_objects)
 
     def file_fields(self):
         """(presence bits, permutation values, Q bits) as the file stores them."""

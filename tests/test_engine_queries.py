@@ -9,6 +9,7 @@ import trajindex.logs
 from trajindex import Oracle, TrajectoryIndex
 from trajindex.bits import BitVector
 from trajindex.geometry import clip_region, expanded_region
+from trajindex.k2tree import K2Tree
 
 from conftest import DATASET_SIDE, DATASETS, PERIODS, make_walk_series
 
@@ -220,10 +221,10 @@ def test_knn_distances_equal_math_hypot():
     series = {1: [(0, [(37, 57)] * 9)], 2: [(0, [(3, 3)] * 9)]}
     index = TrajectoryIndex.build(series, period=8, k=2, side=64)
     want = math.hypot(17, 27)
-    snap = index.snapshots[0]
-    got = {(x, y): d for x, y, _r, d in snap.tree.nodes_by_distance(*q)}
+    tree = K2Tree.build(2, 64, [37, 3], [57, 3])  # the series' cells at instant 0
+    got = {(x, y): d for x, y, _r, d in tree.nodes_by_distance(*q)}
     assert got[37, 57] == want
-    got = {p: d for _o, p, d in snap.candidates_by_distance(*q)}
+    got = {p: d for _o, p, d in index.snapshots[0].candidates_by_distance(*q)}
     assert got[37, 57] == want
     oracle = Oracle(series)
     for t in (0, 4, 8):  # the snapshot, a log walk, the last snapshot

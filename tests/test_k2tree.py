@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from trajindex.k2tree import K2Tree, decode_cells
+from trajindex.serial import SerializationError
 
 
 def build_from_cells(cells, side=16, k=2):
@@ -33,12 +34,12 @@ def test_cell_and_locate_round_trip():
         assert tree.locate(rank) == pos
     assert tree.cell(0, 0) is None
     assert tree.cell(-1, 3) is None
-    assert tree.n_leaves() == 3
+    assert len(tree.cells()[0]) == 3
 
 
 def test_duplicate_cells_collapse():
     tree = build_from_cells([(3, 3), (3, 3), (3, 3)], side=8)
-    assert tree.n_leaves() == 1
+    assert len(tree.cells()[0]) == 1
 
 
 def test_out_of_grid_rejected():
@@ -66,7 +67,7 @@ def test_range_report_orders_by_leaf():
 def test_empty_tree():
     for k, side in [(2, 16), (3, 3), (4, 64)]:
         tree = K2Tree.build(k, side, [], [])
-        assert tree.n_leaves() == 0
+        assert len(tree.cells()[0]) == 0
         assert tree.cell(1, 1) is None
         xs, ys = tree.cells()
         assert xs.tolist() == ys.tolist() == []
@@ -115,7 +116,7 @@ def test_random_instances_match_matrix(k, side):
         grid = np.zeros((side, side), dtype=bool)
         grid[xs, ys] = True
         tree = K2Tree.build(k, side, xs, ys)
-        assert tree.n_leaves() == int(grid.sum())
+        assert len(tree.cells()[0]) == int(grid.sum())
         # point membership on a sample plus all occupied cells
         for x, y in zip(xs, ys):
             rank = tree.cell(int(x), int(y))
@@ -147,7 +148,7 @@ def test_distance_walk_complete_and_sorted():
     q = (int(rng.integers(side)), int(rng.integers(side)))
     cells = list(tree.nodes_by_distance(*q))
     assert {(x, y) for x, y, _r, _d in cells} == set(zip(map(int, xs), map(int, ys)))
-    assert len(cells) == tree.n_leaves()
+    assert len(cells) == len(tree.cells()[0])
     dists = [d for _, _, _, d in cells]
     assert dists == sorted(dists)
     for x, y, r, d in cells:
@@ -161,7 +162,7 @@ def test_whole_grid_reports_every_leaf_in_order(k, side):
     xs = rng.integers(0, side, size=90)
     ys = rng.integers(0, side, size=90)
     tree = K2Tree.build(k, side, xs, ys)
-    want = [(*tree.locate(r), r) for r in range(1, tree.n_leaves() + 1)]
+    want = [(*tree.locate(r), r) for r in range(1, len(tree.cells()[0]) + 1)]
     # the grid itself, and a region that spills past it on every side
     for region in ((0, 0, side - 1, side - 1), (-3, -3, side + 2, side + 2)):
         assert tree.range_report(region) == want
@@ -181,15 +182,25 @@ def test_decode_of_many_trees_matches_each_tree(k, side):
         K2Tree.build(k, side, *rng.integers(0, side, size=(2, n)))
         for n in (0, 1, 60, 0, 0, 7, 200, 3, 0)
     ]
-    xs, ys, counts = decode_cells(trees)
-    assert counts.tolist() == [t.n_leaves() for t in trees]
+    xs, ys, counts = decode_cells(k, side, [(t.bits.to_bytes(), t.len_t) for t in trees])
+    assert counts.tolist() == [t.bits.n_ones - t.t_ones for t in trees]
     cuts = np.append(0, np.cumsum(counts))
     for tree, i, j in zip(trees, cuts[:-1], cuts[1:]):
         cx, cy = tree.cells()
         assert xs[i:j].tolist() == cx.tolist() and ys[i:j].tolist() == cy.tolist()
-        want = [tree.locate(r) for r in range(1, tree.n_leaves() + 1)]
+        want = [tree.locate(r) for r in range(1, len(tree.cells()[0]) + 1)]
         assert list(zip(cx.tolist(), cy.tolist())) == want
-    assert [a.tolist() for a in decode_cells([])] == [[], [], []]
+    assert [a.tolist() for a in decode_cells(k, side, [])] == [[], [], []]
+
+
+def test_decode_rejects_a_one_in_t_over_no_cells():
+    good = build_from_cells([(1, 1)], side=8)
+    # level 1's slot 1 set, with its four level-2 slots all zero
+    t_bits = np.array([1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
+    bad = K2Tree(2, 8, t_bits, good.l)
+    trees = [(t.bits.to_bytes(), t.len_t) for t in (good, bad, good)]
+    with pytest.raises(SerializationError, match="snapshot 1: a one in T"):
+        decode_cells(2, 8, trees)
 
 
 @pytest.mark.parametrize("k,side", [(3, 27), (4, 64)])
@@ -223,7 +234,7 @@ def test_build_peak_memory_stays_near_the_bits():
     finally:
         tracemalloc.stop()
     assert peak < 12_000_000
-    assert tree.n_leaves() == len(set(cells))
+    assert len(tree.cells()[0]) == len(set(cells))
     assert all(tree.cell(x, y) is not None for x, y in cells)
     # the walks read each 65,536-slot mask as one int
     hits = tree.range_report((0, 0, 2**16 - 1, 2**16 - 1))

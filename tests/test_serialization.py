@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from trajindex import TrajectoryIndex, spiral
 from trajindex.bits import DacSequence
-from trajindex.engine import HEADER
+from trajindex.engine import HEADER, PARAM_NAMES
 from trajindex.grammar import EV_D, EV_RM, MOVE_BASE
+from trajindex.k2tree import K2Tree
 from trajindex.serial import (
     ByteReader,
     ByteWriter,
@@ -325,16 +326,19 @@ class TestIndexContainer:
             else:
                 perm = np.array([1])
             snap.file_fields = lambda: (present, perm, q)
-        elif fault == "k_below_2":
-            idx.params.k = 1
-        elif fault == "k_past_256":
-            idx.params.k = 257
+        elif fault in ("k_below_2", "k_past_256", "side_past_int64"):
+            # in the params section only: the snapshots' k2-trees are
+            # encoded with the index's own k and side
+            name, value = {
+                "k_below_2": ("k", 1), "k_past_256": ("k", 257), "side_past_int64": ("side", 2**32),
+            }[fault]
+            params = next(v for part, v in idx._fields() if part == "params")
+            params[PARAM_NAMES.index(name)] = value
+            _replace_section(idx, "_fields", "params", params)
         elif fault == "period_0":
             idx.params.period = 0
         elif fault == "period_past_int64":
             idx.params.period = 2**63
-        elif fault == "side_past_int64":
-            idx.params.side = 2**32
         elif fault == "t_max_past_snapshots":
             idx.params.t_max = 24
         elif fault == "ids_unsorted":
@@ -469,10 +473,30 @@ class TestIndexContainer:
         # its portion-1 log starts there
         xs, ys = [c[0] for c in cells], [c[1] for c in cells]
         snap = Snapshot.build([0] * len(cells), xs, ys, k=2, side=8, n_objects=2)
-        fields = (snap.tree.t, snap.tree.l, *snap.file_fields())
+        tree = K2Tree.build(2, 8, xs, ys)
+        fields = (tree.t, tree.l, *snap.file_fields())
         _replace_section(idx, "_fields", "snapshots", fields, nth=1)
         with pytest.raises(SerializationError, match=match):
             TrajectoryIndex.from_bytes(idx.to_bytes())
+
+    def test_non_canonical_k2tree_rejected(self):
+        # snapshot 0 holds object 1 alone, at (1, 1): one bit per level
+        idx = TrajectoryIndex.build(TWO_OBJECTS, period=8, side=8)
+        t_bits, l_bits, *rest = next(v for p, v in idx._fields() if p == "snapshots")
+        assert t_bits.tolist() == [1, 0, 0, 0, 1, 0, 0, 0] and l_bits.tolist() == [0, 0, 0, 1]
+        # a free level-1 bit set, and its k^2 = 4 slots at level 2, all zero,
+        # after those of the first node: the level sizes still agree
+        t_bits = np.array([1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
+        _replace_section(idx, "_fields", "snapshots", (t_bits, l_bits, *rest))
+        with pytest.raises(SerializationError, match="snapshot 0: a one in T"):
+            TrajectoryIndex.from_bytes(idx.to_bytes())
+
+    def test_every_build_re_saves_to_its_bytes(self, indexes):
+        # each loaded k2-tree is the one its cells build, so re-encoding
+        # the snapshots' cells gives the file back
+        for idx in indexes.values():
+            blob = idx.to_bytes()
+            assert TrajectoryIndex.from_bytes(blob).to_bytes() == blob
 
     def test_same_span_pair_swap_rejected(self):
         # every walk runs over instants 0..120, so every log ends at a D or
@@ -522,20 +546,14 @@ class TestIndexContainer:
         assert mem["total"] == sum(mem[part] for part in parts) + ids
         # one byte per symbol: every symbol id is below 256
         assert mem["log_streams"] == stats["compressed_symbols"]
-        # a fresh build holds what its load holds (other tests' select0
-        # calls may add directories, so the shared index is not compared)
+        # a fresh build holds what its load holds
         built = TrajectoryIndex.build(WALKTHROUGH_SERIES, period=8, k=2, side=16)
         assert TrajectoryIndex.from_bytes(built.to_bytes()).stats() == built.stats()
 
-    def test_snapshot_mem_counts_the_packed_bits(self, indexes):
-        # each tree holds its T:L packed, eight bits to a byte, plus one
-        # uint32 count per 512-bit superblock and one for the start
+    def test_snapshot_mem_counts_the_cell_tables(self, indexes):
+        # a snapshot holds its ids, cells and rows, and no k2-tree
         idx = TrajectoryIndex.from_bytes(indexes["appear", 30].to_bytes())
-        want = 0
-        for snap in idx.snapshots:
-            n = len(snap.tree.bits)
-            want += (n + 7) // 8 + 4 * ((n + 511) // 512 + 1)
-            want += snap.ids.nbytes + snap.xy.nbytes + snap.at.nbytes
+        want = sum(s.ids.nbytes + s.xy.nbytes + s.at.nbytes for s in idx.snapshots)
         assert idx.stats()["mem_bytes"]["snapshots"] == want
 
     def test_load_retains_little_beyond_mem_bytes(self, indexes):

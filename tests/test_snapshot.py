@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -92,7 +94,8 @@ class TestGrouping:
         # two cells: the shared one (leaf 1) holds objects 0 and 1
         assert shared.ids.tolist() == [0, 1, 2]
         assert shared.xy.tolist() == [[3, 3], [3, 3], [5, 1]]
-        assert [shared.tree.cell(x, y) for x, y in shared.xy.tolist()] == [1, 1, 2]
+        tree = K2Tree.build(2, 8, [3, 3, 5], [3, 3, 1])
+        assert [tree.cell(x, y) for x, y in shared.xy.tolist()] == [1, 1, 2]
         assert shared.at.tolist() == [1, 2, 3]
         # the file's Q bitmap has one non-final member (the shared cell)
         present, perm, q = shared.file_fields()
@@ -124,23 +127,31 @@ class TestGrouping:
         assert list(snap.candidates_by_distance(0, 0)) == []
 
 
-def test_locate_round_trip(walkthrough_index):
-    # every present object maps id -> cell -> row -> id consistently
-    for snap in walkthrough_index.snapshots:
+def test_locate_round_trip(walkthrough_index, walkthrough_series):
+    # every present object maps id -> cell -> row -> id consistently, and
+    # its cell is one the series has occupied at the snapshot's instant
+    for h, snap in enumerate(walkthrough_index.snapshots):
+        t = 8 * h
+        cells = [
+            cs[t - start]
+            for runs in walkthrough_series.values()
+            for start, cs in runs
+            if start <= t < start + len(cs)
+        ]
+        tree = K2Tree.build(2, 16, *zip(*cells))
         for oid in range(7):
             cell = snap.find_object(oid)
             if cell is None:
                 assert snap.at[oid] == 0
             else:
                 assert snap.ids[snap.at[oid] - 1] == oid
-                assert snap.tree.cell(*cell) is not None
+                assert tree.cell(*cell) is not None
                 assert oid in [o for o, _ in snap.objects_in_region(cell + cell)]
 
 
 def test_load_derives_the_built_arrays(indexes):
     """Loading derives each snapshot's arrays as build made them, each in
-    its narrowest dtype, and the only bit vector a snapshot holds is its
-    k2-tree's T:L."""
+    its narrowest dtype, and a snapshot holds those arrays only."""
     for idx in indexes.values():
         loaded = TrajectoryIndex.from_bytes(idx.to_bytes())
         for built, snap in zip(idx.snapshots, loaded.snapshots):
@@ -148,23 +159,45 @@ def test_load_derives_the_built_arrays(indexes):
                 want, got = getattr(built, name), getattr(snap, name)
                 assert got.tolist() == want.tolist()
                 assert got.dtype == want.dtype == narrow(got).dtype
-            held = [v for obj in (snap, snap.tree) for v in vars(obj).values()]
-            assert [type(v) for v in held if isinstance(v, BitVector)] == [BitVector]
+            assert set(vars(built)) == set(vars(snap)) == {"ids", "xy", "at"}
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through references, other than
+    classes, modules and functions (whose globals reach everything)."""
+    seen, todo = set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        todo.extend(gc.get_referents(obj))
+
+
+def test_index_holds_no_tree_or_bit_vector(indexes):
+    # the k2-tree is the snapshots' file form only
+    for idx in indexes.values():
+        for index in (idx, TrajectoryIndex.from_bytes(idx.to_bytes())):
+            held = list(_reachable(index))
+            assert any(obj is index.snapshots[0].xy for obj in held)
+            assert not [obj for obj in held if isinstance(obj, (K2Tree, BitVector))]
 
 
 class TreeAnswers:
     """A snapshot's answers as the k2-tree's navigators give them: each
     cell's ids are a slice of the ids in leaf order, cut where the file's Q
-    bits are 0, and the tree gives each leaf rank's cell."""
+    bits are 0, and ``tree``, built from the cells the snapshot was built
+    from, gives each leaf rank's cell."""
 
-    def __init__(self, snap):
+    def __init__(self, snap, tree):
         present, perm, q = snap.file_fields()
         ids = np.flatnonzero(present)[perm].tolist()
-        self.tree = tree = snap.tree
+        self.tree = tree
         group = [0] + (np.flatnonzero(q == 0) + 1).tolist()
         self.members = [ids[i:j] for i, j in zip(group[:-1], group[1:])]
         self.leaf = {oid: r for r, cell in enumerate(self.members, 1) for oid in cell}
-        assert len(self.members) == tree.n_leaves()
+        assert len(self.members) == len(tree.cells()[0])
 
     def find_object(self, oid):
         return self.tree.locate(self.leaf[oid]) if oid in self.leaf else None
@@ -186,13 +219,15 @@ class TreeAnswers:
 
 def _random_snapshots(rng, k, side, n_objects):
     """Built snapshots with no object, one, and many, in few cells (so most
-    cells are shared) and in many."""
+    cells are shared) and in many, each with the k2-tree of the cells it
+    was built from."""
     out = []
     for n_present, n_cells in ((0, 0), (1, 1), (12, 3), (30, 30), (n_objects, 9)):
         cells = [(rng.randrange(side), rng.randrange(side)) for _ in range(n_cells)]
         oids = rng.sample(range(n_objects), n_present)
         xs, ys = zip(*[rng.choice(cells) for _ in oids]) if oids else ((), ())
-        out.append(Snapshot.build(oids, xs, ys, k, side, n_objects))
+        snap = Snapshot.build(oids, xs, ys, k, side, n_objects)
+        out.append((snap, K2Tree.build(k, side, xs, ys)))
     return out
 
 
@@ -200,14 +235,13 @@ def _random_snapshots(rng, k, side, n_objects):
 def test_table_answers_as_the_tree(k, side):
     rng = random.Random(k * side)
     n_objects = 40
-    built = _random_snapshots(rng, k, side, n_objects)
+    built, trees = zip(*_random_snapshots(rng, k, side, n_objects))
     # loaded: the file's fields, with every tree decoded in one pass
-    trees = [K2Tree(k, side, s.tree.t, s.tree.l) for s in built]
-    xs, ys, counts = decode_cells(trees)
+    xs, ys, counts = decode_cells(k, side, [(t.bits.to_bytes(), t.len_t) for t in trees])
     cuts = np.append(0, np.cumsum(counts)).tolist()
     loaded = [
-        Snapshot.load(tree, (xs[i:j], ys[i:j]), *s.file_fields(), n_objects)
-        for tree, s, i, j in zip(trees, built, cuts[:-1], cuts[1:])
+        Snapshot.load((xs[i:j], ys[i:j]), *s.file_fields(), n_objects)
+        for s, i, j in zip(built, cuts[:-1], cuts[1:])
     ]
     regions = [None, (0, 0, side - 1, side - 1), (-5, -5, side + 4, side + 4), (3, 3, 2, 2)]
     for _ in range(40):
@@ -215,8 +249,8 @@ def test_table_answers_as_the_tree(k, side):
         regions.append((x1, y1, x1 + rng.randrange(side // 2), y1 + rng.randrange(side // 2)))
     points = [(0, 0), (side - 1, side - 1), (-7, side + 3), (10**20, -(10**20))]
     points += [(rng.randrange(side), rng.randrange(side)) for _ in range(10)]
-    for snap in built + loaded:
-        want = TreeAnswers(snap)
+    for snap, tree in zip(built + tuple(loaded), trees * 2):
+        want = TreeAnswers(snap, tree)
         for oid in range(n_objects):
             assert snap.find_object(oid) == want.find_object(oid)
         for region in regions:
