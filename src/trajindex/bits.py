@@ -4,8 +4,8 @@ codes (DACs) and permutations.
 All variable-length integer payloads (rule metadata, event side arrays,
 compressed streams) are DAC-encoded, and a ``Permutation`` validates each
 snapshot's id permutation as it is loaded.  A ``BitVector`` is the T:L of
-a ``K2Tree``, which only encodes a snapshot file's cells and serves as the
-reference its decoded table is tested against, so no index holds one.
+a ``K2Tree``, the reference navigator a snapshot's decoded table is tested
+against; neither saving nor loading builds one, so no index holds one.
 ``narrow`` gives an integer array the narrowest dtype that holds its range,
 as the loaded index keeps its tables.
 
@@ -28,8 +28,7 @@ in an ``array("I")``, a 6.25% overhead on the packed size, whose items read
 as Python ints.  ``rank1`` adds to it the ``int.bit_count`` of the partial
 superblock, read with ``int.from_bytes``; select bisects the directory and
 then halves its superblock by popcounts.
-``to_bytes`` hands out the packed bits themselves, so a k2-tree reads a
-node's child slots from them as one int.
+``to_bytes`` hands out the packed bits themselves.
 """
 
 import bisect
@@ -144,15 +143,6 @@ class BitVector:
             else:
                 word = low
         return pos + 1
-
-    # -- raw access -------------------------------------------------------
-
-    @property
-    def raw(self):
-        """The bits unpacked into a uint8 array of 0s and 1s (0-based)."""
-        return np.unpackbits(
-            np.frombuffer(self._packed, dtype=np.uint8), count=self._n, bitorder="little"
-        )
 
     def to_bytes(self):
         """The packed bits (the layout above), padded with zeros."""

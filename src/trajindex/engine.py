@@ -75,7 +75,7 @@ from .grammar import (
     RuleDictionary,
     repair_compress,
 )
-from .k2tree import MAX_K, MAX_SIDE, K2Tree, check_levels, decode_cells, height_of
+from .k2tree import MAX_K, MAX_SIDE, check_levels, decode_cells, encode, height_of
 from .logs import LogStore, move_back, move_jump, move_steps
 from .snapshot import Snapshot
 
@@ -561,8 +561,7 @@ class TrajectoryIndex:
             yield "log_events", self.logs.portion(h)
         k, side = self.params.k, self.params.side
         for s in self.snapshots:
-            tree = K2Tree.build(k, side, *s.xy.T)
-            yield "snapshots", (tree.t, tree.l, *s.file_fields())
+            yield "snapshots", (*encode(k, side, *s.xy.T), *s.file_fields())
 
     def _sections(self):
         """(stats component, payload) of every section, in file order."""

@@ -11,33 +11,25 @@ number of ones in T, and finds its k^2 child slots at positions
 c*k^2 .. c*k^2+k^2-1 (0-based); past that it is an occupied cell.  So
 navigation both downward (rank) and upward (select) needs no pointers.
 
-A walk reads a node's k^2 slots from the packed bits as one integer mask
-(bit i for slot i) and visits its set bits only (``m & -m``), since at
-k = 256 a mask has 65,536 slots; the children are numbered on from the rank
-of the node's first slot.  ``range_report`` goes a level at a time: it keeps
-the nodes of one level that the region meets, in node order, masks each
-node's slots to the block of columns and rows the region covers, and
-carries the child count from one node to the next, so it ranks only where
-the frontier skips nodes.
-
 Occupied cells are numbered 1..m in L order ("leaf rank"); a snapshot's
 file form groups its objects per cell through that numbering.
 
 The k2-tree is the snapshots' file codec and nothing more: no index holds
-one.  ``TrajectoryIndex.to_bytes`` encodes each snapshot's cells with
-``build``; loading checks each tree's level sizes with ``check_levels``
-and decodes all of an index's trees in one numpy pass with
-``decode_cells``, which ranks nothing, unpacks only the nonzero bytes and
-rejects a one in T over no cells.  So each loaded tree is the one
-``build`` makes from its cells, and an index re-saves to the bytes it was
-loaded from; each snapshot answers from its decoded table (see
-``snapshot``).
+one.  ``TrajectoryIndex.to_bytes`` writes each snapshot's cells as the T
+and L that ``encode`` returns, and builds no bit vector; loading checks
+each tree's level sizes with ``check_levels`` and decodes all of an
+index's trees in one numpy pass with ``decode_cells``, which ranks
+nothing, unpacks only the nonzero bytes and rejects a one in T over no
+cells.  So each loaded tree is the one ``encode`` makes from its cells,
+and an index re-saves to the bytes it was loaded from; each snapshot
+answers from its decoded table (see ``snapshot``).
 
-``cells`` is the decode of one tree; it serves ``range_report`` when the
-region covers the whole grid, and ``nodes_by_distance``, which sorts the
-cells by their distance from a query point.  ``cell``, ``locate``,
-``range_report`` and ``nodes_by_distance`` remain the reference navigators
-the snapshot tables are tested against.
+``K2Tree`` holds one tree's T:L in a ``BitVector`` for the reference
+navigators the snapshot tables are tested against.  ``cell`` and
+``locate`` rank and select, and share no code with ``decode_cells``;
+``cells`` is the decode of one tree, ``range_report`` keeps the cells
+inside a region and ``nodes_by_distance`` sorts them by their distance
+from a query point.
 """
 
 import math
@@ -69,31 +61,7 @@ class K2Tree:
     @classmethod
     def build(cls, k, side, xs, ys):
         """Build from occupied cells (duplicates allowed)."""
-        height = height_of(k, side)
-        keys = np.unique(path_keys(k, side, xs, ys))
-        kk = k * k
-        levels = []
-        parents = np.zeros(1, dtype=np.int64)  # the root
-        for level in range(1, height + 1):
-            # each node's bit sits in its parent's k^2 slots, at its last digit
-            nodes = np.unique(keys // kk ** (height - level))
-            bits = np.zeros(len(parents) * kk, dtype=np.uint8)
-            bits[np.searchsorted(parents, nodes // kk) * kk + nodes % kk] = 1
-            levels.append(bits)
-            parents = nodes
-        l_part = levels.pop()  # with no cells, every level past the first is empty
-        t_all = np.concatenate([np.zeros(0, dtype=np.uint8), *levels])
-        return cls(k, side, t_all, l_part)
-
-    @property
-    def t(self):
-        """The internal levels' bits, as the file stores them."""
-        return self.bits.raw[:self.len_t]
-
-    @property
-    def l(self):
-        """The cells' bits, as the file stores them."""
-        return self.bits.raw[self.len_t:]
+        return cls(k, side, *encode(k, side, xs, ys))
 
     # -- point access ------------------------------------------------------
 
@@ -135,60 +103,10 @@ class K2Tree:
         """All occupied cells inside a region, as (x, y, leaf_rank) in L order."""
         if region is None:
             return []
-        rx1, ry1, rx2, ry2 = region
-        # the slot masks below assume a region that meets the grid
-        if rx1 > rx2 or ry1 > ry2 or rx2 < 0 or ry2 < 0 or rx1 >= self.side or ry1 >= self.side:
-            return []
-        # the decode reads every cell, the walk only the nodes the region
-        # meets: the decode wins on the whole grid, the walk on small regions
-        if rx1 <= 0 and ry1 <= 0 and rx2 >= self.side - 1 and ry2 >= self.side - 1:
-            xs, ys = self.cells()
-            return list(zip(xs.tolist(), ys.tolist(), range(1, len(xs) + 1)))
-        k, kk = self.k, self.k * self.k
-        ones_k, full = (1 << k) - 1, (1 << kk) - 1
-        bits = self.bits
-        data = bits.to_bytes()
-        # (node, x0, y0) of each node of one level that the region meets, in
-        # node order; the children of node c are numbered right after those
-        # of node c - 1, so only a skipped node costs a rank
-        frontier = [(0, 0, 0)]
-        size = self.side
-        for _ in range(self.height):
-            sub = size // k
-            below = []
-            last, child = -2, 0  # no node expanded yet: the first one ranks
-            for node, x0, y0 in frontier:
-                base = node * kk
-                if node != last + 1:
-                    child = bits.rank1(base)
-                last = node
-                slots = int.from_bytes(data[base >> 3:(base + kk + 7) >> 3], "little")
-                slots = slots >> (base & 7) & full
-                # the slots whose squares meet the region: columns a..b of
-                # rows c..d, a mask of one row's columns times the sum of
-                # 2^(j*k) over those rows
-                hits = slots
-                if x0 < rx1 or y0 < ry1 or x0 + size > rx2 + 1 or y0 + size > ry2 + 1:
-                    a = (rx1 - x0) // sub if rx1 > x0 else 0
-                    b = (rx2 - x0) // sub if rx2 - x0 < size else k - 1
-                    c = (ry1 - y0) // sub if ry1 > y0 else 0
-                    d = (ry2 - y0) // sub if ry2 - y0 < size else k - 1
-                    rows = ((1 << (d + 1) * k) - (1 << c * k)) // ones_k
-                    hits &= ((2 << b) - (1 << a)) * rows
-                while hits:
-                    low = hits & -hits
-                    hits ^= low
-                    slot = low.bit_length() - 1
-                    below.append((
-                        child + (slots & (low - 1)).bit_count() + 1,
-                        x0 + slot % k * sub,
-                        y0 + slot // k * sub,
-                    ))
-                child += slots.bit_count()
-            frontier = below
-            size = sub
-        t_ones = self.t_ones
-        return [(x, y, node - t_ones) for node, x, y in frontier]
+        x1, y1, x2, y2 = region
+        xs, ys = self.cells()
+        hit = np.flatnonzero((x1 <= xs) & (xs <= x2) & (y1 <= ys) & (ys <= y2))
+        return list(zip(xs[hit].tolist(), ys[hit].tolist(), (hit + 1).tolist()))
 
     def cells(self):
         """Every occupied cell as two int64 arrays ``xs, ys`` in L order, so
@@ -210,6 +128,31 @@ class K2Tree:
         dist = [hypot(x - qx, y - qy) for x, y in zip(xl, yl)]
         for i in sorted(range(len(dist)), key=dist.__getitem__):
             yield xl[i], yl[i], i + 1, dist[i]
+
+
+def encode(k, side, xs, ys):
+    """T and L, as uint8 arrays of 0s and 1s, of the tree over the occupied
+    cells ``xs``, ``ys`` (duplicates allowed).
+
+    The cells' path keys are sorted once.  A level's nodes are the keys cut
+    to that level's digits, still sorted, so the distinct ones are those
+    that differ from their left neighbour; each node's bit sits in its
+    parent's k^2 slots, at its last digit."""
+    height, kk = height_of(k, side), k * k
+    keys = np.sort(path_keys(k, side, xs, ys))
+    new = np.ones(len(keys), dtype=bool)  # each key's node differs from the last
+    levels = []
+    parents = np.zeros(1, dtype=np.int64)  # the root
+    for level in range(1, height + 1):
+        nodes = keys // kk ** (height - level)
+        new[1:] = nodes[1:] != nodes[:-1]
+        nodes = nodes[new]
+        bits = np.zeros(len(parents) * kk, dtype=np.uint8)
+        bits[np.searchsorted(parents, nodes // kk) * kk + nodes % kk] = 1
+        levels.append(bits)
+        parents = nodes
+    l_bits = levels.pop()  # with no cells, every level past the first is empty
+    return np.concatenate([np.zeros(0, dtype=np.uint8), *levels]), l_bits
 
 
 def decode_cells(k, side, trees):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trajindex.k2tree import K2Tree, decode_cells
+from trajindex.k2tree import K2Tree, check_levels, decode_cells, encode, path_keys
 from trajindex.serial import SerializationError
 
 
@@ -16,9 +16,40 @@ def build_from_cells(cells, side=16, k=2):
 
 
 def test_single_cell_bitmaps():
-    tree = build_from_cells([(0, 0)], side=4)
-    assert list(tree.t) == [1, 0, 0, 0]
-    assert list(tree.l) == [1, 0, 0, 0]
+    t_bits, l_bits = encode(2, 4, [0], [0])
+    assert t_bits.tolist() == [1, 0, 0, 0]
+    assert l_bits.tolist() == [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("k,side", [(2, 16), (3, 27), (4, 64)])
+@pytest.mark.parametrize("case", ["none", "one", "duplicates", "many"])
+def test_encode_matches_its_references(k, side, case):
+    # each check reads T and L through code that encode does not share:
+    # the level sizes, the one-pass decode, and rank/select navigation
+    rng = np.random.default_rng(k * side)
+    n = {"none": 0, "one": 1, "duplicates": 5, "many": 150}[case]
+    xs, ys = rng.integers(0, side, size=(2, n)).tolist()
+    if case == "duplicates":
+        xs, ys = xs[:2] * 3, ys[:2] * 3
+    t_bits, l_bits = encode(k, side, xs, ys)
+    check_levels(k, side, t_bits, l_bits)
+    packed = np.packbits(np.concatenate([t_bits, l_bits]), bitorder="little").tobytes()
+    dx, dy, counts = decode_cells(k, side, [(packed, len(t_bits))])
+    distinct = sorted(set(zip(xs, ys)), key=lambda c: path_keys(k, side, [c[0]], [c[1]])[0])
+    assert list(zip(dx.tolist(), dy.tolist())) == distinct
+    assert counts.tolist() == [len(distinct)]
+    grid = np.zeros((side, side), dtype=bool)
+    grid[xs, ys] = True
+    tree = K2Tree(k, side, t_bits, l_bits)
+    ranks = {}
+    for x in range(side):
+        for y in range(side):
+            rank = tree.cell(x, y)
+            assert (rank is not None) == grid[x, y]
+            if rank is not None:
+                ranks[rank] = (x, y)
+    assert ranks == dict(enumerate(distinct, 1))
+    assert all(tree.locate(r) == cell for r, cell in ranks.items())
 
 
 def test_cell_and_locate_round_trip():
@@ -81,7 +112,7 @@ def test_height_one_tree(k):
     # side = k: T is empty and L is the root's k^2 slots
     cells = [(k - 1, 0), (0, 0), (1, k - 1)]
     tree = build_from_cells(cells, side=k, k=k)
-    assert tree.height == 1 and len(tree.t) == 0
+    assert tree.height == 1 and tree.len_t == 0
     in_l_order = sorted(set(cells), key=lambda c: (c[1], c[0]))
     xs, ys = tree.cells()
     assert list(zip(xs.tolist(), ys.tolist())) == in_l_order
@@ -168,7 +199,7 @@ def test_whole_grid_reports_every_leaf_in_order(k, side):
         assert tree.range_report(region) == want
     cx, cy = tree.cells()
     assert list(zip(cx.tolist(), cy.tolist())) == [(x, y) for x, y, _r in want]
-    # one cell short of the grid on one side: the level-order walk
+    # one cell short of the grid on one side: the last column drops out
     assert tree.range_report((0, 0, side - 2, side - 1)) == [
         (x, y, r) for x, y, r in want if x < side - 1
     ]
@@ -197,7 +228,7 @@ def test_decode_rejects_a_one_in_t_over_no_cells():
     good = build_from_cells([(1, 1)], side=8)
     # level 1's slot 1 set, with its four level-2 slots all zero
     t_bits = np.array([1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
-    bad = K2Tree(2, 8, t_bits, good.l)
+    bad = K2Tree(2, 8, t_bits, encode(2, 8, [1], [1])[1])
     trees = [(t.bits.to_bytes(), t.len_t) for t in (good, bad, good)]
     with pytest.raises(SerializationError, match="snapshot 1: a one in T"):
         decode_cells(2, 8, trees)
@@ -236,7 +267,7 @@ def test_build_peak_memory_stays_near_the_bits():
     assert peak < 12_000_000
     assert len(tree.cells()[0]) == len(set(cells))
     assert all(tree.cell(x, y) is not None for x, y in cells)
-    # the walks read each 65,536-slot mask as one int
+    # the whole-grid report decodes every cell, as loading does
     hits = tree.range_report((0, 0, 2**16 - 1, 2**16 - 1))
     assert sorted((x, y) for x, y, _r in hits) == sorted(set(cells))
     assert len(hits) == 40

@@ -11,10 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trajindex import TrajectoryIndex, spiral
-from trajindex.bits import DacSequence
+from trajindex.bits import BitVector, DacSequence
 from trajindex.engine import HEADER, PARAM_NAMES
 from trajindex.grammar import EV_D, EV_RM, MOVE_BASE
-from trajindex.k2tree import K2Tree
+from trajindex.k2tree import K2Tree, encode
 from trajindex.serial import (
     ByteReader,
     ByteWriter,
@@ -473,8 +473,7 @@ class TestIndexContainer:
         # its portion-1 log starts there
         xs, ys = [c[0] for c in cells], [c[1] for c in cells]
         snap = Snapshot.build([0] * len(cells), xs, ys, k=2, side=8, n_objects=2)
-        tree = K2Tree.build(2, 8, xs, ys)
-        fields = (tree.t, tree.l, *snap.file_fields())
+        fields = (*encode(2, 8, xs, ys), *snap.file_fields())
         _replace_section(idx, "_fields", "snapshots", fields, nth=1)
         with pytest.raises(SerializationError, match=match):
             TrajectoryIndex.from_bytes(idx.to_bytes())
@@ -497,6 +496,16 @@ class TestIndexContainer:
         for idx in indexes.values():
             blob = idx.to_bytes()
             assert TrajectoryIndex.from_bytes(blob).to_bytes() == blob
+
+    def test_saving_builds_no_tree_or_bit_vector(self, indexes, monkeypatch):
+        # the snapshots' T and L come from encode, not from a K2Tree
+        def refuse(self, *args):
+            raise AssertionError("%s built while saving" % type(self).__name__)
+
+        monkeypatch.setattr(K2Tree, "__init__", refuse)
+        monkeypatch.setattr(BitVector, "__init__", refuse)
+        for idx in indexes.values():
+            assert TrajectoryIndex.from_bytes(idx.to_bytes()).stats() == idx.stats()
 
     def test_same_span_pair_swap_rejected(self):
         # every walk runs over instants 0..120, so every log ends at a D or

@@ -185,36 +185,42 @@ def test_index_holds_no_tree_or_bit_vector(indexes):
 
 
 class TreeAnswers:
-    """A snapshot's answers as the k2-tree's navigators give them: each
+    """A snapshot's answers as the k2-tree's ``locate`` gives them: each
     cell's ids are a slice of the ids in leaf order, cut where the file's Q
     bits are 0, and ``tree``, built from the cells the snapshot was built
-    from, gives each leaf rank's cell."""
+    from, gives each leaf rank's cell by select, sharing no code with the
+    decode that fills the tables."""
 
     def __init__(self, snap, tree):
         present, perm, q = snap.file_fields()
         ids = np.flatnonzero(present)[perm].tolist()
-        self.tree = tree
         group = [0] + (np.flatnonzero(q == 0) + 1).tolist()
         self.members = [ids[i:j] for i, j in zip(group[:-1], group[1:])]
         self.leaf = {oid: r for r, cell in enumerate(self.members, 1) for oid in cell}
-        assert len(self.members) == len(tree.cells()[0])
+        assert len(self.members) == tree.bits.n_ones - tree.t_ones
+        # (cell, its ids) in leaf order
+        self.cells = [(tree.locate(r), cell) for r, cell in enumerate(self.members, 1)]
 
     def find_object(self, oid):
-        return self.tree.locate(self.leaf[oid]) if oid in self.leaf else None
+        return self.cells[self.leaf[oid] - 1][0] if oid in self.leaf else None
 
     def objects_in_region(self, region):
+        if region is None:
+            return []
+        x1, y1, x2, y2 = region
         return [
             (oid, (x, y))
-            for x, y, r in self.tree.range_report(region)
-            for oid in self.members[r - 1]
+            for (x, y), cell in self.cells
+            if x1 <= x <= x2 and y1 <= y <= y2
+            for oid in cell
         ]
 
     def candidates_by_distance(self, qx, qy):
-        return [
-            (oid, (x, y), d)
-            for x, y, r, d in self.tree.nodes_by_distance(qx, qy)
-            for oid in self.members[r - 1]
+        # a stable sort: equal distances stay in leaf order, then id order
+        rows = [
+            (oid, (x, y), math.hypot(x - qx, y - qy)) for (x, y), cell in self.cells for oid in cell
         ]
+        return sorted(rows, key=lambda row: row[2])
 
 
 def _random_snapshots(rng, k, side, n_objects):
