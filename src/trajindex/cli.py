@@ -17,7 +17,7 @@ import sys
 import time
 
 from .engine import TrajectoryIndex
-from .ingest import normalize, parse_binary, parse_csv
+from .ingest import InstantLimitError, normalize, parse_binary, parse_csv
 from .oracle import Oracle
 
 QUERY_TYPES = ("object", "trajectory", "time-slice", "time-interval", "knn")
@@ -362,6 +362,8 @@ def main(argv=None):
         if ns.command == "bench":
             return cmd_bench(ns)
         return cmd_verify(ns)
+    except InstantLimitError as exc:  # --gap or --time-step asks for too much
+        parser.error(str(exc))  # exits 2
     except (OSError, ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -18,31 +18,38 @@ The index file stores each fact once, each snapshot's cells as a k2-tree
 that ``to_bytes`` encodes from the snapshot's table; no index holds a tree.
 Loading derives the rest with the code that build uses: the rule tables
 from the pairs, the snapshot and portion counts from t_max and the period,
-each log's side-array offsets, AA/D flags, end instant, checkpoints and
-block boxes from its symbols, and each snapshot's table of ids and cells
-from its presence bitmap, permutation and Q bitmap and the cells of its
-k2-tree, all trees decoded in one numpy pass that rejects a tree no build
-writes.  Loading also checks that every log's moves lead from its start
-(its AA position, else its object's cell in the snapshot before) to its end
-(its D position, else its object's cell in the snapshot after, when there
-is one).  In memory the logs are one table indexed by log number, and every
-integer table is held in the narrowest dtype for its range.
+each log's side-array offsets, AA/D flags, end instant, checkpoints,
+block boxes and column states from its symbols, and each snapshot's table
+of ids and cells from its presence bitmap, permutation and Q bitmap and the
+cells of its k2-tree, all trees decoded in one numpy pass that rejects a
+tree no build writes.  Loading also checks that every log's moves lead
+from its start (its AA position, else its object's cell in the snapshot
+before) to its end (its D position, else its object's cell in the snapshot
+after, when there is one), and places the column states from those starts.
+In memory the logs are one table indexed by log number, and every integer
+table is held in the narrowest dtype for its range.
 
 Queries follow the classic plan: anchor at the snapshot at or before the
 instant that matters (or at an appearance event), reading its table (a
 region test or a distance per present object, one lookup for an object's
 cell), seek to the last log checkpoint at or before that instant, then walk
 the compressed log forward from there, jumping whole rules whenever their
-metadata proves they cannot matter.  A time interval also reads whole
-checkpoint blocks by their boxes: before it walks a candidate's log, it
-steps over the log's block boxes in the window and drops the candidate when
-none meets the region, else seeks to the first block that does, and its
-walk passes over every later block whose box misses the region.  Only a
-time slice in the later half of a portion anchors at the next snapshot (or
-a disappearance event) and walks backward, which keeps its expanded region
-and its walks short.  ``counters`` tracks how many symbols each traversal
-family touched, which the pruning tests compare across debug flags
-(``use_mbr`` / ``use_er``).
+metadata proves they cannot matter.  A time slice or kNN query at an
+instant past its portion's first column filters the latest column at or
+before it instead of the snapshot (see ``logs``): the column's states that
+can reach the region, or that come nearest by their lower bound, plus the
+appearance events after the column, are walked from their log's start,
+seeking to the last checkpoint at or before the instant.  A time interval
+also reads whole checkpoint blocks by their boxes: before it walks a
+candidate's log, it steps over the log's block boxes in the window and
+drops the candidate when none meets the region, else seeks to the first
+block that does, and its walk passes over every later block whose box
+misses the region.  Only a time slice in the later half of a portion
+without columns (one of at most ``COLUMN_SPAN`` instants) anchors at the
+next snapshot (or a disappearance event) and walks backward, which keeps
+its expanded region and its walks short.  ``counters`` tracks how many
+symbols each traversal family touched, which the pruning tests compare
+across debug flags (``use_mbr`` / ``use_er``).
 
 Results are deterministic: object lists sort by id, nearest-neighbour
 answers by (distance, id).
@@ -185,6 +192,7 @@ class TrajectoryIndex:
             Snapshot.build(o_at[i:j], x_at[i:j], y_at[i:j], k, side, len(ids))
             for i, j in zip(cuts[:-1], cuts[1:])
         ]
+        logs.place_columns(_log_starts(logs, snapshots, len(ids)))
         return cls(params, np.asarray(ids, dtype=np.int64), snapshots, logs, rules)
 
     # ------------------------------------------------------------------
@@ -285,32 +293,42 @@ class TrajectoryIndex:
         r = clip_region(region, self.params.side)
         if r is None or not self._in_extent(t_q):
             return []
-        h = self._nearest_snapshot(t_q)
-        t_s = h * self.params.period
-        snap = self.snapshots[h]
+        d = self.params.period
+        col = self.logs.column_in_reach(t_q, r, self.params.max_speed)
+        if col is not None:  # walk from the log starts of the column's survivors
+            h = t_q // d
+            t_col, ids = col
+            starts = [(o, *self._start(h, o)) for o in ids] + self._anchors(h, r, t_col, t_q)
+        else:
+            h = self._nearest_snapshot(t_q)
+            if h * d > t_q:
+                return self._slice_later_half(h, r, t_q, use_mbr, use_er)
+            starts = self._starts(h, r, t_q)
+        answers = []
+        for o, t_c, p_c in starts:
+            pos = self._slice_forward(o, t_c, p_c, t_q, r, use_mbr, use_er)
+            if pos is not None:
+                answers.append((self._orig(o), pos))
+        return sorted(answers)
+
+    def _slice_later_half(self, h, r, t_q, use_mbr, use_er):
+        """``time_slice`` from snapshot h after t_q, walking backward."""
         m_sp = self.params.max_speed
         side = self.params.side
+        t_s = h * self.params.period
+        er = expanded_region(r, t_q, t_s, m_sp, side)
+        cands = [(o, t_s, p) for o, p in self.snapshots[h].objects_in_region(er)]
+        for o in self.logs.disappeared(h):
+            o = int(o)
+            t_d, p_d = self.logs.last_anchor(h - 1, o)
+            if t_d >= t_q and contains(expanded_region(r, t_q, t_d, m_sp, side), *p_d):
+                cands.append((o, t_d, p_d))
         answers = []
-        if t_s <= t_q:
-            for o, t_c, p_c in self._starts(h, r, t_q):
-                pos = self._slice_forward(o, t_c, p_c, t_q, r, use_mbr, use_er)
-                if pos is not None:
-                    answers.append((o, pos))
-        else:
-            er = expanded_region(r, t_q, t_s, m_sp, side)
-            cands = [(o, t_s, p) for o, p in snap.objects_in_region(er)]
-            for o in self.logs.disappeared(h):
-                o = int(o)
-                t_d, p_d = self.logs.last_anchor(h - 1, o)
-                if t_d >= t_q and contains(
-                    expanded_region(r, t_q, t_d, m_sp, side), *p_d
-                ):
-                    cands.append((o, t_d, p_d))
-            for o, t_c, p_c in cands:
-                pos = self._slice_backward(h - 1, o, t_q, t_c, p_c, r, use_mbr, use_er)
-                if pos is not None:
-                    answers.append((o, pos))
-        return sorted((self._orig(o), p) for o, p in answers)
+        for o, t_c, p_c in cands:
+            pos = self._slice_backward(h - 1, o, t_q, t_c, p_c, r, use_mbr, use_er)
+            if pos is not None:
+                answers.append((self._orig(o), pos))
+        return sorted(answers)
 
     def _starts(self, h, r, t_last):
         """Forward walk starts in portion h that may reach r by t_last.
@@ -319,26 +337,31 @@ class TrajectoryIndex:
         AA anchors at or before t_last that r is within reach of, as
         (id, instant, position) triples.
         """
+        t_s = h * self.params.period
+        er = expanded_region(r, t_s, t_last, self.params.max_speed, self.params.side)
+        starts = [(o, t_s, p) for o, p in self.snapshots[h].objects_in_region(er)]
+        return starts + self._anchors(h, r, t_s, t_last)
+
+    def _anchors(self, h, r, t_after, t_last):
+        """The AA anchors of portion h after t_after and at or before t_last
+        that r is within reach of, as (id, instant, position) triples."""
         m_sp = self.params.max_speed
         side = self.params.side
-        t_s = h * self.params.period
-        snap = self.snapshots[h]
-        er = expanded_region(r, t_s, t_last, m_sp, side)
-        starts = [(o, t_s, p) for o, p in snap.objects_in_region(er)]
+        out = []
         for o in self.logs.appearing(h):
             o = int(o)
             t_a, p_a = self.logs.first_anchor(h, o)
-            if t_a <= t_last and contains(
+            if t_after < t_a <= t_last and contains(
                 expanded_region(r, t_a, t_last, m_sp, side), *p_a
             ):
-                starts.append((o, t_a, p_a))
-        return starts
+                out.append((o, t_a, p_a))
+        return out
 
     def _slice_forward(self, oid, t_c, p_c, t_q, r, use_mbr, use_er):
         m_sp = self.params.max_speed
-        side = self.params.side
         rules = self.rules
         counters = self.counters
+        x1, y1, x2, y2 = r
         for sym, t, p in self.logs.elements(oid, t_c, p_c, t_q, seek=t_q):
             if sym is not None:
                 counters["slice_symbols"] += 1
@@ -352,9 +375,9 @@ class TrajectoryIndex:
                 if t > t_q:
                     t, p = move_jump(rules, p_c, t_c, t_q, sym)
             t_c, p_c = t, p
-            if use_er and t_c < t_q and not contains(
-                expanded_region(r, t_c, t_q, m_sp, side), *p_c
-            ):
+            # r is out of reach by t_q (Chebyshev distance, as ``_interval_scan``)
+            x, y = p_c
+            if use_er and max(x1 - x, x - x2, y1 - y, y - y2) > m_sp * (t_q - t_c):
                 return None
         if t_c == t_q and contains(r, *p_c):
             return p_c
@@ -362,9 +385,9 @@ class TrajectoryIndex:
 
     def _slice_backward(self, h, oid, t_q, t_c, p_c, r, use_mbr, use_er):
         m_sp = self.params.max_speed
-        side = self.params.side
         rules = self.rules
         counters = self.counters
+        x1, y1, x2, y2 = r
         for sym, t, p in self.logs.elements_backward(h, oid, t_c, p_c, t_q, seek=True):
             if sym is not None:
                 counters["slice_symbols"] += 1
@@ -378,9 +401,8 @@ class TrajectoryIndex:
                 if t < t_q:
                     t, p = move_back(rules, p_c, t_q, t_c, sym)
             t_c, p_c = t, p
-            if use_er and t_c > t_q and not contains(
-                expanded_region(r, t_q, t_c, m_sp, side), *p_c
-            ):
+            x, y = p_c
+            if use_er and max(x1 - x, x - x2, y1 - y, y - y2) > m_sp * (t_c - t_q):
                 return None
         if t_c == t_q and contains(r, *p_c):
             return p_c
@@ -477,47 +499,54 @@ class TrajectoryIndex:
     def knn(self, count, point, t_q):
         """The ``count`` objects nearest ``point`` at t_q, as (id, distance).
 
-        Distance browsing: one best-first search over log walks from the
-        snapshot at or before t_q, keyed by a lower bound on the distance at
-        t_q: the distance so far minus what ``max_speed`` covers in the time
-        left.  Snapshot objects join from the snapshot's distance stream
-        once their bound is no more than the heap's top; that stream is the
-        snapshot's table of present objects sorted by distance, so it
-        touches no k2-tree.  A walk's bound never falls as it advances, and a
-        walk that reaches t_q is keyed by its exact distance, so neighbours
-        are returned in the order they leave the queue, which is (distance,
-        id) order.  Every distance equals ``math.hypot``'s, as the oracle's.
+        Distance browsing: one best-first search over log walks, keyed by a
+        lower bound on the distance at t_q: the distance at a known state
+        minus what ``max_speed`` covers in the time left.  The known states
+        are those of the latest column at or before t_q in its portion when
+        there is one, else the snapshot at or before t_q, plus the AA
+        anchors after them.  Column or snapshot states join in order of
+        their bound (the snapshot's table of present objects sorted by
+        distance touches no k2-tree) once it is no more than the heap's
+        top.  A walk starts at its log's start and seeks to t_q.  Its key
+        never falls as it advances, and a walk that reaches t_q is keyed by
+        its exact distance, so neighbours are returned in the order they
+        leave the queue, which is (distance, id) order.  Every distance
+        equals ``math.hypot``'s, as the oracle's.
         """
         if count <= 0 or not self._in_extent(t_q) or not len(self.ids):
             return []
-        h = min(t_q // self.params.period, self.last_snapshot)
-        t_s = h * self.params.period
-        snap = self.snapshots[h]
         m_sp = self.params.max_speed
-        slack = m_sp * (t_q - t_s)
+        col = self.logs.column_by_bound(t_q, point, m_sp)
+        if col is None:  # (id, position, distance) by distance
+            h = min(t_q // self.params.period, self.last_snapshot)
+            t_0 = h * self.params.period
+            stream = self.snapshots[h].candidates_by_distance(*point)
+        else:  # (id, position, bound at t_0, instant) by bound
+            h = t_q // self.params.period
+            t_0, states = col
+            stream = iter(states)
+        slack = m_sp * (t_q - t_0)
         cands = []  # min-heap of (lower bound, id, instant, position, walker)
 
-        def admit(o, t_c, p_c, dist):
+        def admit(bound, o, t_c, p_c):
             # a start at t_q walks no log (the last snapshot has none); one
             # whose log ends before t_q is provably gone
             if t_c < t_q and self.logs.last_covered(h, o) < t_q:
                 return
-            heapq.heappush(cands, (dist - m_sp * (t_q - t_c), o, t_c, p_c, None))
+            heapq.heappush(cands, (bound, o, t_c, p_c, None))
 
         for o in self.logs.appearing(h):
             o = int(o)
             t_a, p_a = self.logs.first_anchor(h, o)
-            if t_a <= t_q:
-                admit(o, t_a, p_a, dist_point_point(point, p_a))
-        stream = snap.candidates_by_distance(point[0], point[1])
+            if t_0 < t_a <= t_q:
+                admit(dist_point_point(point, p_a) - m_sp * (t_q - t_a), o, t_a, p_a)
         nxt = next(stream, None)
         out = []
         counters = self.counters
         while cands or nxt is not None:
             if nxt is not None and (not cands or nxt[2] - slack <= cands[0][0]):
-                o, p, dist = nxt
+                admit(nxt[2] - slack, nxt[0], t_0 if col is None else nxt[3], nxt[1])
                 nxt = next(stream, None)
-                admit(o, t_s, p, dist)
                 continue
             d_min, o, t_c, p_c, cur = heapq.heappop(cands)
             if t_c == t_q:
@@ -526,6 +555,8 @@ class TrajectoryIndex:
                     break
                 continue
             if cur is None:
+                if col is not None:  # a column state is not its log's start
+                    t_c, p_c = self._start(h, o)
                 cur = self.logs.elements(o, t_c, p_c, t_q, seek=t_q)
             step = next(cur, None)
             if step is None:
@@ -538,8 +569,12 @@ class TrajectoryIndex:
             t_c, p_c = t, p
             if t_c > t_q:
                 continue  # a gap covers t_q: not active, drop
-            d_min = dist_point_point(point, p_c) - m_sp * (t_q - t_c)
-            heapq.heappush(cands, (d_min, o, t_c, p_c, cur))
+            dist = dist_point_point(point, p_c)
+            if t_c < t_q:
+                dist -= m_sp * (t_q - t_c)
+                if dist < d_min:  # a walk restarted before its column state
+                    dist = d_min
+            heapq.heappush(cands, (dist, o, t_c, p_c, cur))
         return out
 
     # ------------------------------------------------------------------
@@ -661,7 +696,7 @@ class TrajectoryIndex:
                 snapshots.append(Snapshot.load(cells, present, perm_vals, q, n_objects))
             except ValueError as e:
                 raise serial.SerializationError("snapshot %d: %s" % (h, e)) from e
-        _check_log_ends(logs, snapshots, n_objects)
+        logs.place_columns(_log_starts(logs, snapshots, n_objects))
         return cls(params, ids, snapshots, logs, rules)
 
     def stats(self):
@@ -695,6 +730,7 @@ class TrajectoryIndex:
                 "log_streams": logs.syms.nbytes,
                 "log_events": _array_bytes(logs.bounds, logs.table, logs.d_vals, logs.p_vals),
                 "checkpoints": _array_bytes(logs.checkpoints),
+                "columns": _array_bytes(logs.columns),
                 "dictionary": _array_bytes(self.rules),
                 "total": _array_bytes(self),
             },
@@ -832,12 +868,13 @@ def _emit_logs(obj, ts, xs, ys, period, t_max):
     )
 
 
-def _check_log_ends(logs, snapshots, n_objects):
-    """Raise SerializationError unless every log's start plus its net
-    displacement is its end.  A log starts at its AA position, else at its
-    object's cell in its portion's snapshot, where the object must be
-    present; it ends at its D position, else, when its portion ends on a
-    snapshot, at its object's cell there.  One pass over all logs."""
+def _log_starts(logs, snapshots, n_objects):
+    """Each log's start cell, one (x, y) row per log, raising
+    SerializationError unless every log's start plus its net displacement
+    is its end.  A log starts at its AA position, else at its object's cell
+    in its portion's snapshot, where the object must be present; it ends at
+    its D position, else, when its portion ends on a snapshot, at its
+    object's cell there.  One pass over all logs."""
     t, p, cp = logs.table, logs.p_vals.astype(np.int64), logs.checkpoints
     h = np.repeat(np.arange(logs.n_portions), np.diff(logs.bounds.astype(np.int64)))
     o = t.ids.astype(np.int64)
@@ -873,6 +910,7 @@ def _check_log_ends(logs, snapshots, n_objects):
         )
     ):
         raise serial.SerializationError("a log's moves do not lead from its start to its end")
+    return start
 
 
 def _increasing_ids(ids, bound):

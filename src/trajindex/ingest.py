@@ -32,6 +32,13 @@ import numpy as np
 
 _ID_RANGE = "0..2^63-1"
 _INT64_END = float(2**63)  # the first float past int64
+# the most instants ``normalize`` lays out over all segments: each costs
+# about a hundred bytes of arrays and Python tuples, so this is some GB
+MAX_INSTANTS = 1 << 24
+
+
+class InstantLimitError(ValueError):
+    """The segments would span more than ``MAX_INSTANTS`` instants."""
 
 
 class Records(NamedTuple):
@@ -143,7 +150,8 @@ def normalize(records, cell_size, time_step, speed_cap=None, gap_threshold=15):
 
     ``speed_cap`` is in raw units per raw time unit (None disables the
     filter); ``gap_threshold`` is in time steps and must be at least 2.
-    Instants and cells must fit int64.
+    Instants and cells must fit int64, and the segments may span at most
+    ``MAX_INSTANTS`` instants in all (``InstantLimitError`` otherwise).
     """
     if not 0 < cell_size < math.inf:
         raise ValueError("cell_size must be positive and finite, not %r" % (cell_size,))
@@ -196,6 +204,13 @@ def normalize(records, cell_size, time_step, speed_cap=None, gap_threshold=15):
     prev_end = np.where(first[s0], -1, np.append(-1, i_last[:-1]))
     start = np.maximum(i_first, prev_end + 1)
     count = np.maximum(i_last - start + 1, 0)
+    if count.max() > MAX_INSTANTS or count.sum() > MAX_INSTANTS:  # the sum fits int64 then
+        longest = int(np.argmax(count))
+        raise InstantLimitError(
+            "the segments span %d instants, more than the %d normalize lays out; "
+            "object %d has the longest, of %d instants"
+            % (sum(count.tolist()), MAX_INSTANTS, owner[longest], count[longest])
+        )
 
     # one row per output instant: its segment g and clamped raw time tau
     g = np.repeat(np.arange(len(s0)), count)

@@ -3,8 +3,9 @@
 The timeline is cut into portions: portion h covers the instants
 (h*period, min((h+1)*period, t_max)].  A snapshot instant is therefore also
 the last instant of the portion before it.  Queries read logs forward from
-the earlier snapshot; only a time slice in the later half of a portion
-reads them backward from the later one.
+the earlier snapshot, or from a column (below); only a time slice in the
+later half of a portion without columns reads them backward from the later
+snapshot.
 
 Each (portion, object) log is one slice of the jointly compressed symbol
 stream plus its entries in two side arrays, aligned with its event symbols,
@@ -37,6 +38,21 @@ a query region.  Checkpoints and boxes follow from the symbols, the rule
 tables and the side arrays, so they are derived on construction and never
 stored in a file.
 
+Every ``COLUMN_SPAN`` instants after its snapshot, a portion has a column
+(``Columns``): for each of its logs that has started and not closed by
+then, the position at the log's last element boundary at or before that
+instant, and how long before it.  A column is the snapshot's idea between
+snapshots: a time slice or kNN query at t_q filters the latest column at or
+before t_q by what ``max_speed`` covers in the time left
+(``column_in_reach``, ``column_by_bound``), so the expanded region grows
+over less than ``COLUMN_SPAN`` instants instead of up to half a period.
+The survivors are still walked from their log's start, seeking to the
+last checkpoint at or before t_q, so a column holds no cursors.  Columns
+follow from the logs and the snapshots' cells: construction derives them
+relative to each log's start, and ``place_columns`` places them once the
+snapshots are known.  A portion of at most ``COLUMN_SPAN`` instants has
+none.
+
 Traversal primitives:
 
 * ``LogStore.elements`` — forward walker from a log start (a snapshot or an
@@ -61,11 +77,15 @@ Traversal primitives:
 
 The walkers read span, displacement and pairs from the symbol-indexed
 tables of ``RuleDictionary``, and all of them read the log table and the
-checkpoints through memoryviews.
+checkpoints through memoryviews.  Column filters slice the column arrays
+and read them as lists, as ``Snapshot.objects_in_region`` reads a
+snapshot.
 """
 
 import collections
+import math
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 
 import numpy as np
 
@@ -74,6 +94,10 @@ from .bits import narrow
 from .grammar import EV_AA, EV_D, EV_RM, EV_RNM, MOVE_BASE
 
 STRIDE = 16  # compressed symbols between two checkpoints of a log
+COLUMN_SPAN = 64  # instants between two columns of a portion
+# the most columns and column states an index lays out, unless its stream
+# holds more than a sixteenth as many symbols; past that it lays none
+_COLUMN_LIMIT = 1 << 20
 _P_ENTRIES = np.array([2, 2, 0, 1])  # P entries of a D, AA, RNM and RM event
 
 # One row per log, in log order (portion, then id): log g belongs to object
@@ -92,7 +116,18 @@ LogTable = collections.namedtuple("LogTable", "ids sym_off d_off p_off starts_aa
 # position, holding every position the block visits.
 Checkpoints = collections.namedtuple("Checkpoints", "off t x y d p tot_x tot_y box")
 
+# Column states of all logs.  Portion h has a column at each instant
+# h * period + j * COLUMN_SPAN, j >= 1, before its end: column k is
+# column j of portion h for k = h * per + j - 1, with ``per`` the columns
+# of a whole portion.  Column k's states are rows off[k]..off[k+1]-1, one
+# per log of the portion that has started by the column instant and not
+# closed with a D before it, in log order: the log's number, and its
+# position (x, y) at its last element boundary at or before the column
+# instant, lag instants before it.
+Columns = collections.namedtuple("Columns", "off log x y lag")
+
 _NO_IDS = np.zeros(0, dtype=np.int64)
+_BY_BOUND = itemgetter(2, 0)
 
 
 class LogStore:
@@ -125,8 +160,9 @@ class LogStore:
         an axis, and every AA and D position lies inside the grid.
 
         The same pass derives the checkpoints (see ``Checkpoints``) every
-        ``STRIDE`` symbols after each log's opening AA, and the box of each
-        block they cut.  One vectorized pass over the whole stream.
+        ``STRIDE`` symbols after each log's opening AA, the box of each
+        block they cut, and the column states (``_derive_columns``).  One
+        vectorized pass over the whole stream.
         """
         syms = self.syms.astype(np.intp)  # numpy gathers by a narrow index run slower
         ids, lens, d_all, p_all = (
@@ -157,7 +193,8 @@ class LogStore:
 
         # a log runs from its start to its end, both within its portion
         step = min(self.period, self.t_max)  # h * period == h * step for any portion h
-        lo = np.repeat(np.arange(len(portions)), np.diff(bounds)) * step
+        of_portion = np.repeat(np.arange(len(portions)), np.diff(bounds))
+        lo = of_portion * step
         pe = lo + np.minimum(step, self.t_max - lo)
         start, end = lo.copy(), pe.copy()
         start[starts_aa] = d_all[d_at[:-1][starts_aa]]
@@ -169,8 +206,9 @@ class LogStore:
         inc = np.asarray(self.dict.sym_span)[syms].astype(np.uint64)
         gaps = syms[ev] >= EV_RNM  # RNM and RM; AA and D take no time
         inc[ev[gaps]] = d_all[gaps].astype(np.uint64) + 1
-        run = np.cumsum(inc)
-        run -= np.repeat(run[starts] - inc[starts], ends - starts)
+        clock = np.cumsum(inc)  # each log's run, offset by the runs before it
+        clock_0 = clock[starts] - inc[starts]
+        run = clock - np.repeat(clock_0, ends - starts)
         want = (end - start).astype(np.uint64)
         if (np.maximum.reduceat(run, starts) > want).any() or (run[ends - 1] != want).any():
             raise ValueError("log instants do not add up to its end")
@@ -210,9 +248,10 @@ class LogStore:
         # the block from each cut to the next visits the positions before and
         # after each of its symbols and, inside a rule, the rule's MBR
         mbr = np.asarray(self.dict.sym_mbr).take(syms, axis=0)  # take: mbr[syms] runs far slower
-        cp_xy, tot_xy, box = [], [], []
+        cp_xy, tot_xy, box, before = [], [], [], []
         for axis, m in enumerate((mx, my)):
             pos = np.append(0, np.cumsum(m))  # position before each symbol
+            before.append(pos)
             cut = np.append(pos[cuts], pos[-1])  # before each cut, then the total
             cp_xy.append(cut[cp_rows] - cut[rows[of]])
             tot_xy.append(cut[rows[1:]] - cut[rows[:-1]])
@@ -228,10 +267,123 @@ class LogStore:
         self._cp = Checkpoints(*map(memoryview, self.checkpoints))
 
         self.bounds, self.d_vals, self.p_vals = map(narrow, (bounds, d_all, p_all))
-        ids, tiles, d_at, p_at, end = map(narrow, (ids, tiles, d_at, p_at, end))
-        self.table = LogTable(ids, tiles, d_at, p_at, starts_aa, ends_d, end)
+        ids, tiles, d_at, p_at, end_at = map(narrow, (ids, tiles, d_at, p_at, end))
+        self.table = LogTable(ids, tiles, d_at, p_at, starts_aa, ends_d, end_at)
         self._bounds, self._d, self._p = map(memoryview, (self.bounds, self.d_vals, self.p_vals))
         self._log = LogTable(*map(memoryview, self.table))
+        self._derive_columns(step, of_portion, start, end, pe, starts, ends, clock, clock_0, before)
+
+    def _derive_columns(self, step, of_portion, start, end, pe, starts, ends, clock, clock_0,
+                        before):
+        """Derive the column states (see ``Columns``) in one vectorized
+        pass from each log's portion, start and end instants and symbol
+        tiles, the running time after each symbol (``clock``, each log's
+        from ``clock_0`` on), and the position before each symbol relative
+        to the stream's start (``before``, x then y).  Their positions stay
+        relative to each log's start until ``place_columns``.
+
+        An index lays out no columns when they would number more than
+        ``_COLUMN_LIMIT`` (or 16 per stream symbol) with their states: a
+        period far longer than the logs' symbols then costs no memory.
+        """
+        w = self._span = COLUMN_SPAN
+        self._per, self.columns = 0, None  # no column is read before ``place_columns``
+        per = max(step - 1, 0) // w  # a last portion cut short may have fewer
+        if per:
+            lo = of_portion * step
+            first = np.maximum(-((lo - start) // w), 1)  # columns at or after the start
+            last = np.minimum(end - lo, pe - lo - 1) // w  # at or before the end
+            n = np.maximum(last - first + 1, 0)  # at most per each
+            limit = max(_COLUMN_LIMIT, 16 * len(clock))
+            if per > limit or self.n_portions * per + int(n.sum()) > limit:
+                per = 0
+        if not per:
+            empty = np.zeros(0, dtype=np.uint8)
+            self._unplaced = 0, Columns(np.zeros(1, dtype=np.uint8), *[empty] * 4)
+            return
+        g = np.repeat(np.arange(len(n)), n)
+        j = first[g] + np.arange(len(g)) - np.repeat(np.cumsum(n) - n, n)
+        at = (j * w - (start - lo)[g]).astype(np.uint64)  # after the log's start
+        # symbol i ends the log's last element at or before the column
+        # instant, or i = starts[g] - 1 when its first one ends after it; a
+        # zero-span symbol opening the next log may tie with the end
+        i = np.searchsorted(clock, clock_0[g] + at, side="right") - 1
+        i = np.minimum(i, ends[g] - 1)
+        lag = at - np.where(i < starts[g], 0, clock[i] - clock_0[g])
+        x, y = (b[i + 1] - b[starts[g]] for b in before)
+        k = of_portion[g] * per + j - 1
+        order = np.argsort(k, kind="stable")
+        off = np.searchsorted(k[order], np.arange(self.n_portions * per + 1))
+        self._unplaced = per, Columns(off, g[order], x[order], y[order], lag[order])
+
+    def place_columns(self, start):
+        """Place the column states at their cells: ``start`` holds each
+        log's start cell, one (x, y) row per log.  Until then no query
+        reads a column."""
+        per, c = self._unplaced
+        self.columns = Columns(*map(narrow, (
+            c.off, c.log, c.x + start[c.log, 0], c.y + start[c.log, 1], c.lag,
+        )))
+        self._per, self._unplaced = per, None
+
+    def _column(self, t):
+        """(instant, first row, end row) of the latest column at or before
+        instant t in t's portion; None at a snapshot instant, before the
+        portion's first column, or in a portion with none."""
+        if not self._per:
+            return None
+        h, dt = divmod(t, self.period)
+        if not dt or h >= self.n_portions:
+            return None
+        w = self._span
+        j = min(dt // w, (self.portion_end(h) - h * self.period - 1) // w)
+        if j < 1:
+            return None
+        k = h * self._per + j - 1
+        a, b = self.columns.off[k:k + 2].tolist()
+        return h * self.period + j * w, a, b
+
+    def _column_rows(self, a, b):
+        """(log, x, y, lag) of column rows a..b-1."""
+        c = self.columns
+        return zip(c.log[a:b].tolist(), c.x[a:b].tolist(), c.y[a:b].tolist(), c.lag[a:b].tolist())
+
+    def column_in_reach(self, t_q, region, max_speed):
+        """(instant, ids) of the latest column at or before t_q in its
+        portion: the ids of the states from which ``region`` is within
+        reach by t_q, at ``max_speed`` cells per instant along each axis;
+        None when there is no such column.  A plain pass over the column,
+        as ``Snapshot.objects_in_region`` makes over a snapshot."""
+        col = self._column(t_q)
+        if col is None:
+            return None
+        c, a, b = col
+        ids, x1, y1, x2, y2 = self._log.ids, *region
+        reach = max_speed * (t_q - c)
+        return c, [
+            ids[g]
+            for g, x, y, lag in self._column_rows(a, b)
+            if x1 - (d := reach + max_speed * lag) <= x <= x2 + d and y1 - d <= y <= y2 + d
+        ]
+
+    def column_by_bound(self, t_q, point, max_speed):
+        """(instant, states) of the latest column at or before t_q in its
+        portion: every state as (id, position, bound, instant), sorted by
+        (bound, id), the bound being the state's distance from ``point``
+        (``math.hypot``'s, as the oracle's) less what ``max_speed`` covers
+        from the state's instant to the column's; None when there is no
+        such column."""
+        col = self._column(t_q)
+        if col is None:
+            return None
+        c, a, b = col
+        ids, (qx, qy), hypot = self._log.ids, point, math.hypot
+        states = [
+            (ids[g], (x, y), hypot(x - qx, y - qy) - max_speed * lag, c - lag)
+            for g, x, y, lag in self._column_rows(a, b)
+        ]
+        states.sort(key=_BY_BOUND)
+        return c, states
 
     @property
     def n_portions(self):

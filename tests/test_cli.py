@@ -253,7 +253,8 @@ class TestStats:
         assert json.loads(out) == build_stats
         mem = build_stats["mem_bytes"]
         assert set(mem) == {
-            "snapshots", "log_streams", "log_events", "checkpoints", "dictionary", "total"
+            "snapshots", "log_streams", "log_events", "checkpoints", "columns", "dictionary",
+            "total",
         }
         assert mem["total"] >= sum(v for part, v in mem.items() if part != "total") > 0
 
@@ -359,3 +360,17 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_build_past_the_instant_limit_is_usage_error(tmp_path, capsys):
+    """A gap threshold that joins records 10**12 instants apart into one
+    segment would lay out every instant between them: a usage error."""
+    csv_path = tmp_path / "far.csv"
+    csv_path.write_text("1,0,0,0\n1,1000000000000,5,5\n")
+    argv = ["build", "--input", str(csv_path), "--output", str(tmp_path / "x.idx"),
+            "--gap", "100000000000000", "--period", "8"]
+    with deadline(5.0), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "1000000000001 instants, more than the" in capsys.readouterr().err
+    assert not (tmp_path / "x.idx").exists()

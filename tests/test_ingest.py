@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from conftest import deadline
 
+import trajindex.ingest
 from trajindex import Records, TrajectoryIndex, normalize, parse_binary, parse_csv
+from trajindex.ingest import MAX_INSTANTS, InstantLimitError
 
 
 def _records(rows):
@@ -440,3 +442,28 @@ def test_normalize_matches_reference(seed):
         got = normalize(_records(rows), **params)
         assert got == want, (rows, params)
         assert repr(got) == repr(want)
+
+
+class TestInstantLimit:
+    def test_segments_past_the_limit_named(self):
+        # a gap threshold past 10**12 instants keeps both records in one segment
+        recs = _records([(1, 0, 0, 0), (1, 10**12, 5, 5), (7, 0, 1, 1), (7, 3, 2, 2)])
+        with deadline(2.0), pytest.raises(InstantLimitError) as exc:
+            normalize(recs, 1, 1, gap_threshold=10**14)
+        msg = str(exc.value)
+        assert "1000000000005 instants" in msg  # 10**12 + 1 for object 1, 4 for object 7
+        assert "the %d normalize lays out" % MAX_INSTANTS in msg
+        assert "object 1 has the longest, of 1000000000001 instants" in msg
+
+    def test_many_segments_past_the_limit_named(self, monkeypatch):
+        # each segment fits, their sum does not
+        monkeypatch.setattr(trajindex.ingest, "MAX_INSTANTS", 10)
+        recs = _records([(1, 0, 0, 0), (1, 5, 5, 0), (2, 0, 0, 0), (2, 6, 6, 0)])
+        with pytest.raises(ValueError, match="13 instants, more than the 10 .* object 2 has"):
+            normalize(recs, 1, 1)
+
+    def test_segments_at_the_limit_kept(self, monkeypatch):
+        monkeypatch.setattr(trajindex.ingest, "MAX_INSTANTS", 13)
+        recs = _records([(1, 0, 0, 0), (1, 5, 5, 0), (2, 0, 0, 0), (2, 6, 6, 0)])
+        got = normalize(recs, 1, 1)
+        assert got == {1: [(0, [(i, 0) for i in range(6)])], 2: [(0, [(i, 0) for i in range(7)])]}

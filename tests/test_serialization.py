@@ -547,7 +547,7 @@ class TestIndexContainer:
         }
         assert stats["bytes"]["total"] == len(walkthrough_index.to_bytes())
         mem = stats["mem_bytes"]
-        parts = ("snapshots", "log_streams", "log_events", "checkpoints", "dictionary")
+        parts = ("snapshots", "log_streams", "log_events", "checkpoints", "columns", "dictionary")
         assert set(mem) == set(parts) | {"total"}
         assert all(mem[part] > 0 for part in parts)
         # the parts share no array; the total adds the id array
