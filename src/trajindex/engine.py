@@ -40,16 +40,18 @@ before it instead of the snapshot (see ``logs``): the column's states that
 can reach the region, or that come nearest by their lower bound, plus the
 appearance events after the column, are walked from their log's start,
 seeking to the last checkpoint at or before the instant.  A time interval
-also reads whole checkpoint blocks by their boxes: before it walks a
-candidate's log, it steps over the log's block boxes in the window and
-drops the candidate when none meets the region, else seeks to the first
-block that does, and its walk passes over every later block whose box
-misses the region.  Only a time slice in the later half of a portion
-without columns (one of at most ``COLUMN_SPAN`` instants) anchors at the
-next snapshot (or a disappearance event) and walks backward, which keeps
-its expanded region and its walks short.  ``counters`` tracks how many
-symbols each traversal family touched, which the pruning tests compare
-across debug flags (``use_mbr`` / ``use_er``).
+also reads logs and checkpoint blocks by their boxes: before it walks a
+candidate's log, it drops the candidate when the log's box misses the
+region.  When the window starts past the log's first block, it then steps
+over the later block boxes in the window, drops the candidate when none
+meets the region, and else seeks to the first block that does.  The walk
+passes over every later block whose box misses the region.  Only a time
+slice in the later half of a portion without columns (one of at most
+``COLUMN_SPAN`` instants) anchors at the next snapshot (or a disappearance
+event) and walks backward, which keeps its expanded region and its walks
+short.  ``counters`` tracks how many symbols each traversal family
+touched, which the pruning tests compare across debug flags (``use_mbr`` /
+``use_er``).
 
 Results are deterministic: object lists sort by id, nearest-neighbour
 answers by (distance, id).

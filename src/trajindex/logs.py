@@ -31,12 +31,16 @@ instant/position so a backward time-slice walk can anchor on it).
 Every ``STRIDE`` compressed symbols after its opening AA, a log has a
 checkpoint: the instant, position and D/P side-array cursors before that
 symbol, relative to the log's start.  The log starts and checkpoints cut
-the logs into blocks of at most ``STRIDE`` symbols, and each block has a
-box holding every position it visits, relative to where it starts: the
-rules' MBR idea one level up, so a walk can pass over a block that misses
-a query region.  Checkpoints and boxes follow from the symbols, the rule
-tables and the side arrays, so they are derived on construction and never
-stored in a file.
+the logs into blocks of at most ``STRIDE`` symbols, and each block after
+a log's first has a box holding every position it visits, relative to
+where it starts: the rules' MBR idea one level up, so a walk can pass over
+a block that misses a query region.  In the first block's place a log has
+the box of every position it visits, relative to its start, one level up
+again: a time interval drops a candidate whose log box misses its region
+with one test.  The first block is then passed over only with the whole
+log.  Checkpoints and boxes follow from the symbols, the rule tables and
+the side arrays, so they are derived on construction and never stored in
+a file.
 
 Every ``COLUMN_SPAN`` instants after its snapshot, a portion has a column
 (``Columns``): for each of its logs that has started and not closed by
@@ -66,10 +70,12 @@ Traversal primitives:
   in place from its end, or with seeking from the first checkpoint at or
   after the floor, yielding the state before each element; only the later
   half of a time slice walks backward;
-* ``LogStore.first_block_meeting`` — no walk: steps over one log's block
-  boxes in a time window, placing each at its block's start, and gives the
-  start instant of the first that meets a region; a time interval walks a
-  log only from there, and not at all when none does;
+* ``LogStore.first_block_meeting`` — no walk: tests one log's box against
+  a region, then steps over its later block boxes in a time window,
+  placing each at its block's start, and gives the start instant of the
+  first that meets the region (the log's start when the window starts in
+  its first block); a time interval walks a log only from there, and not
+  at all when none does;
 * ``move_jump`` / ``move_back`` — clip a symbol that straddles a time
   limit, descending into the rule with an explicit stack;
 * ``move_steps`` — expand a symbol to terminals, one (instant, position)
@@ -112,8 +118,9 @@ LogTable = collections.namedtuple("LogTable", "ids sym_off d_off p_off starts_aa
 # tot_y hold each log's net displacement.  The log starts and checkpoints
 # cut the logs into blocks: log g's are rows g + off[g] .. g + off[g+1] of
 # box, the one from its start first, then the one from each checkpoint.  A
-# row is the block's box (x1, y1, x2, y2) relative to the block's start
-# position, holding every position the block visits.
+# row is a box (x1, y1, x2, y2) relative to the block's start position: the
+# first row holds every position the whole log visits, every later row
+# every position its block visits.
 Checkpoints = collections.namedtuple("Checkpoints", "off t x y d p tot_x tot_y box")
 
 # Column states of all logs.  Portion h has a column at each instant
@@ -160,9 +167,9 @@ class LogStore:
         an axis, and every AA and D position lies inside the grid.
 
         The same pass derives the checkpoints (see ``Checkpoints``) every
-        ``STRIDE`` symbols after each log's opening AA, the box of each
-        block they cut, and the column states (``_derive_columns``).  One
-        vectorized pass over the whole stream.
+        ``STRIDE`` symbols after each log's opening AA, each log's box and
+        that of each later block they cut, and the column states
+        (``_derive_columns``).  One vectorized pass over the whole stream.
         """
         syms = self.syms.astype(np.intp)  # numpy gathers by a narrow index run slower
         ids, lens, d_all, p_all = (
@@ -246,7 +253,8 @@ class LogStore:
         cuts = np.empty(rows[-1], dtype=np.intp)
         cuts[rows[:-1]], cuts[cp_rows] = starts, at
         # the block from each cut to the next visits the positions before and
-        # after each of its symbols and, inside a rule, the rule's MBR
+        # after each of its symbols and, inside a rule, the rule's MBR; a
+        # log's first row holds the box of its blocks together
         mbr = np.asarray(self.dict.sym_mbr).take(syms, axis=0)  # take: mbr[syms] runs far slower
         cp_xy, tot_xy, box, before = [], [], [], []
         for axis, m in enumerate((mx, my)):
@@ -258,7 +266,9 @@ class LogStore:
             pos = pos[:-1]
             for col, f in ((axis, np.minimum), (axis + 2, np.maximum)):
                 reach = pos + f(mbr[:, col], m)  # widened to m's int64
-                box.append(f.reduceat(reach, cuts) - cut[:-1])
+                blocks = f.reduceat(reach, cuts)
+                blocks[rows[:-1]] = f.reduceat(blocks, rows[:-1])
+                box.append(blocks - cut[:-1])
         cp_d, cp_p = entries_before(at)
         self.checkpoints = Checkpoints(*map(narrow, (
             cp_at, run[at - 1].astype(np.int64), *cp_xy, cp_d - d_at[of], cp_p - p_at[of],
@@ -446,9 +456,11 @@ class LogStore:
     def first_block_meeting(self, h, oid, t_c, p_c, t_from, t_to, region):
         """Start instant of the first block of oid's portion-h log, started
         at (t_c, p_c), that runs into [t_from, t_to] and whose box, placed at
-        the block's start, meets ``region``; None when there is no such block
-        or no log.  No position the log visits in [t_from, t_to] before that
-        instant lies in the region.
+        the block's start, meets ``region``, the first block's box being the
+        whole log's; None when there is no such block or no log.  No
+        position the log visits in [t_from, t_to] before that instant lies
+        in the region.  A log whose box misses the region is dropped before
+        any checkpoint is looked up.
         """
         g = self.find(h, oid)
         if g < 0:
@@ -459,14 +471,18 @@ class LogStore:
         rx1, ry1, rx2, ry2 = region
         x0, y0 = p_c
         # block j (lo <= j <= hi) runs from checkpoint j - 1, or the log's
-        # start, to checkpoint j, or the log's end; its box is row g + j
+        # start, to checkpoint j, or the log's end; its box is row g + j,
+        # and row g + lo is the log's
+        b = g + lo
+        if (x0 + box[b, 2] < rx1 or x0 + box[b, 0] > rx2
+                or y0 + box[b, 3] < ry1 or y0 + box[b, 1] > ry2):
+            return None
         j = bisect_left(ct, t_from - t_c, lo, hi)
         if j == hi and self._log.end[g] < t_from:
             return None
-        if j == lo:
-            t, x, y = t_c, x0, y0
-        else:
-            t, x, y = t_c + ct[j - 1], x0 + cp.x[j - 1], y0 + cp.y[j - 1]
+        if j == lo:  # the first block has no box of its own
+            return t_c if t_c <= t_to else None
+        t, x, y = t_c + ct[j - 1], x0 + cp.x[j - 1], y0 + cp.y[j - 1]
         while t <= t_to:
             b = g + j
             if not (x + box[b, 2] < rx1 or x + box[b, 0] > rx2
@@ -497,6 +513,9 @@ class LogStore:
         box, placed at the block's start, misses the region is skipped whole:
         the state at its end (the next checkpoint, else the log's end) comes
         as ``sym=None``, so no position the walk skips lies in the region.
+        The first block's row is the whole log's box, which holds the
+        block's positions too, so the first block is skipped only when the
+        whole log misses the region.
         """
         d = self.dict
         span, dx, dy = d.sym_span, d.sym_dx, d.sym_dy

@@ -359,7 +359,8 @@ def test_block_test_keeps_every_visit(stride, monkeypatch):
 def test_interval_walks_only_candidates_a_block_box_admits(monkeypatch):
     """A region no object visits in the window starts no log walk, though
     both objects can reach it; an answer found only inside a log still
-    starts one."""
+    starts one.  A log of several blocks starts none when its box misses
+    the region, nor when its box meets it but no block in the window does."""
     walks = []
     inner = trajindex.logs.LogStore.elements
 
@@ -382,6 +383,28 @@ def test_interval_walks_only_candidates_a_block_box_admits(monkeypatch):
     # object 2 passes (25, 20) at instant 15 only, inside its first log
     assert index.time_interval((25, 20, 25, 20), 12, 18) == [2]
     assert walks == [1]
+
+    # object 3's first log has one block per symbol: it steps two cells
+    # east and back, then stays put
+    monkeypatch.setattr(trajindex.logs, "STRIDE", 1)
+    series[3] = [(0, _path((40, 40), [R, R, (-1, 0), (-1, 0)] + [(0, 0)] * 36))]
+    index = TrajectoryIndex.build(series, period=20, k=2, side=64)
+    logs, cp, o3 = index.logs, index.logs.checkpoints, int(index._oid(3))
+    g = logs.find(0, o3)
+    assert cp.off[g + 1] - cp.off[g] > 1
+    # the log's box misses (44, 40), which object 3 can reach by instant 19
+    assert index.time_interval((44, 40, 44, 40), 1, 19, use_mbr=False) == []
+    assert o3 in walks
+    walks.clear()
+    assert index.time_interval((44, 40, 44, 40), 1, 19) == []
+    assert walks == []
+    # the log's box meets (42, 40), visited at instant 2 only, but no block
+    # in [14, 19] does
+    assert cp.box[g + int(cp.off[g])].tolist()[2] == 2
+    assert index.time_interval((42, 40, 42, 40), 14, 19) == []
+    assert walks == []
+    assert index.time_interval((42, 40, 42, 40), 1, 19) == [3]
+    assert walks == [o3]
 
 
 def _positions_walking_forward(index, oracle, monkeypatch):
