@@ -33,8 +33,10 @@ Queries follow the classic plan: anchor at the snapshot at or before the
 instant that matters (or at an appearance event), reading its table (a
 region test or a distance per present object, one lookup for an object's
 cell), seek to the last log checkpoint at or before that instant, then walk
-the compressed log forward from there, jumping whole rules whenever their
-metadata proves they cannot matter.  A time slice or kNN query at an
+that portion's compressed log forward from there, jumping whole rules
+whenever their metadata proves they cannot matter.  Every walk covers one
+log: a trajectory starts a walk in each portion its window meets, from
+that portion's snapshot or AA anchor.  A time slice or kNN query at an
 instant past its portion's first column filters the latest column at or
 before it instead of the snapshot (see ``logs``): the column's states that
 can reach the region, or that come nearest by their lower bound, plus the
@@ -230,8 +232,9 @@ class TrajectoryIndex:
         oid = self._oid(obj)
         if not self._in_extent(t_q):
             return None
-        anchor = self._start(t_q // self.params.period, oid)
-        return None if anchor is None else self._forward_to(oid, *anchor, t_q)
+        h = t_q // self.params.period
+        anchor = self._start(h, oid)
+        return None if anchor is None else self._forward_to(h, oid, *anchor, t_q)
 
     def _start(self, h, oid):
         """(instant, position) where oid's log forward from snapshot h starts:
@@ -241,9 +244,9 @@ class TrajectoryIndex:
             return h * self.params.period, p
         return self.logs.first_anchor(h, oid) if h < self.logs.n_portions else None
 
-    def _forward_to(self, oid, t_c, p_c, t_q):
+    def _forward_to(self, h, oid, t_c, p_c, t_q):
         counters = self.counters
-        for sym, t, p in self.logs.elements(oid, t_c, p_c, t_q, seek=t_q):
+        for sym, t, p in self.logs.elements(h, oid, t_c, p_c, t_q, seek=t_q):
             if sym is not None:
                 counters["object_symbols"] += 1
                 if t > t_q:
@@ -256,34 +259,34 @@ class TrajectoryIndex:
     # ------------------------------------------------------------------
 
     def trajectory(self, obj, t_begin, t_end):
-        """(instant, position) pairs over [t_begin, t_end]; gaps omitted."""
+        """(instant, position) pairs over [t_begin, t_end]; gaps omitted.
+
+        Walks the object's log of each portion the window meets from the
+        log's start.  A log that does not close with D ends on the next
+        snapshot's cell, which that snapshot's portion then starts from."""
         oid = self._oid(obj)
         t_b = max(t_begin, 0)
         t_e = min(t_end, self.params.t_max)
         if t_b > t_e:
             return []
-        d = self.params.period
-        h = t_b // d
-        anchor = None
-        while anchor is None and h <= self.last_snapshot and h * d <= t_e:
-            anchor = self._start(h, oid)
-            h += 1
-        if anchor is None:
-            return []
-        t_c, p_c = anchor
-        if t_c > t_e:
-            return []
         out = []
-        if t_c >= t_b:
-            out.append((t_c, p_c))
-        for sym, t, p in self.logs.elements(oid, t_c, p_c, t_e, seek=t_b):
-            if sym is None:
-                if t_b <= t <= t_e:
-                    out.append((t, p))
-            elif t >= t_b:
-                steps = move_steps(self.rules, p_c, t_c, t_e, sym)
-                out.extend(step for step in steps if step[0] >= t_b)
-            t_c, p_c = t, p
+        for h in range(t_b // self.params.period, t_e // self.params.period + 1):
+            anchor = self._start(h, oid)
+            if anchor is None:
+                continue
+            t_c, p_c = anchor
+            if t_c > t_e:
+                break
+            if t_c >= t_b and (not out or out[-1][0] < t_c):
+                out.append(anchor)
+            for sym, t, p in self.logs.elements(h, oid, t_c, p_c, t_e, seek=t_b):
+                if sym is None:
+                    if t_b <= t <= t_e:
+                        out.append((t, p))
+                elif t >= t_b:
+                    steps = move_steps(self.rules, p_c, t_c, t_e, sym)
+                    out.extend(step for step in steps if step[0] >= t_b)
+                t_c, p_c = t, p
         return out
 
     # ------------------------------------------------------------------
@@ -308,7 +311,7 @@ class TrajectoryIndex:
             starts = self._starts(h, r, t_q)
         answers = []
         for o, t_c, p_c in starts:
-            pos = self._slice_forward(o, t_c, p_c, t_q, r, use_mbr, use_er)
+            pos = self._slice_forward(h, o, t_c, p_c, t_q, r, use_mbr, use_er)
             if pos is not None:
                 answers.append((self._orig(o), pos))
         return sorted(answers)
@@ -359,12 +362,12 @@ class TrajectoryIndex:
                 out.append((o, t_a, p_a))
         return out
 
-    def _slice_forward(self, oid, t_c, p_c, t_q, r, use_mbr, use_er):
+    def _slice_forward(self, h, oid, t_c, p_c, t_q, r, use_mbr, use_er):
         m_sp = self.params.max_speed
         rules = self.rules
         counters = self.counters
         x1, y1, x2, y2 = r
-        for sym, t, p in self.logs.elements(oid, t_c, p_c, t_q, seek=t_q):
+        for sym, t, p in self.logs.elements(h, oid, t_c, p_c, t_q, seek=t_q):
             if sym is not None:
                 counters["slice_symbols"] += 1
                 if (
@@ -444,19 +447,20 @@ class TrajectoryIndex:
                     if t_hit is None:
                         continue
                     seek = max(t_b, t_hit)
-                if self._interval_scan(o, t_c, p_c, seek, t_b, t_e, t_last, r, use_mbr, use_er):
+                if self._interval_scan(h, o, t_c, p_c, seek, t_b, t_e, t_last, r, use_mbr, use_er):
                     answers.add(o)
             h += 1
         return sorted(self._orig(o) for o in answers)
 
-    def _interval_scan(self, oid, t_c, p_c, seek, t_b, t_e, t_last, r, use_mbr, use_er):
+    def _interval_scan(self, h, oid, t_c, p_c, seek, t_b, t_e, t_last, r, use_mbr, use_er):
         m_sp = self.params.max_speed
         rules = self.rules
         span, dx, dy, pairs = rules.sym_span, rules.sym_dx, rules.sym_dy, rules.sym_pairs
         nt_base = rules.nt_base
         x1, y1, x2, y2 = r
         x, y = p_c
-        walk = self.logs.elements(oid, t_c, p_c, t_last, seek=seek, region=r if use_mbr else None)
+        region = r if use_mbr else None
+        walk = self.logs.elements(h, oid, t_c, p_c, t_last, seek=seek, region=region)
         n = 0  # symbols touched, counted once per scan
         try:
             for sym, t, p in walk:
@@ -559,7 +563,7 @@ class TrajectoryIndex:
             if cur is None:
                 if col is not None:  # a column state is not its log's start
                     t_c, p_c = self._start(h, o)
-                cur = self.logs.elements(o, t_c, p_c, t_q, seek=t_q)
+                cur = self.logs.elements(h, o, t_c, p_c, t_q, seek=t_q)
             step = next(cur, None)
             if step is None:
                 continue  # the log ends before t_q: not active, drop
@@ -684,8 +688,7 @@ class TrajectoryIndex:
                 check_levels(k, params.side, t_bits, l_bits)
             except ValueError as e:
                 raise serial.SerializationError("snapshot %d: %s" % (h, e)) from e
-            bits = np.packbits(np.concatenate([t_bits, l_bits]), bitorder="little")
-            trees.append((bits.tobytes(), len(t_bits)))
+            trees.append((t_bits, l_bits))
             fields.append(rest)
         r.expect_end("index file")
         # every tree's cells in one decode, then each snapshot's table

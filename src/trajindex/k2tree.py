@@ -19,17 +19,18 @@ one.  ``TrajectoryIndex.to_bytes`` writes each snapshot's cells as the T
 and L that ``encode`` returns, and builds no bit vector; loading checks
 each tree's level sizes with ``check_levels`` and decodes all of an
 index's trees in one numpy pass with ``decode_cells``, which ranks
-nothing, unpacks only the nonzero bytes and rejects a one in T over no
-cells.  So each loaded tree is the one ``encode`` makes from its cells,
-and an index re-saves to the bytes it was loaded from; each snapshot
-answers from its decoded table (see ``snapshot``).
+nothing, reads the T and L bits as the file's sections give them and
+rejects a one in T over no cells.  So each loaded tree is the one
+``encode`` makes from its cells, and an index re-saves to the bytes it
+was loaded from; each snapshot answers from its decoded table (see
+``snapshot``).
 
 ``K2Tree`` holds one tree's T:L in a ``BitVector`` for the reference
 navigators the snapshot tables are tested against.  ``cell`` and
 ``locate`` rank and select, and share no code with ``decode_cells``;
-``cells`` is the decode of one tree, ``range_report`` keeps the cells
-inside a region and ``nodes_by_distance`` sorts them by their distance
-from a query point.
+``cells`` locates every leaf, ``range_report`` keeps the cells inside a
+region and ``nodes_by_distance`` sorts them by their distance from a
+query point.
 """
 
 import math
@@ -110,9 +111,11 @@ class K2Tree:
 
     def cells(self):
         """Every occupied cell as two int64 arrays ``xs, ys`` in L order, so
-        index i holds leaf rank i + 1 (see ``decode_cells``)."""
-        xs, ys, _ = decode_cells(self.k, self.side, [(self.bits.to_bytes(), self.len_t)])
-        return xs, ys
+        index i holds leaf rank i + 1, each located by select, so memory
+        follows the cells rather than the k^2 slots of each node."""
+        m = self.bits.n_ones - self.t_ones
+        xy = np.array([self.locate(r) for r in range(1, m + 1)], dtype=np.int64).reshape(m, 2)
+        return xy[:, 0], xy[:, 1]
 
     def nodes_by_distance(self, qx, qy):
         """Occupied cells in non-decreasing distance from (qx, qy).
@@ -160,11 +163,10 @@ def decode_cells(k, side, trees):
     ``xs, ys, counts``, where tree i's cells, in L order, are the
     ``counts[i]`` entries after those of the trees before it.
 
-    Each tree is given as (its T:L packed as ``BitVector.to_bytes`` lays it
-    out, the length of T), over a grid of ``side`` at ``k``, with level
-    sizes that ``check_levels`` accepts.  The packed bits are read end to
-    end, and only the nonzero bytes are unpacked, so memory follows the
-    ones rather than the k^2 slots of each node.  A tree's j-th one
+    Each tree is given as its T and L, uint8 arrays of 0s and 1s as
+    ``encode`` returns them and a file section is read, over a grid of
+    ``side`` at ``k``, with level sizes that ``check_levels`` accepts.  The
+    trees' T:L bits are read end to end for their ones.  A tree's j-th one
     (0-based), at position p, is its node j + 1, a child of its node
     p // k^2 in slot p % k^2.  Entry e of the joint table is the e-th one
     of all the trees, and one entry after them stands for every root; one
@@ -174,14 +176,12 @@ def decode_cells(k, side, trees):
     raises ``SerializationError`` naming the tree's position as its snapshot.
     """
     height, kk = height_of(k, side), k * k
-    packed = np.frombuffer(b"".join(c for c, _ in trees), dtype=np.uint8)
-    first_bit = np.cumsum([0] + [8 * len(c) for c, _ in trees], dtype=np.int64)
-    nonzero = np.flatnonzero(packed)
-    hit = np.flatnonzero(np.unpackbits(packed[nonzero], bitorder="little"))
-    pos = nonzero[hit >> 3] * 8 + (hit & 7)
+    bits = np.concatenate([np.zeros(0, dtype=np.uint8)] + [b for tl in trees for b in tl])
+    pos = np.flatnonzero(bits)
+    first_bit = np.cumsum([0] + [len(t) + len(l) for t, l in trees], dtype=np.int64)
     tree = np.searchsorted(first_bit, pos, side="right") - 1  # each one's tree
     pos -= first_bit[tree]
-    len_t = np.array([n for _, n in trees], dtype=np.int64)
+    len_t = np.array([len(t) for t, _ in trees], dtype=np.int64)
     ones = np.bincount(tree, minlength=len(trees))
     t_ones = np.bincount(tree[pos < len_t[tree]], minlength=len(trees))
     n = len(pos)

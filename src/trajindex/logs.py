@@ -59,13 +59,14 @@ none.
 
 Traversal primitives:
 
-* ``LogStore.elements`` — forward walker from a log start (a snapshot or an
-  AA anchor), crossing portions; it decodes every event and yields one
-  ``(sym, t, p)`` state per element: a move symbol with the state it
-  reaches applied whole, or ``sym=None`` with the state an AA/RM/RNM or a
-  checkpoint sets.  Given a seek instant, it enters each log at the last
-  checkpoint at or before that instant and walks on from there; given a
-  region, it passes over each block whose box misses it;
+* ``LogStore.elements`` — forward walker over one portion's log from its
+  start (the snapshot cell or the AA anchor) to its end; it decodes every
+  event and yields one ``(sym, t, p)`` state per element: a move symbol
+  with the state it reaches applied whole, or ``sym=None`` with the state
+  an RM/RNM or a checkpoint sets.  Given a seek instant, it enters the log
+  at the last checkpoint at or before that instant and walks on from
+  there; given a region, it passes over each block whose box misses it.
+  A trajectory steps from portion to portion itself;
 * ``LogStore.elements_backward`` — the mirror over one portion's log, read
   in place from its end, or with seeking from the first checkpoint at or
   after the floor, yielding the state before each element; only the later
@@ -496,18 +497,19 @@ class LogStore:
 
     # -- walkers ---------------------------------------------------------
 
-    def elements(self, oid, t_c, p_c, t_end, seek=None, region=None):
-        """Walk forward from (t_c, p_c), the start of portion
-        ``t_c // period``'s log, yielding ``(sym, t, p)`` per element until
-        the first one that reaches ``t_end``.
+    def elements(self, h, oid, t_c, p_c, t_end, seek=None, region=None):
+        """Walk oid's portion-``h`` log forward from its start state
+        (t_c, p_c), yielding ``(sym, t, p)`` per element until the first one
+        that reaches ``t_end``, else to the log's end.
 
         A move symbol comes with the state it reaches when applied whole (the
-        consumer clips it with ``move_jump``); an AA/RM/RNM comes as
-        ``sym=None`` with the state it sets.  The AA opening the first log is
-        the start state and is not yielded.  D ends a log and is skipped: a
-        later portion's AA re-anchors the walk.  With a ``seek`` instant,
-        each log is entered at its last checkpoint at or before ``seek``,
-        yielded as ``sym=None``, so the elements it skips all end by then.
+        consumer clips it with ``move_jump``); an RM/RNM comes as
+        ``sym=None`` with the state it sets.  The start state is the
+        portion's snapshot cell or, for a log that opens with AA, the AA
+        anchor, which is not yielded.  A closing D ends the walk.  With a
+        ``seek`` instant, the log is entered at its last checkpoint at or
+        before ``seek``, yielded as ``sym=None``, so the elements it skips
+        all end by then.
 
         With a ``region``, each block of the log (see ``Checkpoints``) whose
         box, placed at the block's start, misses the region is skipped whole:
@@ -517,81 +519,73 @@ class LogStore:
         block's positions too, so the first block is skipped only when the
         whole log misses the region.
         """
+        if t_c >= t_end:  # h may be the last snapshot's, which has no log
+            return
+        g = self.find(h, oid)
+        if g < 0:
+            return
         d = self.dict
         span, dx, dy = d.sym_span, d.sym_dx, d.sym_dy
         syms, d_vals, p_vals, log, cp = self._syms, self._d, self._p, self._log, self._cp
         box = cp.box
         if region is not None:
             rx1, ry1, rx2, ry2 = region
-        t_start = t_c
         x, y = p_c
-        h, n_portions = t_c // self.period, self.n_portions
-        while t_c < t_end and h < n_portions and h * self.period < t_end:
-            g = self.find(h, oid)
-            h += 1
-            if g < 0:
-                continue
-            d0, p0 = log.d_off[g], log.p_off[g]
-            s, s_end = log.sym_off[g], log.sym_off[g + 1]
-            di, pi = d0, p0
-            if syms[s] == EV_AA:
-                t_c, x, y = d_vals[d0], p_vals[p0], p_vals[p0 + 1]
-                di, pi, s = d0 + 1, p0 + 2, s + 1
-                if t_c != t_start:
-                    yield None, t_c, (x, y)
-                    if t_c >= t_end:
-                        return
-            lo, hi = cp.off[g], cp.off[g + 1]
-            t0, x0, y0, body = t_c, x, y, s  # the log's start state and body
-            j = lo - 1  # the last checkpoint passed; lo - 1 before the first
-            if seek is not None and lo < hi:
-                j = bisect_right(cp.t, seek - t0, lo, hi) - 1
-                if j >= lo:
-                    s = body + (j - lo + 1) * self._stride
-                    di, pi = d0 + cp.d[j], p0 + cp.p[j]
-                    t_c, x, y = t0 + cp.t[j], x0 + cp.x[j], y0 + cp.y[j]
-                    yield None, t_c, (x, y)
-                    if t_c >= t_end:
-                        return
-            while s < s_end:
-                stop = s_end
-                if region is not None:
-                    j += 1  # the block runs to checkpoint j, else to the log's end
+        di, pi = d0, p0 = log.d_off[g], log.p_off[g]
+        s, s_end = log.sym_off[g], log.sym_off[g + 1]
+        if syms[s] == EV_AA:  # the start state is the AA's
+            di, pi, s = d0 + 1, p0 + 2, s + 1
+        lo, hi = cp.off[g], cp.off[g + 1]
+        t0, x0, y0, body = t_c, x, y, s  # the log's start state and body
+        j = lo - 1  # the last checkpoint passed; lo - 1 before the first
+        if seek is not None and lo < hi:
+            j = bisect_right(cp.t, seek - t0, lo, hi) - 1
+            if j >= lo:
+                s = body + (j - lo + 1) * self._stride
+                di, pi = d0 + cp.d[j], p0 + cp.p[j]
+                t_c, x, y = t0 + cp.t[j], x0 + cp.x[j], y0 + cp.y[j]
+                yield None, t_c, (x, y)
+                if t_c >= t_end:
+                    return
+        while s < s_end:
+            stop = s_end
+            if region is not None:
+                j += 1  # the block runs to checkpoint j, else to the log's end
+                if j < hi:
+                    stop = body + (j - lo + 1) * self._stride
+                b = g + j
+                x1, y1, x2, y2 = box[b, 0], box[b, 1], box[b, 2], box[b, 3]
+                if x + x2 < rx1 or x + x1 > rx2 or y + y2 < ry1 or y + y1 > ry2:
                     if j < hi:
-                        stop = body + (j - lo + 1) * self._stride
-                    b = g + j
-                    x1, y1, x2, y2 = box[b, 0], box[b, 1], box[b, 2], box[b, 3]
-                    if x + x2 < rx1 or x + x1 > rx2 or y + y2 < ry1 or y + y1 > ry2:
-                        if j < hi:
-                            di, pi = d0 + cp.d[j], p0 + cp.p[j]
-                            t_c, x, y = t0 + cp.t[j], x0 + cp.x[j], y0 + cp.y[j]
-                        else:
-                            t_c, x, y = log.end[g], x0 + cp.tot_x[g], y0 + cp.tot_y[g]
-                        s = stop
-                        yield None, t_c, (x, y)
-                        if t_c >= t_end:
-                            return
-                        continue
-                for sym in syms[s:stop]:
-                    if sym >= MOVE_BASE:
-                        t_c += span[sym]
-                        x += dx[sym]
-                        y += dy[sym]
-                    elif sym == EV_D:
-                        break
-                    else:  # RNM or RM: AA only opens a log
-                        t_c += d_vals[di] + 1
-                        di += 1
-                        if sym == EV_RM:  # displaced by a spiral code
-                            mdx, mdy = spiral.decode(p_vals[pi])
-                            x += mdx
-                            y += mdy
-                            pi += 1
-                        sym = None
-                    yield sym, t_c, (x, y)
+                        di, pi = d0 + cp.d[j], p0 + cp.p[j]
+                        t_c, x, y = t0 + cp.t[j], x0 + cp.x[j], y0 + cp.y[j]
+                    else:
+                        t_c, x, y = log.end[g], x0 + cp.tot_x[g], y0 + cp.tot_y[g]
+                    s = stop
+                    yield None, t_c, (x, y)
                     if t_c >= t_end:
                         return
-                s = stop
+                    continue
+            for sym in syms[s:stop]:
+                if sym >= MOVE_BASE:
+                    t_c += span[sym]
+                    x += dx[sym]
+                    y += dy[sym]
+                elif sym == EV_D:  # closes the log
+                    return
+                else:  # RNM or RM: AA only opens a log
+                    t_c += d_vals[di] + 1
+                    di += 1
+                    if sym == EV_RM:  # displaced by a spiral code
+                        mdx, mdy = spiral.decode(p_vals[pi])
+                        x += mdx
+                        y += mdy
+                        pi += 1
+                    sym = None
+                yield sym, t_c, (x, y)
+                if t_c >= t_end:
+                    return
+            s = stop
 
     def elements_backward(self, h, oid, t_c, p_c, t_floor, seek=False):
         """Walk portion ``h``'s log backward from its end state (t_c, p_c),
@@ -600,11 +594,10 @@ class LogStore:
 
         The log is read in place from its end, the side-array cursors moving
         down.  ``sym`` is the move symbol, or None for an event; an AA or D
-        sets the state to its payload.  ``h`` is explicit because a lone-D log
-        may sit on the snapshot instant that starts the next portion.  With
-        ``seek``, the walk starts at the log's first checkpoint at or after
-        ``t_floor``, yielded as ``sym=None``: the log's start is the end state
-        less the log's net displacement.
+        sets the state to its payload.  As the forward walk, it covers the
+        one log of portion ``h``.  With ``seek``, the walk starts at the log's
+        first checkpoint at or after ``t_floor``, yielded as ``sym=None``: the
+        log's start is the end state less the log's net displacement.
         """
         d = self.dict
         span, dx, dy = d.sym_span, d.sym_dx, d.sym_dy

@@ -34,7 +34,8 @@ def _boundaries(index, h, g):
     logs = index.logs
     oid = int(logs.table.ids[g])
     start = _log_start(index, h, g)
-    states = [start] + [(t, p) for _sym, t, p in logs.elements(oid, *start, int(logs.table.end[g]))]
+    walk = logs.elements(h, oid, *start, int(logs.table.end[g]))
+    states = [start] + [(t, p) for _sym, t, p in walk]
     s = int(logs.table.sym_off[g]) + bool(logs.table.starts_aa[g])
     after = logs.syms[s:int(logs.table.sym_off[g + 1])].tolist() + [None]
     return [(t, p, sym) for (t, p), sym in zip(states, after)]

@@ -300,6 +300,45 @@ def test_checkpoint_strides_match_oracle(name, period, stride, indexes, oracles,
         assert index.knn(k, (x, y), t) == oracle.knn(k, (x, y), t), ((x, y), t, k)
 
 
+# period 8, t_max 32: snapshots at 0, 8, 16, 24 and 32
+_GAP_SERIES = {
+    # a lone-D log at snapshot 8, absent at snapshot 16, back by AA at 19
+    1: [(0, [(3, 3)] * 4 + [(4, 3)] * 5), (19, [(9, 9), (9, 10), (10, 10)] * 4)],
+    # present throughout, so t_max is a snapshot instant
+    2: [(0, [(20 + t % 5, 20 + t // 5) for t in range(33)])],
+    # AA at 11, a gap up to snapshot 16, and a lone-D log at snapshot 24
+    3: [(0, [(30, 1 + t) for t in range(6)]), (11, [(31, 8), (32, 8), (33, 9), (33, 10)]),
+        (16, [(34, 10 + t) for t in range(9)])],
+    # absent at snapshot 8, back by AA exactly on snapshot 16
+    4: [(0, [(50, 50), (51, 50)]), (16, [(50, 60 - t) for t in range(6)])],
+}
+
+
+@pytest.mark.parametrize("stride", [1, trajindex.logs.STRIDE])
+def test_trajectory_steps_across_portions(stride, monkeypatch):
+    """Every window's trajectory is the oracle's, also when it starts or
+    ends on a snapshot instant, when the object is absent at a snapshot and
+    comes back with AA, and when a lone-D log sits on a snapshot instant.
+    Queries at t_max, itself a snapshot instant, answer as the oracle."""
+    monkeypatch.setattr(trajindex.logs, "STRIDE", stride)
+    index = TrajectoryIndex.build(_GAP_SERIES, period=8, k=2, side=64)
+    oracle = Oracle(_GAP_SERIES)
+    logs, o1, o4 = index.logs, int(index._oid(1)), int(index._oid(4))
+    g = logs.find(1, o1)
+    assert logs.table.sym_off[g + 1] - logs.table.sym_off[g] == 1 and logs.table.ends_d[g]
+    assert index.snapshots[2].find_object(o1) is None and logs.first_anchor(2, o1)[0] == 19
+    assert logs.first_anchor(1, o4) == (16, (50, 60))
+    assert index.params.t_max == 32 == 4 * index.params.period
+    for obj in _GAP_SERIES:
+        for t_b in range(-1, 35):
+            for t_e in range(t_b - 1, 35):
+                got = index.trajectory(obj, t_b, t_e)
+                assert got == oracle.trajectory(obj, t_b, t_e), (obj, t_b, t_e)
+    assert index.position_of(2, 32) == oracle.position_of(2, 32)
+    assert index.time_slice((0, 0, 63, 63), 32) == oracle.time_slice((0, 0, 63, 63), 32)
+    assert index.knn(3, (0, 0), 32) == oracle.knn(3, (0, 0), 32)
+
+
 def _path(start, moves):
     """The cells a walk from ``start`` visits, one per instant."""
     cells = [start]
@@ -365,7 +404,7 @@ def test_interval_walks_only_candidates_a_block_box_admits(monkeypatch):
     inner = trajindex.logs.LogStore.elements
 
     def counting(self, *args, **kwargs):
-        walks.append(args[0])
+        walks.append(args[1])  # (h, oid, ...)
         return inner(self, *args, **kwargs)
 
     monkeypatch.setattr(trajindex.logs.LogStore, "elements", counting)

@@ -33,8 +33,7 @@ def test_encode_matches_its_references(k, side, case):
         xs, ys = xs[:2] * 3, ys[:2] * 3
     t_bits, l_bits = encode(k, side, xs, ys)
     check_levels(k, side, t_bits, l_bits)
-    packed = np.packbits(np.concatenate([t_bits, l_bits]), bitorder="little").tobytes()
-    dx, dy, counts = decode_cells(k, side, [(packed, len(t_bits))])
+    dx, dy, counts = decode_cells(k, side, [(t_bits, l_bits)])
     distinct = sorted(set(zip(xs, ys)), key=lambda c: path_keys(k, side, [c[0]], [c[1]])[0])
     assert list(zip(dx.tolist(), dy.tolist())) == distinct
     assert counts.tolist() == [len(distinct)]
@@ -209,11 +208,12 @@ def test_whole_grid_reports_every_leaf_in_order(k, side):
 def test_decode_of_many_trees_matches_each_tree(k, side):
     # empty trees first, between and last, and trees of one cell and of many
     rng = np.random.default_rng(side + k)
-    trees = [
-        K2Tree.build(k, side, *rng.integers(0, side, size=(2, n)))
+    bits = [
+        encode(k, side, *rng.integers(0, side, size=(2, n)))
         for n in (0, 1, 60, 0, 0, 7, 200, 3, 0)
     ]
-    xs, ys, counts = decode_cells(k, side, [(t.bits.to_bytes(), t.len_t) for t in trees])
+    trees = [K2Tree(k, side, *b) for b in bits]
+    xs, ys, counts = decode_cells(k, side, bits)
     assert counts.tolist() == [t.bits.n_ones - t.t_ones for t in trees]
     cuts = np.append(0, np.cumsum(counts))
     for tree, i, j in zip(trees, cuts[:-1], cuts[1:]):
@@ -225,13 +225,12 @@ def test_decode_of_many_trees_matches_each_tree(k, side):
 
 
 def test_decode_rejects_a_one_in_t_over_no_cells():
-    good = build_from_cells([(1, 1)], side=8)
+    good = encode(2, 8, [1], [1])
     # level 1's slot 1 set, with its four level-2 slots all zero
-    t_bits = np.array([1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
-    bad = K2Tree(2, 8, t_bits, encode(2, 8, [1], [1])[1])
-    trees = [(t.bits.to_bytes(), t.len_t) for t in (good, bad, good)]
+    bad = np.array([1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8), good[1]
+    check_levels(2, 8, *bad)
     with pytest.raises(SerializationError, match="snapshot 1: a one in T"):
-        decode_cells(2, 8, trees)
+        decode_cells(2, 8, [good, bad, good])
 
 
 @pytest.mark.parametrize("k,side", [(3, 27), (4, 64)])

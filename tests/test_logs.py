@@ -107,12 +107,12 @@ class TestLogLayout:
         o5 = int(idx._oid(5))
         _aa, rule, _d = log_symbols(idx, 1, o5)
         # from the AA anchor: the anchor is the start state, the covering
-        # rule comes with the state it reaches whole, the closing D is skipped
-        assert list(idx.logs.elements(o5, 11, (7, 2), 16)) == [(rule, 13, (8, 4))]
+        # rule comes with the state it reaches whole, the closing D ends it
+        assert list(idx.logs.elements(1, o5, 11, (7, 2), 16)) == [(rule, 13, (8, 4))]
         # the first element reaching the window end is yielded whole (the
         # consumer clips it) and ends the walk
-        assert list(idx.logs.elements(o5, 11, (7, 2), 12)) == [(rule, 13, (8, 4))]
-        assert list(idx.logs.elements(o5, 11, (7, 2), 11)) == []
+        assert list(idx.logs.elements(1, o5, 11, (7, 2), 12)) == [(rule, 13, (8, 4))]
+        assert list(idx.logs.elements(1, o5, 11, (7, 2), 11)) == []
 
     def test_backward_cursor_reverses(self, appearance_index):
         idx = appearance_index
@@ -186,7 +186,8 @@ def check_seek(walk, seeking, orig, oracle, ok):
 def test_walkers_match_oracle(name, period, indexes, oracles, monkeypatch):
     """Every forward state equals the oracle position at that instant, and
     the backward walk from the log's end (next snapshot or D anchor) yields
-    the same states in reverse; a whole-timeline walk crosses portions.
+    the same states in reverse; a whole-timeline trajectory, which walks one
+    log per portion, is the oracle's.
 
     A walk that seeks starts at a true state at or before the seek instant
     (forward) or at or after the floor (backward), then goes on as the walk
@@ -201,7 +202,7 @@ def test_walkers_match_oracle(name, period, indexes, oracles, monkeypatch):
         assert logs.find(h, oid) == g
         orig = int(idx.ids[oid])
         fwd = [start]
-        for sym, t, p in logs.elements(oid, *start, logs.portion_end(h)):
+        for sym, t, p in logs.elements(h, oid, *start, logs.portion_end(h)):
             assert (sym is None) or sym >= MOVE_BASE
             fwd.append((t, p))
         if table.ends_d[g]:
@@ -219,26 +220,44 @@ def test_walkers_match_oracle(name, period, indexes, oracles, monkeypatch):
         # D restates the end state and AA the start state: drop repeats
         assert [st for st, _ in groupby(back)] == fwd[::-1], (h, orig)
         t_s, t_e = start[0], end[0]
-        walk = list(logs.elements(oid, *start, t_e))
+        walk = list(logs.elements(h, oid, *start, t_e))
         for q in range(t_s, t_e + 1, max(1, (t_e - t_s) // 6)):
             walk_back = list(logs.elements_backward(h, oid, *end, q))
             for walker in seekers:
-                seeking = list(walker.elements(oid, *start, t_e, seek=q))
+                seeking = list(walker.elements(h, oid, *start, t_e, seek=q))
                 check_seek(walk, seeking, orig, oracle, lambda t: t <= q)
                 seeking = list(walker.elements_backward(h, oid, *end, q, seek=True))
                 check_seek(walk_back, seeking, orig, oracle, lambda t: t >= q)
-    for oid in range(len(idx.ids)):
-        orig = int(idx.ids[oid])
-        h = 0
-        while idx.snapshots[h].find_object(oid) is None and logs.first_anchor(h, oid) is None:
-            h += 1
-        if idx.snapshots[h].find_object(oid) is not None:
-            t_c, p_c = h * period, idx.snapshots[h].find_object(oid)
+    t_max = idx.params.t_max
+    for orig in idx.ids.tolist():
+        assert idx.trajectory(orig, 0, t_max) == oracle.trajectory(orig, 0, t_max), orig
+
+
+@pytest.mark.parametrize("period", PERIODS)
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_forward_walk_ends_at_its_log_end(name, period, indexes):
+    """A forward walk covers its own log: with the timeline's end as its
+    limit, it stops at the log's end instant, at the D anchor or at the
+    next snapshot's cell, though its object has a log in a later portion.
+    A walk that starts at its limit yields nothing and looks up no log, so
+    portion ``n_portions``, a last snapshot's at t_max, needs none."""
+    idx = indexes[name, period]
+    logs, t_max = idx.logs, idx.params.t_max
+    crossed = 0
+    for h, g, oid, start in log_starts(idx):
+        last = start
+        for _sym, t, p in logs.elements(h, oid, *start, t_max):
+            last = (t, p)
+        if logs.table.ends_d[g]:
+            end = logs.last_anchor(h, oid)
+        elif h + 1 < len(idx.snapshots):
+            end = (logs.portion_end(h), idx.snapshots[h + 1].find_object(oid))
         else:
-            t_c, p_c = logs.first_anchor(h, oid)
-        for _sym, t_c, p_c in logs.elements(oid, t_c, p_c, idx.params.t_max):
-            assert oracle.position_of(orig, t_c) == p_c, (orig, t_c)
-        assert t_c == max(oracle.timelines[orig]), orig  # walked to the end
+            end = (t_max, last[1])
+        assert last == end, (h, oid)
+        crossed += any(logs.find(later, oid) >= 0 for later in range(h + 1, logs.n_portions))
+    assert crossed
+    assert list(logs.elements(logs.n_portions, 0, t_max, (0, 0), t_max)) == []
 
 
 def test_tables_are_held_narrow(indexes):
@@ -332,16 +351,16 @@ def test_region_walk_skips_only_blocks_off_the_region(stride, monkeypatch, index
     for (name, _period), idx in sorted(indexes.items()):
         index, oracle = TrajectoryIndex.from_bytes(idx.to_bytes()), oracles[name]
         logs, side = index.logs, index.params.side
-        for _h, g, oid, start in log_starts(index):
+        for h, g, oid, start in log_starts(index):
             orig, t_e = int(index.ids[oid]), int(logs.table.end[g])
             cx, cy = (c + rng.randrange(-40, 41) for c in start[1])
             r = clip_region((cx - 8, cy - 8, cx + 8, cy + 8), side)
             if r is None:
                 continue
-            plain = [(None, *start)] + list(logs.elements(oid, *start, t_e))
+            plain = [(None, *start)] + list(logs.elements(h, oid, *start, t_e))
             at = {t: k for k, (_sym, t, _p) in enumerate(plain)}
             k_prev, last = 0, plain[0]
-            for sym, t, p in logs.elements(oid, *start, t_e, region=r):
+            for sym, t, p in logs.elements(h, oid, *start, t_e, region=r):
                 k = at[t]
                 assert plain[k][1:] == (t, p), (stride, orig, t)
                 if k != k_prev + 1 or plain[k][0] != sym:  # a block was skipped

@@ -8,7 +8,7 @@ import pytest
 
 from trajindex import TrajectoryIndex
 from trajindex.bits import BitVector, narrow
-from trajindex.k2tree import K2Tree, decode_cells
+from trajindex.k2tree import K2Tree, decode_cells, encode
 from trajindex.snapshot import Snapshot
 
 
@@ -226,14 +226,14 @@ class TreeAnswers:
 def _random_snapshots(rng, k, side, n_objects):
     """Built snapshots with no object, one, and many, in few cells (so most
     cells are shared) and in many, each with the k2-tree of the cells it
-    was built from."""
+    was built from, as its T and L."""
     out = []
     for n_present, n_cells in ((0, 0), (1, 1), (12, 3), (30, 30), (n_objects, 9)):
         cells = [(rng.randrange(side), rng.randrange(side)) for _ in range(n_cells)]
         oids = rng.sample(range(n_objects), n_present)
         xs, ys = zip(*[rng.choice(cells) for _ in oids]) if oids else ((), ())
         snap = Snapshot.build(oids, xs, ys, k, side, n_objects)
-        out.append((snap, K2Tree.build(k, side, xs, ys)))
+        out.append((snap, encode(k, side, xs, ys)))
     return out
 
 
@@ -241,9 +241,10 @@ def _random_snapshots(rng, k, side, n_objects):
 def test_table_answers_as_the_tree(k, side):
     rng = random.Random(k * side)
     n_objects = 40
-    built, trees = zip(*_random_snapshots(rng, k, side, n_objects))
+    built, bits = zip(*_random_snapshots(rng, k, side, n_objects))
+    trees = tuple(K2Tree(k, side, *b) for b in bits)
     # loaded: the file's fields, with every tree decoded in one pass
-    xs, ys, counts = decode_cells(k, side, [(t.bits.to_bytes(), t.len_t) for t in trees])
+    xs, ys, counts = decode_cells(k, side, bits)
     cuts = np.append(0, np.cumsum(counts)).tolist()
     loaded = [
         Snapshot.load((xs[i:j], ys[i:j]), *s.file_fields(), n_objects)
