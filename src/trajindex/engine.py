@@ -6,7 +6,8 @@ instant per object, gaps allowed).  It then:
 
 1. computes the dataset's maximum per-instant displacement (Euclidean,
    rounded up; the bound behind every pruning rule),
-2. cuts each object's timeline into portions of ``period`` instants,
+2. cuts each object's timeline into portions of ``period`` instants (at
+   most ``MAX_PERIODS`` of them, else a ValueError names the bound),
    emitting spiral move codes and AA/D/RM/RNM events per portion (one
    vectorized pass over all cells; only portions with cells get a log),
 3. compresses all logs jointly with Re-Pair and annotates every rule with
@@ -19,10 +20,10 @@ that ``to_bytes`` encodes from the snapshot's table; no index holds a tree.
 Loading derives the rest with the code that build uses: the rule tables
 from the pairs, the snapshot and portion counts from t_max and the period,
 each log's side-array offsets, AA/D flags, end instant, checkpoints,
-block boxes and column states from its symbols, and each snapshot's table
-of ids and cells from its presence bitmap, permutation and Q bitmap and the
-cells of its k2-tree, all trees decoded in one numpy pass that rejects a
-tree no build writes.  Loading also checks that every log's moves lead
+block boxes and column states with their boxes from its symbols, and each
+snapshot's table of ids and cells from its presence bitmap, permutation and
+Q bitmap and the cells of its k2-tree, all trees decoded in one numpy pass
+that rejects a tree no build writes.  Loading also checks that every log's moves lead
 from its start (its AA position, else its object's cell in the snapshot
 before) to its end (its D position, else its object's cell in the snapshot
 after, when there is one), and places the column states from those starts.
@@ -35,13 +36,18 @@ region test or a distance per present object, one lookup for an object's
 cell), seek to the last log checkpoint at or before that instant, then walk
 that portion's compressed log forward from there, jumping whole rules
 whenever their metadata proves they cannot matter.  Every walk covers one
-log: a trajectory starts a walk in each portion its window meets, from
-that portion's snapshot or AA anchor.  A time slice or kNN query at an
-instant past its portion's first column filters the latest column at or
-before it instead of the snapshot (see ``logs``): the column's states that
-can reach the region, or that come nearest by their lower bound, plus the
-appearance events after the column, are walked from their log's start,
-seeking to the last checkpoint at or before the instant.  A time interval
+log, named by its number, which a query looks up once per candidate, or
+reads off a column state or an appearance event: a trajectory starts a
+walk in each portion its window meets, from that portion's snapshot or AA
+anchor.  A time slice or kNN query at an instant past its portion's first
+column filters the latest column at or before it instead of the snapshot
+(see ``logs``): a slice admits the states whose box, which holds every
+position the log visits until the next column, meets the region and from
+which the region is within reach, and kNN ranks the states by their
+distance to that box.  The survivors, plus the appearance events after the
+column, are walked from their log's start, seeking to the last checkpoint
+at or before the instant; kNN walks each candidate once, straight to the
+instant, when it reaches the top of its queue.  A time interval
 also reads logs and checkpoint blocks by their boxes: before it walks a
 candidate's log, it drops the candidate when the log's box misses the
 region.  When the window starts past the log's first block, it then steps
@@ -93,6 +99,9 @@ from .snapshot import Snapshot
 MAGIC = b"GCTI"
 FORMAT_VERSION = 4
 HEADER = MAGIC + FORMAT_VERSION.to_bytes(2, "little")
+# the most whole periods the timeline may span: each lays out a snapshot and
+# a portion, and so a file section of each, whether or not data falls in it
+MAX_PERIODS = 1 << 24
 # the params section's scalars in file order
 PARAM_NAMES = ("k", "period", "side", "t_max", "max_speed", "raw_symbols", "n_objects")
 # each section's field kinds (serial.FIELDS) in file order, for the values
@@ -233,25 +242,32 @@ class TrajectoryIndex:
         if not self._in_extent(t_q):
             return None
         h = t_q // self.params.period
-        anchor = self._start(h, oid)
-        return None if anchor is None else self._forward_to(h, oid, *anchor, t_q)
+        g = self.logs.find(h, oid)
+        anchor = self._start(h, oid, g)
+        return None if anchor is None else self._forward_to(g, *anchor, t_q)
 
-    def _start(self, h, oid):
-        """(instant, position) where oid's log forward from snapshot h starts:
-        the snapshot, or else the AA anchor of its portion-h log; or None."""
+    def _start(self, h, oid, g):
+        """(instant, position) where oid's walk forward from snapshot h
+        starts: the snapshot, or else the AA anchor of log g, its portion-h
+        log (-1 for none); or None."""
         p = self.snapshots[h].find_object(oid)
         if p is not None:
             return h * self.params.period, p
-        return self.logs.first_anchor(h, oid) if h < self.logs.n_portions else None
+        return self.logs.first_anchor(g)
 
-    def _forward_to(self, h, oid, t_c, p_c, t_q):
-        counters = self.counters
-        for sym, t, p in self.logs.elements(h, oid, t_c, p_c, t_q, seek=t_q):
+    def _forward_to(self, g, t_c, p_c, t_q, counter="object_symbols"):
+        """Position at t_q on log g, walked from (t_c, p_c); None when its
+        object is not active then.  The symbols walked add to
+        ``counters[counter]``."""
+        n = 0
+        for sym, t, p in self.logs.elements(g, t_c, p_c, t_q, seek=t_q):
             if sym is not None:
-                counters["object_symbols"] += 1
+                n += 1
                 if t > t_q:
                     t, p = move_jump(self.rules, p_c, t_c, t_q, sym)
             t_c, p_c = t, p
+        if n:
+            self.counters[counter] += n
         return p_c if t_c == t_q else None
 
     # ------------------------------------------------------------------
@@ -271,7 +287,8 @@ class TrajectoryIndex:
             return []
         out = []
         for h in range(t_b // self.params.period, t_e // self.params.period + 1):
-            anchor = self._start(h, oid)
+            g = self.logs.find(h, oid)
+            anchor = self._start(h, oid, g)
             if anchor is None:
                 continue
             t_c, p_c = anchor
@@ -279,7 +296,7 @@ class TrajectoryIndex:
                 break
             if t_c >= t_b and (not out or out[-1][0] < t_c):
                 out.append(anchor)
-            for sym, t, p in self.logs.elements(h, oid, t_c, p_c, t_e, seek=t_b):
+            for sym, t, p in self.logs.elements(g, t_c, p_c, t_e, seek=t_b):
                 if sym is None:
                     if t_b <= t <= t_e:
                         out.append((t, p))
@@ -302,16 +319,17 @@ class TrajectoryIndex:
         col = self.logs.column_in_reach(t_q, r, self.params.max_speed)
         if col is not None:  # walk from the log starts of the column's survivors
             h = t_q // d
-            t_col, ids = col
-            starts = [(o, *self._start(h, o)) for o in ids] + self._anchors(h, r, t_col, t_q)
+            t_col, survivors = col
+            starts = [(o, g, *self._start(h, o, g)) for o, g in survivors]
+            starts += self._anchors(h, r, t_col, t_q)
         else:
             h = self._nearest_snapshot(t_q)
             if h * d > t_q:
                 return self._slice_later_half(h, r, t_q, use_mbr, use_er)
             starts = self._starts(h, r, t_q)
         answers = []
-        for o, t_c, p_c in starts:
-            pos = self._slice_forward(h, o, t_c, p_c, t_q, r, use_mbr, use_er)
+        for o, g, t_c, p_c in starts:
+            pos = self._slice_forward(g, t_c, p_c, t_q, r, use_mbr, use_er)
             if pos is not None:
                 answers.append((self._orig(o), pos))
         return sorted(answers)
@@ -322,15 +340,17 @@ class TrajectoryIndex:
         side = self.params.side
         t_s = h * self.params.period
         er = expanded_region(r, t_q, t_s, m_sp, side)
-        cands = [(o, t_s, p) for o, p in self.snapshots[h].objects_in_region(er)]
-        for o in self.logs.disappeared(h):
-            o = int(o)
-            t_d, p_d = self.logs.last_anchor(h - 1, o)
+        logs = self.logs
+        cands = [
+            (o, logs.find(h - 1, o), t_s, p) for o, p in self.snapshots[h].objects_in_region(er)
+        ]
+        for g in logs.disappeared(h).tolist():
+            t_d, p_d = logs.last_anchor(g)
             if t_d >= t_q and contains(expanded_region(r, t_q, t_d, m_sp, side), *p_d):
-                cands.append((o, t_d, p_d))
+                cands.append((int(logs.table.ids[g]), g, t_d, p_d))
         answers = []
-        for o, t_c, p_c in cands:
-            pos = self._slice_backward(h - 1, o, t_q, t_c, p_c, r, use_mbr, use_er)
+        for o, g, t_c, p_c in cands:
+            pos = self._slice_backward(h - 1, g, t_q, t_c, p_c, r, use_mbr, use_er)
             if pos is not None:
                 answers.append((self._orig(o), pos))
         return sorted(answers)
@@ -340,34 +360,35 @@ class TrajectoryIndex:
 
         These are the snapshot objects inside r expanded to t_last, then the
         AA anchors at or before t_last that r is within reach of, as
-        (id, instant, position) triples.
+        (id, log, instant, position) tuples.
         """
         t_s = h * self.params.period
         er = expanded_region(r, t_s, t_last, self.params.max_speed, self.params.side)
-        starts = [(o, t_s, p) for o, p in self.snapshots[h].objects_in_region(er)]
+        find = self.logs.find
+        starts = [(o, find(h, o), t_s, p) for o, p in self.snapshots[h].objects_in_region(er)]
         return starts + self._anchors(h, r, t_s, t_last)
 
     def _anchors(self, h, r, t_after, t_last):
         """The AA anchors of portion h after t_after and at or before t_last
-        that r is within reach of, as (id, instant, position) triples."""
+        that r is within reach of, as (id, log, instant, position) tuples."""
         m_sp = self.params.max_speed
         side = self.params.side
+        logs = self.logs
         out = []
-        for o in self.logs.appearing(h):
-            o = int(o)
-            t_a, p_a = self.logs.first_anchor(h, o)
+        for g in logs.appearing(h).tolist():
+            t_a, p_a = logs.first_anchor(g)
             if t_after < t_a <= t_last and contains(
                 expanded_region(r, t_a, t_last, m_sp, side), *p_a
             ):
-                out.append((o, t_a, p_a))
+                out.append((int(logs.table.ids[g]), g, t_a, p_a))
         return out
 
-    def _slice_forward(self, h, oid, t_c, p_c, t_q, r, use_mbr, use_er):
+    def _slice_forward(self, g, t_c, p_c, t_q, r, use_mbr, use_er):
         m_sp = self.params.max_speed
         rules = self.rules
         counters = self.counters
         x1, y1, x2, y2 = r
-        for sym, t, p in self.logs.elements(h, oid, t_c, p_c, t_q, seek=t_q):
+        for sym, t, p in self.logs.elements(g, t_c, p_c, t_q, seek=t_q):
             if sym is not None:
                 counters["slice_symbols"] += 1
                 if (
@@ -388,12 +409,12 @@ class TrajectoryIndex:
             return p_c
         return None
 
-    def _slice_backward(self, h, oid, t_q, t_c, p_c, r, use_mbr, use_er):
+    def _slice_backward(self, h, g, t_q, t_c, p_c, r, use_mbr, use_er):
         m_sp = self.params.max_speed
         rules = self.rules
         counters = self.counters
         x1, y1, x2, y2 = r
-        for sym, t, p in self.logs.elements_backward(h, oid, t_c, p_c, t_q, seek=True):
+        for sym, t, p in self.logs.elements_backward(h, g, t_c, p_c, t_q, seek=True):
             if sym is not None:
                 counters["slice_symbols"] += 1
                 if (
@@ -435,7 +456,7 @@ class TrajectoryIndex:
         while h < self.logs.n_portions and h * d < t_e:
             pe = self.logs.portion_end(h)
             t_last = min(t_e, pe)
-            for o, t_c, p_c in self._starts(h, r, t_last):
+            for o, g, t_c, p_c in self._starts(h, r, t_last):
                 if o in answers:
                     continue
                 if t_b <= t_c <= t_e and contains(r, *p_c):
@@ -443,16 +464,16 @@ class TrajectoryIndex:
                     continue
                 seek = t_b
                 if use_mbr:  # the log's first block box that meets r, if any
-                    t_hit = self.logs.first_block_meeting(h, o, t_c, p_c, t_b, t_last, r)
+                    t_hit = self.logs.first_block_meeting(g, t_c, p_c, t_b, t_last, r)
                     if t_hit is None:
                         continue
                     seek = max(t_b, t_hit)
-                if self._interval_scan(h, o, t_c, p_c, seek, t_b, t_e, t_last, r, use_mbr, use_er):
+                if self._interval_scan(g, t_c, p_c, seek, t_b, t_e, t_last, r, use_mbr, use_er):
                     answers.add(o)
             h += 1
         return sorted(self._orig(o) for o in answers)
 
-    def _interval_scan(self, h, oid, t_c, p_c, seek, t_b, t_e, t_last, r, use_mbr, use_er):
+    def _interval_scan(self, g, t_c, p_c, seek, t_b, t_e, t_last, r, use_mbr, use_er):
         m_sp = self.params.max_speed
         rules = self.rules
         span, dx, dy, pairs = rules.sym_span, rules.sym_dx, rules.sym_dy, rules.sym_pairs
@@ -460,7 +481,7 @@ class TrajectoryIndex:
         x1, y1, x2, y2 = r
         x, y = p_c
         region = r if use_mbr else None
-        walk = self.logs.elements(h, oid, t_c, p_c, t_last, seek=seek, region=region)
+        walk = self.logs.elements(g, t_c, p_c, t_last, seek=seek, region=region)
         n = 0  # symbols touched, counted once per scan
         try:
             for sym, t, p in walk:
@@ -505,82 +526,71 @@ class TrajectoryIndex:
     def knn(self, count, point, t_q):
         """The ``count`` objects nearest ``point`` at t_q, as (id, distance).
 
-        Distance browsing: one best-first search over log walks, keyed by a
-        lower bound on the distance at t_q: the distance at a known state
-        minus what ``max_speed`` covers in the time left.  The known states
-        are those of the latest column at or before t_q in its portion when
-        there is one, else the snapshot at or before t_q, plus the AA
-        anchors after them.  Column or snapshot states join in order of
-        their bound (the snapshot's table of present objects sorted by
-        distance touches no k2-tree) once it is no more than the heap's
-        top.  A walk starts at its log's start and seeks to t_q.  Its key
-        never falls as it advances, and a walk that reaches t_q is keyed by
-        its exact distance, so neighbours are returned in the order they
-        leave the queue, which is (distance, id) order.  Every distance
-        equals ``math.hypot``'s, as the oracle's.
+        Distance browsing (Hjaltason & Samet, TODS 1999): one best-first
+        search over candidates, keyed first by a lower bound on their
+        distance at t_q and then, once walked, by that distance itself.  The
+        candidates are the states of the latest column at or before t_q in
+        its portion when there is one, bounded by their boxes (see
+        ``LogStore.column_by_bound``), else those of the snapshot at or
+        before t_q, bounded by their distance less what ``max_speed``
+        covers in the time left, plus the AA anchors after either, bounded
+        alike.  Column or snapshot states join in order of their bound (the
+        snapshot's table of present objects sorted by distance touches no
+        k2-tree) once it is no more than the heap's top.  A popped bound is
+        walked once, from its log's start and seeking to t_q, and pushed
+        back keyed by its exact distance, or dropped when its object is not
+        active at t_q.  No bound exceeds its exact distance, so neighbours
+        leave the queue in (distance, id) order.  Every distance equals
+        ``math.hypot``'s, as the oracle's.
         """
         if count <= 0 or not self._in_extent(t_q) or not len(self.ids):
             return []
         m_sp = self.params.max_speed
-        col = self.logs.column_by_bound(t_q, point, m_sp)
-        if col is None:  # (id, position, distance) by distance
+        logs = self.logs
+        col = logs.column_by_bound(t_q, point, m_sp)
+        if col is None:  # (id, position, bound, instant, log) by bound
             h = min(t_q // self.params.period, self.last_snapshot)
             t_0 = h * self.params.period
-            stream = self.snapshots[h].candidates_by_distance(*point)
-        else:  # (id, position, bound at t_0, instant) by bound
+            slack = m_sp * (t_q - t_0)
+            stream = (
+                (o, p, dist - slack, t_0, logs.find(h, o))
+                for o, p, dist in self.snapshots[h].candidates_by_distance(*point)
+            )
+        else:
             h = t_q // self.params.period
             t_0, states = col
             stream = iter(states)
-        slack = m_sp * (t_q - t_0)
-        cands = []  # min-heap of (lower bound, id, instant, position, walker)
+        cands = []  # min-heap of (bound or distance, id, log, instant, position)
 
-        def admit(bound, o, t_c, p_c):
+        def admit(o, p_c, bound, t_c, g):
             # a start at t_q walks no log (the last snapshot has none); one
             # whose log ends before t_q is provably gone
-            if t_c < t_q and self.logs.last_covered(h, o) < t_q:
-                return
-            heapq.heappush(cands, (bound, o, t_c, p_c, None))
+            if t_c == t_q or logs.last_covered(g) >= t_q:
+                heapq.heappush(cands, (bound, o, g, t_c, p_c))
 
-        for o in self.logs.appearing(h):
-            o = int(o)
-            t_a, p_a = self.logs.first_anchor(h, o)
+        for g in logs.appearing(h).tolist():
+            t_a, p_a = logs.first_anchor(g)
             if t_0 < t_a <= t_q:
-                admit(dist_point_point(point, p_a) - m_sp * (t_q - t_a), o, t_a, p_a)
+                bound = dist_point_point(point, p_a) - m_sp * (t_q - t_a)
+                admit(int(logs.table.ids[g]), p_a, bound, t_a, g)
         nxt = next(stream, None)
         out = []
-        counters = self.counters
         while cands or nxt is not None:
-            if nxt is not None and (not cands or nxt[2] - slack <= cands[0][0]):
-                admit(nxt[2] - slack, nxt[0], t_0 if col is None else nxt[3], nxt[1])
+            if nxt is not None and (not cands or nxt[2] <= cands[0][0]):
+                admit(*nxt)
                 nxt = next(stream, None)
                 continue
-            d_min, o, t_c, p_c, cur = heapq.heappop(cands)
+            dist, o, g, t_c, p_c = heapq.heappop(cands)
             if t_c == t_q:
-                out.append((self._orig(o), d_min))
+                out.append((self._orig(o), dist))
                 if len(out) == count:
                     break
                 continue
-            if cur is None:
-                if col is not None:  # a column state is not its log's start
-                    t_c, p_c = self._start(h, o)
-                cur = self.logs.elements(h, o, t_c, p_c, t_q, seek=t_q)
-            step = next(cur, None)
-            if step is None:
-                continue  # the log ends before t_q: not active, drop
-            sym, t, p = step
-            if sym is not None:
-                counters["knn_symbols"] += 1
-                if t > t_q:
-                    t, p = move_jump(self.rules, p_c, t_c, t_q, sym)
-            t_c, p_c = t, p
-            if t_c > t_q:
-                continue  # a gap covers t_q: not active, drop
-            dist = dist_point_point(point, p_c)
-            if t_c < t_q:
-                dist -= m_sp * (t_q - t_c)
-                if dist < d_min:  # a walk restarted before its column state
-                    dist = d_min
-            heapq.heappush(cands, (dist, o, t_c, p_c, cur))
+            if col is not None:  # a column state is not its log's start
+                t_c, p_c = self._start(h, o, g)
+            p = self._forward_to(g, t_c, p_c, t_q, "knn_symbols")
+            if p is not None:
+                heapq.heappush(cands, (dist_point_point(point, p), o, g, t_q, p))
         return out
 
     # ------------------------------------------------------------------
@@ -646,6 +656,10 @@ class TrajectoryIndex:
             )
         if len(ids) != n_objects or not _increasing_ids(ids, math.inf):
             raise serial.SerializationError("ids are not %d increasing ids" % n_objects)
+        try:
+            n_portions, n_snapshots = _layout(t_max, period)
+        except ValueError as e:
+            raise serial.SerializationError(str(e)) from e
         # no move inside the grid is faster than one corner to the other in
         # an instant; this also bounds the move codes below
         top_speed = math.isqrt(max(2 * (params.side - 1) ** 2 - 1, 0)) + 1
@@ -670,7 +684,6 @@ class TrajectoryIndex:
 
         (syms,) = section("log_streams")
         portions = []
-        n_portions, n_snapshots = _layout(t_max, period)
         for h in range(n_portions):
             p_ids, sym_lens, d_vals, p_vals = section("log_events", h)
             if not (_increasing_ids(p_ids, n_objects) and len(p_ids) == len(sym_lens)):
@@ -744,7 +757,13 @@ class TrajectoryIndex:
 
 
 def _layout(t_max, period):
-    """(portions, snapshots) of the timeline 0..t_max at ``period``."""
+    """(portions, snapshots) of the timeline 0..t_max at ``period``;
+    ValueError when t_max spans more than ``MAX_PERIODS`` periods."""
+    if t_max // period > MAX_PERIODS:
+        raise ValueError(
+            "t_max %d spans %d periods of %d, more than the %d an index lays out"
+            % (t_max, t_max // period, period, MAX_PERIODS)
+        )
     return -(-t_max // period), t_max // period + 1
 
 

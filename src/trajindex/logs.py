@@ -45,21 +45,28 @@ a file.
 Every ``COLUMN_SPAN`` instants after its snapshot, a portion has a column
 (``Columns``): for each of its logs that has started and not closed by
 then, the position at the log's last element boundary at or before that
-instant, and how long before it.  A column is the snapshot's idea between
-snapshots: a time slice or kNN query at t_q filters the latest column at or
-before t_q by what ``max_speed`` covers in the time left
-(``column_in_reach``, ``column_by_bound``), so the expanded region grows
-over less than ``COLUMN_SPAN`` instants instead of up to half a period.
-The survivors are still walked from their log's start, seeking to the
-last checkpoint at or before t_q, so a column holds no cursors.  Columns
-follow from the logs and the snapshots' cells: construction derives them
-relative to each log's start, and ``place_columns`` places them once the
-snapshots are known.  A portion of at most ``COLUMN_SPAN`` instants has
-none.
+instant, how long before it, and the box of every position the log visits
+from there up to the next column's instant (or to its end, for a
+portion's last column).  A column is the snapshot's idea between
+snapshots, with the rules' MBR idea on top: a time slice or kNN query at
+t_q lies in its latest column's span, so it admits a state only when the
+state's box, placed at its position, meets the region
+(``column_in_reach``), and ranks states by their distance to that placed
+box (``column_by_bound``).  The survivors are still walked from their
+log's start, seeking to the last checkpoint at or before t_q, so a column
+holds no cursors.  Columns follow from the logs and the snapshots' cells:
+construction derives them relative to each log's start, and
+``place_columns`` places them once the snapshots are known.  A portion of
+at most ``COLUMN_SPAN`` instants has none.
+
+Logs are named by their number: ``find`` gives an object's log of a
+portion, ``appearing`` and ``disappeared`` give the logs that open with AA
+or close with D, and a column state holds its log's, so each walk looks
+its log up at most once.
 
 Traversal primitives:
 
-* ``LogStore.elements`` — forward walker over one portion's log from its
+* ``LogStore.elements`` — forward walker over one log from its
   start (the snapshot cell or the AA anchor) to its end; it decodes every
   event and yields one ``(sym, t, p)`` state per element: a move symbol
   with the state it reaches applied whole, or ``sym=None`` with the state
@@ -129,10 +136,13 @@ Checkpoints = collections.namedtuple("Checkpoints", "off t x y d p tot_x tot_y b
 # column j of portion h for k = h * per + j - 1, with ``per`` the columns
 # of a whole portion.  Column k's states are rows off[k]..off[k+1]-1, one
 # per log of the portion that has started by the column instant and not
-# closed with a D before it, in log order: the log's number, and its
-# position (x, y) at its last element boundary at or before the column
-# instant, lag instants before it.
-Columns = collections.namedtuple("Columns", "off log x y lag")
+# closed with a D before it, in log order: the log's number, its position
+# (x, y) at its last element boundary at or before the column instant, lag
+# instants before it, and a box (x1, y1, x2, y2) relative to that position
+# holding every position the log visits from there up to the next column's
+# instant, or to the log's end for the portion's last column.  A slice or
+# kNN query tests the box placed at the position.
+Columns = collections.namedtuple("Columns", "off log x y lag box")
 
 _NO_IDS = np.zeros(0, dtype=np.int64)
 _BY_BOUND = itemgetter(2, 0)
@@ -178,6 +188,7 @@ class LogStore:
             for c in range(4)
         )
         bounds = np.cumsum([0] + [len(p[0]) for p in portions])
+        self.n_portions = len(portions)
         tiles = np.append(0, np.cumsum(lens))  # a wrapped sum shows as a fall
         starts, ends = tiles[:-1], tiles[1:]
         if tiles[-1] != len(syms) or (ends <= starts).any():
@@ -257,7 +268,7 @@ class LogStore:
         # after each of its symbols and, inside a rule, the rule's MBR; a
         # log's first row holds the box of its blocks together
         mbr = np.asarray(self.dict.sym_mbr).take(syms, axis=0)  # take: mbr[syms] runs far slower
-        cp_xy, tot_xy, box, before = [], [], [], []
+        cp_xy, tot_xy, box, before, reach = [], [], [], [], []
         for axis, m in enumerate((mx, my)):
             pos = np.append(0, np.cumsum(m))  # position before each symbol
             before.append(pos)
@@ -266,8 +277,8 @@ class LogStore:
             tot_xy.append(cut[rows[1:]] - cut[rows[:-1]])
             pos = pos[:-1]
             for col, f in ((axis, np.minimum), (axis + 2, np.maximum)):
-                reach = pos + f(mbr[:, col], m)  # widened to m's int64
-                blocks = f.reduceat(reach, cuts)
+                reach.append(pos + f(mbr[:, col], m))  # widened to m's int64
+                blocks = f.reduceat(reach[-1], cuts)
                 blocks[rows[:-1]] = f.reduceat(blocks, rows[:-1])
                 box.append(blocks - cut[:-1])
         cp_d, cp_p = entries_before(at)
@@ -282,16 +293,19 @@ class LogStore:
         self.table = LogTable(ids, tiles, d_at, p_at, starts_aa, ends_d, end_at)
         self._bounds, self._d, self._p = map(memoryview, (self.bounds, self.d_vals, self.p_vals))
         self._log = LogTable(*map(memoryview, self.table))
-        self._derive_columns(step, of_portion, start, end, pe, starts, ends, clock, clock_0, before)
+        self._derive_columns(step, of_portion, start, end, pe, starts, ends, clock, clock_0,
+                             before, reach[::2] + reach[1::2])
 
     def _derive_columns(self, step, of_portion, start, end, pe, starts, ends, clock, clock_0,
-                        before):
+                        before, reach):
         """Derive the column states (see ``Columns``) in one vectorized
         pass from each log's portion, start and end instants and symbol
         tiles, the running time after each symbol (``clock``, each log's
-        from ``clock_0`` on), and the position before each symbol relative
-        to the stream's start (``before``, x then y).  Their positions stay
-        relative to each log's start until ``place_columns``.
+        from ``clock_0`` on), the position before each symbol relative to
+        the stream's start (``before``, x then y), and the least x and y and
+        the greatest x and y each symbol reaches, in the same frame
+        (``reach``).  Their positions stay relative to each log's start
+        until ``place_columns``.
 
         An index lays out no columns when they would number more than
         ``_COLUMN_LIMIT`` (or 16 per stream symbol) with their states: a
@@ -310,7 +324,8 @@ class LogStore:
                 per = 0
         if not per:
             empty = np.zeros(0, dtype=np.uint8)
-            self._unplaced = 0, Columns(np.zeros(1, dtype=np.uint8), *[empty] * 4)
+            self._unplaced = 0, Columns(np.zeros(1, dtype=np.uint8), *[empty] * 4,
+                                        np.zeros((0, 4), dtype=np.uint8))
             return
         g = np.repeat(np.arange(len(n)), n)
         j = first[g] + np.arange(len(g)) - np.repeat(np.cumsum(n) - n, n)
@@ -321,11 +336,25 @@ class LogStore:
         i = np.searchsorted(clock, clock_0[g] + at, side="right") - 1
         i = np.minimum(i, ends[g] - 1)
         lag = at - np.where(i < starts[g], 0, clock[i] - clock_0[g])
-        x, y = (b[i + 1] - b[starts[g]] for b in before)
+        # symbols i + 1 .. e take the log from its state past the next
+        # column's instant, or to its end: e is the first to reach that
+        # instant, else the log's last.  Each pair (i + 1, e + 1) bounds one
+        # reduction, a sentinel past the stream keeping i + 1 = e + 1 (no
+        # symbol) in range; a symbol's reach holds the position before it
+        e = np.searchsorted(clock, clock_0[g] + at + np.uint64(w))
+        e = np.minimum(e, ends[g] - 1)
+        pairs = np.column_stack((i + 1, e + 1)).ravel()
+        state = [b[i + 1] for b in before] * 2
+        box = []
+        for r, s, f in zip(reach, state, (np.minimum,) * 2 + (np.maximum,) * 2):
+            part = f.reduceat(np.append(r, 0), pairs)[::2]
+            box.append(np.where(i < e, part, s) - s)
+        x, y = (s - b[starts[g]] for s, b in zip(state, before))
         k = of_portion[g] * per + j - 1
         order = np.argsort(k, kind="stable")
         off = np.searchsorted(k[order], np.arange(self.n_portions * per + 1))
-        self._unplaced = per, Columns(off, g[order], x[order], y[order], lag[order])
+        self._unplaced = per, Columns(off, g[order], x[order], y[order], lag[order],
+                                      np.column_stack(box)[order])
 
     def place_columns(self, start):
         """Place the column states at their cells: ``start`` holds each
@@ -333,7 +362,7 @@ class LogStore:
         reads a column."""
         per, c = self._unplaced
         self.columns = Columns(*map(narrow, (
-            c.off, c.log, c.x + start[c.log, 0], c.y + start[c.log, 1], c.lag,
+            c.off, c.log, c.x + start[c.log, 0], c.y + start[c.log, 1], c.lag, c.box,
         )))
         self._per, self._unplaced = per, None
 
@@ -355,16 +384,18 @@ class LogStore:
         return h * self.period + j * w, a, b
 
     def _column_rows(self, a, b):
-        """(log, x, y, lag) of column rows a..b-1."""
+        """(log, x, y, lag, box) of column rows a..b-1."""
         c = self.columns
-        return zip(c.log[a:b].tolist(), c.x[a:b].tolist(), c.y[a:b].tolist(), c.lag[a:b].tolist())
+        return zip(c.log[a:b].tolist(), c.x[a:b].tolist(), c.y[a:b].tolist(),
+                   c.lag[a:b].tolist(), c.box[a:b].tolist())
 
     def column_in_reach(self, t_q, region, max_speed):
-        """(instant, ids) of the latest column at or before t_q in its
-        portion: the ids of the states from which ``region`` is within
-        reach by t_q, at ``max_speed`` cells per instant along each axis;
-        None when there is no such column.  A plain pass over the column,
-        as ``Snapshot.objects_in_region`` makes over a snapshot."""
+        """(instant, candidates) of the latest column at or before t_q in
+        its portion: as (id, log) pairs, the states whose placed box meets
+        ``region`` and from which it is within reach by t_q, at
+        ``max_speed`` cells per instant along each axis; None when there is
+        no such column.  A plain pass over the column, as
+        ``Snapshot.objects_in_region`` makes over a snapshot."""
         col = self._column(t_q)
         if col is None:
             return None
@@ -372,33 +403,33 @@ class LogStore:
         ids, x1, y1, x2, y2 = self._log.ids, *region
         reach = max_speed * (t_q - c)
         return c, [
-            ids[g]
-            for g, x, y, lag in self._column_rows(a, b)
-            if x1 - (d := reach + max_speed * lag) <= x <= x2 + d and y1 - d <= y <= y2 + d
+            (ids[g], g)
+            for g, x, y, lag, (bx1, by1, bx2, by2) in self._column_rows(a, b)
+            if x + bx1 <= x2 and x + bx2 >= x1 and y + by1 <= y2 and y + by2 >= y1
+            and x1 - (d := reach + max_speed * lag) <= x <= x2 + d and y1 - d <= y <= y2 + d
         ]
 
     def column_by_bound(self, t_q, point, max_speed):
         """(instant, states) of the latest column at or before t_q in its
-        portion: every state as (id, position, bound, instant), sorted by
-        (bound, id), the bound being the state's distance from ``point``
-        (``math.hypot``'s, as the oracle's) less what ``max_speed`` covers
-        from the state's instant to the column's; None when there is no
-        such column."""
+        portion: every state as (id, position, bound, instant, log), sorted
+        by (bound, id); None when there is no such column.  The bound is a
+        lower bound on the distance from ``point`` at t_q (``math.hypot``'s,
+        as the oracle's): the larger of the distance to the state's placed
+        box, whose span holds t_q, and the state's distance less what
+        ``max_speed`` covers from the state's instant to t_q, so a state at
+        t_q is keyed by its exact distance."""
         col = self._column(t_q)
         if col is None:
             return None
         c, a, b = col
         ids, (qx, qy), hypot = self._log.ids, point, math.hypot
-        states = [
-            (ids[g], (x, y), hypot(x - qx, y - qy) - max_speed * lag, c - lag)
-            for g, x, y, lag in self._column_rows(a, b)
-        ]
+        states = []
+        for g, x, y, lag, (bx1, by1, bx2, by2) in self._column_rows(a, b):
+            near = hypot(max(x + bx1 - qx, 0, qx - x - bx2), max(y + by1 - qy, 0, qy - y - by2))
+            far = hypot(x - qx, y - qy) - max_speed * (t_q - c + lag)
+            states.append((ids[g], (x, y), near if near > far else far, c - lag, g))
         states.sort(key=_BY_BOUND)
         return c, states
-
-    @property
-    def n_portions(self):
-        return len(self.bounds) - 1
 
     def portion_end(self, h):
         return min((h + 1) * self.period, self.t_max)
@@ -412,58 +443,60 @@ class LogStore:
 
     def find(self, h, oid):
         """Number of oid's portion-h log; -1 when it has none."""
+        if not 0 <= h < self.n_portions:  # the last snapshot starts no portion
+            return -1
         lo, hi = self._bounds[h], self._bounds[h + 1]
         ids = self._log.ids
         g = bisect_left(ids, oid, lo, hi)
         return g if g < hi and ids[g] == oid else -1
 
     def appearing(self, h):
-        """Ids absent from snapshot h whose portion-h log opens with AA."""
+        """Numbers of portion h's logs that open with AA: their objects are
+        absent from snapshot h."""
         return self._flagged(h, self.table.starts_aa)
 
     def disappeared(self, h):
-        """Ids whose portion-(h-1) log closes with D before snapshot h."""
+        """Numbers of portion (h-1)'s logs that close with D before
+        snapshot h."""
         return self._flagged(h - 1, self.table.ends_d)
 
     def _flagged(self, h, flags):
         if not 0 <= h < self.n_portions:
             return _NO_IDS
         lo, hi = self._bounds[h], self._bounds[h + 1]
-        return self.table.ids[lo:hi][flags[lo:hi]]
+        return np.flatnonzero(flags[lo:hi]) + lo
 
-    def last_covered(self, h, oid):
-        """Last instant of oid's portion-h log; -1 when it has none."""
-        g = self.find(h, oid)
+    def last_covered(self, g):
+        """Last instant of log g; -1 for g = -1, no log."""
         return self._log.end[g] if g >= 0 else -1
 
-    def first_anchor(self, h, oid):
-        """(instant, position) of an appearance-opened log; None otherwise."""
+    def first_anchor(self, g):
+        """(instant, position) of log g when it opens with AA; None
+        otherwise and for g = -1, no log."""
         t = self._log
-        g = self.find(h, oid)
         if g < 0 or not t.starts_aa[g]:
             return None
         d, p = t.d_off[g], t.p_off[g]
         return self._d[d], (self._p[p], self._p[p + 1])
 
-    def last_anchor(self, h, oid):
-        """(instant, position) of a D-closed log; None otherwise."""
+    def last_anchor(self, g):
+        """(instant, position) of log g when it closes with D; None
+        otherwise and for g = -1, no log."""
         t = self._log
-        g = self.find(h, oid)
         if g < 0 or not t.ends_d[g]:
             return None
         d, p = t.d_off[g + 1], t.p_off[g + 1]
         return self._d[d - 1], (self._p[p - 2], self._p[p - 1])
 
-    def first_block_meeting(self, h, oid, t_c, p_c, t_from, t_to, region):
-        """Start instant of the first block of oid's portion-h log, started
-        at (t_c, p_c), that runs into [t_from, t_to] and whose box, placed at
-        the block's start, meets ``region``, the first block's box being the
-        whole log's; None when there is no such block or no log.  No
+    def first_block_meeting(self, g, t_c, p_c, t_from, t_to, region):
+        """Start instant of the first block of log g, started at (t_c, p_c),
+        that runs into [t_from, t_to] and whose box, placed at the block's
+        start, meets ``region``, the first block's box being the whole
+        log's; None when there is no such block or no log (g = -1).  No
         position the log visits in [t_from, t_to] before that instant lies
         in the region.  A log whose box misses the region is dropped before
         any checkpoint is looked up.
         """
-        g = self.find(h, oid)
         if g < 0:
             return None
         cp = self._cp
@@ -497,10 +530,10 @@ class LogStore:
 
     # -- walkers ---------------------------------------------------------
 
-    def elements(self, h, oid, t_c, p_c, t_end, seek=None, region=None):
-        """Walk oid's portion-``h`` log forward from its start state
-        (t_c, p_c), yielding ``(sym, t, p)`` per element until the first one
-        that reaches ``t_end``, else to the log's end.
+    def elements(self, g, t_c, p_c, t_end, seek=None, region=None):
+        """Walk log g forward from its start state (t_c, p_c), yielding
+        ``(sym, t, p)`` per element until the first one that reaches
+        ``t_end``, else to the log's end; g = -1, no log, yields nothing.
 
         A move symbol comes with the state it reaches when applied whole (the
         consumer clips it with ``move_jump``); an RM/RNM comes as
@@ -519,10 +552,7 @@ class LogStore:
         block's positions too, so the first block is skipped only when the
         whole log misses the region.
         """
-        if t_c >= t_end:  # h may be the last snapshot's, which has no log
-            return
-        g = self.find(h, oid)
-        if g < 0:
+        if t_c >= t_end or g < 0:  # g = -1: no log, as at the last snapshot
             return
         d = self.dict
         span, dx, dy = d.sym_span, d.sym_dx, d.sym_dy
@@ -587,22 +617,22 @@ class LogStore:
                     return
             s = stop
 
-    def elements_backward(self, h, oid, t_c, p_c, t_floor, seek=False):
-        """Walk portion ``h``'s log backward from its end state (t_c, p_c),
+    def elements_backward(self, h, g, t_c, p_c, t_floor, seek=False):
+        """Walk log g of portion ``h`` backward from its end state (t_c, p_c),
         yielding ``(sym, t, p)``, the state before each element, until the
         first one that reaches ``t_floor``.
 
         The log is read in place from its end, the side-array cursors moving
         down.  ``sym`` is the move symbol, or None for an event; an AA or D
         sets the state to its payload.  As the forward walk, it covers the
-        one log of portion ``h``.  With ``seek``, the walk starts at the log's
-        first checkpoint at or after ``t_floor``, yielded as ``sym=None``: the
-        log's start is the end state less the log's net displacement.
+        one log.  With ``seek``, the walk starts at the log's first
+        checkpoint at or after ``t_floor``, yielded as ``sym=None``: the
+        log's start is the end state less the log's net displacement, and
+        its instant the AA's, else portion h's snapshot's.
         """
         d = self.dict
         span, dx, dy = d.sym_span, d.sym_dx, d.sym_dy
         syms, d_vals, p_vals, log, cp = self._syms, self._d, self._p, self._log, self._cp
-        g = self.find(h, oid)
         if g < 0:
             return
         di, pi = log.d_off[g + 1], log.p_off[g + 1]

@@ -374,3 +374,17 @@ def test_build_past_the_instant_limit_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "1000000000001 instants, more than the" in capsys.readouterr().err
     assert not (tmp_path / "x.idx").exists()
+
+
+def test_build_past_the_period_bound_fails_named(tmp_path):
+    """Two records at instant 2^40 with --period 10 would lay out 1.1e11
+    snapshots and portions: build names the bound and writes no file."""
+    csv_path = tmp_path / "late.csv"
+    csv_path.write_text("1,1099511627776,0,0\n2,1099511627776,1,1\n")
+    argv = ["build", "--input", str(csv_path), "--output", str(tmp_path / "x.idx"),
+            "--period", "10"]
+    with deadline(1.0):
+        code, _out, err = _run(argv)
+    assert code == 1
+    assert "error: t_max 1099511627776 spans 109951162777 periods of 10" in err
+    assert not (tmp_path / "x.idx").exists()

@@ -23,7 +23,7 @@ def _loaded(idx):
 def _log_start(index, h, g):
     logs, oid = index.logs, int(index.logs.table.ids[g])
     if logs.table.starts_aa[g]:
-        return logs.first_anchor(h, oid)
+        return logs.first_anchor(g)
     return h * index.params.period, index.snapshots[h].find_object(oid)
 
 
@@ -34,7 +34,7 @@ def _boundaries(index, h, g):
     logs = index.logs
     oid = int(logs.table.ids[g])
     start = _log_start(index, h, g)
-    walk = logs.elements(h, oid, *start, int(logs.table.end[g]))
+    walk = logs.elements(g, *start, int(logs.table.end[g]))
     states = [start] + [(t, p) for _sym, t, p in walk]
     s = int(logs.table.sym_off[g]) + bool(logs.table.starts_aa[g])
     after = logs.syms[s:int(logs.table.sym_off[g + 1])].tolist() + [None]
@@ -79,6 +79,38 @@ def test_column_states_match_an_unseeked_walk(span, monkeypatch, indexes):
                 if h == logs.n_portions - 1 and p.t_max % period:
                     seen["last portion cut"] += 1
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("span", [1, 2, 3, 7])
+def test_column_boxes_hold_every_position_up_to_the_next_column(span, monkeypatch, indexes,
+                                                                 oracles):
+    """Every position a log visits from its state's instant up to the next
+    column's instant, or up to the portion end for a portion's last column,
+    lies inside the state's box placed at its position."""
+    monkeypatch.setattr(trajindex.logs, "COLUMN_SPAN", span)
+    checked = wider = 0
+    for (name, period), idx in sorted(indexes.items()):
+        index, timelines = _loaded(idx), oracles[name].timelines
+        logs, cols = index.logs, index.logs.columns
+        per = (min(period, index.params.t_max) - 1) // span
+        for h in range(logs.n_portions):
+            lo, pe = h * period, logs.portion_end(h)
+            for j in range(1, (pe - lo - 1) // span + 1):
+                c, k = lo + j * span, h * per + j - 1
+                until = pe if j == (pe - lo - 1) // span else c + span
+                for r in range(cols.off[k], cols.off[k + 1]):
+                    x, y, lag = int(cols.x[r]), int(cols.y[r]), int(cols.lag[r])
+                    x1, y1, x2, y2 = cols.box[r].tolist()
+                    assert x1 <= 0 <= x2 and y1 <= 0 <= y2, (name, period, c)
+                    wider += x2 - x1 + y2 - y1 > 0
+                    timeline = timelines[int(index.ids[logs.table.ids[cols.log[r]]])]
+                    for u in range(c - lag, until + 1):
+                        p = timeline.get(u)
+                        if p is not None:
+                            checked += 1
+                            assert x + x1 <= p[0] <= x + x2 and y + y1 <= p[1] <= y + y2, (
+                                name, period, c, u)
+    assert checked and wider
 
 
 @pytest.mark.parametrize("stride", [1, 16])

@@ -202,7 +202,7 @@ class TestOracleEquivalence:
             assert index.knn(k, point, t) == oracle.knn(k, point, t), (point, t, k)
 
 
-def test_counters_track_symbol_work(walkthrough_index):
+def test_counters_track_symbol_work(walkthrough_index, walkthrough_oracle):
     idx = walkthrough_index
     idx.counters.clear()
     idx.position_of(2, 10)
@@ -211,6 +211,11 @@ def test_counters_track_symbol_work(walkthrough_index):
     assert idx.counters.get("object_symbols", 0) == 0
     idx.time_interval((7, 3, 10, 4), 9, 12)
     assert idx.counters["interval_symbols"] > 0
+    # kNN walks each candidate as an object query does, but counts its own
+    idx.counters.clear()
+    assert idx.knn(3, (9, 5), 5) == walkthrough_oracle.knn(3, (9, 5), 5)
+    assert idx.counters["knn_symbols"] > 0
+    assert idx.counters.get("object_symbols", 0) == 0
 
 
 def test_knn_distances_equal_math_hypot():
@@ -326,8 +331,8 @@ def test_trajectory_steps_across_portions(stride, monkeypatch):
     logs, o1, o4 = index.logs, int(index._oid(1)), int(index._oid(4))
     g = logs.find(1, o1)
     assert logs.table.sym_off[g + 1] - logs.table.sym_off[g] == 1 and logs.table.ends_d[g]
-    assert index.snapshots[2].find_object(o1) is None and logs.first_anchor(2, o1)[0] == 19
-    assert logs.first_anchor(1, o4) == (16, (50, 60))
+    assert index.snapshots[2].find_object(o1) is None and logs.first_anchor(logs.find(2, o1))[0] == 19
+    assert logs.first_anchor(logs.find(1, o4)) == (16, (50, 60))
     assert index.params.t_max == 32 == 4 * index.params.period
     for obj in _GAP_SERIES:
         for t_b in range(-1, 35):
@@ -404,7 +409,7 @@ def test_interval_walks_only_candidates_a_block_box_admits(monkeypatch):
     inner = trajindex.logs.LogStore.elements
 
     def counting(self, *args, **kwargs):
-        walks.append(args[1])  # (h, oid, ...)
+        walks.append(int(self.table.ids[args[0]]))  # (log, t_c, ...)
         return inner(self, *args, **kwargs)
 
     monkeypatch.setattr(trajindex.logs.LogStore, "elements", counting)

@@ -28,7 +28,7 @@ def log_starts(idx):
         for g in range(logs.bounds[h], logs.bounds[h + 1]):
             oid = int(logs.table.ids[g])
             if logs.table.starts_aa[g]:
-                yield h, g, oid, logs.first_anchor(h, oid)
+                yield h, g, oid, logs.first_anchor(g)
             else:
                 yield h, g, oid, (h * idx.params.period, idx.snapshots[h].find_object(oid))
 
@@ -87,10 +87,11 @@ class TestLogLayout:
 
     def test_anchors(self, appearance_index):
         idx = appearance_index
-        o5 = int(idx._oid(5))
-        assert idx.logs.first_anchor(1, o5) == (11, (7, 2))
-        assert idx.logs.last_anchor(1, o5) == (13, (8, 4))
-        assert idx.logs.first_anchor(0, o5) is None
+        logs, o5 = idx.logs, int(idx._oid(5))
+        assert logs.first_anchor(logs.find(1, o5)) == (11, (7, 2))
+        assert logs.last_anchor(logs.find(1, o5)) == (13, (8, 4))
+        assert logs.first_anchor(logs.find(0, o5)) is None
+        assert logs.first_anchor(-1) is None and logs.last_anchor(-1) is None
 
     def test_derived_flags(self, appearance_index):
         idx = appearance_index
@@ -99,31 +100,34 @@ class TestLogLayout:
         g9 = logs.find(1, int(idx._oid(9)))
         assert bool(t.starts_aa[g5]) and bool(t.ends_d[g5])
         assert not t.starts_aa[g9] and not t.ends_d[g9]
-        assert t.end[g5] == 13 == logs.last_covered(1, int(idx._oid(5)))
-        assert t.end[g9] == 16 == logs.last_covered(1, int(idx._oid(9)))
+        assert t.end[g5] == 13 == logs.last_covered(g5)
+        assert t.end[g9] == 16 == logs.last_covered(g9)
+        assert logs.last_covered(-1) == -1
 
     def test_forward_cursor_window(self, appearance_index):
         idx = appearance_index
         o5 = int(idx._oid(5))
+        g5 = idx.logs.find(1, o5)
         _aa, rule, _d = log_symbols(idx, 1, o5)
         # from the AA anchor: the anchor is the start state, the covering
         # rule comes with the state it reaches whole, the closing D ends it
-        assert list(idx.logs.elements(1, o5, 11, (7, 2), 16)) == [(rule, 13, (8, 4))]
+        assert list(idx.logs.elements(g5, 11, (7, 2), 16)) == [(rule, 13, (8, 4))]
         # the first element reaching the window end is yielded whole (the
         # consumer clips it) and ends the walk
-        assert list(idx.logs.elements(1, o5, 11, (7, 2), 12)) == [(rule, 13, (8, 4))]
-        assert list(idx.logs.elements(1, o5, 11, (7, 2), 11)) == []
+        assert list(idx.logs.elements(g5, 11, (7, 2), 12)) == [(rule, 13, (8, 4))]
+        assert list(idx.logs.elements(g5, 11, (7, 2), 11)) == []
 
     def test_backward_cursor_reverses(self, appearance_index):
         idx = appearance_index
         o5 = int(idx._oid(5))
+        g5 = idx.logs.find(1, o5)
         _aa, rule, _d = log_symbols(idx, 1, o5)
         # from the D anchor: D restates it, the rule yields the state before
         # it, the opening AA sets its own payload
-        back = list(idx.logs.elements_backward(1, o5, 13, (8, 4), 8))
+        back = list(idx.logs.elements_backward(1, g5, 13, (8, 4), 8))
         assert back == [(None, 13, (8, 4)), (rule, 11, (7, 2)), (None, 11, (7, 2))]
         # the walk stops after the first element reaching the floor
-        assert list(idx.logs.elements_backward(1, o5, 13, (8, 4), 12)) == back[:2]
+        assert list(idx.logs.elements_backward(1, g5, 13, (8, 4), 12)) == back[:2]
 
     def test_trajectory_reconstruction(self, appearance_index):
         assert appearance_index.trajectory(5, 11, 15) == [
@@ -141,9 +145,10 @@ class TestLogLayout:
             for sym in log_symbols(idx, h, o4):
                 flat.extend(idx.rules.expand(sym))
             assert flat == [MOVE_BASE] * 8
-            assert idx.logs.first_anchor(h, o4) is None
-            assert idx.logs.last_anchor(h, o4) is None
-            assert idx.logs.table.end[idx.logs.find(h, o4)] == idx.logs.portion_end(h)
+            g4 = idx.logs.find(h, o4)
+            assert idx.logs.first_anchor(g4) is None
+            assert idx.logs.last_anchor(g4) is None
+            assert idx.logs.table.end[g4] == idx.logs.portion_end(h)
 
     def test_snapshot_only_presence_leaves_d_log(self):
         # object 1's last sample is exactly the snapshot instant 8, so its
@@ -156,10 +161,11 @@ class TestLogLayout:
         )
         o1 = int(idx._oid(1))
         assert log_symbols(idx, 1, o1) == [EV_D]
-        assert idx.logs.last_anchor(1, o1) == (8, (3, 3))
-        assert idx.logs.table.end[idx.logs.find(1, o1)] == 8
+        g1 = idx.logs.find(1, o1)
+        assert idx.logs.last_anchor(g1) == (8, (3, 3))
+        assert idx.logs.table.end[g1] == 8
         # the walker needs h: (8 - 1) // period would name portion 0
-        assert list(idx.logs.elements_backward(1, o1, 8, (3, 3), 8)) == [(None, 8, (3, 3))]
+        assert list(idx.logs.elements_backward(1, g1, 8, (3, 3), 8)) == [(None, 8, (3, 3))]
 
     def test_gap_in_portion_uses_relocation(self, walkthrough_index):
         # object 5 pauses inside portion 0 (t0-t3 then reappears at t9 in
@@ -167,8 +173,8 @@ class TestLogLayout:
         idx = walkthrough_index
         o5 = int(idx._oid(5))
         assert log_symbols(idx, 0, o5)[-1] == EV_D
-        assert idx.logs.last_anchor(0, o5) == (3, (7, 1))
-        assert idx.logs.first_anchor(1, o5) == (9, (7, 2))
+        assert idx.logs.last_anchor(idx.logs.find(0, o5)) == (3, (7, 1))
+        assert idx.logs.first_anchor(idx.logs.find(1, o5)) == (9, (7, 2))
 
 
 def check_seek(walk, seeking, orig, oracle, ok):
@@ -202,11 +208,11 @@ def test_walkers_match_oracle(name, period, indexes, oracles, monkeypatch):
         assert logs.find(h, oid) == g
         orig = int(idx.ids[oid])
         fwd = [start]
-        for sym, t, p in logs.elements(h, oid, *start, logs.portion_end(h)):
+        for sym, t, p in logs.elements(g, *start, logs.portion_end(h)):
             assert (sym is None) or sym >= MOVE_BASE
             fwd.append((t, p))
         if table.ends_d[g]:
-            end = logs.last_anchor(h, oid)
+            end = logs.last_anchor(g)
         elif h + 1 < len(idx.snapshots):
             end = (logs.portion_end(h), idx.snapshots[h + 1].find_object(oid))
         else:  # a last portion cut short by t_max has no next snapshot
@@ -215,18 +221,18 @@ def test_walkers_match_oracle(name, period, indexes, oracles, monkeypatch):
         for t, p in fwd:
             assert oracle.position_of(orig, t) == p, (h, orig, t)
         back = [end] + [
-            (t, p) for _sym, t, p in logs.elements_backward(h, oid, *end, h * period)
+            (t, p) for _sym, t, p in logs.elements_backward(h, g, *end, h * period)
         ]
         # D restates the end state and AA the start state: drop repeats
         assert [st for st, _ in groupby(back)] == fwd[::-1], (h, orig)
         t_s, t_e = start[0], end[0]
-        walk = list(logs.elements(h, oid, *start, t_e))
+        walk = list(logs.elements(g, *start, t_e))
         for q in range(t_s, t_e + 1, max(1, (t_e - t_s) // 6)):
-            walk_back = list(logs.elements_backward(h, oid, *end, q))
+            walk_back = list(logs.elements_backward(h, g, *end, q))
             for walker in seekers:
-                seeking = list(walker.elements(h, oid, *start, t_e, seek=q))
+                seeking = list(walker.elements(g, *start, t_e, seek=q))
                 check_seek(walk, seeking, orig, oracle, lambda t: t <= q)
-                seeking = list(walker.elements_backward(h, oid, *end, q, seek=True))
+                seeking = list(walker.elements_backward(h, g, *end, q, seek=True))
                 check_seek(walk_back, seeking, orig, oracle, lambda t: t >= q)
     t_max = idx.params.t_max
     for orig in idx.ids.tolist():
@@ -246,10 +252,10 @@ def test_forward_walk_ends_at_its_log_end(name, period, indexes):
     crossed = 0
     for h, g, oid, start in log_starts(idx):
         last = start
-        for _sym, t, p in logs.elements(h, oid, *start, t_max):
+        for _sym, t, p in logs.elements(g, *start, t_max):
             last = (t, p)
         if logs.table.ends_d[g]:
-            end = logs.last_anchor(h, oid)
+            end = logs.last_anchor(g)
         elif h + 1 < len(idx.snapshots):
             end = (logs.portion_end(h), idx.snapshots[h + 1].find_object(oid))
         else:
@@ -257,7 +263,8 @@ def test_forward_walk_ends_at_its_log_end(name, period, indexes):
         assert last == end, (h, oid)
         crossed += any(logs.find(later, oid) >= 0 for later in range(h + 1, logs.n_portions))
     assert crossed
-    assert list(logs.elements(logs.n_portions, 0, t_max, (0, 0), t_max)) == []
+    assert logs.find(logs.n_portions, 0) == -1
+    assert list(logs.elements(-1, t_max, (0, 0), t_max)) == []
 
 
 def test_tables_are_held_narrow(indexes):
@@ -357,10 +364,10 @@ def test_region_walk_skips_only_blocks_off_the_region(stride, monkeypatch, index
             r = clip_region((cx - 8, cy - 8, cx + 8, cy + 8), side)
             if r is None:
                 continue
-            plain = [(None, *start)] + list(logs.elements(h, oid, *start, t_e))
+            plain = [(None, *start)] + list(logs.elements(g, *start, t_e))
             at = {t: k for k, (_sym, t, _p) in enumerate(plain)}
             k_prev, last = 0, plain[0]
-            for sym, t, p in logs.elements(h, oid, *start, t_e, region=r):
+            for sym, t, p in logs.elements(g, *start, t_e, region=r):
                 k = at[t]
                 assert plain[k][1:] == (t, p), (stride, orig, t)
                 if k != k_prev + 1 or plain[k][0] != sym:  # a block was skipped
@@ -404,7 +411,7 @@ def test_first_block_meeting_keeps_every_visit(stride, monkeypatch, indexes, ora
             if r is None:
                 continue
             bisected.clear()
-            got = logs.first_block_meeting(h, oid, t_c, p_c, t_from, t_to, r)
+            got = logs.first_block_meeting(g, t_c, p_c, t_from, t_to, r)
             visits = [
                 u for u in range(max(t_from, t_c), min(t_to, end) + 1)
                 if (q := oracle.position_of(orig, u)) is not None and contains(r, *q)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from trajindex import TrajectoryIndex, spiral
 from trajindex.bits import BitVector, DacSequence
-from trajindex.engine import HEADER, PARAM_NAMES
+from trajindex.engine import HEADER, MAX_PERIODS, PARAM_NAMES
 from trajindex.grammar import EV_D, EV_RM, MOVE_BASE
 from trajindex.k2tree import K2Tree, encode
 from trajindex.serial import (
@@ -270,8 +270,9 @@ class TestIndexContainer:
         snap = idx.snapshots[1]
         present, perm, q = snap.file_fields()
         assert present.tolist() == [0, 1] and perm.tolist() == [0] and q.tolist() == [0]
-        assert idx.logs.appearing(1).tolist() == [0]
-        assert idx.logs.disappeared(2).tolist() == [0]
+        ids = idx.logs.table.ids
+        assert ids[idx.logs.appearing(1)].tolist() == [0]
+        assert ids[idx.logs.disappeared(2)].tolist() == [0]
         if fault == "event_member":
             idx.rules.pairs[0, 0] = EV_D
         elif fault == "later_member":
@@ -649,6 +650,29 @@ def test_build_rejects_out_of_range_parameters(name, value):
     # and the cells' k2-tree path keys (up to side^2 - 1) are int64
     with deadline(2.0), pytest.raises(ValueError, match="out of range"):
         TrajectoryIndex.build(WALKTHROUGH_SERIES, **{"period": 8, name: value})
+
+
+# two records at instant 2^40: at period 10 the timeline spans 1.1e11 periods
+FAR_APART = {1: [(2**40, [(0, 0)])], 2: [(2**40, [(1, 1)])]}
+
+
+def test_build_rejects_more_periods_than_the_bound():
+    """Each period lays out a snapshot and a portion, data or not: past
+    ``MAX_PERIODS`` of them build fails at once with a named error."""
+    with deadline(1.0), pytest.raises(ValueError, match="more than the %d" % MAX_PERIODS):
+        TrajectoryIndex.build(FAR_APART, period=10)
+
+
+def test_load_rejects_more_periods_than_the_bound():
+    """A file whose t_max spans more than ``MAX_PERIODS`` periods fails with
+    SerializationError before its portions are read."""
+    idx = TrajectoryIndex.build(FAR_APART, period=2**40)
+    params = next(v for part, v in idx._fields() if part == "params")
+    params[PARAM_NAMES.index("period")] = 10
+    _replace_section(idx, "_fields", "params", params)
+    blob = idx.to_bytes()
+    with deadline(1.0), pytest.raises(SerializationError, match="more than the %d" % MAX_PERIODS):
+        TrajectoryIndex.from_bytes(blob)
 
 
 @pytest.mark.parametrize("gap", [0, 5])

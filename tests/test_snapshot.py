@@ -34,7 +34,8 @@ class TestWalkthroughMiddleSnapshot:
         assert s8.find_object(6) is None
 
     def test_appear_disappear_lists(self, walkthrough_index):
-        app, dis = walkthrough_index.logs.appearing(1), walkthrough_index.logs.disappeared(1)
+        logs = walkthrough_index.logs
+        app, dis = (logs.table.ids[g] for g in (logs.appearing(1), logs.disappeared(1)))
         assert list(app) == [2, 4, 5, 6]
         assert list(dis) == [2, 4, 5]
         assert 4 in app and 0 not in app
