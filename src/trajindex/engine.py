@@ -20,13 +20,14 @@ that ``to_bytes`` encodes from the snapshot's table; no index holds a tree.
 Loading derives the rest with the code that build uses: the rule tables
 from the pairs, the snapshot and portion counts from t_max and the period,
 each log's side-array offsets, AA/D flags, end instant, checkpoints,
-block boxes and column states with their boxes from its symbols, and each
-snapshot's table of ids and cells from its presence bitmap, permutation and
-Q bitmap and the cells of its k2-tree, all trees decoded in one numpy pass
-that rejects a tree no build writes.  Loading also checks that every log's moves lead
-from its start (its AA position, else its object's cell in the snapshot
-before) to its end (its D position, else its object's cell in the snapshot
-after, when there is one), and places the column states from those starts.
+block and log boxes and column states with their boxes from its symbols,
+and each snapshot's table of ids and cells from its presence bitmap,
+permutation and Q bitmap and the cells of its k2-tree, all trees decoded in
+one numpy pass that rejects a tree no build writes.  Loading also checks
+that every log's moves lead from its start (its AA position, else its
+object's cell in the snapshot before) to its end (its D position, else its
+object's cell in the snapshot after, when there is one), and places the log
+boxes and the column states from those starts.
 In memory the logs are one table indexed by log number, and every integer
 table is held in the narrowest dtype for its range.
 
@@ -47,19 +48,19 @@ which the region is within reach, and kNN ranks the states by their
 distance to that box.  The survivors, plus the appearance events after the
 column, are walked from their log's start, seeking to the last checkpoint
 at or before the instant; kNN walks each candidate once, straight to the
-instant, when it reaches the top of its queue.  A time interval
-also reads logs and checkpoint blocks by their boxes: before it walks a
-candidate's log, it drops the candidate when the log's box misses the
-region.  When the window starts past the log's first block, it then steps
-over the later block boxes in the window, drops the candidate when none
-meets the region, and else seeks to the first block that does.  The walk
-passes over every later block whose box misses the region.  Only a time
-slice in the later half of a portion without columns (one of at most
-``COLUMN_SPAN`` instants) anchors at the next snapshot (or a disappearance
-event) and walks backward, which keeps its expanded region and its walks
-short.  ``counters`` tracks how many symbols each traversal family
-touched, which the pruning tests compare across debug flags (``use_mbr`` /
-``use_er``).
+instant, when it reaches the top of its queue.  A time interval takes
+its candidates from the logs' boxes, not from the snapshots: in each
+portion its window meets, the logs whose box, placed at absolute cells,
+meets the region and that end at or after the window's start, found in one
+pass over the portion's boxes.  Each is walked from its start, seeking to
+the window's start, and the walk passes over every block whose box misses
+the region (``use_mbr=False`` walks every log of each portion and passes
+over no block).  Only a time slice in the later half of a portion
+without columns (one of at most ``COLUMN_SPAN`` instants) anchors at the
+next snapshot (or a disappearance event) and walks backward, which keeps
+its expanded region and its walks short.  ``counters`` tracks how many
+symbols each traversal family touched, which the pruning tests compare
+across debug flags (``use_mbr`` / ``use_er``).
 
 Results are deterministic: object lists sort by id, nearest-neighbour
 answers by (distance, id).
@@ -205,7 +206,7 @@ class TrajectoryIndex:
             Snapshot.build(o_at[i:j], x_at[i:j], y_at[i:j], k, side, len(ids))
             for i, j in zip(cuts[:-1], cuts[1:])
         ]
-        logs.place_columns(_log_starts(logs, snapshots, len(ids)))
+        logs.place(_log_starts(logs, snapshots, len(ids)))
         return cls(params, np.asarray(ids, dtype=np.int64), snapshots, logs, rules)
 
     # ------------------------------------------------------------------
@@ -315,18 +316,25 @@ class TrajectoryIndex:
         r = clip_region(region, self.params.side)
         if r is None or not self._in_extent(t_q):
             return []
-        d = self.params.period
-        col = self.logs.column_in_reach(t_q, r, self.params.max_speed)
+        d, m_sp, side = self.params.period, self.params.max_speed, self.params.side
+        col = self.logs.column_in_reach(t_q, r, m_sp)
         if col is not None:  # walk from the log starts of the column's survivors
             h = t_q // d
-            t_col, survivors = col
+            t_0, survivors = col
             starts = [(o, g, *self._start(h, o, g)) for o, g in survivors]
-            starts += self._anchors(h, r, t_col, t_q)
-        else:
+        else:  # the snapshot objects inside r expanded to t_q
             h = self._nearest_snapshot(t_q)
-            if h * d > t_q:
+            t_0 = h * d
+            if t_0 > t_q:
                 return self._slice_later_half(h, r, t_q, use_mbr, use_er)
-            starts = self._starts(h, r, t_q)
+            er = expanded_region(r, t_0, t_q, m_sp, side)
+            find = self.logs.find
+            starts = [(o, find(h, o), t_0, p) for o, p in self.snapshots[h].objects_in_region(er)]
+        # then the AA anchors after them that r is within reach of by t_q
+        starts += [
+            (o, g, t_a, p_a) for o, g, t_a, p_a in self._anchors(h, t_0, t_q)
+            if contains(expanded_region(r, t_a, t_q, m_sp, side), *p_a)
+        ]
         answers = []
         for o, g, t_c, p_c in starts:
             pos = self._slice_forward(g, t_c, p_c, t_q, r, use_mbr, use_er)
@@ -355,33 +363,14 @@ class TrajectoryIndex:
                 answers.append((self._orig(o), pos))
         return sorted(answers)
 
-    def _starts(self, h, r, t_last):
-        """Forward walk starts in portion h that may reach r by t_last.
-
-        These are the snapshot objects inside r expanded to t_last, then the
-        AA anchors at or before t_last that r is within reach of, as
-        (id, log, instant, position) tuples.
-        """
-        t_s = h * self.params.period
-        er = expanded_region(r, t_s, t_last, self.params.max_speed, self.params.side)
-        find = self.logs.find
-        starts = [(o, find(h, o), t_s, p) for o, p in self.snapshots[h].objects_in_region(er)]
-        return starts + self._anchors(h, r, t_s, t_last)
-
-    def _anchors(self, h, r, t_after, t_last):
-        """The AA anchors of portion h after t_after and at or before t_last
-        that r is within reach of, as (id, log, instant, position) tuples."""
-        m_sp = self.params.max_speed
-        side = self.params.side
+    def _anchors(self, h, t_after, t_last):
+        """The AA anchors of portion h after t_after and at or before
+        t_last, as (id, log, instant, position) tuples."""
         logs = self.logs
-        out = []
         for g in logs.appearing(h).tolist():
             t_a, p_a = logs.first_anchor(g)
-            if t_after < t_a <= t_last and contains(
-                expanded_region(r, t_a, t_last, m_sp, side), *p_a
-            ):
-                out.append((int(logs.table.ids[g]), g, t_a, p_a))
-        return out
+            if t_after < t_a <= t_last:
+                yield int(logs.table.ids[g]), g, t_a, p_a
 
     def _slice_forward(self, g, t_c, p_c, t_q, r, use_mbr, use_er):
         m_sp = self.params.max_speed
@@ -439,41 +428,45 @@ class TrajectoryIndex:
     # ------------------------------------------------------------------
 
     def time_interval(self, region, t_begin, t_end, use_mbr=True, use_er=True):
-        """Sorted ids of objects inside the region at any window instant."""
+        """Sorted ids of objects inside the region at any window instant.
+
+        The candidates of each portion the window meets are its logs whose
+        placed box meets the region and that end at or after t_b (without
+        ``use_mbr``, every log of the portion), each walked from its start
+        and seeking to t_b.  The snapshot at t_b, when there is one, is read
+        directly: the last snapshot starts no portion."""
         r = clip_region(region, self.params.side)
         t_b = max(t_begin, 0)
         t_e = min(t_end, self.params.t_max)
         if r is None or t_b > t_e:
             return []
         d = self.params.period
+        logs = self.logs
         answers = set()
         if t_b % d == 0:
-            for o, _p in self.snapshots[t_b // d].objects_in_region(r):
-                answers.add(o)
+            answers.update(o for o, _p in self.snapshots[t_b // d].objects_in_region(r))
             h = t_b // d
         else:
             h = (t_b - 1) // d
-        while h < self.logs.n_portions and h * d < t_e:
-            pe = self.logs.portion_end(h)
-            t_last = min(t_e, pe)
-            for o, g, t_c, p_c in self._starts(h, r, t_last):
+        while h < logs.n_portions and h * d < t_e:
+            t_last = min(t_e, logs.portion_end(h))
+            if use_mbr:
+                cands = logs.logs_meeting(h, r, t_b)
+            else:
+                lo, hi = logs.bounds[h:h + 2].tolist()
+                cands = zip(logs.table.ids[lo:hi].tolist(), range(lo, hi))
+            for o, g in cands:
                 if o in answers:
                     continue
-                if t_b <= t_c <= t_e and contains(r, *p_c):
-                    answers.add(o)
-                    continue
-                seek = t_b
-                if use_mbr:  # the log's first block box that meets r, if any
-                    t_hit = self.logs.first_block_meeting(g, t_c, p_c, t_b, t_last, r)
-                    if t_hit is None:
-                        continue
-                    seek = max(t_b, t_hit)
-                if self._interval_scan(g, t_c, p_c, seek, t_b, t_e, t_last, r, use_mbr, use_er):
+                t_c, p_c = self._start(h, o, g)
+                if (t_b <= t_c <= t_e and contains(r, *p_c)) or self._interval_scan(
+                    g, t_c, p_c, t_b, t_e, t_last, r, use_mbr, use_er
+                ):
                     answers.add(o)
             h += 1
         return sorted(self._orig(o) for o in answers)
 
-    def _interval_scan(self, g, t_c, p_c, seek, t_b, t_e, t_last, r, use_mbr, use_er):
+    def _interval_scan(self, g, t_c, p_c, t_b, t_e, t_last, r, use_mbr, use_er):
         m_sp = self.params.max_speed
         rules = self.rules
         span, dx, dy, pairs = rules.sym_span, rules.sym_dx, rules.sym_dy, rules.sym_pairs
@@ -481,7 +474,7 @@ class TrajectoryIndex:
         x1, y1, x2, y2 = r
         x, y = p_c
         region = r if use_mbr else None
-        walk = self.logs.elements(g, t_c, p_c, t_last, seek=seek, region=region)
+        walk = self.logs.elements(g, t_c, p_c, t_last, seek=t_b, region=region)
         n = 0  # symbols touched, counted once per scan
         try:
             for sym, t, p in walk:
@@ -568,11 +561,8 @@ class TrajectoryIndex:
             if t_c == t_q or logs.last_covered(g) >= t_q:
                 heapq.heappush(cands, (bound, o, g, t_c, p_c))
 
-        for g in logs.appearing(h).tolist():
-            t_a, p_a = logs.first_anchor(g)
-            if t_0 < t_a <= t_q:
-                bound = dist_point_point(point, p_a) - m_sp * (t_q - t_a)
-                admit(int(logs.table.ids[g]), p_a, bound, t_a, g)
+        for o, g, t_a, p_a in self._anchors(h, t_0, t_q):
+            admit(o, p_a, dist_point_point(point, p_a) - m_sp * (t_q - t_a), t_a, g)
         nxt = next(stream, None)
         out = []
         while cands or nxt is not None:
@@ -714,7 +704,7 @@ class TrajectoryIndex:
                 snapshots.append(Snapshot.load(cells, present, perm_vals, q, n_objects))
             except ValueError as e:
                 raise serial.SerializationError("snapshot %d: %s" % (h, e)) from e
-        logs.place_columns(_log_starts(logs, snapshots, n_objects))
+        logs.place(_log_starts(logs, snapshots, n_objects))
         return cls(params, ids, snapshots, logs, rules)
 
     def stats(self):
@@ -747,7 +737,7 @@ class TrajectoryIndex:
                 "snapshots": _array_bytes(self.snapshots),
                 "log_streams": logs.syms.nbytes,
                 "log_events": _array_bytes(logs.bounds, logs.table, logs.d_vals, logs.p_vals),
-                "checkpoints": _array_bytes(logs.checkpoints),
+                "checkpoints": _array_bytes(logs.checkpoints, logs.log_box),
                 "columns": _array_bytes(logs.columns),
                 "dictionary": _array_bytes(self.rules),
                 "total": _array_bytes(self),

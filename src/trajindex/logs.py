@@ -34,13 +34,14 @@ symbol, relative to the log's start.  The log starts and checkpoints cut
 the logs into blocks of at most ``STRIDE`` symbols, and each block after
 a log's first has a box holding every position it visits, relative to
 where it starts: the rules' MBR idea one level up, so a walk can pass over
-a block that misses a query region.  In the first block's place a log has
-the box of every position it visits, relative to its start, one level up
-again: a time interval drops a candidate whose log box misses its region
-with one test.  The first block is then passed over only with the whole
-log.  Checkpoints and boxes follow from the symbols, the rule tables and
-the side arrays, so they are derived on construction and never stored in
-a file.
+a block that misses a query region.  Each log also has the box of every
+position it visits, one level up again, placed at absolute cells
+(``log_box``): a time interval takes as candidates the logs of a portion
+whose box meets its region (``logs_meeting``), one plain pass over the
+portion's rows, and a walk tests a log's first block with that box.
+Checkpoints and boxes follow from the symbols, the rule tables and the
+side arrays, so they are derived on construction and never stored in a
+file.
 
 Every ``COLUMN_SPAN`` instants after its snapshot, a portion has a column
 (``Columns``): for each of its logs that has started and not closed by
@@ -55,8 +56,8 @@ state's box, placed at its position, meets the region
 box (``column_by_bound``).  The survivors are still walked from their
 log's start, seeking to the last checkpoint at or before t_q, so a column
 holds no cursors.  Columns follow from the logs and the snapshots' cells:
-construction derives them relative to each log's start, and
-``place_columns`` places them once the snapshots are known.  A portion of
+construction derives them, and the log boxes, relative to each log's
+start, and ``place`` places them once the snapshots are known.  A portion of
 at most ``COLUMN_SPAN`` instants has none.
 
 Logs are named by their number: ``find`` gives an object's log of a
@@ -78,12 +79,6 @@ Traversal primitives:
   in place from its end, or with seeking from the first checkpoint at or
   after the floor, yielding the state before each element; only the later
   half of a time slice walks backward;
-* ``LogStore.first_block_meeting`` — no walk: tests one log's box against
-  a region, then steps over its later block boxes in a time window,
-  placing each at its block's start, and gives the start instant of the
-  first that meets the region (the log's start when the window starts in
-  its first block); a time interval walks a log only from there, and not
-  at all when none does;
 * ``move_jump`` / ``move_back`` — clip a symbol that straddles a time
   limit, descending into the rule with an explicit stack;
 * ``move_steps`` — expand a symbol to terminals, one (instant, position)
@@ -91,8 +86,8 @@ Traversal primitives:
 
 The walkers read span, displacement and pairs from the symbol-indexed
 tables of ``RuleDictionary``, and all of them read the log table and the
-checkpoints through memoryviews.  Column filters slice the column arrays
-and read them as lists, as ``Snapshot.objects_in_region`` reads a
+checkpoints through memoryviews.  Column and log box filters slice their
+arrays and read them as lists, as ``Snapshot.objects_in_region`` reads a
 snapshot.
 """
 
@@ -124,11 +119,11 @@ LogTable = collections.namedtuple("LogTable", "ids sym_off d_off p_off starts_aa
 # are off[g]..off[g+1]-1, and t, x, y, d and p hold each one's instant,
 # position and side-array cursors relative to the log's start; tot_x and
 # tot_y hold each log's net displacement.  The log starts and checkpoints
-# cut the logs into blocks: log g's are rows g + off[g] .. g + off[g+1] of
-# box, the one from its start first, then the one from each checkpoint.  A
-# row is a box (x1, y1, x2, y2) relative to the block's start position: the
-# first row holds every position the whole log visits, every later row
-# every position its block visits.
+# cut the logs into blocks, and box holds one row per checkpoint: the box
+# (x1, y1, x2, y2) of every position the block from that checkpoint visits,
+# relative to the checkpoint's position, so log g's later blocks are rows
+# off[g]..off[g+1]-1.  A log's first block has no row: ``LogStore.log_box``
+# holds the box of every position the whole log visits, placed at its cells.
 Checkpoints = collections.namedtuple("Checkpoints", "off t x y d p tot_x tot_y box")
 
 # Column states of all logs.  Portion h has a column at each instant
@@ -266,9 +261,9 @@ class LogStore:
         cuts[rows[:-1]], cuts[cp_rows] = starts, at
         # the block from each cut to the next visits the positions before and
         # after each of its symbols and, inside a rule, the rule's MBR; a
-        # log's first row holds the box of its blocks together
+        # log's box is the box of its blocks together
         mbr = np.asarray(self.dict.sym_mbr).take(syms, axis=0)  # take: mbr[syms] runs far slower
-        cp_xy, tot_xy, box, before, reach = [], [], [], [], []
+        cp_xy, tot_xy, box, whole, before, reach = [], [], [], [], [], []
         for axis, m in enumerate((mx, my)):
             pos = np.append(0, np.cumsum(m))  # position before each symbol
             before.append(pos)
@@ -279,8 +274,8 @@ class LogStore:
             for col, f in ((axis, np.minimum), (axis + 2, np.maximum)):
                 reach.append(pos + f(mbr[:, col], m))  # widened to m's int64
                 blocks = f.reduceat(reach[-1], cuts)
-                blocks[rows[:-1]] = f.reduceat(blocks, rows[:-1])
-                box.append(blocks - cut[:-1])
+                box.append(blocks[cp_rows] - cut[cp_rows])
+                whole.append(f.reduceat(blocks, rows[:-1]) - cut[rows[:-1]])
         cp_d, cp_p = entries_before(at)
         self.checkpoints = Checkpoints(*map(narrow, (
             cp_at, run[at - 1].astype(np.int64), *cp_xy, cp_d - d_at[of], cp_p - p_at[of],
@@ -293,8 +288,10 @@ class LogStore:
         self.table = LogTable(ids, tiles, d_at, p_at, starts_aa, ends_d, end_at)
         self._bounds, self._d, self._p = map(memoryview, (self.bounds, self.d_vals, self.p_vals))
         self._log = LogTable(*map(memoryview, self.table))
-        self._derive_columns(step, of_portion, start, end, pe, starts, ends, clock, clock_0,
-                             before, reach[::2] + reach[1::2])
+        self.log_box = None  # placed by ``place``
+        self._unplaced = np.column_stack(whole[::2] + whole[1::2]), *self._derive_columns(
+            step, of_portion, start, end, pe, starts, ends, clock, clock_0,
+            before, reach[::2] + reach[1::2])
 
     def _derive_columns(self, step, of_portion, start, end, pe, starts, ends, clock, clock_0,
                         before, reach):
@@ -304,15 +301,16 @@ class LogStore:
         from ``clock_0`` on), the position before each symbol relative to
         the stream's start (``before``, x then y), and the least x and y and
         the greatest x and y each symbol reaches, in the same frame
-        (``reach``).  Their positions stay relative to each log's start
-        until ``place_columns``.
+        (``reach``), as ``(per, Columns)`` with ``per`` the columns of a
+        whole portion.  Their positions stay relative to each log's start
+        until ``place``.
 
         An index lays out no columns when they would number more than
         ``_COLUMN_LIMIT`` (or 16 per stream symbol) with their states: a
         period far longer than the logs' symbols then costs no memory.
         """
         w = self._span = COLUMN_SPAN
-        self._per, self.columns = 0, None  # no column is read before ``place_columns``
+        self._per, self.columns = 0, None  # no column is read before ``place``
         per = max(step - 1, 0) // w  # a last portion cut short may have fewer
         if per:
             lo = of_portion * step
@@ -324,9 +322,8 @@ class LogStore:
                 per = 0
         if not per:
             empty = np.zeros(0, dtype=np.uint8)
-            self._unplaced = 0, Columns(np.zeros(1, dtype=np.uint8), *[empty] * 4,
-                                        np.zeros((0, 4), dtype=np.uint8))
-            return
+            return 0, Columns(np.zeros(1, dtype=np.uint8), *[empty] * 4,
+                              np.zeros((0, 4), dtype=np.uint8))
         g = np.repeat(np.arange(len(n)), n)
         j = first[g] + np.arange(len(g)) - np.repeat(np.cumsum(n) - n, n)
         at = (j * w - (start - lo)[g]).astype(np.uint64)  # after the log's start
@@ -353,14 +350,15 @@ class LogStore:
         k = of_portion[g] * per + j - 1
         order = np.argsort(k, kind="stable")
         off = np.searchsorted(k[order], np.arange(self.n_portions * per + 1))
-        self._unplaced = per, Columns(off, g[order], x[order], y[order], lag[order],
-                                      np.column_stack(box)[order])
+        return per, Columns(off, g[order], x[order], y[order], lag[order],
+                            np.column_stack(box)[order])
 
-    def place_columns(self, start):
-        """Place the column states at their cells: ``start`` holds each
-        log's start cell, one (x, y) row per log.  Until then no query
-        reads a column."""
-        per, c = self._unplaced
+    def place(self, start):
+        """Place each log's box and the column states at their cells:
+        ``start`` holds each log's start cell, one (x, y) row per log.
+        Until then no query reads a log box or a column."""
+        log_box, per, c = self._unplaced
+        self.log_box = narrow(log_box + np.tile(start, 2))
         self.columns = Columns(*map(narrow, (
             c.off, c.log, c.x + start[c.log, 0], c.y + start[c.log, 1], c.lag, c.box,
         )))
@@ -431,6 +429,18 @@ class LogStore:
         states.sort(key=_BY_BOUND)
         return c, states
 
+    def logs_meeting(self, h, region, t_from):
+        """Portion h's logs, as (id, log) pairs, whose placed box meets
+        ``region`` and that end at or after t_from.  A plain pass over the
+        portion's log boxes, as ``column_in_reach`` makes over a column."""
+        lo, hi = self._bounds[h], self._bounds[h + 1]
+        ids, end, (x1, y1, x2, y2) = self._log.ids, self._log.end, region
+        return [
+            (ids[g], g)
+            for g, (bx1, by1, bx2, by2) in enumerate(self.log_box[lo:hi].tolist(), lo)
+            if bx1 <= x2 and bx2 >= x1 and by1 <= y2 and by2 >= y1 and end[g] >= t_from
+        ]
+
     def portion_end(self, h):
         return min((h + 1) * self.period, self.t_max)
 
@@ -488,46 +498,6 @@ class LogStore:
         d, p = t.d_off[g + 1], t.p_off[g + 1]
         return self._d[d - 1], (self._p[p - 2], self._p[p - 1])
 
-    def first_block_meeting(self, g, t_c, p_c, t_from, t_to, region):
-        """Start instant of the first block of log g, started at (t_c, p_c),
-        that runs into [t_from, t_to] and whose box, placed at the block's
-        start, meets ``region``, the first block's box being the whole
-        log's; None when there is no such block or no log (g = -1).  No
-        position the log visits in [t_from, t_to] before that instant lies
-        in the region.  A log whose box misses the region is dropped before
-        any checkpoint is looked up.
-        """
-        if g < 0:
-            return None
-        cp = self._cp
-        ct, box = cp.t, cp.box
-        lo, hi = cp.off[g], cp.off[g + 1]
-        rx1, ry1, rx2, ry2 = region
-        x0, y0 = p_c
-        # block j (lo <= j <= hi) runs from checkpoint j - 1, or the log's
-        # start, to checkpoint j, or the log's end; its box is row g + j,
-        # and row g + lo is the log's
-        b = g + lo
-        if (x0 + box[b, 2] < rx1 or x0 + box[b, 0] > rx2
-                or y0 + box[b, 3] < ry1 or y0 + box[b, 1] > ry2):
-            return None
-        j = bisect_left(ct, t_from - t_c, lo, hi)
-        if j == hi and self._log.end[g] < t_from:
-            return None
-        if j == lo:  # the first block has no box of its own
-            return t_c if t_c <= t_to else None
-        t, x, y = t_c + ct[j - 1], x0 + cp.x[j - 1], y0 + cp.y[j - 1]
-        while t <= t_to:
-            b = g + j
-            if not (x + box[b, 2] < rx1 or x + box[b, 0] > rx2
-                    or y + box[b, 3] < ry1 or y + box[b, 1] > ry2):
-                return t
-            if j == hi:
-                return None
-            t, x, y = t_c + ct[j], x0 + cp.x[j], y0 + cp.y[j]
-            j += 1
-        return None
-
     # -- walkers ---------------------------------------------------------
 
     def elements(self, g, t_c, p_c, t_end, seek=None, region=None):
@@ -548,9 +518,9 @@ class LogStore:
         box, placed at the block's start, misses the region is skipped whole:
         the state at its end (the next checkpoint, else the log's end) comes
         as ``sym=None``, so no position the walk skips lies in the region.
-        The first block's row is the whole log's box, which holds the
-        block's positions too, so the first block is skipped only when the
-        whole log misses the region.
+        The first block has no box of its own: it is tested with the whole
+        log's placed box (``log_box``), so it is skipped only when the whole
+        log misses the region.
         """
         if t_c >= t_end or g < 0:  # g = -1: no log, as at the last snapshot
             return
@@ -583,9 +553,12 @@ class LogStore:
                 j += 1  # the block runs to checkpoint j, else to the log's end
                 if j < hi:
                     stop = body + (j - lo + 1) * self._stride
-                b = g + j
-                x1, y1, x2, y2 = box[b, 0], box[b, 1], box[b, 2], box[b, 3]
-                if x + x2 < rx1 or x + x1 > rx2 or y + y2 < ry1 or y + y1 > ry2:
+                if j > lo:  # the box of the block from checkpoint j - 1
+                    b = j - 1
+                    x1, y1, x2, y2 = x + box[b, 0], y + box[b, 1], x + box[b, 2], y + box[b, 3]
+                else:
+                    x1, y1, x2, y2 = self.log_box[g].tolist()
+                if x2 < rx1 or x1 > rx2 or y2 < ry1 or y1 > ry2:
                     if j < hi:
                         di, pi = d0 + cp.d[j], p0 + cp.p[j]
                         t_c, x, y = t0 + cp.t[j], x0 + cp.x[j], y0 + cp.y[j]

@@ -403,14 +403,19 @@ def test_block_test_keeps_every_visit(stride, monkeypatch):
 def test_interval_walks_only_candidates_a_block_box_admits(monkeypatch):
     """A region no object visits in the window starts no log walk, though
     both objects can reach it; an answer found only inside a log still
-    starts one.  A log of several blocks starts none when its box misses
-    the region, nor when its box meets it but no block in the window does."""
-    walks = []
+    starts one.  A log of several blocks starts none when its placed box
+    misses the region.  When its box meets the region but only a block
+    before the window does, the walk passes over the later blocks whole:
+    it yields only their end states, and their symbols add nothing to
+    ``interval_symbols``."""
+    walks, steps = [], []
     inner = trajindex.logs.LogStore.elements
 
     def counting(self, *args, **kwargs):
         walks.append(int(self.table.ids[args[0]]))  # (log, t_c, ...)
-        return inner(self, *args, **kwargs)
+        for step in inner(self, *args, **kwargs):
+            steps.append(step)
+            yield step
 
     monkeypatch.setattr(trajindex.logs.LogStore, "elements", counting)
     series = {
@@ -444,9 +449,14 @@ def test_interval_walks_only_candidates_a_block_box_admits(monkeypatch):
     assert walks == []
     # the log's box meets (42, 40), visited at instant 2 only, but no block
     # in [14, 19] does
-    assert cp.box[g + int(cp.off[g])].tolist()[2] == 2
+    assert logs.log_box[g].tolist() == [40, 40, 42, 40]
+    steps.clear()
+    symbols = index.counters["interval_symbols"]
     assert index.time_interval((42, 40, 42, 40), 14, 19) == []
-    assert walks == []
+    assert walks == [o3] and steps
+    assert all(sym is None for sym, _t, _p in steps)
+    assert index.counters["interval_symbols"] - symbols == len(steps)
+    walks.clear()
     assert index.time_interval((42, 40, 42, 40), 1, 19) == [3]
     assert walks == [o3]
 

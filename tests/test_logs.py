@@ -298,18 +298,20 @@ def test_checkpoints_past_a_wide_relocation(monkeypatch):
 @pytest.mark.parametrize("stride", [1, 3, trajindex.logs.STRIDE])
 def test_block_boxes_hold_every_position(stride, monkeypatch, indexes):
     """Each block of a log after its first, from a checkpoint to the next
-    checkpoint or the log's end, has as box the tight bounds of every
-    position it visits, relative to the position it starts at: each move
-    symbol expanded to terminals, an AA's anchor, both ends of an RM
-    relocation and a D's anchor.  The log's first row holds the tight
-    bounds of every position the whole log visits, relative to its start.
-    Every box is held narrow."""
+    checkpoint or the log's end, has as box, in the checkpoint's row, the
+    tight bounds of every position it visits, relative to the position it
+    starts at: each move symbol expanded to terminals, an AA's anchor, both
+    ends of an RM relocation and a D's anchor.  ``log_box`` holds each
+    log's start plus the tight bounds of every position the whole log
+    visits relative to it, one row per log.  Every box is held narrow."""
     monkeypatch.setattr(trajindex.logs, "STRIDE", stride)
     for idx in indexes.values():
         index = TrajectoryIndex.from_bytes(idx.to_bytes())
         logs, cp, table = index.logs, index.logs.checkpoints, index.logs.table
         assert cp.box.dtype == narrow(cp.box).dtype
-        assert len(cp.box) == len(table.ids) + int(cp.off[-1])
+        assert logs.log_box.dtype == narrow(logs.log_box).dtype
+        assert len(cp.box) == int(cp.off[-1])
+        assert logs.log_box.shape == (len(table.ids), 4)
         reach = {}  # a move symbol's terminal positions as (x1, y1, x2, y2, dx, dy)
         for _h, g, _oid, (_t, (x, y)) in log_starts(index):
             s, s_end, p_at, lo_cp, hi_cp = (
@@ -318,7 +320,7 @@ def test_block_boxes_hold_every_position(stride, monkeypatch, indexes):
             )
             body = s + bool(table.starts_aa[g])
             cuts = [s] + [body + j * stride for j in range(1, hi_cp - lo_cp + 1)] + [s_end]
-            xs, ys, whole, rows = x, y, [x, y, x, y], []
+            whole, rows = [x, y, x, y], []
             for lo, hi in zip(cuts, cuts[1:]):
                 x0, y0 = x, y
                 box = [x, y, x, y]
@@ -343,8 +345,8 @@ def test_block_boxes_hold_every_position(stride, monkeypatch, indexes):
                 rows.append([box[0] - x0, box[1] - y0, box[2] - x0, box[3] - y0])
                 whole = [min(whole[0], box[0]), min(whole[1], box[1]),
                          max(whole[2], box[2]), max(whole[3], box[3])]
-            rows[0] = [whole[0] - xs, whole[1] - ys, whole[2] - xs, whole[3] - ys]
-            assert cp.box[g + lo_cp:g + hi_cp + 1].tolist() == rows, (stride, g)
+            assert cp.box[lo_cp:hi_cp].tolist() == rows[1:], (stride, g)
+            assert logs.log_box[g].tolist() == whole, (stride, g)  # placed at the start
 
 
 @pytest.mark.parametrize("stride", [1, 3, trajindex.logs.STRIDE])
@@ -383,48 +385,36 @@ def test_region_walk_skips_only_blocks_off_the_region(stride, monkeypatch, index
 
 
 @pytest.mark.parametrize("stride", [1, 3, trajindex.logs.STRIDE])
-def test_first_block_meeting_keeps_every_visit(stride, monkeypatch, indexes, oracles):
-    """For a window and a region, ``first_block_meeting`` gives None only
-    when the object lies outside the region at every window instant its log
-    covers, and else an instant of the log no later than the first such
-    visit.  A log whose box misses the region is dropped before any
-    checkpoint is bisected."""
+def test_logs_meeting_keeps_every_visit(stride, monkeypatch, indexes, oracles):
+    """``logs_meeting`` gives logs of its portion as (id, log) pairs, and
+    omits a log only when its object lies outside the region at every
+    instant the log covers from t_from on, its start included."""
     monkeypatch.setattr(trajindex.logs, "STRIDE", stride)
     rng = random.Random(stride)
-    bisected, inner = [], trajindex.logs.bisect_left
-
-    def counting(a, *args):
-        bisected.append(a)
-        return inner(a, *args)
-
-    monkeypatch.setattr(trajindex.logs, "bisect_left", counting)
-    dropped = found = 0
+    kept = by_box = 0
     for (name, period), idx in sorted(indexes.items()):
         index, oracle = TrajectoryIndex.from_bytes(idx.to_bytes()), oracles[name]
-        logs, cp, side = index.logs, index.logs.checkpoints, index.params.side
-        for h, g, oid, (t_c, p_c) in log_starts(index):
-            orig, end = int(index.ids[oid]), int(logs.table.end[g])
-            t_from = rng.randint(h * period, logs.portion_end(h))
-            t_to = rng.randint(t_from, logs.portion_end(h))
-            cx, cy = (c + rng.randrange(-40, 41) for c in p_c)
-            r = clip_region((cx - 8, cy - 8, cx + 8, cy + 8), side)
-            if r is None:
-                continue
-            bisected.clear()
-            got = logs.first_block_meeting(g, t_c, p_c, t_from, t_to, r)
-            visits = [
-                u for u in range(max(t_from, t_c), min(t_to, end) + 1)
-                if (q := oracle.position_of(orig, u)) is not None and contains(r, *q)
-            ]
-            if got is None:
-                assert not visits, (stride, orig, t_from, t_to, r)
-            else:
-                found += 1
-                assert t_c <= got <= (visits[0] if visits else t_to), (stride, orig, got)
-            lo, hi = int(cp.off[g]), int(cp.off[g + 1])
-            x1, y1, x2, y2 = cp.box[g + lo].tolist()
-            x, y = p_c
-            if x + x2 < r[0] or x + x1 > r[2] or y + y2 < r[1] or y + y1 > r[3]:
-                assert got is None and all(a is not logs._cp.t for a in bisected), (stride, orig)
-                dropped += hi > lo  # a log of several blocks
-    assert dropped and found
+        logs, side = index.logs, index.params.side
+        for h, group in groupby(log_starts(index), key=lambda start: start[0]):
+            group = list(group)
+            for _ in range(2):
+                _h, _g, _oid, (_t, p) = rng.choice(group)
+                cx, cy = (c + rng.randrange(-40, 41) for c in p)
+                r = clip_region((cx - 8, cy - 8, cx + 8, cy + 8), side)
+                if r is None:
+                    continue
+                t_from = rng.randint(h * period, logs.portion_end(h))
+                got = logs.logs_meeting(h, r, t_from)
+                assert all(int(logs.table.ids[g]) == o for o, g in got)
+                hit = {g for _o, g in got}
+                assert hit <= {g for _h, g, _oid, _start in group}
+                for _h, g, oid, (t_c, _p) in group:
+                    end = int(logs.table.end[g])
+                    if g in hit:
+                        kept += 1
+                        continue
+                    by_box += end >= t_from
+                    orig = int(index.ids[oid])
+                    visits = oracle.trajectory(orig, max(t_from, t_c), end)
+                    assert not any(contains(r, *q) for _t, q in visits), (stride, orig, r)
+    assert kept and by_box
