@@ -55,12 +55,13 @@ meets the region and that end at or after the window's start, found in one
 pass over the portion's boxes.  Each is walked from its start, seeking to
 the window's start, and the walk passes over every block whose box misses
 the region (``use_mbr=False`` walks every log of each portion and passes
-over no block).  Only a time slice in the later half of a portion
-without columns (one of at most ``COLUMN_SPAN`` instants) anchors at the
-next snapshot (or a disappearance event) and walks backward, which keeps
-its expanded region and its walks short.  ``counters`` tracks how many
-symbols each traversal family touched, which the pruning tests compare
-across debug flags (``use_mbr`` / ``use_er``).
+over no block).  A time slice anywhere else between snapshots takes its
+candidates from the same boxes: its portion's logs whose placed box meets
+the region and that end at or after its instant, each walked from its
+start, seeking to the instant; a slice at a snapshot instant reads that
+snapshot.  No query walks backward.  ``counters`` tracks how many symbols
+each traversal family touched, which the pruning tests compare across
+debug flags (``use_mbr`` / ``use_er``).
 
 Results are deterministic: object lists sort by id, nearest-neighbour
 answers by (distance, id).
@@ -94,6 +95,7 @@ from .grammar import (
     repair_compress,
 )
 from .k2tree import MAX_K, MAX_SIDE, check_levels, decode_cells, encode, height_of
+# no query calls move_back: it is imported only for perfbench/tracing.py to patch
 from .logs import LogStore, move_back, move_jump, move_steps
 from .snapshot import Snapshot
 
@@ -226,10 +228,6 @@ class TrajectoryIndex:
     def last_snapshot(self):
         return self.params.t_max // self.params.period
 
-    def _nearest_snapshot(self, t_q):
-        d = self.params.period
-        return min((2 * t_q + d - 1) // (2 * d), self.last_snapshot)
-
     def _in_extent(self, t):
         return 0 <= t <= self.params.t_max
 
@@ -312,53 +310,31 @@ class TrajectoryIndex:
     # ------------------------------------------------------------------
 
     def time_slice(self, region, t_q, use_mbr=True, use_er=True):
-        """Objects inside a region at one instant, as sorted (id, position)."""
+        """Objects inside a region at one instant, as sorted (id, position).
+
+        At a snapshot instant the snapshot answers.  Past its portion's
+        first column the candidates are the column's states in reach of the
+        region plus the AA anchors after the column in reach of it; anywhere
+        else, the portion's logs whose placed box meets the region and that
+        end at or after t_q.  Each is walked forward from its log's start."""
         r = clip_region(region, self.params.side)
         if r is None or not self._in_extent(t_q):
             return []
         d, m_sp, side = self.params.period, self.params.max_speed, self.params.side
+        h = t_q // d
+        if t_q % d == 0:
+            return sorted((self._orig(o), p) for o, p in self.snapshots[h].objects_in_region(r))
         col = self.logs.column_in_reach(t_q, r, m_sp)
-        if col is not None:  # walk from the log starts of the column's survivors
-            h = t_q // d
-            t_0, survivors = col
-            starts = [(o, g, *self._start(h, o, g)) for o, g in survivors]
-        else:  # the snapshot objects inside r expanded to t_q
-            h = self._nearest_snapshot(t_q)
-            t_0 = h * d
-            if t_0 > t_q:
-                return self._slice_later_half(h, r, t_q, use_mbr, use_er)
-            er = expanded_region(r, t_0, t_q, m_sp, side)
-            find = self.logs.find
-            starts = [(o, find(h, o), t_0, p) for o, p in self.snapshots[h].objects_in_region(er)]
-        # then the AA anchors after them that r is within reach of by t_q
-        starts += [
-            (o, g, t_a, p_a) for o, g, t_a, p_a in self._anchors(h, t_0, t_q)
-            if contains(expanded_region(r, t_a, t_q, m_sp, side), *p_a)
-        ]
+        cands = self.logs.logs_meeting(h, r, t_q) if col is None else col[1]
+        starts = [(o, g, *self._start(h, o, g)) for o, g in cands]
+        if col is not None:  # then the AA anchors after the column
+            starts += [
+                (o, g, t_a, p_a) for o, g, t_a, p_a in self._anchors(h, col[0], t_q)
+                if contains(expanded_region(r, t_a, t_q, m_sp, side), *p_a)
+            ]
         answers = []
         for o, g, t_c, p_c in starts:
             pos = self._slice_forward(g, t_c, p_c, t_q, r, use_mbr, use_er)
-            if pos is not None:
-                answers.append((self._orig(o), pos))
-        return sorted(answers)
-
-    def _slice_later_half(self, h, r, t_q, use_mbr, use_er):
-        """``time_slice`` from snapshot h after t_q, walking backward."""
-        m_sp = self.params.max_speed
-        side = self.params.side
-        t_s = h * self.params.period
-        er = expanded_region(r, t_q, t_s, m_sp, side)
-        logs = self.logs
-        cands = [
-            (o, logs.find(h - 1, o), t_s, p) for o, p in self.snapshots[h].objects_in_region(er)
-        ]
-        for g in logs.disappeared(h).tolist():
-            t_d, p_d = logs.last_anchor(g)
-            if t_d >= t_q and contains(expanded_region(r, t_q, t_d, m_sp, side), *p_d):
-                cands.append((int(logs.table.ids[g]), g, t_d, p_d))
-        answers = []
-        for o, g, t_c, p_c in cands:
-            pos = self._slice_backward(h - 1, g, t_q, t_c, p_c, r, use_mbr, use_er)
             if pos is not None:
                 answers.append((self._orig(o), pos))
         return sorted(answers)
@@ -393,31 +369,6 @@ class TrajectoryIndex:
             # r is out of reach by t_q (Chebyshev distance, as ``_interval_scan``)
             x, y = p_c
             if use_er and max(x1 - x, x - x2, y1 - y, y - y2) > m_sp * (t_q - t_c):
-                return None
-        if t_c == t_q and contains(r, *p_c):
-            return p_c
-        return None
-
-    def _slice_backward(self, h, g, t_q, t_c, p_c, r, use_mbr, use_er):
-        m_sp = self.params.max_speed
-        rules = self.rules
-        counters = self.counters
-        x1, y1, x2, y2 = r
-        for sym, t, p in self.logs.elements_backward(h, g, t_c, p_c, t_q, seek=True):
-            if sym is not None:
-                counters["slice_symbols"] += 1
-                if (
-                    use_mbr
-                    and t <= t_q
-                    and sym >= rules.nt_base
-                    and not regions_intersect(rules.box(sym, *p), r)
-                ):
-                    return None
-                if t < t_q:
-                    t, p = move_back(rules, p_c, t_q, t_c, sym)
-            t_c, p_c = t, p
-            x, y = p_c
-            if use_er and max(x1 - x, x - x2, y1 - y, y - y2) > m_sp * (t_c - t_q):
                 return None
         if t_c == t_q and contains(r, *p_c):
             return p_c
@@ -475,16 +426,16 @@ class TrajectoryIndex:
         x, y = p_c
         region = r if use_mbr else None
         walk = self.logs.elements(g, t_c, p_c, t_last, seek=t_b, region=region)
-        n = 0  # symbols touched, counted once per scan
+        n = 0  # move symbols and rule halves popped, counted once per scan
         try:
             for sym, t, p in walk:
-                stack = [sym]  # None for an event
+                stack = [sym]  # None for an event or a block passed over
                 while stack and t_c < t_last:
                     s = stack.pop()
-                    n += 1
                     if s is None:  # the event sets the state
                         t_c, (x, y) = t, p
                     else:
+                        n += 1
                         if t_c + span[s] < t_b:  # fully before the window: pure skip
                             t_c, x, y = t_c + span[s], x + dx[s], y + dy[s]
                             continue

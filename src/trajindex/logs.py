@@ -3,9 +3,8 @@
 The timeline is cut into portions: portion h covers the instants
 (h*period, min((h+1)*period, t_max)].  A snapshot instant is therefore also
 the last instant of the portion before it.  Queries read logs forward from
-the earlier snapshot, or from a column (below); only a time slice in the
-later half of a portion without columns reads them backward from the later
-snapshot.
+their start, the earlier snapshot or an AA anchor, seeking to a checkpoint;
+no query reads them backward.
 
 Each (portion, object) log is one slice of the jointly compressed symbol
 stream plus its entries in two side arrays, aligned with its event symbols,
@@ -26,7 +25,9 @@ and end instant.  Every array is held in the narrowest dtype for its range.
 A log looks like ``[AA?] (move | RM | RNM)* [D?]``: AA opens a log whose
 object was absent at the starting snapshot, D closes a log whose object
 stops emitting before the portion ends (its payload repeats the last known
-instant/position so a backward time-slice walk can anchor on it).
+instant/position: the instant is the log's end, which ``logs_meeting`` and
+kNN read without a walk, and loading checks the log's moves against the
+position).
 
 Every ``STRIDE`` compressed symbols after its opening AA, a log has a
 checkpoint: the instant, position and D/P side-array cursors before that
@@ -36,9 +37,10 @@ a log's first has a box holding every position it visits, relative to
 where it starts: the rules' MBR idea one level up, so a walk can pass over
 a block that misses a query region.  Each log also has the box of every
 position it visits, one level up again, placed at absolute cells
-(``log_box``): a time interval takes as candidates the logs of a portion
-whose box meets its region (``logs_meeting``), one plain pass over the
-portion's rows, and a walk tests a log's first block with that box.
+(``log_box``): a time interval, and a time slice before its portion's
+first column, take as candidates the logs of a portion whose box meets
+their region (``logs_meeting``), one plain pass over the portion's rows,
+and an interval's walk tests a log's first block with that box.
 Checkpoints and boxes follow from the symbols, the rule tables and the
 side arrays, so they are derived on construction and never stored in a
 file.
@@ -61,9 +63,9 @@ start, and ``place`` places them once the snapshots are known.  A portion of
 at most ``COLUMN_SPAN`` instants has none.
 
 Logs are named by their number: ``find`` gives an object's log of a
-portion, ``appearing`` and ``disappeared`` give the logs that open with AA
-or close with D, and a column state holds its log's, so each walk looks
-its log up at most once.
+portion, ``appearing`` gives the logs that open with AA, and a column state
+or a ``logs_meeting`` pair holds its log's, so each walk looks its log up
+at most once.
 
 Traversal primitives:
 
@@ -77,10 +79,11 @@ Traversal primitives:
   A trajectory steps from portion to portion itself;
 * ``LogStore.elements_backward`` — the mirror over one portion's log, read
   in place from its end, or with seeking from the first checkpoint at or
-  after the floor, yielding the state before each element; only the later
-  half of a time slice walks backward;
-* ``move_jump`` / ``move_back`` — clip a symbol that straddles a time
-  limit, descending into the rule with an explicit stack;
+  after the floor, yielding the state before each element; no query walks
+  backward, and perfbench/tracing.py patches it;
+* ``move_jump`` — clips a symbol that straddles a time limit, descending
+  into the rule with an explicit stack; ``move_back`` undoes one backward,
+  which no query calls;
 * ``move_steps`` — expand a symbol to terminals, one (instant, position)
   per step.
 
@@ -463,18 +466,10 @@ class LogStore:
     def appearing(self, h):
         """Numbers of portion h's logs that open with AA: their objects are
         absent from snapshot h."""
-        return self._flagged(h, self.table.starts_aa)
-
-    def disappeared(self, h):
-        """Numbers of portion (h-1)'s logs that close with D before
-        snapshot h."""
-        return self._flagged(h - 1, self.table.ends_d)
-
-    def _flagged(self, h, flags):
         if not 0 <= h < self.n_portions:
             return _NO_IDS
         lo, hi = self._bounds[h], self._bounds[h + 1]
-        return np.flatnonzero(flags[lo:hi]) + lo
+        return np.flatnonzero(self.table.starts_aa[lo:hi]) + lo
 
     def last_covered(self, g):
         """Last instant of log g; -1 for g = -1, no log."""
@@ -491,7 +486,8 @@ class LogStore:
 
     def last_anchor(self, g):
         """(instant, position) of log g when it closes with D; None
-        otherwise and for g = -1, no log."""
+        otherwise and for g = -1, no log.  No query calls it;
+        perfbench/tracing.py patches it."""
         t = self._log
         if g < 0 or not t.ends_d[g]:
             return None
@@ -601,7 +597,8 @@ class LogStore:
         one log.  With ``seek``, the walk starts at the log's first
         checkpoint at or after ``t_floor``, yielded as ``sym=None``: the
         log's start is the end state less the log's net displacement, and
-        its instant the AA's, else portion h's snapshot's.
+        its instant the AA's, else portion h's snapshot's.  No query calls
+        it; perfbench/tracing.py patches it.
         """
         d = self.dict
         span, dx, dy = d.sym_span, d.sym_dx, d.sym_dy
@@ -674,7 +671,8 @@ def move_jump(dictionary, p, t_c, t_e, sym):
 
 
 def move_back(dictionary, p, t_floor, t_c, sym):
-    """Undo ``sym`` backward from (t_c, p), stopping exactly at t_floor."""
+    """Undo ``sym`` backward from (t_c, p), stopping exactly at t_floor.
+    No query calls it; perfbench/tracing.py patches ``engine.move_back``."""
     span, dx, dy, pairs = (
         dictionary.sym_span, dictionary.sym_dx, dictionary.sym_dy, dictionary.sym_pairs
     )

@@ -27,7 +27,8 @@ group boundary wherever two neighbouring rows of ``xy`` differ.
 
 The ids absent here that appear before the next snapshot, and those that
 stopped emitting in the portion before, follow from the logs' AA and D
-events; ``LogStore.appearing`` and ``LogStore.disappeared`` list them.
+events; ``LogStore.appearing`` lists the first, and the log table's
+``ends_d`` flags the second.
 """
 
 import math

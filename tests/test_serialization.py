@@ -272,7 +272,8 @@ class TestIndexContainer:
         assert present.tolist() == [0, 1] and perm.tolist() == [0] and q.tolist() == [0]
         ids = idx.logs.table.ids
         assert ids[idx.logs.appearing(1)].tolist() == [0]
-        assert ids[idx.logs.disappeared(2)].tolist() == [0]
+        lo, hi = idx.logs.bounds[1:3].tolist()
+        assert ids[lo:hi][idx.logs.table.ends_d[lo:hi]].tolist() == [0]
         if fault == "event_member":
             idx.rules.pairs[0, 0] = EV_D
         elif fault == "later_member":
