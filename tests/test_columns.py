@@ -2,6 +2,7 @@
 portion, and the time slices and kNN queries that filter a column instead
 of the snapshot."""
 
+import math
 import random
 
 import pytest
@@ -135,6 +136,94 @@ def test_slice_and_knn_match_oracle_at_any_span(span, stride, monkeypatch, index
             got, want = index.knn(k, point, t), oracle.knn(k, point, t)
             assert [o for o, _d in got] == [o for o, _d in want], (name, period, t, point)
             assert all(abs(a - b) <= 1e-9 for (_o, a), (_p, b) in zip(got, want))
+
+
+def _instant_kind(index, t):
+    """Which kind of kNN instant t is, as ``knn_candidates`` tells them
+    apart at the current column span."""
+    period, t_max = index.params.period, index.params.t_max
+    h, dt = divmod(t, period)
+    if not dt:
+        return "snapshot"
+    if h == index.logs.n_portions - 1 and t_max % period:
+        return "last portion cut short"
+    span = trajindex.logs.COLUMN_SPAN
+    if dt < span:
+        return "before the first column"
+    return "between columns" if dt % span else "at a column"
+
+
+def _knn_candidates_by_loop(index, t_q, point):
+    """{log: (id, bound)} of ``knn_candidates`` as a list loop with
+    ``math.hypot``: the latest column's states plus the AA logs after it,
+    else the portion's logs, kept when they end at or after t_q."""
+    logs, (qx, qy) = index.logs, point
+    h = t_q // index.params.period
+    col = logs._column(t_q)
+    c = col[0] if col else h * index.params.period
+    boxes = {}
+    for g in range(int(logs.bounds[h]), int(logs.bounds[h + 1])):
+        anchor = logs.first_anchor(g)
+        if (anchor is None and col is None) or (anchor and c < anchor[0] <= t_q):
+            boxes[g] = logs.log_box[g].tolist()
+    if col is not None:
+        cols = logs.columns
+        for r in range(col[1], col[2]):
+            x, y, (x1, y1, x2, y2) = int(cols.x[r]), int(cols.y[r]), cols.box[r].tolist()
+            boxes[int(cols.log[r])] = [x + x1, y + y1, x + x2, y + y2]
+    return {
+        g: (int(logs.table.ids[g]), math.hypot(max(x1 - qx, 0, qx - x2), max(y1 - qy, 0, qy - y2)))
+        for g, (x1, y1, x2, y2) in boxes.items() if logs.table.end[g] >= t_q
+    }
+
+
+@pytest.mark.parametrize("span", [1, 2, 3, 7])
+def test_knn_bounds_are_sound(span, monkeypatch, indexes, oracles, appearance_index,
+                              appearance_series):
+    """Between snapshots every object active at t_q is a kNN candidate, and
+    no candidate's bound exceeds its object's exact distance; at any
+    instant ``knn`` answers as the oracle, for any count, and at a snapshot
+    instant it walks no log."""
+    monkeypatch.setattr(trajindex.logs, "COLUMN_SPAN", span)
+    rng = random.Random(span)
+    builds = [(key, idx, oracles[key[0]], DATASET_SIDE[key[0]])
+              for key, idx in sorted(indexes.items())]
+    builds.append((("appearance", 8), appearance_index, Oracle(appearance_series), 32))
+    seen = dict.fromkeys(("snapshot", "before the first column", "at a column",
+                          "between columns", "last portion cut short"), 0)
+    for key, idx, oracle, side in builds:
+        index = _loaded(idx)
+        period, t_max = index.params.period, index.params.t_max
+        instants = [rng.randrange(t_max + 1) for _ in range(6)]
+        for h in rng.sample(range(index.logs.n_portions), min(3, index.logs.n_portions)):
+            instants += [h * period + j * span + rng.choice((0, 1)) for j in range(3)]
+        if t_max < 20:
+            instants = range(t_max + 1)
+        for t in instants:
+            if t > t_max:
+                continue
+            kind = _instant_kind(index, t)
+            seen[kind] += 1
+            point = (rng.randrange(-8, side + 8), rng.randrange(-8, side + 8))
+            exact = {int(index._oid(o)): math.hypot(p[0] - point[0], p[1] - point[1])
+                     for o, tl in oracle.timelines.items() if (p := tl.get(t)) is not None}
+            if kind != "snapshot":
+                bounds, ids, logs = index.logs.knn_candidates(t, point)
+                assert len(set(ids)) == len(ids) and set(exact) <= set(ids), (key, t, kind)
+                assert list(zip(bounds, ids)) == sorted(zip(bounds, ids)), (key, t)
+                want = _knn_candidates_by_loop(index, t, point)
+                assert sorted(want) == sorted(logs), (key, t, kind)
+                for bound, o, g in zip(bounds, ids, logs):
+                    assert want[g][0] == o and want[g][1] * (1 - 1e-9) <= bound <= want[g][1]
+                for bound, o in zip(bounds, ids):
+                    assert o not in exact or bound <= exact[o], (key, t, kind, o)
+            walked = index.counters["knn_symbols"]
+            for count in (1, 3, len(exact), len(exact) + 2):
+                assert index.knn(count, point, t) == oracle.knn(count, point, t), (key, t, count)
+            assert kind != "snapshot" or index.counters["knn_symbols"] == walked, (key, t)
+    if span == 1:  # every instant past a snapshot is on a column
+        del seen["before the first column"], seen["between columns"]
+    assert all(seen.values()), seen
 
 
 def test_mid_portion_slice_walks_fewer_logs_than_snapshot_candidates(indexes, oracles,

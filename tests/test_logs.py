@@ -100,9 +100,7 @@ class TestLogLayout:
         g9 = logs.find(1, int(idx._oid(9)))
         assert bool(t.starts_aa[g5]) and bool(t.ends_d[g5])
         assert not t.starts_aa[g9] and not t.ends_d[g9]
-        assert t.end[g5] == 13 == logs.last_covered(g5)
-        assert t.end[g9] == 16 == logs.last_covered(g9)
-        assert logs.last_covered(-1) == -1
+        assert t.end[g5] == 13 and t.end[g9] == 16
 
     def test_forward_cursor_window(self, appearance_index):
         idx = appearance_index
