@@ -34,41 +34,34 @@ table is held in the narrowest dtype for its range.
 Queries follow the classic plan: anchor at the snapshot at or before the
 instant that matters (or at an appearance event), reading its table (a
 region test or a distance per present object, one lookup for an object's
-cell), seek to the last log checkpoint at or before that instant, then walk
-that portion's compressed log forward from there, jumping whole rules
+cell), seek to the last log checkpoint at or before that instant, then
+walk that portion's compressed log forward from there, jumping whole rules
 whenever their metadata proves they cannot matter.  Every walk covers one
 log, named by its number, which a query looks up once per candidate, or
-reads off a column state or an appearance event: a trajectory starts a
-walk in each portion its window meets, from that portion's snapshot or AA
-anchor.  A time slice at an instant past its portion's first column
-filters the latest column at or before it instead of the snapshot (see
-``logs``): it admits the states whose box, which holds every position the
-log visits until the next column, meets the region and from which the
-region is within reach.  The survivors, plus the appearance events after
-the column, are walked from their log's start, seeking to the last
-checkpoint at or before the instant.  A kNN query between snapshots ranks
-its candidates by the distance from its point to their placed boxes, all
-in one numpy pass (``LogStore.knn_candidates``): past its portion's first
-column, the column's states and the logs that open with AA after it, else
-the portion's logs.  It walks them in that order, each once, straight to
-the instant, until the exact distances it has found give up its answers:
-on the benchmark's kNN queries, for 5.5 answers each, 5.95 walks per query
-on appear-d30 and 6.85 on walk-d720, where ranking the snapshot's or the
-column's states by a bound less what max_speed covers took 9.27 and 8.14.
-A kNN query at a snapshot instant reads that snapshot.  A time interval takes
-its candidates from the logs' boxes, not from the snapshots: in each
-portion its window meets, the logs whose box, placed at absolute cells,
-meets the region and that end at or after the window's start, found in one
-pass over the portion's boxes.  Each is walked from its start, seeking to
-the window's start, and the walk passes over every block whose box misses
-the region (``use_mbr=False`` walks every log of each portion and passes
-over no block).  A time slice anywhere else between snapshots takes its
-candidates from the same boxes: its portion's logs whose placed box meets
-the region and that end at or after its instant, each walked from its
-start, seeking to the instant; a slice at a snapshot instant reads that
-snapshot.  No query walks backward.  ``counters`` tracks how many symbols
-each traversal family touched, which the pruning tests compare across
-debug flags (``use_mbr`` / ``use_er``).
+reads off a candidate row: a trajectory starts a walk in each portion its
+window meets, from that portion's snapshot or AA anchor.  A time slice,
+time interval or kNN query reads a snapshot only at a snapshot instant;
+between snapshots it takes its candidates from one source,
+``LogStore.candidates``: numpy arrays of the ids, logs and placed boxes of
+the logs that end at or after its instant or its window's start.  Past its
+portion's first column, a slice or kNN query at t_q gets the latest
+column's states, whose boxes hold every position their log visits until
+the next column, and the logs that open with AA after the column (see
+``logs``); any other query gets the logs of a portion with their log
+boxes.  A slice keeps the rows whose box meets the region and walks each
+from its log's start, seeking to t_q.  A time interval does the same in
+each portion its window meets, seeking to the window's start, and its walk
+passes over every block whose box misses the region (``use_mbr=False``
+keeps every row and passes over no block).  A kNN query ranks the rows by
+the distance from its point to their boxes and walks them in that order,
+each once, straight to the instant, until the exact distances it has found
+give up its answers: on the benchmark's kNN queries, for 5.5 answers each,
+6.40 walks per query on appear-d30 (0.45 of them AA logs that open after
+the instant and walk nothing) and 6.85 on walk-d720, where ranking the
+snapshot's or the column's states by a bound less what max_speed covers
+took 9.27 and 8.14.  No query walks backward.  ``counters`` tracks how many
+symbols each traversal family touched, which the pruning tests compare
+across debug flags (``use_mbr`` / ``use_er``).
 
 Results are deterministic: object lists sort by id, nearest-neighbour
 answers by (distance, id).
@@ -88,7 +81,6 @@ from .geometry import (
     clip_region,
     contains,
     dist_point_point,
-    expanded_region,
     region_in_region,
     regions_intersect,
 )
@@ -231,10 +223,6 @@ class TrajectoryIndex:
     def _orig(self, oid):
         return int(self.ids[oid])
 
-    @property
-    def last_snapshot(self):
-        return self.params.t_max // self.params.period
-
     def _in_extent(self, t):
         return 0 <= t <= self.params.t_max
 
@@ -319,67 +307,55 @@ class TrajectoryIndex:
     def time_slice(self, region, t_q, use_mbr=True, use_er=True):
         """Objects inside a region at one instant, as sorted (id, position).
 
-        At a snapshot instant the snapshot answers.  Past its portion's
-        first column the candidates are the column's states in reach of the
-        region plus the AA anchors after the column in reach of it; anywhere
-        else, the portion's logs whose placed box meets the region and that
-        end at or after t_q.  Each is walked forward from its log's start."""
+        At a snapshot instant the snapshot answers.  Anywhere else the
+        candidates are the rows ``LogStore.candidates`` gives for t_q whose
+        placed box meets the region: past the portion's first column, the
+        column's states and the AA logs that open after it, else the
+        portion's logs.  Each is walked forward from its log's start."""
         r = clip_region(region, self.params.side)
         if r is None or not self._in_extent(t_q):
             return []
-        d, m_sp, side = self.params.period, self.params.max_speed, self.params.side
+        d = self.params.period
         h = t_q // d
         if t_q % d == 0:
             return sorted((self._orig(o), p) for o, p in self.snapshots[h].objects_in_region(r))
-        col = self.logs.column_in_reach(t_q, r, m_sp)
-        cands = self.logs.logs_meeting(h, r, t_q) if col is None else col[1]
-        starts = [(o, g, *self._start(h, o, g)) for o, g in cands]
-        if col is not None:  # then the AA anchors after the column
-            starts += [
-                (o, g, t_a, p_a) for o, g, t_a, p_a in self._anchors(h, col[0], t_q)
-                if contains(expanded_region(r, t_a, t_q, m_sp, side), *p_a)
-            ]
+        ids, logs, box = self.logs.candidates(t_q)
+        hit = _meeting(box, r)
         answers = []
-        for o, g, t_c, p_c in starts:
-            pos = self._slice_forward(g, t_c, p_c, t_q, r, use_mbr, use_er)
+        for o, g in zip(ids[hit].tolist(), logs[hit].tolist()):
+            pos = self._slice_forward(g, *self._start(h, o, g), t_q, r, use_mbr, use_er)
             if pos is not None:
                 answers.append((self._orig(o), pos))
         return sorted(answers)
 
-    def _anchors(self, h, t_after, t_last):
-        """The AA anchors of portion h after t_after and at or before
-        t_last, as (id, log, instant, position) tuples."""
-        logs = self.logs
-        for g in logs.appearing(h).tolist():
-            t_a, p_a = logs.first_anchor(g)
-            if t_after < t_a <= t_last:
-                yield int(logs.table.ids[g]), g, t_a, p_a
-
     def _slice_forward(self, g, t_c, p_c, t_q, r, use_mbr, use_er):
         m_sp = self.params.max_speed
         rules = self.rules
-        counters = self.counters
         x1, y1, x2, y2 = r
-        for sym, t, p in self.logs.elements(g, t_c, p_c, t_q, seek=t_q):
-            if sym is not None:
-                counters["slice_symbols"] += 1
-                if (
-                    use_mbr
-                    and t >= t_q
-                    and sym >= rules.nt_base
-                    and not regions_intersect(rules.box(sym, *p_c), r)
-                ):
+        n = 0  # move symbols walked, counted once per walk
+        try:
+            for sym, t, p in self.logs.elements(g, t_c, p_c, t_q, seek=t_q):
+                if sym is not None:
+                    n += 1
+                    if (
+                        use_mbr
+                        and t >= t_q
+                        and sym >= rules.nt_base
+                        and not regions_intersect(rules.box(sym, *p_c), r)
+                    ):
+                        return None
+                    if t > t_q:
+                        t, p = move_jump(rules, p_c, t_c, t_q, sym)
+                t_c, p_c = t, p
+                # r is out of reach by t_q (Chebyshev distance, as ``_interval_scan``)
+                x, y = p_c
+                if use_er and max(x1 - x, x - x2, y1 - y, y - y2) > m_sp * (t_q - t_c):
                     return None
-                if t > t_q:
-                    t, p = move_jump(rules, p_c, t_c, t_q, sym)
-            t_c, p_c = t, p
-            # r is out of reach by t_q (Chebyshev distance, as ``_interval_scan``)
-            x, y = p_c
-            if use_er and max(x1 - x, x - x2, y1 - y, y - y2) > m_sp * (t_q - t_c):
-                return None
-        if t_c == t_q and contains(r, *p_c):
-            return p_c
-        return None
+            if t_c == t_q and contains(r, *p_c):
+                return p_c
+            return None
+        finally:
+            self.counters["slice_symbols"] += n
 
     # ------------------------------------------------------------------
     # time interval (region over a window)
@@ -388,11 +364,12 @@ class TrajectoryIndex:
     def time_interval(self, region, t_begin, t_end, use_mbr=True, use_er=True):
         """Sorted ids of objects inside the region at any window instant.
 
-        The candidates of each portion the window meets are its logs whose
-        placed box meets the region and that end at or after t_b (without
-        ``use_mbr``, every log of the portion), each walked from its start
-        and seeking to t_b.  The snapshot at t_b, when there is one, is read
-        directly: the last snapshot starts no portion."""
+        The candidates of each portion the window meets are the rows
+        ``LogStore.candidates`` gives for it, its logs that end at or after
+        t_b, whose placed box meets the region (without ``use_mbr``, every
+        such log), each walked from its start and seeking to t_b.  The
+        snapshot at t_b, when there is one, is read directly: the last
+        snapshot starts no portion."""
         r = clip_region(region, self.params.side)
         t_b = max(t_begin, 0)
         t_e = min(t_end, self.params.t_max)
@@ -408,12 +385,11 @@ class TrajectoryIndex:
             h = (t_b - 1) // d
         while h < logs.n_portions and h * d < t_e:
             t_last = min(t_e, logs.portion_end(h))
+            ids, gs, box = logs.candidates(t_b, h)
             if use_mbr:
-                cands = logs.logs_meeting(h, r, t_b)
-            else:
-                lo, hi = logs.bounds[h:h + 2].tolist()
-                cands = zip(logs.table.ids[lo:hi].tolist(), range(lo, hi))
-            for o, g in cands:
+                hit = _meeting(box, r)
+                ids, gs = ids[hit], gs[hit]
+            for o, g in zip(ids.tolist(), gs.tolist()):
                 if o in answers:
                     continue
                 t_c, p_c = self._start(h, o, g)
@@ -480,16 +456,19 @@ class TrajectoryIndex:
         At a snapshot instant the snapshot answers: its table of present
         objects sorted by (distance, id), with no walk.  Anywhere else,
         distance browsing (Hjaltason & Samet, TODS 1999) over candidates
-        ranked by a lower bound on their distance at t_q, the distance to
-        their placed box (see ``LogStore.knn_candidates``): past its
-        portion's first column, the column's states and the AA logs that
-        open after it, else every log of the portion that ends at or after
-        t_q.  The candidates are walked in (bound, id) order, each once,
-        from its log's start and seeking to t_q, and its exact distance is
-        pushed on a heap, which gives up its top once that is no more than
-        the next candidate's (bound, id).  No bound exceeds its exact
-        distance, so neighbours leave the heap in (distance, id) order.
-        Every distance equals ``math.hypot``'s, as the oracle's.
+        ranked by a lower bound on their distance at t_q: the rows
+        ``LogStore.candidates`` gives for t_q (past its portion's first
+        column, the column's states and the AA logs that open after it,
+        else the portion's logs, each ending at or after t_q), each bounded
+        by the distance to its placed box, and sorted by (bound, id) in one
+        numpy pass.  The candidates are walked in that order, each once,
+        from its log's start and seeking to t_q (an AA log that opens after
+        t_q yields nothing), and its exact distance is pushed on a heap,
+        which gives up its top once that is no more than the next
+        candidate's (bound, id).  A box holds its log's position at t_q, so
+        no bound exceeds its exact distance, and neighbours leave the heap
+        in (distance, id) order.  Every distance equals ``math.hypot``'s,
+        as the oracle's.
         """
         if count <= 0 or not self._in_extent(t_q) or not len(self.ids):
             return []
@@ -497,8 +476,12 @@ class TrajectoryIndex:
         if not dt:
             near = sorted((d, o) for o, _p, d in self.snapshots[h].candidates_by_distance(*point))
             return [(self._orig(o), d) for d, o in near[:count]]
+        ids, logs, box = self.logs.candidates(t_q)
+        bound = _box_distance(*map(float, point), box)  # float: no narrow dtype wraps
+        order = np.lexsort((ids, bound))
+        ranked = bound[order].tolist(), ids[order].tolist(), logs[order].tolist()
         out, near = [], []  # near: min-heap of (distance, id) of the walked
-        for bound, o, g in zip(*self.logs.knn_candidates(t_q, point)):
+        for bound, o, g in zip(*ranked):
             while near and len(out) < count and near[0] <= (bound, o):
                 out.append(heapq.heappop(near))
             if len(out) == count:
@@ -670,6 +653,26 @@ class TrajectoryIndex:
             },
             "log_ratio_vs_raw": log_bytes / raw if raw else 0.0,
         }
+
+
+def _meeting(box, region):
+    """Which rows of ``box``, one (x1, y1, x2, y2) per row, meet ``region``."""
+    x1, y1, x2, y2 = region
+    return (box[:, 0] <= x2) & (box[:, 2] >= x1) & (box[:, 1] <= y2) & (box[:, 3] >= y1)
+
+
+# np.hypot may round an ulp or two above math.hypot; a kNN bound scaled by
+# this stays at or below the exact distance
+_SHRINK = 1 - 2.0**-40
+
+
+def _box_distance(qx, qy, box):
+    """Each box's distance from (qx, qy), shrunk by ``_SHRINK``: ``box``
+    holds one row (x1, y1, x2, y2) per box."""
+    x1, y1, x2, y2 = box.T
+    return np.hypot(
+        np.maximum(np.maximum(x1 - qx, qx - x2), 0), np.maximum(np.maximum(y1 - qy, qy - y2), 0)
+    ) * _SHRINK
 
 
 def _layout(t_max, period):

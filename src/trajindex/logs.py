@@ -25,9 +25,8 @@ and end instant.  Every array is held in the narrowest dtype for its range.
 A log looks like ``[AA?] (move | RM | RNM)* [D?]``: AA opens a log whose
 object was absent at the starting snapshot, D closes a log whose object
 stops emitting before the portion ends (its payload repeats the last known
-instant/position: the instant is the log's end, which ``logs_meeting`` and
-kNN read without a walk, and loading checks the log's moves against the
-position).
+instant/position: the instant is the log's end, which ``candidates`` reads
+without a walk, and loading checks the log's moves against the position).
 
 Every ``STRIDE`` compressed symbols after its opening AA, a log has a
 checkpoint: the instant, position and D/P side-array cursors before that
@@ -37,42 +36,42 @@ a log's first has a box holding every position it visits, relative to
 where it starts: the rules' MBR idea one level up, so a walk can pass over
 a block that misses a query region.  Each log also has the box of every
 position it visits, one level up again, placed at absolute cells
-(``log_box``): a time interval, and a time slice before its portion's
-first column, take as candidates the logs of a portion whose box meets
-their region (``logs_meeting``), one plain pass over the portion's rows,
-and an interval's walk tests a log's first block with that box.  A kNN
-query between snapshots with no column at or before it in its portion
-ranks the portion's logs that end at or after its instant by the distance
-from its point to their boxes (``knn_candidates``).
+(``log_box``): it stands for the log among a query's candidate rows
+(``candidates``), and an interval's walk tests a log's first block with it.
 Checkpoints and boxes follow from the symbols, the rule tables and the
 side arrays, so they are derived on construction and never stored in a
 file.
 
 Every ``COLUMN_SPAN`` instants after its snapshot, a portion has a column
 (``Columns``): for each of its logs that has started and not closed by
-then, the position at the log's last element boundary at or before that
-instant, how long before it, and the box of every position the log visits
-from there up to the next column's instant (or to its end, for a
-portion's last column).  A column is the snapshot's idea between
-snapshots, with the rules' MBR idea on top: a time slice or kNN query at
-t_q lies in its latest column's span, so a slice admits a state only when
-the state's box, placed at its position, meets the region
-(``column_in_reach``), and kNN ranks the states, with the logs that open
-with AA after the column, by the distance from its point to their placed
-boxes (``knn_candidates``).  The survivors are still walked from their
-log's start, seeking to the last checkpoint at or before t_q, so a column
-holds no cursors.  Columns follow from the logs and the snapshots' cells:
-construction derives them, and the log boxes, relative to each log's
-start, and ``place`` places them once the snapshots are known.  A portion of
-at most ``COLUMN_SPAN`` instants has none.
+then, the box of every position the log visits from its last element
+boundary at or before that instant up to the next column's instant (or to
+its end, for a portion's last column), placed at absolute cells.  A column
+is the snapshot's idea between snapshots, with the rules' MBR idea on top:
+a time slice or kNN query at t_q lies in its latest column's span, so its
+candidate rows are the column's states and the logs that open with AA
+after the column, not the portion's logs.  A time interval's window may
+pass the next column, so it always takes the portion's logs.  The
+candidates are walked from their log's start, seeking to the last
+checkpoint at or before t_q, so a column holds no cursors.  Columns follow
+from the logs and the snapshots' cells: construction derives them, and the
+log boxes, relative to each log's start, and ``place`` places them once
+the snapshots are known.  A portion of at most ``COLUMN_SPAN`` instants has
+none.
 
 Logs are named by their number: ``find`` gives an object's log of a
-portion, ``appearing`` gives the logs that open with AA, and a column state
-or a ``logs_meeting`` pair or ``knn_candidates`` entry holds its log's,
-so each walk looks its log up at most once.
+portion, ``appearing`` gives the logs that open with AA, and a
+``candidates`` row holds its log's, so each walk looks its log up at most
+once.
 
-Traversal primitives:
+The candidate source and the traversal primitives:
 
+* ``LogStore.candidates`` — the one source of candidates between
+  snapshots: a query's rows of one portion (object ids, logs, placed
+  boxes) as numpy arrays, cut to the logs that end at or after its instant
+  or its window's start.  A time slice or interval masks them by box
+  against its region, and kNN ranks them by the distance from its point
+  to their boxes;
 * ``LogStore.elements`` — forward walker over one log from its
   start (the snapshot cell or the AA anchor) to its end; it decodes every
   event and yields one ``(sym, t, p)`` state per element: a move symbol
@@ -93,14 +92,13 @@ Traversal primitives:
 
 The walkers read span, displacement and pairs from the symbol-indexed
 tables of ``RuleDictionary``, and all of them read the log table and the
-checkpoints through memoryviews.  The slice and interval filters over
-columns and log boxes slice their arrays and read them as lists, as
-``Snapshot.objects_in_region`` reads a snapshot; ``knn_candidates``, which
-keeps and sorts every row, makes one numpy pass over them instead: on the
-benchmark's seed-1 kNN queries, 46 candidates on appear-d30 and 60 on
-walk-d720, it takes about 20 us against 41-47 us for the same pass as a
-list loop, and 24 us against 66 us for the list loop that ranked a
-column's states by the larger of two bounds (2-vCPU x86 host).
+checkpoints through memoryviews.  ``candidates``, and the box mask or the
+ranking a query applies to its rows, are numpy passes.  Over the
+benchmark's seed-1 queries (2-vCPU x86 host) a slice's candidate step takes
+about 14 us on walk-d720 and 8.4 us on appear-d30, an interval's 8.5 us
+per portion, and kNN's candidates and ranking 21 and 15 us; the list
+passes over a column and over a portion's log boxes, and kNN's own numpy
+pass, that they replace took 16, 7.9, 7.2-7.6, 24 and 21 us.
 """
 
 import collections
@@ -141,18 +139,14 @@ Checkpoints = collections.namedtuple("Checkpoints", "off t x y d p tot_x tot_y b
 # column j of portion h for k = h * per + j - 1, with ``per`` the columns
 # of a whole portion.  Column k's states are rows off[k]..off[k+1]-1, one
 # per log of the portion that has started by the column instant and not
-# closed with a D before it, in log order: the log's number, its position
-# (x, y) at its last element boundary at or before the column instant, lag
-# instants before it, and a box (x1, y1, x2, y2) relative to that position
-# holding every position the log visits from there up to the next column's
-# instant, or to the log's end for the portion's last column.  A slice or
-# kNN query tests the box placed at the position.
-Columns = collections.namedtuple("Columns", "off log x y lag box")
+# closed with a D before it, in log order: the log's number and a box
+# (x1, y1, x2, y2) at absolute cells, as ``LogStore.log_box``, holding
+# every position the log visits from its last element boundary at or
+# before the column instant up to the next column's instant, or to the
+# log's end for the portion's last column.
+Columns = collections.namedtuple("Columns", "off log box")
 
 _NO_IDS = np.zeros(0, dtype=np.int64)
-# np.hypot may round an ulp or two above math.hypot; a kNN bound scaled by
-# this stays at or below the exact distance
-_SHRINK = 1 - 2.0**-40
 
 
 class LogStore:
@@ -314,8 +308,8 @@ class LogStore:
         the stream's start (``before``, x then y), and the least x and y and
         the greatest x and y each symbol reaches, in the same frame
         (``reach``), as ``(per, Columns)`` with ``per`` the columns of a
-        whole portion.  Their positions stay relative to each log's start
-        until ``place``.
+        whole portion.  Their boxes stay relative to each log's start until
+        ``place``.
 
         An index lays out no columns when they would number more than
         ``_COLUMN_LIMIT`` (or 16 per stream symbol) with their states: a
@@ -333,8 +327,7 @@ class LogStore:
             if per > limit or self.n_portions * per + int(n.sum()) > limit:
                 per = 0
         if not per:
-            empty = np.zeros(0, dtype=np.uint8)
-            return 0, Columns(np.zeros(1, dtype=np.uint8), *[empty] * 4,
+            return 0, Columns(np.zeros(1, dtype=np.uint8), np.zeros(0, dtype=np.uint8),
                               np.zeros((0, 4), dtype=np.uint8))
         g = np.repeat(np.arange(len(n)), n)
         j = first[g] + np.arange(len(g)) - np.repeat(np.cumsum(n) - n, n)
@@ -344,7 +337,6 @@ class LogStore:
         # zero-span symbol opening the next log may tie with the end
         i = np.searchsorted(clock, clock_0[g] + at, side="right") - 1
         i = np.minimum(i, ends[g] - 1)
-        lag = at - np.where(i < starts[g], 0, clock[i] - clock_0[g])
         # symbols i + 1 .. e take the log from its state past the next
         # column's instant, or to its end: e is the first to reach that
         # instant, else the log's last.  Each pair (i + 1, e + 1) bounds one
@@ -353,27 +345,23 @@ class LogStore:
         e = np.searchsorted(clock, clock_0[g] + at + np.uint64(w))
         e = np.minimum(e, ends[g] - 1)
         pairs = np.column_stack((i + 1, e + 1)).ravel()
-        state = [b[i + 1] for b in before] * 2
         box = []
-        for r, s, f in zip(reach, state, (np.minimum,) * 2 + (np.maximum,) * 2):
+        for r, b, f in zip(reach, before * 2, (np.minimum,) * 2 + (np.maximum,) * 2):
             part = f.reduceat(np.append(r, 0), pairs)[::2]
-            box.append(np.where(i < e, part, s) - s)
-        x, y = (s - b[starts[g]] for s, b in zip(state, before))
+            box.append(np.where(i < e, part, b[i + 1]) - b[starts[g]])
         k = of_portion[g] * per + j - 1
         order = np.argsort(k, kind="stable")
         off = np.searchsorted(k[order], np.arange(self.n_portions * per + 1))
-        return per, Columns(off, g[order], x[order], y[order], lag[order],
-                            np.column_stack(box)[order])
+        return per, Columns(off, g[order], np.column_stack(box)[order])
 
     def place(self, start):
         """Place each log's box and the column states at their cells:
         ``start`` holds each log's start cell, one (x, y) row per log.
         Until then no query reads a log box or a column."""
         log_box, per, c = self._unplaced
-        self.log_box = narrow(log_box + np.tile(start, 2))
-        self.columns = Columns(*map(narrow, (
-            c.off, c.log, c.x + start[c.log, 0], c.y + start[c.log, 1], c.lag, c.box,
-        )))
+        at = np.tile(start, 2)  # (x, y, x, y) per log, as a box row
+        self.log_box = narrow(log_box + at)
+        self.columns = Columns(*map(narrow, (c.off, c.log, c.box + at[c.log])))
         self._per, self._unplaced = per, None
 
     def _column(self, t):
@@ -393,81 +381,40 @@ class LogStore:
         a, b = self.columns.off[k:k + 2].tolist()
         return h * self.period + j * w, a, b
 
-    def _column_rows(self, a, b):
-        """(log, x, y, lag, box) of column rows a..b-1."""
-        c = self.columns
-        return zip(c.log[a:b].tolist(), c.x[a:b].tolist(), c.y[a:b].tolist(),
-                   c.lag[a:b].tolist(), c.box[a:b].tolist())
+    def candidates(self, t, h=None):
+        """The candidate rows of a query between snapshots, as three arrays:
+        the object ids, the log numbers and the placed boxes (x1, y1, x2,
+        y2) of logs that end at or after instant t.
 
-    def column_in_reach(self, t_q, region, max_speed):
-        """(instant, candidates) of the latest column at or before t_q in
-        its portion: as (id, log) pairs, the states whose placed box meets
-        ``region`` and from which it is within reach by t_q, at
-        ``max_speed`` cells per instant along each axis; None when there is
-        no such column.  A plain pass over the column, as
-        ``Snapshot.objects_in_region`` makes over a snapshot."""
-        col = self._column(t_q)
+        A time slice or kNN query asks at instant t alone (no ``h``): past
+        its portion's first column, its rows are the column's states, each
+        with its box, and the logs that open with AA after the column and at
+        or before t; anywhere else, the portion's logs.  A time interval
+        names each portion h its window meets, from its start t on, and
+        gets the portion's logs, since a column's boxes reach only to the
+        next column.  A log's row holds its ``log_box``.  One numpy pass
+        over the column's or the portion's rows."""
+        tab = self.table
+        col = self._column(t) if h is None else None
         if col is None:
-            return None
-        c, a, b = col
-        ids, x1, y1, x2, y2 = self._log.ids, *region
-        reach = max_speed * (t_q - c)
-        return c, [
-            (ids[g], g)
-            for g, x, y, lag, (bx1, by1, bx2, by2) in self._column_rows(a, b)
-            if x + bx1 <= x2 and x + bx2 >= x1 and y + by1 <= y2 and y + by2 >= y1
-            and x1 - (d := reach + max_speed * lag) <= x <= x2 + d and y1 - d <= y <= y2 + d
-        ]
-
-    def knn_candidates(self, t_q, point):
-        """The candidates of a kNN query at t_q, an instant between two
-        snapshots, as three lists sorted by (bound, id): each one's bound,
-        object id and log.  Past the portion's first column they are the
-        column's states plus the portion's logs that open with AA after
-        the column and at or before t_q; anywhere else, the portion's logs.
-        Only logs that end at or after t_q are kept, so every object active
-        at t_q is one.  The bound is the distance from ``point`` to the
-        candidate's placed box (a state's, else its log's), which holds its
-        position at t_q, shrunk by a few ulps so that it stays at or below
-        the exact distance ``math.hypot`` gives.  One numpy pass over the
-        column's or the portion's rows."""
-        t, h = self.table, t_q // self.period
-        lo, hi = self._bounds[h], self._bounds[h + 1]
-        qx, qy = map(float, point)  # float, so that no narrow dtype wraps
-        aa = self.appearing(h)
-        t_a = self.d_vals[t.d_off[aa]]
-        col = self._column(t_q)
-        if col is None:
-            keep = t.end[lo:hi] >= t_q
-            keep[aa - lo] &= t_a <= t_q
-            logs = keep.nonzero()[0] + lo
-            bound = _box_distance(qx, qy, self.log_box.take(logs, axis=0))
+            if h is None:
+                h = t // self.period
+            lo, hi = self._bounds[h], self._bounds[h + 1]
+            logs = (tab.end[lo:hi] >= t).nonzero()[0] + lo
+            box = self.log_box.take(logs, axis=0)  # take: log_box[logs] runs slower
         else:
             c, a, b = col
             cols = self.columns
-            logs = cols.log[a:b]
-            bound = _box_distance(qx - cols.x[a:b], qy - cols.y[a:b], cols.box[a:b])
-            aa = aa[(t_a > c) & (t_a <= t_q)]
+            logs, box = cols.log[a:b], cols.box[a:b]
+            aa = self.appearing(t // self.period)
             if len(aa):
+                t_a = self.d_vals[tab.d_off[aa]]
+                aa = aa[(t_a > c) & (t_a <= t)]
                 logs = np.append(logs, aa)
-                bound = np.append(bound, _box_distance(qx, qy, self.log_box.take(aa, axis=0)))
-            keep = t.end[logs] >= t_q
-            logs, bound = logs[keep], bound[keep]
-        ids = t.ids[logs]
-        order = np.lexsort((ids, bound))
-        return bound[order].tolist(), ids[order].tolist(), logs[order].tolist()
-
-    def logs_meeting(self, h, region, t_from):
-        """Portion h's logs, as (id, log) pairs, whose placed box meets
-        ``region`` and that end at or after t_from.  A plain pass over the
-        portion's log boxes, as ``column_in_reach`` makes over a column."""
-        lo, hi = self._bounds[h], self._bounds[h + 1]
-        ids, end, (x1, y1, x2, y2) = self._log.ids, self._log.end, region
-        return [
-            (ids[g], g)
-            for g, (bx1, by1, bx2, by2) in enumerate(self.log_box[lo:hi].tolist(), lo)
-            if bx1 <= x2 and bx2 >= x1 and by1 <= y2 and by2 >= y1 and end[g] >= t_from
-        ]
+                box = np.concatenate((box, self.log_box.take(aa, axis=0)))
+            keep = tab.end[logs] >= t
+            logs, box = logs[keep], box[keep]
+        return tab.ids[logs], logs, box
 
     def portion_end(self, h):
         return min((h + 1) * self.period, self.t_max)
@@ -666,16 +613,6 @@ class LogStore:
             yield sym, t_c, (x, y)
             if t_c <= t_floor:
                 return
-
-
-def _box_distance(qx, qy, box):
-    """Each box's distance from (qx, qy), shrunk by ``_SHRINK``: ``box``
-    holds one row (x1, y1, x2, y2) per box, and qx and qy are floats or
-    float arrays with one value per box."""
-    x1, y1, x2, y2 = box.T
-    return np.hypot(
-        np.maximum(np.maximum(x1 - qx, qx - x2), 0), np.maximum(np.maximum(y1 - qy, qy - y2), 0)
-    ) * _SHRINK
 
 
 def move_jump(dictionary, p, t_c, t_e, sym):

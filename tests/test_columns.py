@@ -11,6 +11,7 @@ from conftest import DATASET_SIDE, deadline
 import trajindex.logs
 from trajindex import Oracle, TrajectoryIndex
 from trajindex.bits import narrow
+from trajindex.engine import _box_distance
 from trajindex.geometry import expanded_region
 from trajindex.grammar import EV_RM, EV_RNM
 from trajindex.logs import LogStore
@@ -69,13 +70,11 @@ def test_column_states_match_an_unseeked_walk(span, monkeypatch, indexes):
                     elif states[-1][0] < c:
                         seen["d before"] += 1
                     else:
-                        t, pos, nxt = [st for st in states if st[0] <= c][-1]
-                        want.append((g, pos, c - t))
+                        want.append(g)
+                        t, _pos, nxt = [st for st in states if st[0] <= c][-1]
                         if nxt in (EV_RM, EV_RNM) and t < c:
                             seen["gap straddles"] += 1
-                rows = range(cols.off[k], cols.off[k + 1])
-                got = [(int(cols.log[r]), (int(cols.x[r]), int(cols.y[r])), int(cols.lag[r]))
-                       for r in rows]
+                got = cols.log[cols.off[k]:cols.off[k + 1]].tolist()
                 assert got == want, (name, period, h, j)
                 if h == logs.n_portions - 1 and p.t_max % period:
                     seen["last portion cut"] += 1
@@ -85,9 +84,10 @@ def test_column_states_match_an_unseeked_walk(span, monkeypatch, indexes):
 @pytest.mark.parametrize("span", [1, 2, 3, 7])
 def test_column_boxes_hold_every_position_up_to_the_next_column(span, monkeypatch, indexes,
                                                                  oracles):
-    """Every position a log visits from its state's instant up to the next
-    column's instant, or up to the portion end for a portion's last column,
-    lies inside the state's box placed at its position."""
+    """Every position a log visits from its last element boundary at or
+    before the column instant up to the next column's instant, or up to
+    the portion end for a portion's last column, lies inside the state's
+    placed box."""
     monkeypatch.setattr(trajindex.logs, "COLUMN_SPAN", span)
     checked = wider = 0
     for (name, period), idx in sorted(indexes.items()):
@@ -100,17 +100,17 @@ def test_column_boxes_hold_every_position_up_to_the_next_column(span, monkeypatc
                 c, k = lo + j * span, h * per + j - 1
                 until = pe if j == (pe - lo - 1) // span else c + span
                 for r in range(cols.off[k], cols.off[k + 1]):
-                    x, y, lag = int(cols.x[r]), int(cols.y[r]), int(cols.lag[r])
+                    g = int(cols.log[r])
+                    t, (x, y), _nxt = [st for st in _boundaries(index, h, g) if st[0] <= c][-1]
                     x1, y1, x2, y2 = cols.box[r].tolist()
-                    assert x1 <= 0 <= x2 and y1 <= 0 <= y2, (name, period, c)
+                    assert x1 <= x <= x2 and y1 <= y <= y2, (name, period, c)
                     wider += x2 - x1 + y2 - y1 > 0
-                    timeline = timelines[int(index.ids[logs.table.ids[cols.log[r]]])]
-                    for u in range(c - lag, until + 1):
+                    timeline = timelines[int(index.ids[logs.table.ids[g]])]
+                    for u in range(t, until + 1):
                         p = timeline.get(u)
                         if p is not None:
                             checked += 1
-                            assert x + x1 <= p[0] <= x + x2 and y + y1 <= p[1] <= y + y2, (
-                                name, period, c, u)
+                            assert x1 <= p[0] <= x2 and y1 <= p[1] <= y2, (name, period, c, u)
     assert checked and wider
 
 
@@ -139,8 +139,8 @@ def test_slice_and_knn_match_oracle_at_any_span(span, stride, monkeypatch, index
 
 
 def _instant_kind(index, t):
-    """Which kind of kNN instant t is, as ``knn_candidates`` tells them
-    apart at the current column span."""
+    """Which kind of kNN instant t is, as ``LogStore.candidates`` tells
+    them apart at the current column span."""
     period, t_max = index.params.period, index.params.t_max
     h, dt = divmod(t, period)
     if not dt:
@@ -154,9 +154,10 @@ def _instant_kind(index, t):
 
 
 def _knn_candidates_by_loop(index, t_q, point):
-    """{log: (id, bound)} of ``knn_candidates`` as a list loop with
-    ``math.hypot``: the latest column's states plus the AA logs after it,
-    else the portion's logs, kept when they end at or after t_q."""
+    """{log: (id, bound)} of a kNN query's rows and bounds as a list loop
+    with ``math.hypot``: the latest column's states plus the AA logs that
+    open after it and by t_q, else the portion's logs, kept when they end at
+    or after t_q, each bounded by the distance to its placed box."""
     logs, (qx, qy) = index.logs, point
     h = t_q // index.params.period
     col = logs._column(t_q)
@@ -164,13 +165,12 @@ def _knn_candidates_by_loop(index, t_q, point):
     boxes = {}
     for g in range(int(logs.bounds[h]), int(logs.bounds[h + 1])):
         anchor = logs.first_anchor(g)
-        if (anchor is None and col is None) or (anchor and c < anchor[0] <= t_q):
+        if col is None or (anchor and c < anchor[0] <= t_q):
             boxes[g] = logs.log_box[g].tolist()
     if col is not None:
         cols = logs.columns
         for r in range(col[1], col[2]):
-            x, y, (x1, y1, x2, y2) = int(cols.x[r]), int(cols.y[r]), cols.box[r].tolist()
-            boxes[int(cols.log[r])] = [x + x1, y + y1, x + x2, y + y2]
+            boxes[int(cols.log[r])] = cols.box[r].tolist()
     return {
         g: (int(logs.table.ids[g]), math.hypot(max(x1 - qx, 0, qx - x2), max(y1 - qy, 0, qy - y2)))
         for g, (x1, y1, x2, y2) in boxes.items() if logs.table.end[g] >= t_q
@@ -208,9 +208,10 @@ def test_knn_bounds_are_sound(span, monkeypatch, indexes, oracles, appearance_in
             exact = {int(index._oid(o)): math.hypot(p[0] - point[0], p[1] - point[1])
                      for o, tl in oracle.timelines.items() if (p := tl.get(t)) is not None}
             if kind != "snapshot":
-                bounds, ids, logs = index.logs.knn_candidates(t, point)
+                ids, logs, box = index.logs.candidates(t)
+                bounds = _box_distance(*map(float, point), box).tolist()
+                ids, logs = ids.tolist(), logs.tolist()
                 assert len(set(ids)) == len(ids) and set(exact) <= set(ids), (key, t, kind)
-                assert list(zip(bounds, ids)) == sorted(zip(bounds, ids)), (key, t)
                 want = _knn_candidates_by_loop(index, t, point)
                 assert sorted(want) == sorted(logs), (key, t, kind)
                 for bound, o, g in zip(bounds, ids, logs):

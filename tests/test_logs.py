@@ -8,6 +8,7 @@ import trajindex.logs
 from conftest import DATASETS, PERIODS
 from trajindex import Oracle, TrajectoryIndex
 from trajindex.bits import narrow
+from trajindex.engine import _meeting
 from trajindex.geometry import clip_region, contains
 from trajindex.grammar import EV_AA, EV_D, EV_RM, MOVE_BASE, RuleDictionary
 from trajindex.logs import move_back, move_jump, move_steps
@@ -383,10 +384,12 @@ def test_region_walk_skips_only_blocks_off_the_region(stride, monkeypatch, index
 
 
 @pytest.mark.parametrize("stride", [1, 3, trajindex.logs.STRIDE])
-def test_logs_meeting_keeps_every_visit(stride, monkeypatch, indexes, oracles):
-    """``logs_meeting`` gives logs of its portion as (id, log) pairs, and
-    omits a log only when its object lies outside the region at every
-    instant the log covers from t_from on, its start included."""
+def test_interval_rows_keep_every_visit(stride, monkeypatch, indexes, oracles):
+    """A time interval's rows of a portion (``LogStore.candidates`` from
+    t_from on, masked by box as ``time_interval`` masks them) are logs of
+    that portion with their ids, and omit a log only when its object lies
+    outside the region at every instant the log covers from t_from on, its
+    start included."""
     monkeypatch.setattr(trajindex.logs, "STRIDE", stride)
     rng = random.Random(stride)
     kept = by_box = 0
@@ -402,9 +405,9 @@ def test_logs_meeting_keeps_every_visit(stride, monkeypatch, indexes, oracles):
                 if r is None:
                     continue
                 t_from = rng.randint(h * period, logs.portion_end(h))
-                got = logs.logs_meeting(h, r, t_from)
-                assert all(int(logs.table.ids[g]) == o for o, g in got)
-                hit = {g for _o, g in got}
+                ids, gs, box = logs.candidates(t_from, h)
+                assert ids.tolist() == logs.table.ids[gs].tolist()
+                hit = set(gs[_meeting(box, r)].tolist())
                 assert hit <= {g for _h, g, _oid, _start in group}
                 for _h, g, oid, (t_c, _p) in group:
                     end = int(logs.table.end[g])
