@@ -49,19 +49,25 @@ column's states, whose boxes hold every position their log visits until
 the next column, and the logs that open with AA after the column (see
 ``logs``); any other query gets the logs of a portion with their log
 boxes.  A slice keeps the rows whose box meets the region and walks each
-from its log's start, seeking to t_q.  A time interval does the same in
-each portion its window meets, seeking to the window's start, and its walk
-passes over every block whose box misses the region (``use_mbr=False``
-keeps every row and passes over no block).  A kNN query ranks the rows by
-the distance from its point to their boxes and walks them in that order,
-each once, straight to the instant, until the exact distances it has found
-give up its answers: on the benchmark's kNN queries, for 5.5 answers each,
-6.40 walks per query on appear-d30 (0.45 of them AA logs that open after
-the instant and walk nothing) and 6.85 on walk-d720, where ranking the
-snapshot's or the column's states by a bound less what max_speed covers
-took 9.27 and 8.14.  No query walks backward.  ``counters`` tracks how many
-symbols each traversal family touched, which the pruning tests compare
-across debug flags (``use_mbr`` / ``use_er``).
+from its log's start straight to t_q, then tests the position it reaches.
+A time interval does the same in each portion its window meets, seeking to
+the window's start, and its walk passes over every block whose box misses
+the region (``use_mbr=False`` keeps every row and passes over no block).
+A kNN query ranks the rows by the distance from its point to their boxes
+and walks them in that order, each once, straight to the instant, until
+the exact distances it has found give up its answers: on the benchmark's
+kNN queries, for 5.5 answers each, 6.40 walks per query on appear-d30
+(0.45 of them AA logs that open after the instant, which return at once)
+and 6.85 on walk-d720, where ranking the snapshot's or the column's states
+by a bound less what max_speed covers took 9.27 and 8.14.
+
+A walk to one instant, the object's, the slice's and kNN's, is one plain
+loop, ``LogStore.state_at``, that yields nothing; ``_forward_to`` clips the
+symbol that straddles the instant with ``move_jump``.  A trajectory and a
+time interval, which need every state, drive the ``LogStore.elements``
+generator.  No query walks backward.  ``counters`` tracks how many symbols
+each traversal family touched, which the pruning tests compare across a
+time interval's debug flags (``use_mbr`` / ``use_er``).
 
 Results are deterministic: object lists sort by id, nearest-neighbour
 answers by (distance, id).
@@ -72,6 +78,7 @@ from __future__ import annotations
 import collections
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +139,7 @@ class TrajectoryIndex:
     def __init__(self, params, ids, snapshots, logs, rules):
         self.params = params
         self.ids = ids  # sorted original object ids; position = internal id
+        self._ids = memoryview(ids)
         self.snapshots = snapshots
         self.logs = logs
         self.rules = rules
@@ -215,8 +223,12 @@ class TrajectoryIndex:
     # ------------------------------------------------------------------
 
     def _oid(self, obj):
-        i = int(np.searchsorted(self.ids, obj))
-        if i >= len(self.ids) or self.ids[i] != obj:
+        ids = self._ids
+        try:
+            i = bisect_left(ids, obj)
+        except TypeError:  # no integer id compares with obj
+            i = len(ids)
+        if i >= len(ids) or ids[i] != obj:
             raise KeyError("unknown object id: %r" % (obj,))
         return i
 
@@ -250,16 +262,13 @@ class TrajectoryIndex:
         return self.logs.first_anchor(g)
 
     def _forward_to(self, g, t_c, p_c, t_q, counter="object_symbols"):
-        """Position at t_q on log g, walked from (t_c, p_c); None when its
-        object is not active then.  The symbols walked add to
-        ``counters[counter]``."""
-        n = 0
-        for sym, t, p in self.logs.elements(g, t_c, p_c, t_q, seek=t_q):
-            if sym is not None:
-                n += 1
-                if t > t_q:
-                    t, p = move_jump(self.rules, p_c, t_c, t_q, sym)
-            t_c, p_c = t, p
+        """Position at t_q on log g, walked from (t_c, p_c) by
+        ``LogStore.state_at``, with the symbol that straddles t_q clipped by
+        ``move_jump``; None when its object is not active then.  The move
+        symbols read add to ``counters[counter]``."""
+        t_c, p_c, sym, n = self.logs.state_at(g, t_c, p_c, t_q)
+        if sym is not None:
+            t_c, p_c = move_jump(self.rules, p_c, t_c, t_q, sym)
         if n:
             self.counters[counter] += n
         return p_c if t_c == t_q else None
@@ -304,14 +313,15 @@ class TrajectoryIndex:
     # time slice (region at one instant)
     # ------------------------------------------------------------------
 
-    def time_slice(self, region, t_q, use_mbr=True, use_er=True):
+    def time_slice(self, region, t_q):
         """Objects inside a region at one instant, as sorted (id, position).
 
         At a snapshot instant the snapshot answers.  Anywhere else the
         candidates are the rows ``LogStore.candidates`` gives for t_q whose
         placed box meets the region: past the portion's first column, the
         column's states and the AA logs that open after it, else the
-        portion's logs.  Each is walked forward from its log's start."""
+        portion's logs.  Each is walked forward from its log's start to
+        t_q, and kept when its position there lies in the region."""
         r = clip_region(region, self.params.side)
         if r is None or not self._in_extent(t_q):
             return []
@@ -323,39 +333,10 @@ class TrajectoryIndex:
         hit = _meeting(box, r)
         answers = []
         for o, g in zip(ids[hit].tolist(), logs[hit].tolist()):
-            pos = self._slice_forward(g, *self._start(h, o, g), t_q, r, use_mbr, use_er)
-            if pos is not None:
-                answers.append((self._orig(o), pos))
+            p = self._forward_to(g, *self._start(h, o, g), t_q, "slice_symbols")
+            if p is not None and contains(r, *p):
+                answers.append((self._orig(o), p))
         return sorted(answers)
-
-    def _slice_forward(self, g, t_c, p_c, t_q, r, use_mbr, use_er):
-        m_sp = self.params.max_speed
-        rules = self.rules
-        x1, y1, x2, y2 = r
-        n = 0  # move symbols walked, counted once per walk
-        try:
-            for sym, t, p in self.logs.elements(g, t_c, p_c, t_q, seek=t_q):
-                if sym is not None:
-                    n += 1
-                    if (
-                        use_mbr
-                        and t >= t_q
-                        and sym >= rules.nt_base
-                        and not regions_intersect(rules.box(sym, *p_c), r)
-                    ):
-                        return None
-                    if t > t_q:
-                        t, p = move_jump(rules, p_c, t_c, t_q, sym)
-                t_c, p_c = t, p
-                # r is out of reach by t_q (Chebyshev distance, as ``_interval_scan``)
-                x, y = p_c
-                if use_er and max(x1 - x, x - x2, y1 - y, y - y2) > m_sp * (t_q - t_c):
-                    return None
-            if t_c == t_q and contains(r, *p_c):
-                return p_c
-            return None
-        finally:
-            self.counters["slice_symbols"] += n
 
     # ------------------------------------------------------------------
     # time interval (region over a window)
@@ -463,7 +444,7 @@ class TrajectoryIndex:
         by the distance to its placed box, and sorted by (bound, id) in one
         numpy pass.  The candidates are walked in that order, each once,
         from its log's start and seeking to t_q (an AA log that opens after
-        t_q yields nothing), and its exact distance is pushed on a heap,
+        t_q returns at once), and its exact distance is pushed on a heap,
         which gives up its top once that is no more than the next
         candidate's (bound, id).  A box holds its log's position at t_q, so
         no bound exceeds its exact distance, and neighbours leave the heap

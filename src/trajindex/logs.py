@@ -72,8 +72,16 @@ The candidate source and the traversal primitives:
   or its window's start.  A time slice or interval masks them by box
   against its region, and kNN ranks them by the distance from its point
   to their boxes;
+* ``LogStore.state_at`` — one plain loop over one log from its start to
+  one instant t_q, for the object, time-slice and kNN queries: it enters
+  the log at the last checkpoint at or before t_q, applies whole moves,
+  RM/RNM gaps and spiral codes up to t_q, stops at a closing D, and
+  returns the state after the last element that ends by t_q, the move
+  symbol that straddles t_q (for ``move_jump``) and the move symbols it
+  read.  It yields nothing;
 * ``LogStore.elements`` — forward walker over one log from its
-  start (the snapshot cell or the AA anchor) to its end; it decodes every
+  start (the snapshot cell or the AA anchor) to its end, for the queries
+  that need every state, trajectory and time interval; it decodes every
   event and yields one ``(sym, t, p)`` state per element: a move symbol
   with the state it reaches applied whole, or ``sym=None`` with the state
   an RM/RNM or a checkpoint sets.  Given a seek instant, it enters the log
@@ -98,7 +106,11 @@ benchmark's seed-1 queries (2-vCPU x86 host) a slice's candidate step takes
 about 14 us on walk-d720 and 8.4 us on appear-d30, an interval's 8.5 us
 per portion, and kNN's candidates and ranking 21 and 15 us; the list
 passes over a column and over a portion's log boxes, and kNN's own numpy
-pass, that they replace took 16, 7.9, 7.2-7.6, 24 and 21 us.
+pass, that they replace took 16, 7.9, 7.2-7.6, 24 and 21 us.  A walk to
+one instant (``state_at``, then ``move_jump`` on the straddling symbol),
+over the walks of the same object and kNN queries, takes about 3.4 us on
+walk-d720 and 2.7 us on appear-d30, where driving ``elements`` to the
+instant took 4.3 and 3.6 us.
 """
 
 import collections
@@ -553,6 +565,65 @@ class LogStore:
                 if t_c >= t_end:
                     return
             s = stop
+
+    def state_at(self, g, t_c, p_c, t_q):
+        """Walk log g forward from its start state (t_c, p_c) towards
+        instant t_q in one plain loop, as ``elements`` with ``seek=t_q``
+        walks it, but yielding nothing.  Returns ``(t, p, sym, n)``: the
+        state after the last element that ends by t_q (the start state when
+        it is at or after t_q, or g = -1), the move symbol that straddles
+        t_q or None, and how many move symbols the walk read.
+
+        The consumer clips ``sym`` with ``move_jump`` from (t, p); its
+        object is at t_q only if that, or t itself, reaches t_q.  A closing
+        D, or a gap that passes t_q, ends the walk before t_q."""
+        if t_c >= t_q or g < 0:  # g = -1: no log, as at the last snapshot
+            return t_c, p_c, None, 0
+        d = self.dict
+        span, dx, dy = d.sym_span, d.sym_dx, d.sym_dy
+        syms, d_vals, log, cp = self._syms, self._d, self._log, self._cp
+        x, y = p_c
+        di, pi = d0, p0 = log.d_off[g], log.p_off[g]
+        s, s_end = log.sym_off[g], log.sym_off[g + 1]
+        if syms[s] == EV_AA:  # the start state is the AA's
+            di, pi, s = d0 + 1, p0 + 2, s + 1
+        lo, hi = cp.off[g], cp.off[g + 1]
+        if lo < hi:
+            j = bisect_right(cp.t, t_q - t_c, lo, hi) - 1
+            if j >= lo:  # enter at the last checkpoint at or before t_q
+                s += (j - lo + 1) * self._stride
+                di, pi = d0 + cp.d[j], p0 + cp.p[j]
+                t_c, x, y = t_c + cp.t[j], x + cp.x[j], y + cp.y[j]
+                if t_c == t_q:
+                    return t_c, (x, y), None, 0
+        n = 0
+        for sym in syms[s:s_end]:
+            if sym >= MOVE_BASE:
+                n += 1
+                t = t_c + span[sym]
+                if t >= t_q:
+                    if t > t_q:
+                        return t_c, (x, y), sym, n
+                    return t, (x + dx[sym], y + dy[sym]), None, n
+                t_c = t
+                x += dx[sym]
+                y += dy[sym]
+            elif sym == EV_D:  # closes the log
+                break
+            else:  # RNM or RM: AA only opens a log
+                t = t_c + d_vals[di] + 1
+                if t > t_q:  # absent at t_q
+                    break
+                t_c = t
+                di += 1
+                if sym == EV_RM:  # displaced by a spiral code
+                    mdx, mdy = spiral.decode(self._p[pi])
+                    x += mdx
+                    y += mdy
+                    pi += 1
+                if t_c == t_q:
+                    break
+        return t_c, (x, y), None, n
 
     def elements_backward(self, h, g, t_c, p_c, t_floor, seek=False):
         """Walk log g of portion ``h`` backward from its end state (t_c, p_c),

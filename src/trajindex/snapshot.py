@@ -90,8 +90,8 @@ class Snapshot:
 
     def find_object(self, oid):
         """Cell of an object, or None when it is absent from this snapshot."""
-        row = int(self.at[oid])
-        return tuple(self.xy[row - 1].tolist()) if row else None
+        row = self.at.item(oid)  # item: a Python int, with no numpy scalar
+        return (self.xy.item(row - 1, 0), self.xy.item(row - 1, 1)) if row else None
 
     def objects_in_region(self, region):
         """(object id, position) pairs inside a region, in leaf/group order."""

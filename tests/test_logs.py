@@ -197,18 +197,25 @@ def test_walkers_match_oracle(name, period, indexes, oracles, monkeypatch):
     A walk that seeks starts at a true state at or before the seek instant
     (forward) or at or after the floor (backward), then goes on as the walk
     that does not seek, with checkpoints every STRIDE symbols and at every
-    symbol."""
+    symbol.  ``state_at``, its straddling symbol clipped with ``move_jump``,
+    gives the oracle's position at every sampled instant, inside RM/RNM
+    gaps, after a closing D and before an AA opens its log included."""
     idx, oracle = indexes[name, period], oracles[name]
     logs = idx.logs
     monkeypatch.setattr(trajindex.logs, "STRIDE", 1)
     seekers = (logs, TrajectoryIndex.from_bytes(idx.to_bytes()).logs)
     table = logs.table
+    seen = {"gap": 0, "after D": 0, "before AA": 0}
     for h, g, oid, start in log_starts(idx):
         assert logs.find(h, oid) == g
         orig = int(idx.ids[oid])
         fwd = [start]
+        at = []  # instants state_at is asked about beyond the sampled ones
         for sym, t, p in logs.elements(g, *start, logs.portion_end(h)):
             assert (sym is None) or sym >= MOVE_BASE
+            if sym is None:  # an RM/RNM: absent after the state before it
+                at += [fwd[-1][0] + 1, t - 1, t]
+                seen["gap"] += 1
             fwd.append((t, p))
         if table.ends_d[g]:
             end = logs.last_anchor(g)
@@ -226,13 +233,29 @@ def test_walkers_match_oracle(name, period, indexes, oracles, monkeypatch):
         assert [st for st, _ in groupby(back)] == fwd[::-1], (h, orig)
         t_s, t_e = start[0], end[0]
         walk = list(logs.elements(g, *start, t_e))
-        for q in range(t_s, t_e + 1, max(1, (t_e - t_s) // 6)):
+        sampled = range(t_s, t_e + 1, max(1, (t_e - t_s) // 6))
+        for q in sampled:
             walk_back = list(logs.elements_backward(h, g, *end, q))
             for walker in seekers:
                 seeking = list(walker.elements(g, *start, t_e, seek=q))
                 check_seek(walk, seeking, orig, oracle, lambda t: t <= q)
                 seeking = list(walker.elements_backward(h, g, *end, q, seek=True))
                 check_seek(walk_back, seeking, orig, oracle, lambda t: t >= q)
+        if table.ends_d[g] and t_e < logs.portion_end(h):
+            at += [t_e + 1, logs.portion_end(h)]
+            seen["after D"] += 1
+        if table.starts_aa[g]:
+            at += [h * period + 1, t_s - 1]
+            seen["before AA"] += 1
+        for q in sorted(set(sampled).union(at)):
+            want = oracle.position_of(orig, q)
+            for walker in seekers:
+                t, p, sym, _n = walker.state_at(g, *start, q)
+                if sym is not None:
+                    t, p = move_jump(idx.rules, p, t, q, sym)
+                assert (p if t == q else None) == want, (h, orig, q)
+    if name == "appear":
+        assert all(seen.values()), seen
     t_max = idx.params.t_max
     for orig in idx.ids.tolist():
         assert idx.trajectory(orig, 0, t_max) == oracle.trajectory(orig, 0, t_max), orig
